@@ -1,13 +1,15 @@
 """Command line front end: ``falkkit <subcommand> <file> [--json] [...]``.
 
 Exit codes: 0 success, 1 computation refused (hypothesis gate), 2 input
-error (unreadable file, malformed graph, bad arguments).
+error (unreadable file, malformed graph, bad arguments).  A reader that
+closes the output early, as ``| head`` does, is not an error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import exterior
@@ -254,14 +256,22 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"falkkit: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except GraphFormatError as exc:
+    except (GraphFormatError, UnicodeDecodeError) as exc:
         print(f"falkkit: error: {args.path}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        return args.func(g, args)
+        code = args.func(g, args)
+        sys.stdout.flush()
     except (HypothesisError, ArrangementError) as exc:
         print(f"falkkit: refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
+    except BrokenPipeError:
+        # the reader went away; point stdout at devnull so the interpreter's
+        # final flush does not fail again (recipe from the `signal` docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_OK
+    return code
 
 
 if __name__ == "__main__":

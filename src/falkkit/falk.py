@@ -38,13 +38,15 @@ _RANK_FIELDS = (
 )
 
 
+def _phi3_from_dims(n: int, dim_a2: int, dim_i32: int) -> int:
+    return 2 * comb(n + 1, 3) - n * dim_a2 + comb(n, 3) - dim_i32
+
+
 def phi3_rank(g: GainGraph) -> int:
     """Falk invariant via exact ranks of the degree-2/3 ideal slices."""
     n = g.n
     tris = triangles(g)
-    a2 = exterior.dim_A2(n, tris)
-    i32 = exterior.dim_I3_2(n, tris)
-    return 2 * comb(n + 1, 3) - n * a2 + comb(n, 3) - i32
+    return _phi3_from_dims(n, exterior.dim_A2(n, tris), exterior.dim_I3_2(n, tris))
 
 
 def phi3_combinatorial(counts: PatternCounts) -> int:
@@ -140,7 +142,7 @@ def verify(g: GainGraph) -> FalkReport:
             dim_I3_2=i32,
             span_F3_size=size,
             span_F3_rank=rank_f3,
-            phi3_rank=2 * comb(n + 1, 3) - n * a2 + comb(n, 3) - i32,
+            phi3_rank=_phi3_from_dims(n, a2, i32),
         )
 
     if failing:

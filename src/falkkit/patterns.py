@@ -19,17 +19,29 @@ Occurrences are concrete edge subsets, not isomorphism classes, and
 containment exclusions follow the count definitions: a D3 or Gcirc
 occurrence inside a D31 occurrence is not counted, and a G1 occurrence
 inside a G2 occurrence is not counted.
+
+Occurrences are found from the triangles.  Each atlas pattern's edge set
+is the union of its distinguished triples, so :func:`find_occurrences`
+grows unions of host triangles that share edges and accepts a union that
+maps onto the pattern with its triangles onto the distinguished triples.
+Under H4 this decides biased isomorphism: a biased graph is fixed by its
+multigraph and balanced circles, on at most three vertices the balanced
+circles are the balanced 3-circles among the triangles, and K4's four
+balanced triangles make every circle balanced.  The work is O(|T|) times
+the number of local unions on at most four vertices.  The exhaustive
+:func:`biased_isomorphic` serves callers that compare whole graphs and the
+pattern profiles.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .graphs import (
     GainGraph,
@@ -274,8 +286,6 @@ _ATLAS_SPEC = (
     ("Theta3", 2, ((1, 2, 1), (1, 2, 2), (1, 2, 3)), ("123",)),
 )
 
-PATTERN_NAMES = tuple(name for name, *_ in _ATLAS_SPEC)
-
 _atlas_cache: Mapping[str, Pattern] | None = None
 
 
@@ -301,54 +311,106 @@ def atlas() -> Mapping[str, Pattern]:
     return _atlas_cache
 
 
-def find_occurrences(g: GainGraph, pattern: Pattern) -> set[frozenset[int]]:
+def find_occurrences(
+    g: GainGraph, pattern: Pattern, tris: Sequence[Triangle] | None = None
+) -> set[frozenset[int]]:
     """Edge sets of ``g`` inducing a subgraph biased-isomorphic to the pattern.
 
-    Backtracks over injective vertex images constrained by parallel
-    multiplicities and loop counts, then verifies each distinct candidate
-    edge set by full circle-class comparison.
+    Assumes H4 and H5, as :func:`triangles` does; ``tris`` is
+    ``triangles(g)`` when the caller already has it.
+
+    An occurrence is the union of its k distinguished triples, which are
+    host triangles linked by shared edges.  The search grows unions of host
+    triangles from each triangle, adding one that shares an edge with the
+    union, and prunes a union with more edges or vertices than the pattern
+    or with more than k host triangles inside it.  A union of m edges with
+    exactly k host triangles inside is accepted when some incidence-
+    preserving bijection onto the pattern carries those triangles onto the
+    distinguished triples (:func:`_carries_triangles`).
+
+    This is exact under H4 because a biased graph is fixed by its
+    multigraph and its balanced circles.  Every atlas pattern except K4 has
+    at most three vertices, where the only circles that can be balanced are
+    3-circles, and a 3-circle is balanced exactly when it is a triangle.
+    K4's four balanced triangles force its 4-circles to be balanced.  Every
+    union explored has at most four vertices, so the work is O(|T|) times
+    the number of local unions around a triangle, with no V^k term.
     """
-    reference = pattern.reference
-    ref_profile = pattern.profile
-    ref_pairs = sorted(reference.link_map.items())
-    ref_loops = sorted(reference.loop_map.items())
-    k = len(ref_profile.verts)
-    host_verts = g.incident_vertices
+    if tris is None:
+        tris = triangles(g)
+    ref = pattern.reference
+    num_edges, num_triples = ref.n, len(pattern.distinguished)
+    max_vertices = len(ref.incident_vertices)
+    edge_sets = [frozenset(t.edge_ids) for t in tris]
+    vertex_sets = [
+        frozenset(v for i in t.edge_ids for v in g.edge(i).ends()) for t in tris
+    ]
+    by_edge: dict[int, list[int]] = defaultdict(list)
+    for index, edges in enumerate(edge_sets):
+        for e in edges:
+            by_edge[e].append(index)
+
     results: set[frozenset[int]] = set()
-    if len(host_verts) < k:
-        return results
-    tested: dict[frozenset[int], bool] = {}
-    for image in itertools.permutations(host_verts, k):
-        vmap = dict(zip(ref_profile.verts, image))
-        slots: list[tuple[int, tuple[int, ...]]] = []
-        feasible = True
-        for (u, w), edges in ref_pairs:
-            host = g.links_between(vmap[u], vmap[w])
-            if len(host) < len(edges):
-                feasible = False
-                break
-            slots.append((len(edges), tuple(e.id for e in host)))
-        if feasible:
-            for v, loops in ref_loops:
-                host = g.loops_at(vmap[v])
-                if len(host) < len(loops):
-                    feasible = False
-                    break
-                slots.append((len(loops), tuple(e.id for e in host)))
-        if not feasible:
+    seen: set[frozenset[int]] = set()
+    stack = [
+        (edges, verts)
+        for edges, verts in zip(edge_sets, vertex_sets)
+        if len(verts) <= max_vertices
+    ]
+    while stack:
+        union, verts = stack.pop()
+        if union in seen:
             continue
-        pools = [itertools.combinations(ids, need) for need, ids in slots]
-        for pick in itertools.product(*pools):
-            candidate = frozenset(itertools.chain.from_iterable(pick))
-            verdict = tested.get(candidate)
-            if verdict is None:
-                verdict = _isomorphic_profiles(
-                    _bias_profile(induced_subgraph(g, candidate)), ref_profile
-                )
-                tested[candidate] = verdict
-            if verdict:
-                results.add(candidate)
+        seen.add(union)
+        touching = {j for e in union for j in by_edge[e]}
+        inside = [j for j in touching if edge_sets[j] <= union]
+        if len(inside) > num_triples:
+            continue
+        if len(union) == num_edges:
+            if len(inside) == num_triples and _carries_triangles(
+                g, union, [edge_sets[j] for j in inside], pattern
+            ):
+                results.add(union)
+            continue
+        for j in touching.difference(inside):
+            grown_verts = verts | vertex_sets[j]
+            if len(grown_verts) > max_vertices:
+                continue
+            grown = union | edge_sets[j]
+            if len(grown) <= num_edges and grown not in seen:
+                stack.append((grown, grown_verts))
     return results
+
+
+def _carries_triangles(
+    g: GainGraph, edge_ids: frozenset[int], inside: list[frozenset[int]], pattern: Pattern
+) -> bool:
+    """True when a vertex bijection onto the pattern, with edge bijections
+    between matching parallel classes and loop sets, maps ``inside`` into
+    the pattern's distinguished triples."""
+    ref = pattern.reference
+    classes: dict[tuple[int, int], list[int]] = defaultdict(list)
+    for i in sorted(edge_ids):
+        classes[g.edge(i).ends()].append(i)  # a loop's ends are (v, v)
+    verts = sorted({v for pair in classes for v in pair})
+    if len(verts) != len(ref.incident_vertices):
+        return False
+    for image in itertools.permutations(ref.incident_vertices):
+        vmap = dict(zip(verts, image))
+        targets = []
+        for u, w in classes:
+            a, b = vmap[u], vmap[w]
+            targets.append(ref.loops_at(a) if a == b else ref.links_between(a, b))
+        if any(len(t) != len(ids) for t, ids in zip(targets, classes.values())):
+            continue
+        for pick in itertools.product(*(itertools.permutations(t) for t in targets)):
+            sigma = {
+                i: e.id for ids, images in zip(classes.values(), pick)
+                for i, e in zip(ids, images)
+            }
+            if all(frozenset(sigma[i] for i in t) in pattern.distinguished for t in inside):
+                return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +469,9 @@ def count_patterns(g: GainGraph) -> PatternCounts:
     if not report.all_pass:
         raise HypothesisError(report)
     patterns = atlas()
+    tris = triangles(g)
     occ = {
-        field: find_occurrences(g, patterns[name])
+        field: find_occurrences(g, patterns[name], tris)
         for field, name in _COUNT_PATTERN.items()
     }
     return PatternCounts(

@@ -1,4 +1,6 @@
 import json
+import os
+import shlex
 import subprocess
 import sys
 
@@ -192,3 +194,44 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "agree: true" in proc.stdout
+
+
+def test_invalid_utf8_is_an_input_error(tmp_path):
+    path = tmp_path / "latin1.gg"
+    path.write_bytes(b"# caf\xe9\ngraph 2\nedge 1 1 2 2\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "falkkit", "report", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"falkkit: error: {path}: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_closed_output_pipe_exits_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "falkkit", "report", FINAL],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
+def test_report_piped_into_head():
+    proc = subprocess.run(
+        f"{shlex.quote(sys.executable)} -m falkkit report {shlex.quote(FINAL)} | head -1",
+        shell=True,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.stdout == "graph: 4 vertices, 14 edges\n"
+    assert proc.stderr == ""

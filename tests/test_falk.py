@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import comb
 
@@ -131,6 +132,31 @@ def test_closed_form_dimension_prediction(final_example, pattern_atlas):
 def test_census_equals_rank_on_seeded_sample():
     for g in seeded_graphs(25, seed=123321):
         assert phi3_combinatorial(count_patterns(g)) == phi3_rank(g)
+
+
+def test_graphic_arrangements_match_schenck_suciu():
+    # a simple graph with every gain 1 gives a graphic arrangement, where
+    # phi3 = 2*(kappa3 + kappa4) counts its 3- and 4-cliques (Schenck-Suciu 2002)
+    rng = random.Random(2002)
+    sizes = [(6, 12), (7, 15), (8, 20), (9, 26), (10, 30), (12, 36)] * 3 + [(48, 96)]
+    kappa4_total = 0
+    for num_vertices, num_edges in sizes:
+        pairs = rng.sample(list(itertools.combinations(range(1, num_vertices + 1), 2)), num_edges)
+        g = GainGraph.from_edge_list(num_vertices, [(u, v, 1) for u, v in pairs])
+        adjacent = set(pairs)
+        kappa3 = sum(
+            all(p in adjacent for p in itertools.combinations(vs, 2))
+            for vs in itertools.combinations(g.vertices, 3)
+        )
+        kappa4 = sum(
+            all(p in adjacent for p in itertools.combinations(vs, 2))
+            for vs in itertools.combinations(g.vertices, 4)
+        )
+        kappa4_total += kappa4
+        report = verify(g)
+        assert report.counts == PatternCounts(k3=kappa3, k4=kappa4), (num_vertices, num_edges)
+        assert report.phi3_combinatorial == report.phi3_rank == 2 * (kappa3 + kappa4)
+    assert kappa4_total > 0
 
 
 def test_census_equals_rank_on_pattern_rich_hosts(pattern_atlas):

@@ -106,6 +106,19 @@ def test_g1_g2_contain_no_d3(pattern_atlas):
     assert find_occurrences(pattern_atlas["G2"].reference, d3) == set()
 
 
+def test_g1_twin_is_not_g1(pattern_atlas):
+    # G1's multigraph with five balanced 3-circles and two thetas, like G1,
+    # but its balanced circles sit differently: not biased-isomorphic to G1
+    twin = GainGraph.from_edge_list(
+        3,
+        [(1, 2, 1), (1, 3, -1), (1, 2, -1), (2, 3, 2), (1, 3, -2), (1, 3, 2),
+         (2, 3, -1), (2, 3, -2)],
+    )
+    assert not biased_isomorphic(twin, pattern_atlas["G1"].reference)
+    assert find_occurrences(twin, pattern_atlas["G1"]) == set()
+    assert count_patterns(twin) == PatternCounts(k3=5, d3=1, theta=2)
+
+
 def test_every_pattern_self_occurs(pattern_atlas):
     for name, pattern in pattern_atlas.items():
         full = frozenset(e.id for e in pattern.reference.edges)
