@@ -6,8 +6,9 @@ realizes x_u = 0.  Reorienting an edge or switching the graph only rescales
 normals, so everything downstream compares ranks, never raw coefficients.
 
 :func:`dependent_3sets` decides dependence of every edge triple by exact
-rank and is the linear-algebra oracle against which the combinatorial
-triangle census is cross-validated.
+rank (:func:`falkkit.exterior.rank` on the sparse normals, whose rational
+gains it clears to integers) and is the linear-algebra oracle against which
+the combinatorial triangle census is cross-validated.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import exterior
 from .graphs import GainGraph
 
 
@@ -58,33 +60,14 @@ def _projective_key(normal: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     return tuple(c / lead for c in normal)
 
 
-def _rank_dense(rows: list) -> int:
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    cols = len(rows[0])
-    rk = 0
-    for c in range(cols):
-        pivot = next((i for i in range(rk, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[rk], rows[pivot] = rows[pivot], rows[rk]
-        lead = rows[rk][c]
-        for i in range(rk + 1, len(rows)):
-            factor = rows[i][c] / lead
-            if factor:
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rk])]
-        rk += 1
-        if rk == len(rows):
-            break
-    return rk
-
-
 def dependent_3sets(g: GainGraph) -> set[tuple[int, int, int]]:
     """All edge triples whose normal vectors have rank below 3."""
-    normals = {h.edge_id: h.normal for h in arrangement(g)}
-    out = set()
-    for triple in itertools.combinations(sorted(normals), 3):
-        if _rank_dense([normals[i] for i in triple]) < 3:
-            out.add(triple)
-    return out
+    rows = {
+        h.edge_id: {coord: c for coord, c in enumerate(h.normal, start=1) if c}
+        for h in arrangement(g)
+    }
+    return {
+        triple
+        for triple in itertools.combinations(sorted(rows), 3)
+        if exterior.rank(rows[i] for i in triple) < 3
+    }

@@ -1,9 +1,11 @@
 """Exact exterior algebra in degrees 2 and 3 over an edge ground set.
 
-Vectors are sparse maps from strictly increasing index tuples to rational
-coefficients.  Ranks are computed by rational Gaussian elimination with a
-deterministic pivot rule (first nonzero column in lexicographic order), so
-every dimension reported here is exact.
+Vectors are sparse maps from strictly increasing index tuples to integer
+coefficients.  Ranks are computed by fraction-free elimination over Python
+integers: every pivot row is kept primitive (its entries have gcd 1 and its
+leading entry is positive), and the pivot rule is deterministic (first
+nonzero column in lexicographic order).  There is no floating point, modular
+or randomized step, so every dimension reported here is exact.
 
 Only degrees 2 and 3 are materialized as vector spaces; that is all the
 degree-3 invariant needs.
@@ -12,15 +14,15 @@ degree-3 invariant needs.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 Pair = tuple[int, int]
 Triple = tuple[int, int, int]
-Vec2 = dict[Pair, Fraction]
-Vec3 = dict[Triple, Fraction]
+Vec2 = dict[Pair, int]
+Vec3 = dict[Triple, int]
 
-_ONE = Fraction(1)
+_ONE = 1
 
 
 def _check_increasing(indices: Sequence[int]) -> None:
@@ -35,9 +37,9 @@ def boundary3(triple: Sequence[int]) -> Vec2:
     return {(j, k): _ONE, (i, k): -_ONE, (i, j): _ONE}
 
 
-def boundary2(vec: Vec2) -> dict[int, Fraction]:
+def boundary2(vec: Vec2) -> dict[int, int]:
     """Linear extension of e_ij -> e_j - e_i.  Composed with boundary3 it is 0."""
-    out: dict[int, Fraction] = {}
+    out: dict[int, int] = {}
     for (i, j), c in vec.items():
         for idx, term in ((j, c), (i, -c)):
             value = out.get(idx, 0) + term
@@ -75,28 +77,68 @@ def wedge1(t: int, vec: Vec2) -> Vec3:
     return out
 
 
-def rank(rows: Iterable[Mapping]) -> int:
-    """Exact rank of sparse rational rows keyed by comparable column labels."""
+def _integer_row(row: Mapping) -> dict:
+    """The row's nonzero entries, scaled by the lcm of their denominators."""
+    work = {k: v for k, v in row.items() if v}
+    if all(type(v) is int for v in work.values()):
+        return work
+    exact = {k: Fraction(v) for k, v in work.items()}
+    scale = lcm(*(v.denominator for v in exact.values()))
+    return {k: v.numerator * (scale // v.denominator) for k, v in exact.items()}
+
+
+def _divide_content(row: dict, negate: bool = False) -> dict:
+    """The row divided by the gcd of its entries (and by -1 when ``negate``)."""
+    content = gcd(*row.values())
+    if negate:
+        content = -content
+    if content == 1:
+        return row
+    return {k: v // content for k, v in row.items()}
+
+
+def _pivot_rows(rows: Iterable[Mapping]) -> dict:
+    """Echelon basis of the rows' span: leading column -> primitive pivot row.
+
+    Each row is reduced against the pivots in order of its leading column.
+    A pivot with leading entry 1 is subtracted directly; any other pivot p
+    is cross-multiplied (a*row - b*pivot with a = p/g, b = c/g for the row's
+    leading entry c and g = gcd(p, c)) and the result divided by its content,
+    so entries stay small integers.
+    """
     pivots: dict = {}
-    found = 0
     for row in rows:
-        work = {k: Fraction(v) for k, v in row.items() if v}
+        work = _integer_row(row)
         while work:
             lead = min(work)
+            c = work[lead]
             pivot = pivots.get(lead)
             if pivot is None:
-                inv = 1 / work[lead]
-                pivots[lead] = {k: v * inv for k, v in work.items()}
-                found += 1
+                pivots[lead] = _divide_content(work, c < 0)
                 break
-            coeff = work[lead]
+            p = pivot[lead]
+            if p != 1:
+                g = gcd(p, c)
+                a, c = p // g, c // g
+                work = {k: a * v for k, v in work.items()}
             for k, v in pivot.items():
-                value = work.get(k, 0) - coeff * v
+                value = work.get(k, 0) - c * v
                 if value:
                     work[k] = value
                 else:
-                    work.pop(k, None)
-    return found
+                    del work[k]
+            if p != 1 and work:
+                work = _divide_content(work)
+    return pivots
+
+
+def rank(rows: Iterable[Mapping]) -> int:
+    """Exact rank of sparse rational rows keyed by comparable column labels.
+
+    Values may be ints or anything ``fractions.Fraction`` accepts; rows with
+    non-integer values are scaled to integer rows first.
+    """
+    return len(_pivot_rows(rows))
 
 
 def _triples(triangles: Iterable) -> list[Triple]:

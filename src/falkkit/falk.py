@@ -4,7 +4,7 @@
 
     phi3 = 2*C(n+1,3) - n*dim(A^2) + C(n,3) - dim(I^3_2)
 
-from ranks of explicit rational matrices; it is valid for any gain graph
+from exact ranks of explicit integer matrices; it is valid for any gain graph
 whose hyperplanes are pairwise distinct (H4 and H5).
 
 :func:`phi3_combinatorial` evaluates the census form

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -217,11 +218,15 @@ class GainGraph:
 # file format
 
 
+#: the only integer syntax in graph files; ``int()`` alone would also take
+#: ``1_0`` and non-ASCII digits such as full-width ones
+_INTEGER = r"[+-]?[0-9]+"
+
+
 def _parse_int(token: str, what: str, line: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise GraphFormatError(f"{what} must be an integer, got {token!r}", line) from None
+    if not re.fullmatch(_INTEGER, token):
+        raise GraphFormatError(f"{what} must be an integer, got {token!r}", line)
+    return int(token)
 
 
 def _parse_gain(token: str, line: int) -> Fraction:
@@ -246,6 +251,7 @@ def parse(text: str) -> GainGraph:
     Blank lines and ``#`` comments are ignored.  The first significant line is
     ``graph <V>`` with V >= 1, followed by one ``edge <id> <tail> <head> <gain>``
     line per edge (ids 1..n in any order, gains written ``p`` or ``p/q``).
+    Every integer is ASCII: an optional sign, then the digits 0-9.
     """
     num_vertices: int | None = None
     edges: dict[int, Edge] = {}

@@ -1,14 +1,19 @@
-"""Shared test utilities, including an independent circle oracle.
+"""Shared test utilities, including independent circle and rank oracles.
 
-The oracle enumerates circles by depth-first closed walks over vertex-simple
-paths, a different characterization from the library's degree-2 subset scan,
-so the two can check each other.
+The circle oracle enumerates circles by depth-first closed walks over
+vertex-simple paths, a different characterization from the library's
+degree-2 subset scan, so the two can check each other.  The rank oracle,
+:func:`fraction_rank`, eliminates over ``fractions.Fraction`` and shares no
+code with the library's fraction-free :func:`falkkit.exterior.rank`.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
+from fractions import Fraction
 from pathlib import Path
+from typing import Iterable, Mapping
 
 from falkkit.graphs import GainGraph, parse, random_gain_graph
 
@@ -17,6 +22,25 @@ DATA = Path(__file__).parent / "data"
 
 def load_graph(name: str) -> GainGraph:
     return parse((DATA / name).read_text())
+
+
+def braid(m: int) -> GainGraph:
+    """K_m with every gain 1: the braid arrangement."""
+    return GainGraph.from_edge_list(m, [(u, v, 1) for u, v in itertools.combinations(range(1, m + 1), 2)])
+
+
+def _signed_pairs(m: int) -> list[tuple[int, int, int]]:
+    return [(u, v, s) for u, v in itertools.combinations(range(1, m + 1), 2) for s in (1, -1)]
+
+
+def type_d(m: int) -> GainGraph:
+    """K_m with a +1 and a -1 link on every pair: the type D_m arrangement."""
+    return GainGraph.from_edge_list(m, _signed_pairs(m))
+
+
+def type_b(m: int) -> GainGraph:
+    """type_d(m) plus an unbalanced loop at every vertex: the type B_m arrangement."""
+    return GainGraph.from_edge_list(m, _signed_pairs(m) + [(v, v, 2) for v in range(1, m + 1)])
 
 
 def seeded_graphs(count: int, seed: int, **kwargs) -> list[GainGraph]:
@@ -80,3 +104,27 @@ def proportional(a, b) -> bool:
             if a[i] * b[j] != a[j] * b[i]:
                 return False
     return all((x == 0) == (y == 0) for x, y in zip(a, b))
+
+
+def fraction_rank(rows: Iterable[Mapping]) -> int:
+    """Exact rank of sparse rational rows keyed by comparable column labels."""
+    pivots: dict = {}
+    found = 0
+    for row in rows:
+        work = {k: Fraction(v) for k, v in row.items() if v}
+        while work:
+            lead = min(work)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = 1 / work[lead]
+                pivots[lead] = {k: v * inv for k, v in work.items()}
+                found += 1
+                break
+            coeff = work[lead]
+            for k, v in pivot.items():
+                value = work.get(k, 0) - coeff * v
+                if value:
+                    work[k] = value
+                else:
+                    work.pop(k, None)
+    return found

@@ -23,7 +23,7 @@ from falkkit.patterns import (
     find_occurrences,
     induced_subgraph,
 )
-from helpers import enriched_pattern_host
+from helpers import braid, enriched_pattern_host, type_d
 
 SEED_MAIN = 20260802
 SEED_HOSTS = 5150
@@ -56,17 +56,6 @@ def vertex_tuple_occurrences(g: GainGraph, pattern) -> set[frozenset[int]]:
             if tested[candidate]:
                 results.add(candidate)
     return results
-
-
-def braid(m: int) -> GainGraph:
-    return GainGraph.from_edge_list(m, [(u, v, 1) for u, v in itertools.combinations(range(1, m + 1), 2)])
-
-
-def type_d(m: int) -> GainGraph:
-    return GainGraph.from_edge_list(
-        m,
-        [(u, v, s) for u, v in itertools.combinations(range(1, m + 1), 2) for s in (1, -1)],
-    )
 
 
 def oracle_hosts() -> list[GainGraph]:

@@ -174,6 +174,15 @@ def test_parse_error_exit_code(capsys):
     assert "line 2" in err and "zero gain" in err
 
 
+@pytest.mark.parametrize("token", ["1_0", "\uff13", "\u0663", "1e3"])
+def test_malformed_integer_exit_code(capsys, tmp_path, token):
+    path = tmp_path / "bad.gg"
+    path.write_text(f"graph 3\nedge 1 1 2 {token}\n", encoding="utf-8")
+    code, out, err = run(capsys, "report", str(path))
+    assert (code, out) == (2, "")
+    assert "line 2" in err and "must be an integer" in err
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "phi3", "no-such-file.gg")
     assert code == 2

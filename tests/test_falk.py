@@ -2,6 +2,8 @@ import itertools
 import random
 from math import comb
 
+import pytest
+
 from falkkit import exterior
 from falkkit.falk import (
     dim_I3_2_closed_form,
@@ -12,7 +14,7 @@ from falkkit.falk import (
 )
 from falkkit.graphs import GainGraph, switch, validate
 from falkkit.patterns import PatternCounts, count_patterns, triangles
-from helpers import load_graph, seeded_graphs
+from helpers import braid, load_graph, seeded_graphs, type_b, type_d
 
 PHI3_LADDER = {
     "K3": 2,
@@ -157,6 +159,25 @@ def test_graphic_arrangements_match_schenck_suciu():
         assert report.counts == PatternCounts(k3=kappa3, k4=kappa4), (num_vertices, num_edges)
         assert report.phi3_combinatorial == report.phi3_rank == 2 * (kappa3 + kappa4)
     assert kappa4_total > 0
+
+
+@pytest.mark.parametrize("m", range(4, 14))
+def test_phi3_rank_braid_closed_form(m):
+    assert phi3_rank(braid(m)) == 2 * comb(m + 1, 4)
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_phi3_rank_type_d_closed_form(m):
+    assert phi3_rank(type_d(m)) == (4 * m - 2) * comb(m, 3)
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_phi3_rank_type_b_falk_randell(m):
+    # B_m is supersolvable with exponents 1, 3, ..., 2m-1 (Falk-Randell 1985);
+    # it fails H1, so only the rank route is claimed here
+    g = type_b(m)
+    assert not validate(g).passes("H1")
+    assert phi3_rank(g) == sum((d**3 - d) // 3 for d in range(1, 2 * m, 2))
 
 
 def test_census_equals_rank_on_pattern_rich_hosts(pattern_atlas):

@@ -83,6 +83,30 @@ def test_parse_reports_line_numbers():
         parse("# comment\n\ngraph 2\nedge 1 two 2 1\n")
 
 
+BAD_INTEGERS = ("1_0", "\uff13", "\u0663", "1e3")  # separator, full-width 3, Arabic-Indic 3, exponent
+
+
+@pytest.mark.parametrize("token", BAD_INTEGERS)
+def test_parse_accepts_only_ascii_integers(token):
+    texts = [
+        f"graph {token}\n",
+        f"graph 3\nedge {token} 1 2 1\n",
+        f"graph 3\nedge 1 {token} 2 1\n",
+        f"graph 3\nedge 1 1 {token} 1\n",
+        f"graph 3\nedge 1 1 2 {token}\n",
+        f"graph 3\nedge 1 1 2 1/{token}\n",
+    ]
+    for text in texts:
+        with pytest.raises(GraphFormatError, match=f"must be an integer, got '{token}'"):
+            parse(text)
+
+
+def test_parse_signed_integers():
+    g = parse("graph +2\nedge +1 1 +2 -3/+4\n")
+    assert g.num_vertices == 2
+    assert g.edge(1).gain == Fraction(-3, 4)
+
+
 def test_parse_requires_header():
     with pytest.raises(GraphFormatError, match="header"):
         parse("edge 1 1 2 1\n")
