@@ -31,7 +31,6 @@ from .graphs import (
     as_gain,
     circle_from_edges,
     circle_gain,
-    circles_upto3,
     is_balanced,
     parse,
     random_gain_graph,
@@ -84,7 +83,6 @@ __all__ = [
     "biased_isomorphic",
     "circle_from_edges",
     "circle_gain",
-    "circles_upto3",
     "count_patterns",
     "dependent_3sets",
     "dim_I3_2_closed_form",

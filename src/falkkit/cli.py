@@ -106,7 +106,6 @@ def cmd_phi3(g: GainGraph, args) -> int:
     if args.method in ("comb", "both"):
         comb_value = phi3_combinatorial(count_patterns(g))
     if args.method in ("rank", "both"):
-        _require(g, ("H4", "H5"))
         rank_value = phi3_rank(g)
     if args.method == "both":
         agree = comb_value == rank_value
@@ -248,8 +247,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         with open(args.path, encoding="utf-8") as handle:
             g = parse(handle.read())

@@ -25,7 +25,7 @@ from typing import Mapping
 
 from . import exterior
 from .graphs import RANDOM_GAINS, GainGraph, ValidationReport, validate
-from .patterns import PatternCounts, Triangle, count_patterns, triangles
+from .patterns import HypothesisError, PatternCounts, Triangle, count_patterns, triangles
 
 _RANK_FIELDS = (
     "num_triangles",
@@ -43,7 +43,14 @@ def _phi3_from_dims(n: int, dim_a2: int, dim_i32: int) -> int:
 
 
 def phi3_rank(g: GainGraph) -> int:
-    """Falk invariant via exact ranks of the degree-2/3 ideal slices."""
+    """Falk invariant via exact ranks of the degree-2/3 ideal slices.
+
+    Refuses (raises :class:`HypothesisError`) when H4 or H5 fails, since the
+    hyperplanes are then not pairwise distinct.
+    """
+    report = validate(g)
+    if not report.passes("H4", "H5"):
+        raise HypothesisError(report)
     n = g.n
     tris = triangles(g)
     return _phi3_from_dims(n, exterior.dim_A2(n, tris), exterior.dim_I3_2(n, tris))

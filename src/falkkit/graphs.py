@@ -485,31 +485,6 @@ def _trace_circle(edges: Sequence[Edge]) -> Circle | None:
     return Circle(tuple(steps))
 
 
-def circles_upto3(g: GainGraph) -> list[Circle]:
-    """All loops, 2-circles, and 3-circles, each listed once by edge set."""
-    out: list[Circle] = []
-    for v in sorted(g.loop_map):
-        for e in g.loop_map[v]:
-            out.append(Circle(((e.id, True),)))
-    for (u, v), bundle in sorted(g.link_map.items()):
-        for e, f in itertools.combinations(sorted(bundle, key=lambda e: e.id), 2):
-            out.append(Circle(((e.id, e.tail == u), (f.id, f.tail == v))))
-    for a, b, c in itertools.combinations(g.incident_vertices, 3):
-        for e1 in g.links_between(a, b):
-            for e2 in g.links_between(b, c):
-                for e3 in g.links_between(a, c):
-                    out.append(
-                        Circle(
-                            (
-                                (e1.id, e1.tail == a),
-                                (e2.id, e2.tail == b),
-                                (e3.id, e3.tail == c),
-                            )
-                        )
-                    )
-    return sorted(out, key=lambda c: (len(c), tuple(sorted(c.edge_ids))))
-
-
 def all_circles_small(g: GainGraph, max_edges: int = MAX_CIRCLE_EDGES) -> list[Circle]:
     """Every circle of every length, by exhaustion over edge subsets.
 

@@ -47,7 +47,6 @@ from .graphs import (
     GainGraph,
     ValidationReport,
     all_circles_small,
-    circles_upto3,
     is_balanced,
     validate,
 )
@@ -80,17 +79,28 @@ class HypothesisError(ValueError):
 def triangles(g: GainGraph) -> list[Triangle]:
     """All dependent 3-sets, sorted by edge ids.
 
-    Enumerates the four circuit shapes directly; correct for any graph whose
-    loops and 2-circles are unbalanced (H4, H5), regardless of H1-H3.
+    One pass over the link bundles finds all four circuit shapes; a balanced
+    3-circle u < v < w is closed from the bundle (u, v) through each common
+    neighbour w > v.  Correct for any graph whose loops and 2-circles are
+    unbalanced (H4, H5), regardless of H1-H3.
     """
     found: list[Triangle] = []
-    for c in circles_upto3(g):
-        if len(c) == 3 and is_balanced(g, c):
-            found.append(
-                Triangle(tuple(sorted(c.edge_ids)), TriangleKind.BALANCED_CIRCLE)
-            )
+    above: dict[int, set[int]] = defaultdict(set)
+    for u, v in g.link_map:
+        above[u].add(v)
     for (u, v), bundle in sorted(g.link_map.items()):
         eff = {e.id: e.gain_from(u) for e in bundle}
+        for w in above[u] & above[v]:
+            for e in bundle:
+                for f in g.links_between(v, w):
+                    for h in g.links_between(u, w):
+                        if eff[e.id] * f.gain_from(v) * h.gain_from(w) == 1:
+                            found.append(
+                                Triangle(
+                                    tuple(sorted((e.id, f.id, h.id))),
+                                    TriangleKind.BALANCED_CIRCLE,
+                                )
+                            )
         loops = [
             loop for w in (u, v) for loop in g.loops_at(w) if loop.gain != 1
         ]

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from falkkit import cli
 from falkkit.cli import main
 from helpers import DATA
 
@@ -166,6 +167,25 @@ def test_phi3_method_gates(capsys):
     code, out, _ = run(capsys, "phi3", B2, "--method=rank")
     assert code == 0
     assert out.strip() == "rank: 8"
+
+
+def test_phi3_rank_refuses_balanced_two_circle(capsys, tmp_path):
+    path = tmp_path / "h4.gg"
+    path.write_text(
+        "graph 3\nedge 1 1 2 2\nedge 2 1 2 2\nedge 3 2 3 1\nedge 4 1 3 2\n", encoding="utf-8"
+    )
+    code, out, err = run(capsys, "phi3", str(path), "--method=rank")
+    assert (code, out, err) == (1, "", "falkkit: refused: hypotheses violated: H4\n")
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    def rebuilt():
+        raise AssertionError("main() rebuilt the argument parser")
+
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    code, out, _ = run(capsys, "phi3", FINAL)
+    assert code == 0
+    assert out.splitlines()[-1] == "agree: true"
 
 
 def test_parse_error_exit_code(capsys):

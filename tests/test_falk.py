@@ -13,7 +13,7 @@ from falkkit.falk import (
     verify,
 )
 from falkkit.graphs import GainGraph, switch, validate
-from falkkit.patterns import PatternCounts, count_patterns, triangles
+from falkkit.patterns import HypothesisError, PatternCounts, count_patterns, triangles
 from helpers import braid, load_graph, seeded_graphs, type_b, type_d
 
 PHI3_LADDER = {
@@ -109,6 +109,21 @@ def test_verify_withholds_everything_when_h4_fails():
     assert report.withheld["phi3_rank"] == ("H4",)
     assert report.counts is None
     assert "H4" in report.withheld["counts"]
+
+
+@pytest.mark.parametrize(
+    "edges, failing",
+    [
+        # a balanced 2-circle: the distinct hyperplanes form the braid A_2
+        ([(1, 2, 2), (1, 2, 2), (2, 3, 1), (1, 3, 2)], ("H4",)),
+        ([(1, 1, 2), (1, 1, 3), (1, 2, 1)], ("H5",)),
+    ],
+)
+def test_phi3_rank_refuses_when_h4_or_h5_fails(edges, failing):
+    g = GainGraph.from_edge_list(3, edges)
+    with pytest.raises(HypothesisError) as exc:
+        phi3_rank(g)
+    assert exc.value.failing == failing
 
 
 def test_switching_invariance_of_phi3(final_example):

@@ -13,7 +13,6 @@ from falkkit.graphs import (
     all_circles_small,
     circle_from_edges,
     circle_gain,
-    circles_upto3,
     is_balanced,
     parse,
     random_gain_graph,
@@ -227,7 +226,8 @@ def test_circle_errors():
 
 def test_balance_independent_of_start_and_direction(final_example):
     g = final_example
-    for circle in circles_upto3(g):
+    for edge_ids in brute_circle_sets(g):
+        circle = circle_from_edges(g, edge_ids)
         steps = circle.steps
         value = is_balanced(g, circle)
         for shift in range(len(steps)):
@@ -235,26 +235,6 @@ def test_balance_independent_of_start_and_direction(final_example):
             assert is_balanced(g, rotated) == value
         reversed_steps = tuple((eid, not fwd) for eid, fwd in reversed(steps))
         assert is_balanced(g, Circle(reversed_steps)) == value
-
-
-def test_circles_upto3_seven_edge_example(seven_edge_example):
-    circles = circles_upto3(seven_edge_example)
-    by_len = {}
-    for c in circles:
-        by_len.setdefault(len(c), []).append(frozenset(c.edge_ids))
-    assert len(by_len.get(1, [])) == 1
-    assert sorted(map(sorted, by_len[2])) == [[1, 2], [1, 3], [2, 3], [5, 6]]
-    assert len(by_len[3]) == 6
-
-
-def test_circles_upto3_balanced_k4(pattern_atlas):
-    circles = circles_upto3(pattern_atlas["K4"].reference)
-    assert all(len(c) == 3 for c in circles)
-    assert len(circles) == 4
-
-
-def test_circles_upto3_empty_graph():
-    assert circles_upto3(parse("graph 1\n")) == []
 
 
 def test_all_circles_small_counts(pattern_atlas):

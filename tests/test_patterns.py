@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,8 +8,10 @@ from falkkit.graphs import (
     GainGraph,
     RANDOM_GAINS,
     all_circles_small,
+    circle_from_edges,
     is_balanced,
     switch,
+    validate,
 )
 from falkkit.patterns import (
     HypothesisError,
@@ -78,6 +81,68 @@ def test_triangles_invariant_under_reorientation(final_example):
     for eid in (3, 7, 14):
         h = final_example.with_reversed_edge(eid)
         assert {t.edge_ids: t.kind for t in triangles(h)} == FINAL_TRIANGLES
+
+
+def _sparse_mixed_gain_graph(rng: random.Random, num_vertices: int) -> GainGraph:
+    """Switched H4/H5 graph with about 2V links, some loops and mixed 3-circles.
+
+    Planted triangles and random links start balanced: the k-th link on a
+    pair has gain k, so 3-circles through first links have gain 1.  About a
+    fifth of the links are then regauged, which unbalances some 3-circles,
+    and one loop goes on a quarter of the vertices.  A draw that breaks H4 is
+    redrawn.
+    """
+    verts = range(1, num_vertices + 1)
+    while True:
+        pairs = []
+        for _ in range(num_vertices // 3):
+            a, b, c = rng.sample(verts, 3)
+            pairs += [(a, b), (b, c), (a, c)]
+        while len(pairs) < 2 * num_vertices:
+            pairs.append(tuple(rng.sample(verts, 2)))
+        seen: dict[frozenset[int], int] = {}
+        triples = []
+        for u, v in pairs:
+            k = seen[frozenset((u, v))] = seen.get(frozenset((u, v)), 0) + 1
+            if k <= 3:
+                triples.append((u, v, k * rng.choice((2, -1, 3)) if rng.random() < 0.2 else k))
+        triples += [(v, v, rng.choice((2, -1))) for v in rng.sample(verts, num_vertices // 4)]
+        g = GainGraph.from_edge_list(num_vertices, triples)
+        if validate(g).passes("H4", "H5"):
+            return switch(g, {v: rng.choice(RANDOM_GAINS) for v in verts})
+
+
+def _shape_kind(g: GainGraph, edge_ids) -> TriangleKind:
+    edges = [g.edge(i) for i in edge_ids]
+    loops = sum(e.is_loop for e in edges)
+    if loops:
+        return (TriangleKind.TIGHT_HANDCUFF, TriangleKind.LOOSE_HANDCUFF)[loops - 1]
+    vertices = {v for e in edges for v in e.ends()}
+    return TriangleKind.BALANCED_CIRCLE if len(vertices) == 3 else TriangleKind.THETA
+
+
+def test_triangles_on_sparse_many_vertex_mixed_gain_graphs():
+    rng = random.Random(20202)
+    balance_seen, kinds_seen = set(), set()
+    for num_vertices in range(12, 21):
+        g = _sparse_mixed_gain_graph(rng, num_vertices)
+        tris = triangles(g)
+        assert [t.edge_ids for t in tris] == sorted(t.edge_ids for t in tris)
+        assert {t.edge_ids for t in tris} == dependent_3sets(g)
+        for t in tris:
+            assert t.kind is _shape_kind(g, t.edge_ids), t
+            kinds_seen.add(t.kind)
+        found = {t.edge_ids for t in tris}
+        for a, b, c in itertools.combinations(g.incident_vertices, 3):
+            for links in itertools.product(
+                g.links_between(a, b), g.links_between(b, c), g.links_between(a, c)
+            ):
+                ids = tuple(sorted(e.id for e in links))
+                balanced = is_balanced(g, circle_from_edges(g, ids))
+                assert (ids in found) == balanced, ids
+                balance_seen.add(balanced)
+    assert balance_seen == {True, False}
+    assert kinds_seen == set(TriangleKind)
 
 
 # ---------------------------------------------------------------------------
