@@ -226,7 +226,11 @@ _INTEGER = r"[+-]?[0-9]+"
 def _parse_int(token: str, what: str, line: int) -> int:
     if not re.fullmatch(_INTEGER, token):
         raise GraphFormatError(f"{what} must be an integer, got {token!r}", line)
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:  # more digits than the interpreter converts
+        digits = len(token.lstrip("+-"))
+        raise GraphFormatError(f"{what} has too many digits ({digits})", line) from None
 
 
 def _parse_gain(token: str, line: int) -> Fraction:

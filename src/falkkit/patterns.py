@@ -21,9 +21,10 @@ occurrence inside a D31 occurrence is not counted, and a G1 occurrence
 inside a G2 occurrence is not counted.
 
 Occurrences are found from the triangles.  Each atlas pattern's edge set
-is the union of its distinguished triples, so :func:`find_occurrences`
-grows unions of host triangles that share edges and accepts a union that
-maps onto the pattern with its triangles onto the distinguished triples.
+is the union of its distinguished triples, so one walk grows unions of
+host triangles that share edges and accepts a union that maps onto a
+pattern with its triangles onto the distinguished triples; the census
+makes that walk once for all eleven counted patterns.
 Under H4 this decides biased isomorphism: a biased graph is fixed by its
 multigraph and balanced circles, on at most three vertices the balanced
 circles are the balanced 3-circles among the triangles, and K4's four
@@ -327,15 +328,14 @@ def find_occurrences(
     """Edge sets of ``g`` inducing a subgraph biased-isomorphic to the pattern.
 
     Assumes H4 and H5, as :func:`triangles` does; ``tris`` is
-    ``triangles(g)`` when the caller already has it.
+    ``triangles(g)`` when the caller already has it.  This is the census
+    walk (:func:`_occurrences`) given one pattern, so it prunes with that
+    pattern's own edge, vertex and triangle counts.
 
     An occurrence is the union of its k distinguished triples, which are
-    host triangles linked by shared edges.  The search grows unions of host
-    triangles from each triangle, adding one that shares an edge with the
-    union, and prunes a union with more edges or vertices than the pattern
-    or with more than k host triangles inside it.  A union of m edges with
-    exactly k host triangles inside is accepted when some incidence-
-    preserving bijection onto the pattern carries those triangles onto the
+    host triangles linked by shared edges.  A union of m edges with exactly
+    k host triangles inside is accepted when some incidence-preserving
+    bijection onto the pattern carries those triangles onto the
     distinguished triples (:func:`_carries_triangles`).
 
     This is exact under H4 because a biased graph is fixed by its
@@ -348,48 +348,94 @@ def find_occurrences(
     """
     if tris is None:
         tris = triangles(g)
-    ref = pattern.reference
-    num_edges, num_triples = ref.n, len(pattern.distinguished)
-    max_vertices = len(ref.incident_vertices)
+    return _occurrences(g, tris, (pattern,))[pattern.name]
+
+
+def _occurrences(
+    g: GainGraph, tris: Sequence[Triangle], patterns: Sequence[Pattern]
+) -> dict[str, set[frozenset[int]]]:
+    """Occurrences of every given pattern, from one walk over unions of triangles.
+
+    Starting from each host triangle, the walk adds one triangle at a time
+    that shares an edge with the union, and visits each union once.  It
+    prunes a union with more vertices than any pattern, or with more edges
+    or more host triangles inside it than any pattern on at least as many
+    vertices; edges, vertices and inside triangles only grow with the
+    union, so the pruning loses no occurrence.  Each union is tested against the patterns
+    with its numbers of edges, inside triangles and vertices.
+
+    Below the vertex cap a union grows by the triangles on its edges.  At
+    the cap it can only grow by triangles on its own vertices, so those come
+    from an index keyed by vertex set.
+    """
+    shapes: dict[tuple[int, int, int], list[Pattern]] = defaultdict(list)
+    for p in patterns:
+        ref = p.reference
+        shapes[ref.n, len(p.distinguished), len(ref.incident_vertices)].append(p)
+    vertex_cap = max(v for _, _, v in shapes)
+    # (edge cap, triangle cap) of a union on v vertices
+    caps = {
+        v: (
+            max(m for m, _, pv in shapes if pv >= v),
+            max(k for _, k, pv in shapes if pv >= v),
+        )
+        for v in range(1, vertex_cap + 1)
+    }
+
     edge_sets = [frozenset(t.edge_ids) for t in tris]
     vertex_sets = [
         frozenset(v for i in t.edge_ids for v in g.edge(i).ends()) for t in tris
     ]
     by_edge: dict[int, list[int]] = defaultdict(list)
-    for index, edges in enumerate(edge_sets):
+    by_verts: dict[frozenset[int], list[int]] = defaultdict(list)
+    for index, (edges, verts) in enumerate(zip(edge_sets, vertex_sets)):
         for e in edges:
             by_edge[e].append(index)
+        by_verts[verts].append(index)
 
-    results: set[frozenset[int]] = set()
+    found: dict[str, set[frozenset[int]]] = {p.name: set() for p in patterns}
     seen: set[frozenset[int]] = set()
     stack = [
         (edges, verts)
         for edges, verts in zip(edge_sets, vertex_sets)
-        if len(verts) <= max_vertices
+        if len(verts) <= vertex_cap
     ]
     while stack:
         union, verts = stack.pop()
         if union in seen:
             continue
         seen.add(union)
-        touching = {j for e in union for j in by_edge[e]}
+        if len(verts) == vertex_cap:
+            # a triangle spans two or three vertices
+            touching = {
+                j
+                for size in (2, 3)
+                for key in itertools.combinations(verts, size)
+                for j in by_verts.get(frozenset(key), ())
+                if not edge_sets[j].isdisjoint(union)
+            }
+        else:
+            touching = {j for e in union for j in by_edge[e]}
         inside = [j for j in touching if edge_sets[j] <= union]
-        if len(inside) > num_triples:
+        edge_cap, triangle_cap = caps[len(verts)]
+        if len(inside) > triangle_cap:
             continue
-        if len(union) == num_edges:
-            if len(inside) == num_triples and _carries_triangles(
-                g, union, [edge_sets[j] for j in inside], pattern
-            ):
-                results.add(union)
+        shape = (len(union), len(inside), len(verts))
+        if shape in shapes:
+            inside_sets = [edge_sets[j] for j in inside]
+            for p in shapes[shape]:
+                if _carries_triangles(g, union, inside_sets, p):
+                    found[p.name].add(union)
+        if len(union) == edge_cap:
             continue
         for j in touching.difference(inside):
             grown_verts = verts | vertex_sets[j]
-            if len(grown_verts) > max_vertices:
+            if len(grown_verts) > vertex_cap:
                 continue
             grown = union | edge_sets[j]
-            if len(grown) <= num_edges and grown not in seen:
+            if len(grown) <= caps[len(grown_verts)][0] and grown not in seen:
                 stack.append((grown, grown_verts))
-    return results
+    return found
 
 
 def _carries_triangles(
@@ -473,17 +519,21 @@ def count_patterns(g: GainGraph) -> PatternCounts:
     """Occurrence counts with containment exclusions applied.
 
     Refuses (raises :class:`HypothesisError`) unless H1..H5 all pass; the
-    combinatorial invariant formula is only claimed in that regime.
+    combinatorial invariant formula is only claimed in that regime.  All
+    eleven counts come from one census walk (:func:`_occurrences`).
     """
     report = validate(g)
     if not report.all_pass:
         raise HypothesisError(report)
+    return _census(g, triangles(g))
+
+
+def _census(g: GainGraph, tris: Sequence[Triangle]) -> PatternCounts:
+    """:func:`count_patterns` for a caller that has checked H1..H5 and holds
+    ``triangles(g)``."""
     patterns = atlas()
-    tris = triangles(g)
-    occ = {
-        field: find_occurrences(g, patterns[name], tris)
-        for field, name in _COUNT_PATTERN.items()
-    }
+    occ = _occurrences(g, tris, [patterns[name] for name in _COUNT_PATTERN.values()])
+    occ = {field: occ[name] for field, name in _COUNT_PATTERN.items()}
     return PatternCounts(
         k3=len(occ["k3"]),
         k4=len(occ["k4"]),

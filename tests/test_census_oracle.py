@@ -4,7 +4,7 @@
 pattern's vertices to every ordered tuple of host vertices, takes every edge
 choice with the pattern's multiplicities, and accepts a candidate whose full
 circle class is biased-isomorphic to the pattern's.  It shares no search
-logic with :func:`find_occurrences`.
+logic with :func:`find_occurrences` or the census walk behind it.
 """
 
 import itertools
@@ -16,12 +16,15 @@ import pytest
 from falkkit import patterns
 from falkkit.graphs import GainGraph, random_gain_graph, validate
 from falkkit.patterns import (
+    _COUNT_PATTERN,
     _bias_profile,
     _isomorphic_profiles,
+    _occurrences,
     atlas,
     count_patterns,
     find_occurrences,
     induced_subgraph,
+    triangles,
 )
 from helpers import braid, enriched_pattern_host, type_d
 
@@ -72,18 +75,33 @@ def oracle_hosts() -> list[GainGraph]:
     return hosts
 
 
+def with_oracle(graphs: list[GainGraph]) -> list[tuple[GainGraph, dict]]:
+    """Each graph with the vertex-tuple occurrences of every atlas pattern."""
+    return [
+        (g, {name: vertex_tuple_occurrences(g, p) for name, p in atlas().items()})
+        for g in graphs
+    ]
+
+
 @pytest.fixture(scope="module")
 def hosts():
     return oracle_hosts()
 
 
-def test_search_matches_vertex_tuple_oracle(hosts):
-    for index, g in enumerate(hosts):
+@pytest.fixture(scope="module")
+def host_cases(hosts):
+    return with_oracle(hosts)
+
+
+@pytest.fixture(scope="module")
+def bundled_cases():
+    return with_oracle(bundled_graphs(random.Random(SEED_BUNDLED), 120))
+
+
+def test_search_matches_vertex_tuple_oracle(host_cases):
+    for index, (g, expected) in enumerate(host_cases):
         for name, pattern in atlas().items():
-            assert find_occurrences(g, pattern) == vertex_tuple_occurrences(g, pattern), (
-                index,
-                name,
-            )
+            assert find_occurrences(g, pattern) == expected[name], (index, name)
 
 
 def bundled_graphs(rng: random.Random, count: int) -> list[GainGraph]:
@@ -107,13 +125,29 @@ def bundled_graphs(rng: random.Random, count: int) -> list[GainGraph]:
     return out
 
 
-def test_search_matches_oracle_on_bundled_graphs():
-    for index, g in enumerate(bundled_graphs(random.Random(SEED_BUNDLED), 120)):
+def test_search_matches_oracle_on_bundled_graphs(bundled_cases):
+    for index, (g, expected) in enumerate(bundled_cases):
         for name, pattern in atlas().items():
-            assert find_occurrences(g, pattern) == vertex_tuple_occurrences(g, pattern), (
-                index,
-                name,
-            )
+            assert find_occurrences(g, pattern) == expected[name], (index, name)
+
+
+@pytest.mark.parametrize("cases", ["host_cases", "bundled_cases"])
+def test_one_walk_for_all_counted_patterns_matches_oracle(cases, request):
+    # the caps of all eleven patterns together are looser than any one's;
+    # the bundled graphs include hosts where H1-H3 fail
+    counted = [atlas()[name] for name in _COUNT_PATTERN.values()]
+    for index, (g, expected) in enumerate(request.getfixturevalue(cases)):
+        found = _occurrences(g, triangles(g), counted)
+        assert found == {p.name: expected[p.name] for p in counted}, index
+
+
+def test_count_patterns_makes_one_walk(hosts, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("count_patterns searched pattern by pattern")
+
+    monkeypatch.setattr(patterns, "find_occurrences", forbidden)
+    for g in hosts:
+        count_patterns(g)
 
 
 def test_census_never_runs_biased_isomorphism(hosts, monkeypatch):

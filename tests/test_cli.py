@@ -203,6 +203,28 @@ def test_malformed_integer_exit_code(capsys, tmp_path, token):
     assert "line 2" in err and "must be an integer" in err
 
 
+# 0 where the interpreter has no limit on int-string conversion
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(INT_DIGIT_LIMIT == 0, reason="no int-string digit limit")
+@pytest.mark.parametrize(
+    "template, line, what",
+    [
+        ("graph 3\nedge 1 1 2 {big}\n", 2, "gain numerator"),
+        ("graph 3\nedge 1 1 2 1/{big}\n", 2, "gain denominator"),
+        ("graph {big}\nedge 1 1 2 1\n", 1, "vertex count"),
+    ],
+)
+def test_integer_over_the_digit_limit_is_an_input_error(capsys, tmp_path, template, line, what):
+    digits = INT_DIGIT_LIMIT + 1
+    path = tmp_path / "big.gg"
+    path.write_text(template.format(big="1" + "0" * (digits - 1)), encoding="utf-8")
+    code, out, err = run(capsys, "report", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"falkkit: error: {path}: line {line}: {what} has too many digits ({digits})\n"
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "phi3", "no-such-file.gg")
     assert code == 2

@@ -1,10 +1,11 @@
 import itertools
 import random
+from collections import Counter
 from math import comb
 
 import pytest
 
-from falkkit import exterior
+from falkkit import exterior, falk, patterns
 from falkkit.falk import (
     dim_I3_2_closed_form,
     phi3_combinatorial,
@@ -81,6 +82,24 @@ def test_verify_final_example(final_example):
     assert report.span_F3_rank == 138
     assert report.withheld == {}
     assert comb(final_example.n, 3) - report.dim_I3_2 >= 0
+
+
+def test_verify_validates_and_finds_triangles_once(final_example, pattern_atlas, monkeypatch):
+    # pattern_atlas: the atlas has run its own census already, so it is not counted
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (falk, patterns):
+        for name in ("validate", "triangles"):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    assert verify(final_example).agree is True
+    assert calls == {"validate": 1, "triangles": 1}
 
 
 def test_verify_d31(pattern_atlas):
@@ -184,6 +203,20 @@ def test_phi3_rank_braid_closed_form(m):
 @pytest.mark.parametrize("m", range(3, 9))
 def test_phi3_rank_type_d_closed_form(m):
     assert phi3_rank(type_d(m)) == (4 * m - 2) * comb(m, 3)
+
+
+@pytest.mark.parametrize("m", range(4, 12))
+def test_braid_census_closed_form(m):
+    counts = count_patterns(braid(m))
+    assert counts == PatternCounts(k3=comb(m, 3), k4=comb(m, 4))
+    assert phi3_combinatorial(counts) == 2 * comb(m + 1, 4)
+
+
+@pytest.mark.parametrize("m", range(3, 8))
+def test_type_d_census_closed_form(m):
+    counts = count_patterns(type_d(m))
+    assert counts == PatternCounts(k3=4 * comb(m, 3), k4=8 * comb(m, 4), d3=comb(m, 3))
+    assert phi3_combinatorial(counts) == (4 * m - 2) * comb(m, 3)
 
 
 @pytest.mark.parametrize("m", range(2, 7))
