@@ -6,13 +6,12 @@ Orlik-Solomon ideal of the associated hyperplane arrangement, and the two
 routes are cross-validated against each other.
 """
 
-from .arrangement import ArrangementError, Hyperplane, arrangement, dependent_3sets
+from .arrangement import ArrangementError, Hyperplane, arrangement
 from .falk import (
     FalkReport,
     dim_I3_2_closed_form,
     phi3_combinatorial,
     phi3_rank,
-    random_switching,
     verify,
 )
 from .graphs import (
@@ -29,7 +28,6 @@ from .graphs import (
     Verdict,
     all_circles_small,
     as_gain,
-    circle_from_edges,
     circle_gain,
     is_balanced,
     parse,
@@ -46,10 +44,8 @@ from .patterns import (
     Triangle,
     TriangleKind,
     atlas,
-    biased_isomorphic,
     count_patterns,
     find_occurrences,
-    induced_subgraph,
     triangles,
 )
 
@@ -80,20 +76,15 @@ __all__ = [
     "arrangement",
     "as_gain",
     "atlas",
-    "biased_isomorphic",
-    "circle_from_edges",
     "circle_gain",
     "count_patterns",
-    "dependent_3sets",
     "dim_I3_2_closed_form",
     "find_occurrences",
-    "induced_subgraph",
     "is_balanced",
     "parse",
     "phi3_combinatorial",
     "phi3_rank",
     "random_gain_graph",
-    "random_switching",
     "serialize",
     "switch",
     "triangles",

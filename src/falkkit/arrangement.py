@@ -1,23 +1,21 @@
-"""Canonical hyperplane realization of a gain graph, with a rank oracle.
+"""Canonical hyperplane realization of a gain graph.
 
 A link (tail u, head v, gain g) realizes the hyperplane x_u = g*x_v, stored
 as the normal vector with +1 at u and -g at v; an unbalanced loop at u
 realizes x_u = 0.  Reorienting an edge or switching the graph only rescales
 normals, so everything downstream compares ranks, never raw coefficients.
 
-:func:`dependent_3sets` decides dependence of every edge triple by exact
-rank (:func:`falkkit.exterior.rank` on the sparse normals, whose rational
-gains it clears to integers) and is the linear-algebra oracle against which
-the combinatorial triangle census is cross-validated.
+The library finds dependent triples only combinatorially
+(:func:`falkkit.patterns.triangles`).  The tests rank the normals of every
+edge triple with their own rational eliminator and check that the dependent
+triples are exactly the triangles.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import exterior
 from .graphs import GainGraph
 
 
@@ -58,16 +56,3 @@ def arrangement(g: GainGraph) -> list[Hyperplane]:
 def _projective_key(normal: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     lead = next(c for c in normal if c)
     return tuple(c / lead for c in normal)
-
-
-def dependent_3sets(g: GainGraph) -> set[tuple[int, int, int]]:
-    """All edge triples whose normal vectors have rank below 3."""
-    rows = {
-        h.edge_id: {coord: c for coord, c in enumerate(h.normal, start=1) if c}
-        for h in arrangement(g)
-    }
-    return {
-        triple
-        for triple in itertools.combinations(sorted(rows), 3)
-        if exterior.rank(rows[i] for i in triple) < 3
-    }

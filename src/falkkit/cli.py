@@ -23,17 +23,11 @@ from .graphs import (
     parse,
     validate,
 )
-from .patterns import COUNT_FIELDS, HypothesisError, count_patterns, triangles
+from .patterns import COUNT_FIELDS, HypothesisError, count_patterns, require_hypotheses, triangles
 
 EXIT_OK = 0
 EXIT_REFUSED = 1
 EXIT_INPUT = 2
-
-
-def _require(g: GainGraph, names: tuple[str, ...]) -> None:
-    report = validate(g)
-    if any(h in report.failing() for h in names):
-        raise HypothesisError(report)
 
 
 def _hypotheses_json(report: ValidationReport) -> dict:
@@ -80,7 +74,7 @@ def cmd_check(g: GainGraph, args) -> int:
 
 
 def cmd_triangles(g: GainGraph, args) -> int:
-    _require(g, ("H4", "H5"))
+    require_hypotheses(g, ("H4", "H5"))
     tris = triangles(g)
     if args.json:
         _dump({"n": g.n, "triangles": _triangles_json(tris)})
@@ -122,7 +116,7 @@ def cmd_phi3(g: GainGraph, args) -> int:
 
 
 def cmd_realize(g: GainGraph, args) -> int:
-    _require(g, ("H4", "H5"))
+    require_hypotheses(g, ("H4", "H5"))
     planes = arrangement(g)
     if args.json:
         _dump(
@@ -142,7 +136,7 @@ def cmd_realize(g: GainGraph, args) -> int:
 
 
 def cmd_rank_f3(g: GainGraph, args) -> int:
-    _require(g, ("H4", "H5"))
+    require_hypotheses(g, ("H4", "H5"))
     size, rank = exterior.span_F3(g.n, triangles(g))
     if args.json:
         _dump({"n": g.n, "f3": {"size": size, "rank": rank}})

@@ -18,14 +18,13 @@ from subgraph occurrence counts; it is only claimed under H1-H5, so
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from math import comb
 from typing import Mapping
 
 from . import exterior
-from .graphs import RANDOM_GAINS, GainGraph, ValidationReport, validate
-from .patterns import HypothesisError, PatternCounts, Triangle, _census, triangles
+from .graphs import GainGraph, ValidationReport, validate
+from .patterns import PatternCounts, Triangle, _census, require_hypotheses, triangles
 
 _RANK_FIELDS = (
     "num_triangles",
@@ -48,9 +47,7 @@ def phi3_rank(g: GainGraph) -> int:
     Refuses (raises :class:`HypothesisError`) when H4 or H5 fails, since the
     hyperplanes are then not pairwise distinct.
     """
-    report = validate(g)
-    if not report.passes("H4", "H5"):
-        raise HypothesisError(report)
+    require_hypotheses(g, ("H4", "H5"))
     n = g.n
     tris = triangles(g)
     return _phi3_from_dims(n, exterior.dim_A2(n, tris), exterior.dim_I3_2(n, tris))
@@ -168,8 +165,3 @@ def verify(g: GainGraph) -> FalkReport:
         withheld=withheld,
         **values,
     )
-
-
-def random_switching(g: GainGraph, rng: random.Random) -> dict[int, object]:
-    """A reproducible switching function with values from the generator pool."""
-    return {v: rng.choice(RANDOM_GAINS) for v in g.vertices}

@@ -340,7 +340,12 @@ def _verdict(witnesses: list[frozenset[int]]) -> Verdict:
 
 
 def validate(g: GainGraph) -> ValidationReport:
-    """Check hypotheses H1..H5; never raises, failures carry witnesses."""
+    """Check hypotheses H1..H5; never raises, failures carry witnesses.
+
+    Every witness is listed.  A bundle of b links with l_u and l_v loops at
+    its ends gives C(b,2)*l_u*l_v H1 witnesses and C(b,3)*(l_u+l_v) H2
+    witnesses, so the lists grow with the fourth power of the input.
+    """
     w1: list[frozenset[int]] = []
     w2: list[frozenset[int]] = []
     w3: list[frozenset[int]] = []
@@ -437,21 +442,6 @@ def circle_gain(g: GainGraph, circle: Circle) -> Fraction:
 def is_balanced(g: GainGraph, circle: Circle) -> bool:
     """A circle is balanced exactly when its gain is 1."""
     return circle_gain(g, circle) == 1
-
-
-def circle_from_edges(g: GainGraph, edge_ids: Iterable[int]) -> Circle:
-    """Build the circle on an edge set, or raise :class:`CircleError`."""
-    ids = sorted(set(edge_ids))
-    if not ids:
-        raise CircleError("empty circle")
-    try:
-        chosen = [g.edge(i) for i in ids]
-    except KeyError as exc:
-        raise CircleError(str(exc)) from None
-    circle = _trace_circle(chosen)
-    if circle is None:
-        raise CircleError(f"edges {ids} do not form a circle")
-    return circle
 
 
 def _trace_circle(edges: Sequence[Edge]) -> Circle | None:

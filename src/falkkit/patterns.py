@@ -29,9 +29,14 @@ Under H4 this decides biased isomorphism: a biased graph is fixed by its
 multigraph and balanced circles, on at most three vertices the balanced
 circles are the balanced 3-circles among the triangles, and K4's four
 balanced triangles make every circle balanced.  The work is O(|T|) times
-the number of local unions on at most four vertices.  The exhaustive
-:func:`biased_isomorphic` serves callers that compare whole graphs and the
-pattern profiles.
+the number of local unions on at most four vertices.  This walk is the
+library's only isomorphism decision; the exhaustive biased-isomorphism
+decider the tests check it against lives with the other oracles in the
+test helpers.  :attr:`Pattern.profile` (every circle of a reference, with
+its balance) is kept for those oracles and for the benchmark harness.
+
+:func:`require_hypotheses` is the one hypothesis gate: the census, the
+rank route and the command line refuse through it.
 """
 
 from __future__ import annotations
@@ -42,9 +47,10 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .graphs import (
+    HYPOTHESES,
     GainGraph,
     ValidationReport,
     all_circles_small,
@@ -75,6 +81,16 @@ class HypothesisError(ValueError):
         self.report = report
         self.failing = report.failing()
         super().__init__("hypotheses violated: " + ", ".join(self.failing))
+
+
+def require_hypotheses(g: GainGraph, names: Sequence[str]) -> None:
+    """Raise :class:`HypothesisError` when any of ``names`` fails for ``g``.
+
+    The error names every failing hypothesis, not only those in ``names``.
+    """
+    report = validate(g)
+    if not report.passes(*names):
+        raise HypothesisError(report)
 
 
 def triangles(g: GainGraph) -> list[Triangle]:
@@ -136,7 +152,7 @@ def triangles(g: GainGraph) -> list[Triangle]:
 
 
 # ---------------------------------------------------------------------------
-# biased-graph isomorphism
+# bias profiles: every circle of a small graph, with its balance
 
 
 @dataclass(frozen=True)
@@ -175,76 +191,6 @@ def _bias_profile(g: GainGraph) -> _BiasProfile:
     return _BiasProfile(
         g, g.incident_vertices, pair_mult, loop_count, circles, balance_of,
         vertex_sig, summary,
-    )
-
-
-def _pair(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u <= v else (v, u)
-
-
-def _edge_bijection_matches(pa: _BiasProfile, pb: _BiasProfile, vmap: dict) -> bool:
-    groups = []
-    for pair, edges in sorted(pa.graph.link_map.items()):
-        u, w = pair
-        targets = pb.graph.links_between(vmap[u], vmap[w])
-        groups.append((tuple(e.id for e in edges), tuple(e.id for e in targets)))
-    for v, loops in sorted(pa.graph.loop_map.items()):
-        targets = pb.graph.loops_at(vmap[v])
-        groups.append((tuple(e.id for e in loops), tuple(e.id for e in targets)))
-    sources = [src for src, _ in groups]
-    pools = [itertools.permutations(tgt) for _, tgt in groups]
-    for assignment in itertools.product(*pools):
-        sigma: dict[int, int] = {}
-        for src, tgt in zip(sources, assignment):
-            sigma.update(zip(src, tgt))
-        if all(
-            pb.balance_of[frozenset(sigma[i] for i in ids)] == flag
-            for ids, flag in pa.circles
-        ):
-            return True
-    return False
-
-
-def _isomorphic_profiles(pa: _BiasProfile, pb: _BiasProfile) -> bool:
-    if pa.summary != pb.summary:
-        return False
-    for image in itertools.permutations(pb.verts):
-        vmap = dict(zip(pa.verts, image))
-        if any(pa.vertex_sig[v] != pb.vertex_sig[vmap[v]] for v in pa.verts):
-            continue
-        if any(
-            pa.loop_count.get(v, 0) != pb.loop_count.get(vmap[v], 0) for v in pa.verts
-        ):
-            continue
-        if any(
-            pa.pair_mult.get(_pair(u, w), 0)
-            != pb.pair_mult.get(_pair(vmap[u], vmap[w]), 0)
-            for u, w in itertools.combinations(pa.verts, 2)
-        ):
-            continue
-        if _edge_bijection_matches(pa, pb, vmap):
-            return True
-    return False
-
-
-def biased_isomorphic(a: GainGraph, b: GainGraph) -> bool:
-    """True when some incidence-preserving bijection matches balanced circles.
-
-    Compares the full circle classes of both graphs, so it decides the
-    biased-graph (equivalently, switching-class) isomorphism.  Isolated
-    vertices are ignored.  Both graphs must stay within the exhaustive
-    circle-enumeration bound.
-    """
-    return _isomorphic_profiles(_bias_profile(a), _bias_profile(b))
-
-
-def induced_subgraph(g: GainGraph, edge_ids: Iterable[int]) -> GainGraph:
-    """Sub-gain-graph on an edge subset, vertices and edge ids relabeled densely."""
-    chosen = sorted((g.edge(i) for i in set(edge_ids)), key=lambda e: e.id)
-    verts = sorted({v for e in chosen for v in (e.tail, e.head)})
-    vmap = {v: i for i, v in enumerate(verts, start=1)}
-    return GainGraph.from_edge_list(
-        max(len(verts), 1), [(vmap[e.tail], vmap[e.head], e.gain) for e in chosen]
     )
 
 
@@ -522,9 +468,7 @@ def count_patterns(g: GainGraph) -> PatternCounts:
     combinatorial invariant formula is only claimed in that regime.  All
     eleven counts come from one census walk (:func:`_occurrences`).
     """
-    report = validate(g)
-    if not report.all_pass:
-        raise HypothesisError(report)
+    require_hypotheses(g, HYPOTHESES)
     return _census(g, triangles(g))
 
 

@@ -9,7 +9,6 @@ import time
 from contextlib import contextmanager
 
 from falkkit import exterior
-from falkkit.arrangement import dependent_3sets
 from falkkit.falk import (
     dim_I3_2_closed_form,
     phi3_combinatorial,
@@ -18,7 +17,7 @@ from falkkit.falk import (
 )
 from falkkit.graphs import RANDOM_GAINS, random_gain_graph, switch
 from falkkit.patterns import atlas, count_patterns, find_occurrences, triangles
-from helpers import load_graph
+from helpers import dependent_3sets, load_graph
 
 SEED_MATROID = 20260801
 SEED_MAIN = 20260802

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from falkkit.arrangement import ArrangementError, arrangement, dependent_3sets
+from falkkit.arrangement import ArrangementError, arrangement
 from falkkit.graphs import GainGraph, RANDOM_GAINS, switch
 from falkkit.patterns import triangles
-from helpers import proportional, seeded_graphs
+from helpers import dependent_3sets, proportional, seeded_graphs
 
 # defining polynomial factors of the bundled 3-vertex example, by edge id
 EXPECTED_FACTORS = {

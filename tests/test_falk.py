@@ -10,12 +10,11 @@ from falkkit.falk import (
     dim_I3_2_closed_form,
     phi3_combinatorial,
     phi3_rank,
-    random_switching,
     verify,
 )
 from falkkit.graphs import GainGraph, switch, validate
 from falkkit.patterns import HypothesisError, PatternCounts, count_patterns, triangles
-from helpers import braid, load_graph, seeded_graphs, type_b, type_d
+from helpers import braid, load_graph, random_switching, seeded_graphs, type_b, type_d
 
 PHI3_LADDER = {
     "K3": 2,

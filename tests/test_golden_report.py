@@ -1,4 +1,4 @@
-"""`report` and `report --json` on every bundled graph, byte for byte.
+"""Every subcommand, plain and ``--json``, on every bundled graph, byte for byte.
 
 ``data/golden_report.json`` holds stdout, stderr and the exit code of each
 run, recorded with the graph file named relative to ``data/`` so that error
@@ -19,7 +19,8 @@ import os
 from helpers import DATA
 
 GOLDEN = DATA / "golden_report.json"
-COMMANDS = (("report",), ("report", "--json"))
+SUBCOMMANDS = ("check", "triangles", "counts", "phi3", "realize", "rank-f3", "report")
+COMMANDS = tuple((name, *flags) for name in SUBCOMMANDS for flags in ((), ("--json",)))
 
 
 def run_all() -> dict:

@@ -11,7 +11,6 @@ from falkkit.graphs import (
     GraphFormatError,
     GraphTooLargeError,
     all_circles_small,
-    circle_from_edges,
     circle_gain,
     is_balanced,
     parse,
@@ -20,7 +19,7 @@ from falkkit.graphs import (
     switch,
     validate,
 )
-from helpers import brute_circle_sets, load_graph, seeded_graphs
+from helpers import brute_circle_sets, circle_from_edges, load_graph, seeded_graphs
 
 
 def balanced_triangle():

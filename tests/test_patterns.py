@@ -3,12 +3,10 @@ import random
 
 import pytest
 
-from falkkit.arrangement import dependent_3sets
 from falkkit.graphs import (
     GainGraph,
     RANDOM_GAINS,
     all_circles_small,
-    circle_from_edges,
     is_balanced,
     switch,
     validate,
@@ -18,13 +16,18 @@ from falkkit.patterns import (
     PatternCounts,
     TriangleKind,
     atlas,
-    biased_isomorphic,
     count_patterns,
     find_occurrences,
-    induced_subgraph,
     triangles,
 )
-from helpers import load_graph, seeded_graphs
+from helpers import (
+    biased_isomorphic,
+    circle_from_edges,
+    dependent_3sets,
+    induced_subgraph,
+    load_graph,
+    seeded_graphs,
+)
 
 FINAL_TRIANGLES = {
     (1, 2, 3): TriangleKind.THETA,

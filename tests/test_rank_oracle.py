@@ -5,6 +5,9 @@ before it switched to primitive integer rows; it shares no code with
 :func:`exterior.rank`.  Random matrices with rational entries and dependent
 rows reach pivots whose leading entry is not 1; the exact row sets of the
 F3 and I^3_2 eliminations cover the rows the library really builds.
+
+The rank route is claimed wherever H4 and H5 hold, so the regime corpus
+(:func:`helpers.regime_graphs`) also has graphs where H1, H2 or H3 fails.
 """
 
 import random
@@ -14,12 +17,22 @@ from math import gcd
 import pytest
 
 from falkkit import exterior
-from falkkit.graphs import random_gain_graph
+from falkkit.falk import phi3_rank
+from falkkit.graphs import random_gain_graph, validate
 from falkkit.patterns import triangles
-from helpers import braid, fraction_rank, type_b, type_d
+from helpers import (
+    braid,
+    dependent_3sets,
+    fraction_phi3,
+    fraction_rank,
+    regime_graphs,
+    type_b,
+    type_d,
+)
 
 SEED_MATRICES = 19680
 SEED_MAIN = 20260802  # the criterion-5 corpus
+SEED_REGIME = 4545
 ENTRIES = [Fraction(x) for x in range(-3, 4)] + [
     Fraction(p, q) for p in (-5, -2, -1, 1, 2, 3) for q in (2, 3, 4, 7)
 ]
@@ -115,3 +128,15 @@ def test_library_rows_match_fraction_oracle_on_seeded_corpus(monkeypatch):
     rng = random.Random(SEED_MAIN)
     for _ in range(200):
         check_library_rows(monkeypatch, random_gain_graph(rng))
+
+
+def test_rank_route_on_h4_h5_regime_corpus(monkeypatch):
+    failing = set()
+    for index, g in enumerate(regime_graphs(random.Random(SEED_REGIME), 60)):
+        report = validate(g)
+        assert report.passes("H4", "H5"), index
+        failing.update(report.failing())
+        check_library_rows(monkeypatch, g)
+        assert {t.edge_ids for t in triangles(g)} == dependent_3sets(g), index
+        assert phi3_rank(g) == fraction_phi3(g), index
+    assert failing == {"H1", "H2", "H3"}
