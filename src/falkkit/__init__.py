@@ -6,7 +6,7 @@ Orlik-Solomon ideal of the associated hyperplane arrangement, and the two
 routes are cross-validated against each other.
 """
 
-from .arrangement import ArrangementError, Hyperplane, arrangement
+from .arrangement import Hyperplane, arrangement
 from .falk import (
     FalkReport,
     dim_I3_2_closed_form,
@@ -52,7 +52,6 @@ from .patterns import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArrangementError",
     "Circle",
     "CircleError",
     "COUNT_FIELDS",

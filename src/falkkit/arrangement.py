@@ -17,10 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import GainGraph
-
-
-class ArrangementError(ValueError):
-    """Raised when two edges would realize the same hyperplane."""
+from .patterns import require_hypotheses
 
 
 @dataclass(frozen=True)
@@ -30,11 +27,14 @@ class Hyperplane:
 
 
 def arrangement(g: GainGraph) -> list[Hyperplane]:
-    """One hyperplane per edge, pairwise non-proportional.
+    """One hyperplane per edge, pairwise distinct.
 
-    Proportional normals mean a balanced loop/2-circle or a repeated loop
-    slipped through (an H4/H5 violation), and are reported as an error.
+    The normals are pairwise non-proportional exactly when H4 and H5 hold,
+    so the realization refuses (raises
+    :class:`~falkkit.patterns.HypothesisError`) through the same gate as the
+    rank route when either fails.
     """
+    require_hypotheses(g, ("H4", "H5"))
     planes = []
     for e in g.edges:
         normal = [Fraction(0)] * g.num_vertices
@@ -42,17 +42,4 @@ def arrangement(g: GainGraph) -> list[Hyperplane]:
         if not e.is_loop:
             normal[e.head - 1] = -e.gain
         planes.append(Hyperplane(e.id, tuple(normal)))
-    seen: dict[tuple[Fraction, ...], int] = {}
-    for h in planes:
-        key = _projective_key(h.normal)
-        if key in seen:
-            raise ArrangementError(
-                f"edges {seen[key]} and {h.edge_id} realize the same hyperplane"
-            )
-        seen[key] = h.edge_id
     return planes
-
-
-def _projective_key(normal: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    lead = next(c for c in normal if c)
-    return tuple(c / lead for c in normal)

@@ -13,17 +13,25 @@ import os
 import sys
 
 from . import exterior
-from .arrangement import ArrangementError, arrangement
-from .falk import FalkReport, phi3_combinatorial, phi3_rank, verify
+from .arrangement import arrangement
+from .falk import FalkReport, _rank_route, phi3_combinatorial, verify
 from .graphs import (
     GainGraph,
     GraphFormatError,
+    HYPOTHESES,
     HYPOTHESIS_LABELS,
     ValidationReport,
     parse,
     validate,
 )
-from .patterns import COUNT_FIELDS, HypothesisError, count_patterns, require_hypotheses, triangles
+from .patterns import (
+    COUNT_FIELDS,
+    HypothesisError,
+    _census,
+    count_patterns,
+    require_hypotheses,
+    triangles,
+)
 
 EXIT_OK = 0
 EXIT_REFUSED = 1
@@ -96,11 +104,13 @@ def cmd_counts(g: GainGraph, args) -> int:
 
 
 def cmd_phi3(g: GainGraph, args) -> int:
+    require_hypotheses(g, ("H4", "H5") if args.method == "rank" else HYPOTHESES)
+    tris = triangles(g)
     comb_value = rank_value = agree = None
     if args.method in ("comb", "both"):
-        comb_value = phi3_combinatorial(count_patterns(g))
+        comb_value = phi3_combinatorial(_census(g, tris))
     if args.method in ("rank", "both"):
-        rank_value = phi3_rank(g)
+        rank_value = _rank_route(g.n, tris)[2]
     if args.method == "both":
         agree = comb_value == rank_value
     if args.json:
@@ -116,7 +126,6 @@ def cmd_phi3(g: GainGraph, args) -> int:
 
 
 def cmd_realize(g: GainGraph, args) -> int:
-    require_hypotheses(g, ("H4", "H5"))
     planes = arrangement(g)
     if args.json:
         _dump(
@@ -258,7 +267,7 @@ def main(argv=None) -> int:
     try:
         code = args.func(g, args)
         sys.stdout.flush()
-    except (HypothesisError, ArrangementError) as exc:
+    except HypothesisError as exc:
         print(f"falkkit: refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     except BrokenPipeError:

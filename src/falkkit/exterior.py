@@ -1,10 +1,11 @@
 """Exact exterior algebra in degrees 2 and 3 over an edge ground set.
 
 Vectors are sparse maps from strictly increasing index tuples to integer
-coefficients.  Ranks are computed by fraction-free elimination over Python
-integers: every pivot row is kept primitive (its entries have gcd 1 and its
-leading entry is positive), and the pivot rule is deterministic (first
-nonzero column in lexicographic order).  There is no floating point, modular
+coefficients.  Ranks are computed by fraction-free elimination of the
+Python-int rows that :func:`boundary3` and :func:`wedge1` build, with no
+conversion of their entries: every pivot row is kept primitive (its entries
+have gcd 1 and its leading entry is positive), and the pivot rule is
+deterministic (first nonzero column in lexicographic order).  There is no floating point, modular
 or randomized step, so every dimension reported here is exact.
 
 Only degrees 2 and 3 are materialized as vector spaces; that is all the
@@ -13,8 +14,7 @@ degree-3 invariant needs.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd
 from typing import Iterable, Mapping, Sequence
 
 Pair = tuple[int, int]
@@ -77,16 +77,6 @@ def wedge1(t: int, vec: Vec2) -> Vec3:
     return out
 
 
-def _integer_row(row: Mapping) -> dict:
-    """The row's nonzero entries, scaled by the lcm of their denominators."""
-    work = {k: v for k, v in row.items() if v}
-    if all(type(v) is int for v in work.values()):
-        return work
-    exact = {k: Fraction(v) for k, v in work.items()}
-    scale = lcm(*(v.denominator for v in exact.values()))
-    return {k: v.numerator * (scale // v.denominator) for k, v in exact.items()}
-
-
 def _divide_content(row: dict, negate: bool = False) -> dict:
     """The row divided by the gcd of its entries (and by -1 when ``negate``)."""
     content = gcd(*row.values())
@@ -108,7 +98,7 @@ def _pivot_rows(rows: Iterable[Mapping]) -> dict:
     """
     pivots: dict = {}
     for row in rows:
-        work = _integer_row(row)
+        work = {k: v for k, v in row.items() if v}
         while work:
             lead = min(work)
             c = work[lead]
@@ -133,10 +123,10 @@ def _pivot_rows(rows: Iterable[Mapping]) -> dict:
 
 
 def rank(rows: Iterable[Mapping]) -> int:
-    """Exact rank of sparse rational rows keyed by comparable column labels.
+    """Exact rank of sparse integer rows keyed by comparable column labels.
 
-    Values may be ints or anything ``fractions.Fraction`` accepts; rows with
-    non-integer values are scaled to integer rows first.
+    Values must be Python ints, as :func:`boundary3` and :func:`wedge1` build
+    them; zero entries are dropped.
     """
     return len(_pivot_rows(rows))
 
@@ -145,7 +135,6 @@ def _triples(triangles: Iterable) -> list[Triple]:
     out = []
     for t in triangles:
         ids = tuple(getattr(t, "edge_ids", t))
-        _check_increasing(ids)
         if len(ids) != 3:
             raise ValueError(f"expected an edge triple, got {ids}")
         out.append(ids)

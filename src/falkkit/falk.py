@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from . import exterior
 from .graphs import GainGraph, ValidationReport, validate
@@ -37,8 +37,12 @@ _RANK_FIELDS = (
 )
 
 
-def _phi3_from_dims(n: int, dim_a2: int, dim_i32: int) -> int:
-    return 2 * comb(n + 1, 3) - n * dim_a2 + comb(n, 3) - dim_i32
+def _rank_route(n: int, tris: Sequence[Triangle]) -> tuple[int, int, int]:
+    """dim(A^2), dim(I^3_2) and phi3 from them, for a caller that has checked
+    H4 and H5 and holds ``triangles(g)``."""
+    dim_a2 = exterior.dim_A2(n, tris)
+    dim_i32 = exterior.dim_I3_2(n, tris)
+    return dim_a2, dim_i32, 2 * comb(n + 1, 3) - n * dim_a2 + comb(n, 3) - dim_i32
 
 
 def phi3_rank(g: GainGraph) -> int:
@@ -48,9 +52,7 @@ def phi3_rank(g: GainGraph) -> int:
     hyperplanes are then not pairwise distinct.
     """
     require_hypotheses(g, ("H4", "H5"))
-    n = g.n
-    tris = triangles(g)
-    return _phi3_from_dims(n, exterior.dim_A2(n, tris), exterior.dim_I3_2(n, tris))
+    return _rank_route(g.n, triangles(g))[2]
 
 
 def phi3_combinatorial(counts: PatternCounts) -> int:
@@ -136,8 +138,7 @@ def verify(g: GainGraph) -> FalkReport:
     else:
         n = g.n
         tris = tuple(triangles(g))
-        a2 = exterior.dim_A2(n, tris)
-        i32 = exterior.dim_I3_2(n, tris)
+        a2, i32, phi3 = _rank_route(n, tris)
         size, rank_f3 = exterior.span_F3(n, tris)
         values.update(
             num_triangles=len(tris),
@@ -146,7 +147,7 @@ def verify(g: GainGraph) -> FalkReport:
             dim_I3_2=i32,
             span_F3_size=size,
             span_F3_rank=rank_f3,
-            phi3_rank=_phi3_from_dims(n, a2, i32),
+            phi3_rank=phi3,
         )
 
     if failing:

@@ -479,15 +479,15 @@ def _trace_circle(edges: Sequence[Edge]) -> Circle | None:
     return Circle(tuple(steps))
 
 
-def all_circles_small(g: GainGraph, max_edges: int = MAX_CIRCLE_EDGES) -> list[Circle]:
+def all_circles_small(g: GainGraph) -> list[Circle]:
     """Every circle of every length, by exhaustion over edge subsets.
 
     Only for pattern-sized graphs; raises :class:`GraphTooLargeError` above
-    ``max_edges`` edges.
+    :data:`MAX_CIRCLE_EDGES` edges.
     """
-    if g.n > max_edges:
+    if g.n > MAX_CIRCLE_EDGES:
         raise GraphTooLargeError(
-            f"exhaustive circle enumeration limited to {max_edges} edges, got {g.n}"
+            f"exhaustive circle enumeration limited to {MAX_CIRCLE_EDGES} edges, got {g.n}"
         )
     out: list[Circle] = []
     for size in range(1, g.n + 1):

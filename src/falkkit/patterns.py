@@ -36,7 +36,8 @@ test helpers.  :attr:`Pattern.profile` (every circle of a reference, with
 its balance) is kept for those oracles and for the benchmark harness.
 
 :func:`require_hypotheses` is the one hypothesis gate: the census, the
-rank route and the command line refuse through it.
+rank route, the hyperplane realization and the command line refuse
+through it.
 """
 
 from __future__ import annotations

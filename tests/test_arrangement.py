@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from falkkit.arrangement import ArrangementError, arrangement
+from falkkit.arrangement import arrangement
 from falkkit.graphs import GainGraph, RANDOM_GAINS, switch
-from falkkit.patterns import triangles
+from falkkit.patterns import HypothesisError, triangles
 from helpers import dependent_3sets, proportional, seeded_graphs
 
 # defining polynomial factors of the bundled 3-vertex example, by edge id
@@ -41,12 +41,22 @@ def test_link_normal():
 
 def test_arrangement_rejects_proportional_normals():
     balanced_pair = GainGraph.from_edge_list(2, [(1, 2, 2), (1, 2, 2)])
-    with pytest.raises(ArrangementError):
+    with pytest.raises(HypothesisError, match="H4"):
         arrangement(balanced_pair)
     # a reversed duplicate realizes the same hyperplane too
     reversed_pair = GainGraph.from_edge_list(2, [(1, 2, 2), (2, 1, Fraction(1, 2))])
-    with pytest.raises(ArrangementError):
+    with pytest.raises(HypothesisError, match="H4"):
         arrangement(reversed_pair)
+    two_loops = GainGraph.from_edge_list(1, [(1, 1, 2), (1, 1, 3)])
+    with pytest.raises(HypothesisError, match="H5"):
+        arrangement(two_loops)
+
+
+def test_arrangement_rejects_a_single_balanced_loop():
+    # no other normal is proportional to it, but a balanced loop realizes no
+    # hyperplane at all (H4 fails)
+    with pytest.raises(HypothesisError, match="H4"):
+        arrangement(GainGraph.from_edge_list(1, [(1, 1, 1)]))
 
 
 def test_dependent_3sets_examples():

@@ -3,10 +3,11 @@ import os
 import shlex
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
-from falkkit import cli
+from falkkit import cli, falk, patterns
 from falkkit.cli import main
 from helpers import DATA
 
@@ -167,6 +168,26 @@ def test_phi3_method_gates(capsys):
     code, out, _ = run(capsys, "phi3", B2, "--method=rank")
     assert code == 0
     assert out.strip() == "rank: 8"
+
+
+@pytest.mark.parametrize("method", ("comb", "rank", "both"))
+def test_phi3_validates_and_finds_triangles_once(capsys, monkeypatch, pattern_atlas, method):
+    # pattern_atlas: the atlas has run its own census already, so it is not counted
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (cli, falk, patterns):
+        for name in ("validate", "triangles"):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    code, _, _ = run(capsys, "phi3", FINAL, f"--method={method}")
+    assert code == 0
+    assert calls == {"validate": 1, "triangles": 1}
 
 
 def test_phi3_rank_refuses_balanced_two_circle(capsys, tmp_path):

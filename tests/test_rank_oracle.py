@@ -3,8 +3,10 @@
 :func:`helpers.fraction_rank` is the rational elimination the library used
 before it switched to primitive integer rows; it shares no code with
 :func:`exterior.rank`.  Random matrices with rational entries and dependent
-rows reach pivots whose leading entry is not 1; the exact row sets of the
-F3 and I^3_2 eliminations cover the rows the library really builds.
+rows reach pivots whose leading entry is not 1; :func:`exterior.rank` takes
+integer rows only, so each rational row is scaled to integers before it gets
+there, while the oracle ranks the rational rows.  The exact row sets of the
+I^2, F3 and I^3_2 eliminations cover the rows the library really builds.
 
 The rank route is claimed wherever H4 and H5 hold, so the regime corpus
 (:func:`helpers.regime_graphs`) also has graphs where H1, H2 or H3 fails.
@@ -12,7 +14,7 @@ The rank route is claimed wherever H4 and H5 hold, so the regime corpus
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -58,10 +60,17 @@ def random_rows(rng: random.Random) -> list[dict]:
     return rows
 
 
+def integer_row(row: dict) -> dict:
+    """The row times the lcm of its denominators; scaling keeps the rank."""
+    scale = lcm(*(Fraction(v).denominator for v in row.values()))
+    return {k: int(v * scale) for k, v in row.items()}
+
+
 def checked_pivots(rows: list) -> dict:
     """The pivot rows, after checking the rank and that each row is primitive."""
-    pivots = exterior._pivot_rows(rows)
-    assert exterior.rank(rows) == len(pivots) == fraction_rank(rows)
+    integer_rows = [integer_row(row) for row in rows]
+    pivots = exterior._pivot_rows(integer_rows)
+    assert exterior.rank(integer_rows) == len(pivots) == fraction_rank(rows)
     for lead, pivot in pivots.items():
         assert lead == min(pivot)
         assert all(type(v) is int and v for v in pivot.values())
@@ -83,8 +92,8 @@ def test_rank_matches_fraction_oracle_on_random_matrices():
     assert non_unit_leads > 100 and dependent > 100
 
 
-def test_rank_clears_denominators():
-    rows = [{1: Fraction(1, 2), 2: Fraction(1, 3)}, {1: 3, 2: 2}, {1: Fraction(2, 3), 3: 5}]
+def test_rank_cross_multiplies_non_unit_pivots():
+    rows = [{1: 3, 2: 2}, {1: 3, 2: 2}, {1: 2, 3: 15}]
     assert exterior.rank(rows) == 2
     assert exterior._pivot_rows(rows) == {1: {1: 3, 2: 2}, 2: {2: 4, 3: -45}}
 
@@ -113,9 +122,14 @@ FAMILIES = (
 
 def check_library_rows(monkeypatch, g) -> None:
     tris = triangles(g)
-    for compute in (lambda: exterior.span_F3(g.n, tris), lambda: exterior.dim_I3_2(g.n, tris)):
+    for compute in (
+        lambda: exterior.dim_I2(tris),
+        lambda: exterior.span_F3(g.n, tris),
+        lambda: exterior.dim_I3_2(g.n, tris),
+    ):
         (rows,) = recorded_rows(monkeypatch, compute)
-        assert all(type(v) is int for row in rows for v in row.values())
+        # the contract exterior.rank relies on
+        assert all(type(v) is int and v for row in rows for v in row.values())
         checked_pivots(rows)
 
 
