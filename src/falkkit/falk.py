@@ -7,13 +7,20 @@
 from exact ranks of explicit integer matrices; it is valid for any gain graph
 whose hyperplanes are pairwise distinct (H4 and H5).
 
-:func:`phi3_combinatorial` evaluates the census form
+:func:`phi3_combinatorial` evaluates the census form, a local part plus a
+global excess,
 
-    phi3 = 2*(k3 + k4 + d3 + d21 + k22 + k33 + gcirc + g2 + theta)
-           + 5*d31 + g1
+    phi3 = 2*(k3 + d21 + k22 + theta)
+           + 2*(k4 + d3 + k33 + gcirc + g2) + 5*d31 + g1
 
 from subgraph occurrence counts; it is only claimed under H1-H5, so
 :func:`verify` withholds it (rather than guessing) when hypotheses fail.
+The local part counts two per rank-2 flat of size three: under H1-H5 the
+four local counts sum to the number of triangles |T|, and phi3 depends only
+on the flats of rank at most 2 (Falk 1988).  The excess comes from the
+larger patterns.  Since dim(A^2) = C(n,2) - |T| under H1-H5, the rank
+formula reads phi3 = n*|T| - dim(I^3_2), so the same two numbers give the
+companion :func:`dim_I3_2_closed_form` = (n-2)*local - excess.
 """
 
 from __future__ import annotations
@@ -55,44 +62,34 @@ def phi3_rank(g: GainGraph) -> int:
     return _rank_route(g.n, triangles(g))[2]
 
 
-def phi3_combinatorial(counts: PatternCounts) -> int:
-    """Falk invariant as a linear form in the occurrence counts."""
+# census fields counting rank-2 flats of size three; under H1-H5 they sum to |T|
+_LOCAL_FIELDS = ("k3", "d21", "k22", "theta")
+# coefficient of each larger pattern in phi3's global excess
+_EXCESS = {"k4": 2, "d3": 2, "k33": 2, "gcirc": 2, "g2": 2, "d31": 5, "g1": 1}
+
+
+def _local_and_excess(counts: PatternCounts) -> tuple[int, int]:
+    values = counts.as_dict()
     return (
-        2
-        * (
-            counts.k3
-            + counts.k4
-            + counts.d3
-            + counts.d21
-            + counts.k22
-            + counts.k33
-            + counts.gcirc
-            + counts.g2
-            + counts.theta
-        )
-        + 5 * counts.d31
-        + counts.g1
+        sum(values[name] for name in _LOCAL_FIELDS),
+        sum(c * values[name] for name, c in _EXCESS.items()),
     )
+
+
+def phi3_combinatorial(counts: PatternCounts) -> int:
+    """Falk invariant as a linear form in the occurrence counts: 2*local + excess."""
+    local, excess = _local_and_excess(counts)
+    return 2 * local + excess
 
 
 def dim_I3_2_closed_form(n: int, counts: PatternCounts) -> int:
-    """Census prediction for dim(I^3_2), valid under H1-H5.
+    """Census prediction for dim(I^3_2), valid under H1-H5: (n-2)*local - excess.
 
-    (n-2) times the dependent-triple census (k3 + d21 + k22 + theta), minus
-    correction terms for the larger patterns.  The test suite checks this
-    against the direct elimination on every valid graph it touches.
+    The test suite checks this against the direct elimination on every
+    valid graph it touches.
     """
-    base = counts.k3 + counts.d21 + counts.k22 + counts.theta
-    return (
-        (n - 2) * base
-        - 2 * counts.k4
-        - 2 * counts.d3
-        - 2 * counts.gcirc
-        - 2 * counts.k33
-        - 5 * counts.d31
-        - counts.g1
-        - 2 * counts.g2
-    )
+    local, excess = _local_and_excess(counts)
+    return (n - 2) * local - excess
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,23 @@
 """Dependent 3-sets, the distinguished subgraph atlas, and occurrence counts.
 
-In the bias matroid of a gain graph whose loops and 2-circles are all
-unbalanced, an edge triple is dependent exactly when it is one of:
+Under H4 and H5 the hyperplanes of a gain graph are pairwise distinct, and
+its dependent edge triples ("triangles") are the 3-subsets of the rank-2
+flats of the arrangement.  A rank-2 flat with at least three elements is
+one of:
 
-* a balanced 3-circle (three links on three vertices, circle gain 1),
-* a contrabalanced 3-edge theta (a triple parallel bundle, all three
-  2-circles unbalanced),
-* a tight handcuff (unbalanced 2-circle plus an unbalanced loop at one of
-  its two vertices),
-* a loose handcuff (a link plus an unbalanced loop at each endpoint).
+* a two-vertex flat: a link bundle (u, v) together with the loops at u
+  and v.  Every 3-subset of it is dependent, and the loops the triple takes
+  give its kind: none, a contrabalanced theta; one, a tight handcuff; two,
+  a loose handcuff;
+* a three-vertex flat: a balanced 3-circle (three links on three vertices,
+  circle gain 1), which has exactly three elements.
 
-These "triangles" drive both computation routes of the invariant.  The
-atlas below fixes one rational-gain realization per distinguished biased
-graph; every realization is self-tested on first access, its triangle
-census must reproduce the expected distinguished 3-edge circle class.
+H1-H3 say that no two-vertex flat has more than three elements, so under
+H1-H5 the triangles are exactly the rank-2 flats of size three.  These
+triangles drive both computation routes of the invariant.  The atlas below
+fixes one rational-gain realization per distinguished biased graph; every
+realization is self-tested on first access, its triangle census must
+reproduce the expected distinguished 3-edge circle class.
 
 Occurrences are concrete edge subsets, not isomorphism classes, and
 containment exclusions follow the count definitions: a D3 or Gcirc
@@ -75,6 +79,10 @@ class Triangle:
     kind: TriangleKind
 
 
+# kind of a triple from a two-vertex flat, by the number of loops it takes
+_FLAT_KIND = (TriangleKind.THETA, TriangleKind.TIGHT_HANDCUFF, TriangleKind.LOOSE_HANDCUFF)
+
+
 class HypothesisError(ValueError):
     """A computation was refused because formula hypotheses fail."""
 
@@ -95,60 +103,34 @@ def require_hypotheses(g: GainGraph, names: Sequence[str]) -> None:
 
 
 def triangles(g: GainGraph) -> list[Triangle]:
-    """All dependent 3-sets, sorted by edge ids.
+    """All dependent 3-sets, sorted by edge ids: the 3-subsets of the rank-2 flats.
 
-    One pass over the link bundles finds all four circuit shapes; a balanced
-    3-circle u < v < w is closed from the bundle (u, v) through each common
-    neighbour w > v.  Correct for any graph whose loops and 2-circles are
-    unbalanced (H4, H5), regardless of H1-H3.
+    Requires H4 and H5, so that the hyperplanes are pairwise distinct; it
+    does not check them, and its output on a graph where either fails is
+    unspecified (the command line refuses such a graph).  H1-H3 may fail.
+    Each bundle (u, v) gives its two-vertex flat, the bundle with the loops
+    at u and v.  A balanced 3-circle u < v < w is closed from the bundle
+    (u, v) through each common neighbour w > v.
     """
     found: list[Triangle] = []
+    # each link's gain read from its smaller end
+    gain = {e.id: e.gain_from(u) for (u, _), bundle in g.link_map.items() for e in bundle}
     above: dict[int, set[int]] = defaultdict(set)
     for u, v in g.link_map:
         above[u].add(v)
-    for (u, v), bundle in sorted(g.link_map.items()):
-        eff = {e.id: e.gain_from(u) for e in bundle}
+    for (u, v), bundle in g.link_map.items():
+        flat = bundle + g.loops_at(u) + g.loops_at(v)
+        for triple in itertools.combinations(flat, 3):
+            ids = tuple(sorted(e.id for e in triple))
+            found.append(Triangle(ids, _FLAT_KIND[sum(e.is_loop for e in triple)]))
         for w in above[u] & above[v]:
             for e in bundle:
                 for f in g.links_between(v, w):
                     for h in g.links_between(u, w):
-                        if eff[e.id] * f.gain_from(v) * h.gain_from(w) == 1:
-                            found.append(
-                                Triangle(
-                                    tuple(sorted((e.id, f.id, h.id))),
-                                    TriangleKind.BALANCED_CIRCLE,
-                                )
-                            )
-        loops = [
-            loop for w in (u, v) for loop in g.loops_at(w) if loop.gain != 1
-        ]
-        for e, f in itertools.combinations(bundle, 2):
-            if eff[e.id] == eff[f.id]:
-                continue  # balanced 2-circle, not part of a handcuff circuit
-            for loop in loops:
-                found.append(
-                    Triangle(
-                        tuple(sorted((e.id, f.id, loop.id))), TriangleKind.TIGHT_HANDCUFF
-                    )
-                )
-        for e, f, h in itertools.combinations(bundle, 3):
-            if len({eff[e.id], eff[f.id], eff[h.id]}) == 3:
-                found.append(
-                    Triangle(tuple(sorted((e.id, f.id, h.id))), TriangleKind.THETA)
-                )
-        for e in bundle:
-            for lu in g.loops_at(u):
-                if lu.gain == 1:
-                    continue
-                for lv in g.loops_at(v):
-                    if lv.gain == 1:
-                        continue
-                    found.append(
-                        Triangle(
-                            tuple(sorted((e.id, lu.id, lv.id))),
-                            TriangleKind.LOOSE_HANDCUFF,
-                        )
-                    )
+                        # balanced: the circle gain g_e * g_f / g_h is 1
+                        if gain[e.id] * gain[f.id] == gain[h.id]:
+                            ids = tuple(sorted((e.id, f.id, h.id)))
+                            found.append(Triangle(ids, TriangleKind.BALANCED_CIRCLE))
     return sorted(found, key=lambda t: t.edge_ids)
 
 
@@ -390,14 +372,13 @@ def _carries_triangles(
 ) -> bool:
     """True when a vertex bijection onto the pattern, with edge bijections
     between matching parallel classes and loop sets, maps ``inside`` into
-    the pattern's distinguished triples."""
+    the pattern's distinguished triples.  The union spans as many vertices
+    as the pattern, since the walk only tries patterns of its shape."""
     ref = pattern.reference
     classes: dict[tuple[int, int], list[int]] = defaultdict(list)
     for i in sorted(edge_ids):
         classes[g.edge(i).ends()].append(i)  # a loop's ends are (v, v)
     verts = sorted({v for pair in classes for v in pair})
-    if len(verts) != len(ref.incident_vertices):
-        return False
     for image in itertools.permutations(ref.incident_vertices):
         vmap = dict(zip(verts, image))
         targets = []
@@ -420,8 +401,6 @@ def _carries_triangles(
 # occurrence counts
 
 
-COUNT_FIELDS = ("k3", "k4", "d3", "d21", "k22", "k33", "gcirc", "d31", "g1", "g2", "theta")
-
 _COUNT_PATTERN = {
     "k3": "K3",
     "k4": "K4",
@@ -435,6 +414,12 @@ _COUNT_PATTERN = {
     "g2": "G2",
     "theta": "Theta3",
 }
+
+COUNT_FIELDS = tuple(_COUNT_PATTERN)
+
+# an occurrence counted in the key field is not counted when it lies inside
+# an occurrence counted in the value field
+_EXCLUDED_INSIDE = {"d3": "d31", "gcirc": "d31", "g1": "g2"}
 
 
 @dataclass(frozen=True)
@@ -458,10 +443,6 @@ class PatternCounts:
         return tuple(getattr(self, name) for name in COUNT_FIELDS)
 
 
-def _count_outside(occurrences: set[frozenset[int]], hosts: set[frozenset[int]]) -> int:
-    return sum(1 for occ in occurrences if not any(occ <= host for host in hosts))
-
-
 def count_patterns(g: GainGraph) -> PatternCounts:
     """Occurrence counts with containment exclusions applied.
 
@@ -479,16 +460,8 @@ def _census(g: GainGraph, tris: Sequence[Triangle]) -> PatternCounts:
     patterns = atlas()
     occ = _occurrences(g, tris, [patterns[name] for name in _COUNT_PATTERN.values()])
     occ = {field: occ[name] for field, name in _COUNT_PATTERN.items()}
-    return PatternCounts(
-        k3=len(occ["k3"]),
-        k4=len(occ["k4"]),
-        d3=_count_outside(occ["d3"], occ["d31"]),
-        d21=len(occ["d21"]),
-        k22=len(occ["k22"]),
-        k33=len(occ["k33"]),
-        gcirc=_count_outside(occ["gcirc"], occ["d31"]),
-        d31=len(occ["d31"]),
-        g1=_count_outside(occ["g1"], occ["g2"]),
-        g2=len(occ["g2"]),
-        theta=len(occ["theta"]),
-    )
+    counts = {}
+    for field, found in occ.items():
+        hosts = occ[_EXCLUDED_INSIDE[field]] if field in _EXCLUDED_INSIDE else ()
+        counts[field] = sum(1 for o in found if not any(o <= host for host in hosts))
+    return PatternCounts(**counts)

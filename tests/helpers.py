@@ -15,7 +15,8 @@ which stays in ``test_census_oracle.py``, its only user.
   edge triple with :func:`fraction_rank`, the linear-algebra side of
   "dependent 3-sets == triangle census".  :func:`fraction_phi3` rebuilds
   the rank formula for phi_3 from those triples, again with
-  :func:`fraction_rank` only.
+  :func:`fraction_rank` only.  :func:`_shape_kind` names a dependent
+  triple's kind from its shape alone (loops taken, vertices spanned).
 * Isomorphism: :func:`biased_isomorphic` decides biased-graph isomorphism
   exhaustively, from every circle and its balance
   (:attr:`falkkit.patterns.Pattern.profile`); the census oracle compares
@@ -41,7 +42,7 @@ from falkkit.graphs import (
     parse,
     random_gain_graph,
 )
-from falkkit.patterns import _bias_profile, _BiasProfile
+from falkkit.patterns import TriangleKind, _bias_profile, _BiasProfile
 
 DATA = Path(__file__).parent / "data"
 
@@ -167,6 +168,16 @@ def dependent_3sets(g: GainGraph) -> set[tuple[int, int, int]]:
         for triple in itertools.combinations(sorted(rows), 3)
         if fraction_rank(rows[i] for i in triple) < 3
     }
+
+
+def _shape_kind(g: GainGraph, edge_ids) -> TriangleKind:
+    """The kind of a dependent triple, read from its loops and vertices only."""
+    edges = [g.edge(i) for i in edge_ids]
+    loops = sum(e.is_loop for e in edges)
+    if loops:
+        return (TriangleKind.TIGHT_HANDCUFF, TriangleKind.LOOSE_HANDCUFF)[loops - 1]
+    vertices = {v for e in edges for v in e.ends()}
+    return TriangleKind.BALANCED_CIRCLE if len(vertices) == 3 else TriangleKind.THETA
 
 
 def fraction_phi3(g: GainGraph) -> int:

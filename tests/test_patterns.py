@@ -21,12 +21,14 @@ from falkkit.patterns import (
     triangles,
 )
 from helpers import (
+    _shape_kind,
     biased_isomorphic,
     circle_from_edges,
     dependent_3sets,
     induced_subgraph,
     load_graph,
     seeded_graphs,
+    type_b,
 )
 
 FINAL_TRIANGLES = {
@@ -115,15 +117,6 @@ def _sparse_mixed_gain_graph(rng: random.Random, num_vertices: int) -> GainGraph
             return switch(g, {v: rng.choice(RANDOM_GAINS) for v in verts})
 
 
-def _shape_kind(g: GainGraph, edge_ids) -> TriangleKind:
-    edges = [g.edge(i) for i in edge_ids]
-    loops = sum(e.is_loop for e in edges)
-    if loops:
-        return (TriangleKind.TIGHT_HANDCUFF, TriangleKind.LOOSE_HANDCUFF)[loops - 1]
-    vertices = {v for e in edges for v in e.ends()}
-    return TriangleKind.BALANCED_CIRCLE if len(vertices) == 3 else TriangleKind.THETA
-
-
 def test_triangles_on_sparse_many_vertex_mixed_gain_graphs():
     rng = random.Random(20202)
     balance_seen, kinds_seen = set(), set()
@@ -146,6 +139,16 @@ def test_triangles_on_sparse_many_vertex_mixed_gain_graphs():
                 balance_seen.add(balanced)
     assert balance_seen == {True, False}
     assert kinds_seen == set(TriangleKind)
+
+
+@pytest.mark.parametrize("m", range(2, 6))
+def test_triangles_on_type_b(m):
+    # every bundle flat of B_m has four elements: two links and two loops
+    g = type_b(m)
+    tris = triangles(g)
+    assert {t.edge_ids for t in tris} == dependent_3sets(g)
+    for t in tris:
+        assert t.kind is _shape_kind(g, t.edge_ids), t
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from falkkit.falk import phi3_rank
 from falkkit.graphs import random_gain_graph, validate
 from falkkit.patterns import triangles
 from helpers import (
+    _shape_kind,
     braid,
     dependent_3sets,
     fraction_phi3,
@@ -151,6 +152,9 @@ def test_rank_route_on_h4_h5_regime_corpus(monkeypatch):
         assert report.passes("H4", "H5"), index
         failing.update(report.failing())
         check_library_rows(monkeypatch, g)
-        assert {t.edge_ids for t in triangles(g)} == dependent_3sets(g), index
+        tris = triangles(g)
+        assert {t.edge_ids for t in tris} == dependent_3sets(g), index
+        for t in tris:
+            assert t.kind is _shape_kind(g, t.edge_ids), (index, t)
         assert phi3_rank(g) == fraction_phi3(g), index
     assert failing == {"H1", "H2", "H3"}
