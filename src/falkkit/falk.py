@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 
 from . import exterior
 from .graphs import GainGraph, ValidationReport, validate
-from .patterns import PatternCounts, Triangle, _census, require_hypotheses, triangles
+from .patterns import _KIND_FIELD, PatternCounts, Triangle, _census, require_hypotheses, triangles
 
 _RANK_FIELDS = (
     "num_triangles",
@@ -62,8 +62,6 @@ def phi3_rank(g: GainGraph) -> int:
     return _rank_route(g.n, triangles(g))[2]
 
 
-# census fields counting rank-2 flats of size three; under H1-H5 they sum to |T|
-_LOCAL_FIELDS = ("k3", "d21", "k22", "theta")
 # coefficient of each larger pattern in phi3's global excess
 _EXCESS = {"k4": 2, "d3": 2, "k33": 2, "gcirc": 2, "g2": 2, "d31": 5, "g1": 1}
 
@@ -71,7 +69,8 @@ _EXCESS = {"k4": 2, "d3": 2, "k33": 2, "gcirc": 2, "g2": 2, "d31": 5, "g1": 1}
 def _local_and_excess(counts: PatternCounts) -> tuple[int, int]:
     values = counts.as_dict()
     return (
-        sum(values[name] for name in _LOCAL_FIELDS),
+        # the triangles by kind, under H1-H5 the rank-2 flats of size three
+        sum(values[name] for name in _KIND_FIELD.values()),
         sum(c * values[name] for name, c in _EXCESS.items()),
     )
 

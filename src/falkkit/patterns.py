@@ -24,20 +24,14 @@ containment exclusions follow the count definitions: a D3 or Gcirc
 occurrence inside a D31 occurrence is not counted, and a G1 occurrence
 inside a G2 occurrence is not counted.
 
-Occurrences are found from the triangles.  Each atlas pattern's edge set
-is the union of its distinguished triples, so one walk grows unions of
-host triangles that share edges and accepts a union that maps onto a
-pattern with its triangles onto the distinguished triples; the census
-makes that walk once for all eleven counted patterns.
-Under H4 this decides biased isomorphism: a biased graph is fixed by its
-multigraph and balanced circles, on at most three vertices the balanced
-circles are the balanced 3-circles among the triangles, and K4's four
-balanced triangles make every circle balanced.  The work is O(|T|) times
-the number of local unions on at most four vertices.  This walk is the
-library's only isomorphism decision; the exhaustive biased-isomorphism
-decider the tests check it against lives with the other oracles in the
-test helpers.  :attr:`Pattern.profile` (every circle of a reference, with
-its balance) is kept for those oracles and for the benchmark harness.
+The four local counts are the triangles by kind: under H4 and H5 the
+occurrences of K3, D21, K22 and Theta3 are exactly the balanced 3-circles,
+tight handcuffs, loose handcuffs and thetas.  The seven larger patterns
+are found by one walk over unions of triangles (:func:`_occurrences`),
+the library's only biased-isomorphism decision; the exhaustive decider
+the tests check it against lives with the other oracles in the test
+helpers.  :attr:`Pattern.profile` (every circle of a reference, with its
+balance) is kept for those oracles and for the benchmark harness.
 
 :func:`require_hypotheses` is the one hypothesis gate: the census, the
 rank route, the hyperplane realization and the command line refuse
@@ -48,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
@@ -257,9 +251,19 @@ def find_occurrences(
     """Edge sets of ``g`` inducing a subgraph biased-isomorphic to the pattern.
 
     Assumes H4 and H5, as :func:`triangles` does; ``tris`` is
-    ``triangles(g)`` when the caller already has it.  This is the census
-    walk (:func:`_occurrences`) given one pattern, so it prunes with that
+    ``triangles(g)`` when the caller already has it.  This is the walk of
+    :func:`_occurrences` given one pattern, so it prunes with that
     pattern's own edge, vertex and triangle counts.
+    """
+    if tris is None:
+        tris = triangles(g)
+    return _occurrences(g, tris, (pattern,))[pattern.name]
+
+
+def _occurrences(
+    g: GainGraph, tris: Sequence[Triangle], patterns: Sequence[Pattern]
+) -> dict[str, set[frozenset[int]]]:
+    """Occurrences of every given pattern, from one walk over unions of triangles.
 
     An occurrence is the union of its k distinguished triples, which are
     host triangles linked by shared edges.  A union of m edges with exactly
@@ -274,16 +278,6 @@ def find_occurrences(
     K4's four balanced triangles force its 4-circles to be balanced.  Every
     union explored has at most four vertices, so the work is O(|T|) times
     the number of local unions around a triangle, with no V^k term.
-    """
-    if tris is None:
-        tris = triangles(g)
-    return _occurrences(g, tris, (pattern,))[pattern.name]
-
-
-def _occurrences(
-    g: GainGraph, tris: Sequence[Triangle], patterns: Sequence[Pattern]
-) -> dict[str, set[frozenset[int]]]:
-    """Occurrences of every given pattern, from one walk over unions of triangles.
 
     Starting from each host triangle, the walk adds one triangle at a time
     that shares an edge with the union, and visits each union once.  It
@@ -401,21 +395,25 @@ def _carries_triangles(
 # occurrence counts
 
 
-_COUNT_PATTERN = {
-    "k3": "K3",
+# count field of the one-triangle pattern whose occurrences are the
+# triangles of each kind: K3, D21, K22 and Theta3
+_KIND_FIELD = {
+    TriangleKind.BALANCED_CIRCLE: "k3",
+    TriangleKind.TIGHT_HANDCUFF: "d21",
+    TriangleKind.LOOSE_HANDCUFF: "k22",
+    TriangleKind.THETA: "theta",
+}
+
+# count field of each larger pattern, found by the census walk
+_EXCESS_PATTERN = {
     "k4": "K4",
     "d3": "D3",
-    "d21": "D21",
-    "k22": "K22",
     "k33": "K33",
     "gcirc": "Gcirc",
     "d31": "D31",
     "g1": "G1",
     "g2": "G2",
-    "theta": "Theta3",
 }
-
-COUNT_FIELDS = tuple(_COUNT_PATTERN)
 
 # an occurrence counted in the key field is not counted when it lies inside
 # an occurrence counted in the value field
@@ -443,12 +441,16 @@ class PatternCounts:
         return tuple(getattr(self, name) for name in COUNT_FIELDS)
 
 
+COUNT_FIELDS = tuple(f.name for f in fields(PatternCounts))
+
+
 def count_patterns(g: GainGraph) -> PatternCounts:
     """Occurrence counts with containment exclusions applied.
 
     Refuses (raises :class:`HypothesisError`) unless H1..H5 all pass; the
-    combinatorial invariant formula is only claimed in that regime.  All
-    eleven counts come from one census walk (:func:`_occurrences`).
+    combinatorial invariant formula is only claimed in that regime.  The
+    four local counts are the triangles by kind; the seven larger patterns
+    come from one census walk (:func:`_occurrences`).
     """
     require_hypotheses(g, HYPOTHESES)
     return _census(g, triangles(g))
@@ -458,9 +460,9 @@ def _census(g: GainGraph, tris: Sequence[Triangle]) -> PatternCounts:
     """:func:`count_patterns` for a caller that has checked H1..H5 and holds
     ``triangles(g)``."""
     patterns = atlas()
-    occ = _occurrences(g, tris, [patterns[name] for name in _COUNT_PATTERN.values()])
-    occ = {field: occ[name] for field, name in _COUNT_PATTERN.items()}
-    counts = {}
+    occ = _occurrences(g, tris, [patterns[name] for name in _EXCESS_PATTERN.values()])
+    occ = {field: occ[name] for field, name in _EXCESS_PATTERN.items()}
+    counts = Counter(_KIND_FIELD[t.kind] for t in tris)
     for field, found in occ.items():
         hosts = occ[_EXCLUDED_INSIDE[field]] if field in _EXCLUDED_INSIDE else ()
         counts[field] = sum(1 for o in found if not any(o <= host for host in hosts))

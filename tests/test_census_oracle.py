@@ -13,10 +13,13 @@ from fractions import Fraction
 
 import pytest
 
-from falkkit import patterns
+from falkkit import falk, patterns
 from falkkit.graphs import GainGraph, random_gain_graph, validate
 from falkkit.patterns import (
-    _COUNT_PATTERN,
+    _EXCESS_PATTERN,
+    _KIND_FIELD,
+    COUNT_FIELDS,
+    TriangleKind,
     _bias_profile,
     _occurrences,
     atlas,
@@ -135,14 +138,61 @@ def test_search_matches_oracle_on_bundled_graphs(bundled_cases):
             assert find_occurrences(g, pattern) == expected[name], (index, name)
 
 
+# the eleven counted patterns, and the seven the census walk is given
+COUNTED = ("K3", "K4", "D3", "D21", "K22", "K33", "Gcirc", "D31", "G1", "G2", "Theta3")
+EXCESS = ("K4", "D3", "K33", "Gcirc", "D31", "G1", "G2")
+# the one-triangle pattern whose occurrences are the triangles of each kind
+KIND_PATTERN = {
+    TriangleKind.BALANCED_CIRCLE: "K3",
+    TriangleKind.TIGHT_HANDCUFF: "D21",
+    TriangleKind.LOOSE_HANDCUFF: "K22",
+    TriangleKind.THETA: "Theta3",
+}
+
+
 @pytest.mark.parametrize("cases", ["host_cases", "bundled_cases"])
 def test_one_walk_for_all_counted_patterns_matches_oracle(cases, request):
-    # the caps of all eleven patterns together are looser than any one's;
-    # the bundled graphs include hosts where H1-H3 fail
-    counted = [atlas()[name] for name in _COUNT_PATTERN.values()]
+    # the caps of several patterns together are looser than any one's: all
+    # eleven counted patterns, and the seven the census walks; the bundled
+    # graphs include hosts where H1-H3 fail
+    for names in (COUNTED, EXCESS):
+        given = [atlas()[name] for name in names]
+        for index, (g, expected) in enumerate(request.getfixturevalue(cases)):
+            found = _occurrences(g, triangles(g), given)
+            assert found == {name: expected[name] for name in names}, (index, names)
+
+
+@pytest.mark.parametrize("cases", ["host_cases", "bundled_cases"])
+def test_one_triangle_patterns_are_the_triangles_by_kind(cases, request):
+    # H4 and H5 hold on every case; the bundled graphs include hosts where
+    # H1-H3 fail
     for index, (g, expected) in enumerate(request.getfixturevalue(cases)):
-        found = _occurrences(g, triangles(g), counted)
-        assert found == {p.name: expected[p.name] for p in counted}, index
+        tris = triangles(g)
+        for kind, name in KIND_PATTERN.items():
+            by_kind = {frozenset(t.edge_ids) for t in tris if t.kind is kind}
+            assert find_occurrences(g, atlas()[name], tris) == by_kind, (index, name)
+            assert by_kind == expected[name], (index, name)
+
+
+def test_census_tables_split_the_count_fields():
+    local = set(_KIND_FIELD.values())
+    assert set(KIND_PATTERN) == set(_KIND_FIELD) == set(TriangleKind)
+    assert local.isdisjoint(_EXCESS_PATTERN)
+    assert sorted(local | set(_EXCESS_PATTERN)) == sorted(COUNT_FIELDS)
+    assert set(_EXCESS_PATTERN) == set(falk._EXCESS)
+
+
+def test_census_walks_only_the_excess_patterns(hosts, monkeypatch):
+    given = []
+
+    def recording(g, tris, walked):
+        given.append(tuple(p.name for p in walked))
+        return _occurrences(g, tris, walked)
+
+    monkeypatch.setattr(patterns, "_occurrences", recording)
+    for g in hosts:
+        count_patterns(g)
+    assert given and all(sorted(names) == sorted(EXCESS) for names in given), set(given)
 
 
 def test_count_patterns_makes_one_walk(hosts, monkeypatch):

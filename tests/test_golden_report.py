@@ -1,5 +1,8 @@
 """Every subcommand, plain and ``--json``, on every bundled graph, byte for byte.
 
+``phi3`` runs with each ``--method`` too, so the census-only and rank-only
+gates and outputs are pinned as well as the default.
+
 ``data/golden_report.json`` holds stdout, stderr and the exit code of each
 run, recorded with the graph file named relative to ``data/`` so that error
 messages do not depend on where the checkout lives.  Changes that promise
@@ -20,7 +23,10 @@ from helpers import DATA
 
 GOLDEN = DATA / "golden_report.json"
 SUBCOMMANDS = ("check", "triangles", "counts", "phi3", "realize", "rank-f3", "report")
-COMMANDS = tuple((name, *flags) for name in SUBCOMMANDS for flags in ((), ("--json",)))
+FORMS = tuple((name,) for name in SUBCOMMANDS) + tuple(
+    ("phi3", "--method", method) for method in ("comb", "rank")
+)
+COMMANDS = tuple((*form, *flags) for form in FORMS for flags in ((), ("--json",)))
 
 
 def run_all() -> dict:
