@@ -1,12 +1,19 @@
 """Exact exterior algebra in degrees 2 and 3 over an edge ground set.
 
-Vectors are sparse maps from strictly increasing index tuples to integer
-coefficients.  Ranks are computed by fraction-free elimination of the
-Python-int rows that :func:`boundary3` and :func:`wedge1` build, with no
-conversion of their entries: every pivot row is kept primitive (its entries
-have gcd 1 and its leading entry is positive), and the pivot rule is
-deterministic (first nonzero column in lexicographic order).  There is no floating point, modular
-or randomized step, so every dimension reported here is exact.
+The rows of the three eliminations are written out directly: the boundary
+e_jk - e_ik + e_ij of each dependent triple i < j < k (degree 2), and its
+products with each e_t (degree 3), case by case on where t falls relative
+to i < j < k.  A column is a lexicographic int code, a*m + b for e_ab and
+(a*m + b)*m + c for e_abc, with m larger than every edge id, so integer
+order is the lexicographic order of the index tuples.
+
+Ranks are computed by fraction-free elimination of these Python-int rows,
+with no conversion of their entries: every pivot row is kept primitive (its
+entries have gcd 1 and its leading entry is positive), and the pivot rule is
+deterministic (first nonzero column in lexicographic order).  A new pivot
+whose leading entry is 1 or -1 is primitive already and is stored without a
+gcd.  There is no floating point, modular or randomized step, so every
+dimension reported here is exact.
 
 Only degrees 2 and 3 are materialized as vector spaces; that is all the
 degree-3 invariant needs.
@@ -15,66 +22,9 @@ degree-3 invariant needs.
 from __future__ import annotations
 
 from math import comb, gcd
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-Pair = tuple[int, int]
 Triple = tuple[int, int, int]
-Vec2 = dict[Pair, int]
-Vec3 = dict[Triple, int]
-
-_ONE = 1
-
-
-def _check_increasing(indices: Sequence[int]) -> None:
-    if any(a >= b for a, b in zip(indices, indices[1:])):
-        raise ValueError(f"index tuple must be strictly increasing, got {tuple(indices)}")
-
-
-def boundary3(triple: Sequence[int]) -> Vec2:
-    """Boundary of a degree-3 monomial: e_ijk -> e_jk - e_ik + e_ij."""
-    i, j, k = triple
-    _check_increasing((i, j, k))
-    return {(j, k): _ONE, (i, k): -_ONE, (i, j): _ONE}
-
-
-def boundary2(vec: Vec2) -> dict[int, int]:
-    """Linear extension of e_ij -> e_j - e_i.  Composed with boundary3 it is 0."""
-    out: dict[int, int] = {}
-    for (i, j), c in vec.items():
-        for idx, term in ((j, c), (i, -c)):
-            value = out.get(idx, 0) + term
-            if value:
-                out[idx] = value
-            else:
-                out.pop(idx, None)
-    return out
-
-
-def pair_vector(a: int, b: int) -> Vec2:
-    """e_a wedge e_b as a signed degree-2 basis vector (empty when a == b)."""
-    if a == b:
-        return {}
-    return {(a, b): _ONE} if a < b else {(b, a): -_ONE}
-
-
-def wedge1(t: int, vec: Vec2) -> Vec3:
-    """Left-multiply a degree-2 vector by e_t; terms containing t vanish."""
-    out: Vec3 = {}
-    for (a, b), c in vec.items():
-        if t == a or t == b:
-            continue
-        if t < a:
-            key, coeff = (t, a, b), c
-        elif t < b:
-            key, coeff = (a, t, b), -c
-        else:
-            key, coeff = (a, b, t), c
-        value = out.get(key, 0) + coeff
-        if value:
-            out[key] = value
-        else:
-            out.pop(key, None)
-    return out
 
 
 def _divide_content(row: dict, negate: bool = False) -> dict:
@@ -104,7 +54,13 @@ def _pivot_rows(rows: Iterable[Mapping]) -> dict:
             c = work[lead]
             pivot = pivots.get(lead)
             if pivot is None:
-                pivots[lead] = _divide_content(work, c < 0)
+                # a leading entry of 1 or -1 leaves content 1: no gcd needed
+                if c == 1:
+                    pivots[lead] = work
+                elif c == -1:
+                    pivots[lead] = {k: -v for k, v in work.items()}
+                else:
+                    pivots[lead] = _divide_content(work, c < 0)
                 break
             p = pivot[lead]
             if p != 1:
@@ -125,25 +81,68 @@ def _pivot_rows(rows: Iterable[Mapping]) -> dict:
 def rank(rows: Iterable[Mapping]) -> int:
     """Exact rank of sparse integer rows keyed by comparable column labels.
 
-    Values must be Python ints, as :func:`boundary3` and :func:`wedge1` build
-    them; zero entries are dropped.
+    Values must be Python ints, as the row builders below write them; zero
+    entries are dropped.
     """
     return len(_pivot_rows(rows))
 
 
-def _triples(triangles: Iterable) -> list[Triple]:
+def _triples(triangles: Iterable, n: int | None = None) -> list[Triple]:
+    """The edge triples, each checked to be 1 <= i < j < k (and k <= n).
+
+    The column codes are only injective and ordered on such triples.
+    """
+    bound = "" if n is None else f" <= {n}"
     out = []
     for t in triangles:
         ids = tuple(getattr(t, "edge_ids", t))
         if len(ids) != 3:
             raise ValueError(f"expected an edge triple, got {ids}")
+        i, j, k = ids
+        if not 1 <= i < j < k or (n is not None and k > n):
+            raise ValueError(f"expected edge ids 1 <= i < j < k{bound}, got {ids}")
         out.append(ids)
     return out
 
 
+def _boundary_rows(triples: list[Triple], m: int) -> list[dict[int, int]]:
+    """The rows e_jk - e_ik + e_ij, with e_ab coded a*m + b (m > every id)."""
+    return [{j * m + k: 1, i * m + k: -1, i * m + j: 1} for i, j, k in triples]
+
+
+def _wedge_rows(triples: list[Triple], n: int, inside: bool) -> list[dict[int, int]]:
+    """The rows e_t * (e_jk - e_ik + e_ij) for t = 1..n, triple by triple.
+
+    e_abc is coded (a*m + b)*m + c with m = n + 1.  A t in {i, j, k} gives
+    the row e_ijk when ``inside`` is set and no row otherwise.
+    """
+    m = n + 1
+    mm = m * m
+    rows: list[dict[int, int]] = []
+    for i, j, k in triples:
+        ij, ik, jk = i * m + j, i * m + k, j * m + k
+        imj, imk, jmk = i * mm + j, i * mm + k, j * mm + k
+        ijm, ikm, jkm = ij * m, ik * m, jk * m
+        monomial = [{ijm + k: 1}] if inside else []
+        # t < i: e_tjk - e_tik + e_tij
+        rows.extend([{tmm + jk: 1, tmm + ik: -1, tmm + ij: 1} for tmm in range(mm, i * mm, mm)])
+        rows.extend(monomial)
+        # i < t < j: e_tjk + e_itk - e_itj
+        rows.extend([{t * mm + jk: 1, imk + t * m: 1, imj + t * m: -1} for t in range(i + 1, j)])
+        rows.extend(monomial)
+        # j < t < k: -e_jtk + e_itk + e_ijt
+        rows.extend([{jmk + t * m: -1, imk + t * m: 1, ijm + t: 1} for t in range(j + 1, k)])
+        rows.extend(monomial)
+        # k < t: e_jkt - e_ikt + e_ijt
+        rows.extend([{jkm + t: 1, ikm + t: -1, ijm + t: 1} for t in range(k + 1, m)])
+    return rows
+
+
 def dim_I2(triangles: Iterable) -> int:
     """Rank of the boundaries of the dependent triples (degree-2 ideal slice)."""
-    return rank(boundary3(t) for t in _triples(triangles))
+    triples = _triples(triangles)
+    m = max((k for _, _, k in triples), default=0) + 1
+    return rank(_boundary_rows(triples, m))
 
 
 def dim_A2(n: int, triangles: Iterable) -> int:
@@ -153,11 +152,7 @@ def dim_A2(n: int, triangles: Iterable) -> int:
 
 def span_F3(n: int, triangles: Iterable) -> tuple[int, int]:
     """Size and exact rank of {e_t * boundary(e_S)} over t outside S."""
-    rows = []
-    for s in _triples(triangles):
-        b = boundary3(s)
-        inside = set(s)
-        rows.extend(wedge1(t, b) for t in range(1, n + 1) if t not in inside)
+    rows = _wedge_rows(_triples(triangles, n), n, inside=False)
     return len(rows), rank(rows)
 
 
@@ -167,8 +162,4 @@ def dim_I3_2(n: int, triangles: Iterable) -> int:
     Spans e_t * boundary(e_S) for every dependent triple S and every t in
     1..n; no decomposition shortcut is assumed.
     """
-    rows = []
-    for s in _triples(triangles):
-        b = boundary3(s)
-        rows.extend(wedge1(t, b) for t in range(1, n + 1))
-    return rank(rows)
+    return rank(_wedge_rows(_triples(triangles, n), n, inside=True))

@@ -11,6 +11,10 @@ which stays in ``test_census_oracle.py``, its only user.
 * Rank: :func:`fraction_rank` eliminates over ``fractions.Fraction`` and
   shares no code with the library's fraction-free
   :func:`falkkit.exterior.rank`.
+* Exterior algebra: :func:`boundary3`, :func:`boundary2`, :func:`wedge1`
+  and :func:`pair_vector` act on vectors keyed by increasing index tuples.
+  They are the generic form of the rows the library writes out directly
+  with integer-coded columns, and the row-builder tests decode against them.
 * Matroid: :func:`dependent_3sets` ranks the hyperplane normals of every
   edge triple with :func:`fraction_rank`, the linear-algebra side of
   "dependent 3-sets == triangle census".  :func:`fraction_phi3` rebuilds
@@ -30,7 +34,7 @@ import random
 from fractions import Fraction
 from math import comb
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from falkkit.arrangement import arrangement
 from falkkit.graphs import (
@@ -243,6 +247,70 @@ def circle_from_edges(g: GainGraph, edge_ids: Iterable[int]) -> Circle:
     if circle is None:
         raise CircleError(f"edges {ids} do not form a circle")
     return circle
+
+
+# ---------------------------------------------------------------------------
+# exterior algebra on index tuples
+
+
+Pair = tuple[int, int]
+Triple = tuple[int, int, int]
+Vec2 = dict[Pair, int]
+Vec3 = dict[Triple, int]
+
+_ONE = 1
+
+
+def _check_increasing(indices: Sequence[int]) -> None:
+    if any(a >= b for a, b in zip(indices, indices[1:])):
+        raise ValueError(f"index tuple must be strictly increasing, got {tuple(indices)}")
+
+
+def boundary3(triple: Sequence[int]) -> Vec2:
+    """Boundary of a degree-3 monomial: e_ijk -> e_jk - e_ik + e_ij."""
+    i, j, k = triple
+    _check_increasing((i, j, k))
+    return {(j, k): _ONE, (i, k): -_ONE, (i, j): _ONE}
+
+
+def boundary2(vec: Vec2) -> dict[int, int]:
+    """Linear extension of e_ij -> e_j - e_i.  Composed with boundary3 it is 0."""
+    out: dict[int, int] = {}
+    for (i, j), c in vec.items():
+        for idx, term in ((j, c), (i, -c)):
+            value = out.get(idx, 0) + term
+            if value:
+                out[idx] = value
+            else:
+                out.pop(idx, None)
+    return out
+
+
+def pair_vector(a: int, b: int) -> Vec2:
+    """e_a wedge e_b as a signed degree-2 basis vector (empty when a == b)."""
+    if a == b:
+        return {}
+    return {(a, b): _ONE} if a < b else {(b, a): -_ONE}
+
+
+def wedge1(t: int, vec: Vec2) -> Vec3:
+    """Left-multiply a degree-2 vector by e_t; terms containing t vanish."""
+    out: Vec3 = {}
+    for (a, b), c in vec.items():
+        if t == a or t == b:
+            continue
+        if t < a:
+            key, coeff = (t, a, b), c
+        elif t < b:
+            key, coeff = (a, t, b), -c
+        else:
+            key, coeff = (a, b, t), c
+        value = out.get(key, 0) + coeff
+        if value:
+            out[key] = value
+        else:
+            out.pop(key, None)
+    return out
 
 
 # ---------------------------------------------------------------------------

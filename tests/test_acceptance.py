@@ -17,7 +17,7 @@ from falkkit.falk import (
 )
 from falkkit.graphs import RANDOM_GAINS, random_gain_graph, switch
 from falkkit.patterns import atlas, count_patterns, find_occurrences, triangles
-from helpers import dependent_3sets, load_graph
+from helpers import boundary2, boundary3, dependent_3sets, load_graph
 
 SEED_MATROID = 20260801
 SEED_MAIN = 20260802
@@ -157,7 +157,7 @@ def test_criterion_7_structural_identities():
             assert i32 == len(tris) + f3_rank
             assert i32 == dim_I3_2_closed_form(g.n, counts)
             for t in tris:
-                assert exterior.boundary2(exterior.boundary3(t.edge_ids)) == {}
+                assert boundary2(boundary3(t.edge_ids)) == {}
 
 
 def test_criterion_8_pattern_self_tests():

@@ -5,20 +5,10 @@ from fractions import Fraction
 import pytest
 
 from falkkit import exterior
-from falkkit.exterior import (
-    boundary2,
-    boundary3,
-    dim_A2,
-    dim_I2,
-    dim_I3_2,
-    pair_vector,
-    rank,
-    span_F3,
-    wedge1,
-)
+from falkkit.exterior import dim_A2, dim_I2, dim_I3_2, rank, span_F3
 from falkkit.graphs import GainGraph
 from falkkit.patterns import atlas, triangles
-from helpers import seeded_graphs
+from helpers import boundary2, boundary3, pair_vector, seeded_graphs, wedge1
 
 ONE = Fraction(1)
 
@@ -33,6 +23,24 @@ def test_boundary3_rejects_unsorted_input():
         boundary3((2, 1, 3))
     with pytest.raises(ValueError):
         boundary3((1, 1, 3))
+
+
+@pytest.mark.parametrize("triple", [(2, 1, 3), (1, 1, 3), (0, 1, 2)])
+def test_eliminations_reject_non_increasing_triples(triple):
+    with pytest.raises(ValueError):
+        dim_I2([triple])
+    with pytest.raises(ValueError):
+        span_F3(4, [triple])
+    with pytest.raises(ValueError):
+        dim_I3_2(4, [triple])
+
+
+def test_degree_3_eliminations_reject_ids_above_n():
+    assert dim_I3_2(4, [(2, 3, 4)]) == 2
+    with pytest.raises(ValueError):
+        span_F3(4, [(1, 2, 3), (2, 3, 5)])
+    with pytest.raises(ValueError):
+        dim_I3_2(4, [(1, 2, 3), (2, 3, 5)])
 
 
 def test_boundary_squared_is_zero():

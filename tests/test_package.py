@@ -25,6 +25,9 @@ MOVED = {
     "falkkit.arrangement": ("dependent_3sets",),
     "falkkit.graphs": ("circle_from_edges",),
     "falkkit.falk": ("random_switching",),
+    "falkkit.exterior": (
+        "boundary3", "boundary2", "pair_vector", "wedge1", "_check_increasing", "_ONE",
+    ),
 }
 
 PROBE = """

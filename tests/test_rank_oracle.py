@@ -24,13 +24,16 @@ from falkkit.graphs import random_gain_graph, validate
 from falkkit.patterns import triangles
 from helpers import (
     _shape_kind,
+    boundary3,
     braid,
     dependent_3sets,
     fraction_phi3,
     fraction_rank,
+    load_graph,
     regime_graphs,
     type_b,
     type_d,
+    wedge1,
 )
 
 SEED_MATRICES = 19680
@@ -99,6 +102,11 @@ def test_rank_cross_multiplies_non_unit_pivots():
     assert exterior._pivot_rows(rows) == {1: {1: 3, 2: 2}, 2: {2: 4, 3: -45}}
 
 
+def test_unit_lead_pivots_are_stored_without_a_gcd():
+    assert exterior._pivot_rows([{5: -1, 7: 2}]) == {5: {5: 1, 7: -2}}
+    assert exterior._pivot_rows([{5: 1, 7: -2}]) == {5: {5: 1, 7: -2}}
+
+
 def recorded_rows(monkeypatch, compute) -> list[list[dict]]:
     calls = []
     real_rank = exterior.rank
@@ -143,6 +151,51 @@ def test_library_rows_match_fraction_oracle_on_seeded_corpus(monkeypatch):
     rng = random.Random(SEED_MAIN)
     for _ in range(200):
         check_library_rows(monkeypatch, random_gain_graph(rng))
+
+
+def decoded_pivots(rows: list[dict], decode) -> list:
+    """The pivots of ``rows`` in the order they were found, columns decoded."""
+    return [
+        (decode(lead), {decode(k): v for k, v in pivot.items()})
+        for lead, pivot in exterior._pivot_rows(rows).items()
+    ]
+
+
+def check_row_builders(g) -> None:
+    """The coded rows decode to the tuple algebra's rows, and eliminate alike."""
+    triples = [t.edge_ids for t in triangles(g)]
+    n = g.n
+    m = n + 1
+
+    def pair(code):
+        return divmod(code, m)
+
+    def triple(code):
+        return (code // (m * m), code // m % m, code % m)
+
+    coded = exterior._boundary_rows(triples, m)
+    tupled = [boundary3(s) for s in triples]
+    assert [{pair(k): v for k, v in row.items()} for row in coded] == tupled
+    assert decoded_pivots(coded, pair) == decoded_pivots(tupled, lambda k: k)
+    for inside in (False, True):
+        coded = exterior._wedge_rows(triples, n, inside)
+        tupled = [
+            wedge1(t, boundary3(s)) for s in triples for t in range(1, n + 1)
+            if inside or t not in s
+        ]
+        assert [{triple(k): v for k, v in row.items()} for row in coded] == tupled
+        assert decoded_pivots(coded, triple) == decoded_pivots(tupled, lambda k: k)
+
+
+@pytest.mark.parametrize("g", FAMILIES)
+def test_row_builders_match_tuple_algebra_on_reflection_families(g):
+    check_row_builders(g)
+
+
+def test_row_builders_match_tuple_algebra_on_regime_corpus():
+    check_row_builders(load_graph("final_example.gg"))
+    for g in regime_graphs(random.Random(SEED_REGIME), 60):
+        check_row_builders(g)
 
 
 def test_rank_route_on_h4_h5_regime_corpus(monkeypatch):
