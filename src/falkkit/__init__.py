@@ -15,25 +15,18 @@ from .falk import (
     verify,
 )
 from .graphs import (
-    Circle,
-    CircleError,
     Edge,
     GainGraph,
     GraphFormatError,
     GraphTooLargeError,
     HYPOTHESES,
     HYPOTHESIS_LABELS,
-    RANDOM_GAINS,
     ValidationReport,
     Verdict,
     all_circles_small,
     as_gain,
-    circle_gain,
-    is_balanced,
     parse,
-    random_gain_graph,
     serialize,
-    switch,
     validate,
 )
 from .patterns import (
@@ -52,8 +45,6 @@ from .patterns import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Circle",
-    "CircleError",
     "COUNT_FIELDS",
     "Edge",
     "FalkReport",
@@ -66,7 +57,6 @@ __all__ = [
     "HypothesisError",
     "Pattern",
     "PatternCounts",
-    "RANDOM_GAINS",
     "Triangle",
     "TriangleKind",
     "ValidationReport",
@@ -75,17 +65,13 @@ __all__ = [
     "arrangement",
     "as_gain",
     "atlas",
-    "circle_gain",
     "count_patterns",
     "dim_I3_2_closed_form",
     "find_occurrences",
-    "is_balanced",
     "parse",
     "phi3_combinatorial",
     "phi3_rank",
-    "random_gain_graph",
     "serialize",
-    "switch",
     "triangles",
     "validate",
     "verify",

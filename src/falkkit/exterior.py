@@ -87,20 +87,19 @@ def rank(rows: Iterable[Mapping]) -> int:
     return len(_pivot_rows(rows))
 
 
-def _triples(triangles: Iterable, n: int | None = None) -> list[Triple]:
-    """The edge triples, each checked to be 1 <= i < j < k (and k <= n).
+def _triples(triangles: Iterable, n: int) -> list[Triple]:
+    """The edge triples, each checked to be 1 <= i < j < k <= n.
 
     The column codes are only injective and ordered on such triples.
     """
-    bound = "" if n is None else f" <= {n}"
     out = []
     for t in triangles:
         ids = tuple(getattr(t, "edge_ids", t))
         if len(ids) != 3:
             raise ValueError(f"expected an edge triple, got {ids}")
         i, j, k = ids
-        if not 1 <= i < j < k or (n is not None and k > n):
-            raise ValueError(f"expected edge ids 1 <= i < j < k{bound}, got {ids}")
+        if not 1 <= i < j < k <= n:
+            raise ValueError(f"expected edge ids 1 <= i < j < k <= {n}, got {ids}")
         out.append(ids)
     return out
 
@@ -138,16 +137,14 @@ def _wedge_rows(triples: list[Triple], n: int, inside: bool) -> list[dict[int, i
     return rows
 
 
-def dim_I2(triangles: Iterable) -> int:
+def dim_I2(n: int, triangles: Iterable) -> int:
     """Rank of the boundaries of the dependent triples (degree-2 ideal slice)."""
-    triples = _triples(triangles)
-    m = max((k for _, _, k in triples), default=0) + 1
-    return rank(_boundary_rows(triples, m))
+    return rank(_boundary_rows(_triples(triangles, n), n + 1))
 
 
 def dim_A2(n: int, triangles: Iterable) -> int:
     """C(n,2) minus :func:`dim_I2`."""
-    return comb(n, 2) - dim_I2(triangles)
+    return comb(n, 2) - dim_I2(n, triangles)
 
 
 def span_F3(n: int, triangles: Iterable) -> tuple[int, int]:

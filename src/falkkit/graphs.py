@@ -1,4 +1,4 @@
-"""Gain graph data model: parsing, validation, circles, balance, switching.
+"""Gain graph data model: parsing, validation, and the circles of small graphs.
 
 A gain graph is a finite multigraph (loops and parallel edges allowed) whose
 edges carry nonzero rational gains.  Reversing an edge inverts its gain, so
@@ -17,18 +17,22 @@ H5  at most one loop per vertex.
 H4 and H5 are standing assumptions for the hyperplane realization (they make
 the hyperplanes pairwise distinct); H1-H3 additionally gate the combinatorial
 invariant formula.
+
+:func:`all_circles_small` lists every circle of a pattern-sized graph with
+its balance (a circle is balanced when the product of the gains along it is
+1).  Neither route of the invariant needs it: they read only the dependent
+triples.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 import re
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 GainLike = Union[Fraction, int, str]
 
@@ -45,30 +49,12 @@ HYPOTHESIS_LABELS = {
     "H5": "at most one loop per vertex",
 }
 
-#: gain pool used by the reproducible random-graph generator
-RANDOM_GAINS = (
-    Fraction(1),
-    Fraction(-1),
-    Fraction(2),
-    Fraction(-2),
-    Fraction(3),
-    Fraction(-3),
-    Fraction(1, 2),
-    Fraction(1, 3),
-    Fraction(2, 3),
-)
-
-
 class GraphFormatError(ValueError):
     """Raised for malformed graph files."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         super().__init__(message if line is None else f"line {line}: {message}")
-
-
-class CircleError(ValueError):
-    """Raised when an edge sequence is not a circle of the graph."""
 
 
 class GraphTooLargeError(ValueError):
@@ -123,9 +109,6 @@ class Edge:
         if v == self.head:
             return 1 / self.gain
         raise ValueError(f"vertex {v} is not an end of edge {self.id}")
-
-    def reversed(self) -> "Edge":
-        return Edge(self.id, self.head, self.tail, 1 / self.gain)
 
 
 @dataclass(frozen=True)
@@ -205,13 +188,6 @@ class GainGraph:
     def incident_vertices(self) -> tuple[int, ...]:
         seen = {v for e in self.edges for v in (e.tail, e.head)}
         return tuple(sorted(seen))
-
-    def with_reversed_edge(self, edge_id: int) -> "GainGraph":
-        """Same graph with one edge stored in the opposite orientation."""
-        return GainGraph(
-            self.num_vertices,
-            tuple(e.reversed() if e.id == edge_id else e for e in self.edges),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -385,67 +361,13 @@ def validate(g: GainGraph) -> ValidationReport:
 # circles and balance
 
 
-@dataclass(frozen=True)
-class Circle:
-    """Closed edge walk with no repeated edge.
+def _trace_circle(edges: Sequence[Edge]) -> bool | None:
+    """Walk the edge set if it is a circle: whether the circle is balanced
+    (its gain is 1), or None when the edges form no circle.
 
-    Each step is ``(edge_id, forward)``; a forward step traverses the edge
-    tail -> head.  For circles of length <= 3 the edge-id set determines the
-    circle, so :attr:`edge_ids` doubles as a canonical key.
+    The product of the gains picked up along the walk is 1 or not whatever
+    the start and direction, because the gain group is abelian.
     """
-
-    steps: tuple[tuple[int, bool], ...]
-
-    @property
-    def edge_ids(self) -> frozenset[int]:
-        return frozenset(eid for eid, _ in self.steps)
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-
-def circle_gain(g: GainGraph, circle: Circle) -> Fraction:
-    """Product of edge gains along the traversal.
-
-    Whether the result equals 1 does not depend on the start point or the
-    traversal direction, because the gain group is abelian.
-    """
-    if not circle.steps:
-        raise CircleError("empty circle")
-    ids = [eid for eid, _ in circle.steps]
-    if len(set(ids)) != len(ids):
-        raise CircleError("repeated edge in circle")
-    first_id, first_fwd = circle.steps[0]
-    try:
-        first = g.edge(first_id)
-    except KeyError as exc:
-        raise CircleError(str(exc)) from None
-    start = first.tail if first_fwd else first.head
-    current = start
-    total = Fraction(1)
-    for eid, fwd in circle.steps:
-        try:
-            e = g.edge(eid)
-        except KeyError as exc:
-            raise CircleError(str(exc)) from None
-        frm = e.tail if fwd else e.head
-        to = e.head if fwd else e.tail
-        if frm != current:
-            raise CircleError("consecutive steps do not share a vertex")
-        total *= e.gain if fwd else 1 / e.gain
-        current = to
-    if current != start:
-        raise CircleError("walk does not close")
-    return total
-
-
-def is_balanced(g: GainGraph, circle: Circle) -> bool:
-    """A circle is balanced exactly when its gain is 1."""
-    return circle_gain(g, circle) == 1
-
-
-def _trace_circle(edges: Sequence[Edge]) -> Circle | None:
-    """Trace the unique closed walk if the edge set is a circle, else None."""
     degree: dict[int, int] = defaultdict(int)
     incident: dict[int, list[Edge]] = defaultdict(list)
     for e in edges:
@@ -462,25 +384,23 @@ def _trace_circle(edges: Sequence[Edge]) -> Circle | None:
     start = min(degree)
     current = start
     used: set[int] = set()
-    steps: list[tuple[int, bool]] = []
+    gain = Fraction(1)
     while True:
         options = [e for e in incident[current] if e.id not in used]
         if not options:
             break
         e = min(options, key=lambda e: e.id)
         used.add(e.id)
-        if e.is_loop:
-            steps.append((e.id, True))
-        else:
-            steps.append((e.id, e.tail == current))
-            current = e.other_end(current)
+        gain *= e.gain_from(current)
+        current = e.other_end(current)
     if current != start or len(used) != len(edges):
         return None
-    return Circle(tuple(steps))
+    return gain == 1
 
 
-def all_circles_small(g: GainGraph) -> list[Circle]:
-    """Every circle of every length, by exhaustion over edge subsets.
+def all_circles_small(g: GainGraph) -> list[tuple[frozenset[int], bool]]:
+    """Every circle of every length as ``(edge ids, balanced)``, by exhaustion
+    over edge subsets, sorted by length and then by sorted edge ids.
 
     Only for pattern-sized graphs; raises :class:`GraphTooLargeError` above
     :data:`MAX_CIRCLE_EDGES` edges.
@@ -489,65 +409,10 @@ def all_circles_small(g: GainGraph) -> list[Circle]:
         raise GraphTooLargeError(
             f"exhaustive circle enumeration limited to {MAX_CIRCLE_EDGES} edges, got {g.n}"
         )
-    out: list[Circle] = []
+    out: list[tuple[frozenset[int], bool]] = []
     for size in range(1, g.n + 1):
         for subset in itertools.combinations(g.edges, size):
-            circle = _trace_circle(subset)
-            if circle is not None:
-                out.append(circle)
-    return sorted(out, key=lambda c: (len(c), tuple(sorted(c.edge_ids))))
-
-
-# ---------------------------------------------------------------------------
-# switching
-
-
-def switch(g: GainGraph, lam: Mapping[int, GainLike]) -> GainGraph:
-    """Regauge gains by a vertex function: gain -> lam(tail)^-1 * gain * lam(head).
-
-    The underlying graph and the set of balanced circles are unchanged.
-    """
-    table: dict[int, Fraction] = {}
-    for v in g.vertices:
-        if v not in lam:
-            raise ValueError(f"switching function misses vertex {v}")
-        value = Fraction(lam[v])
-        if value == 0:
-            raise ValueError(f"switching value at vertex {v} must be nonzero")
-        table[v] = value
-    edges = tuple(
-        Edge(e.id, e.tail, e.head, e.gain * table[e.head] / table[e.tail]) for e in g.edges
-    )
-    return GainGraph(g.num_vertices, edges)
-
-
-# ---------------------------------------------------------------------------
-# reproducible random instances
-
-
-def random_gain_graph(
-    rng: random.Random,
-    *,
-    min_vertices: int = 3,
-    max_vertices: int = 6,
-    min_edges: int = 6,
-    max_edges: int = 14,
-    max_tries: int = 100_000,
-) -> GainGraph:
-    """Sample a gain graph satisfying H1..H5 by rejection.
-
-    Endpoints are uniform, gains are drawn from :data:`RANDOM_GAINS`, and the
-    whole candidate is resampled until every hypothesis passes, so results
-    are reproducible for a fixed ``rng`` seed.
-    """
-    for _ in range(max_tries):
-        ell = rng.randrange(min_vertices, max_vertices + 1)
-        m = rng.randrange(min_edges, max_edges + 1)
-        triples = [
-            (rng.randrange(1, ell + 1), rng.randrange(1, ell + 1), rng.choice(RANDOM_GAINS))
-            for _ in range(m)
-        ]
-        g = GainGraph.from_edge_list(ell, triples)
-        if validate(g).all_pass:
-            return g
-    raise RuntimeError("random graph rejection sampling did not converge")
+            balanced = _trace_circle(subset)
+            if balanced is not None:
+                out.append((frozenset(e.id for e in subset), balanced))
+    return sorted(out, key=lambda c: (len(c[0]), tuple(sorted(c[0]))))

@@ -30,8 +30,8 @@ tight handcuffs, loose handcuffs and thetas.  The seven larger patterns
 are found by one walk over unions of triangles (:func:`_occurrences`),
 the library's only biased-isomorphism decision; the exhaustive decider
 the tests check it against lives with the other oracles in the test
-helpers.  :attr:`Pattern.profile` (every circle of a reference, with its
-balance) is kept for those oracles and for the benchmark harness.
+helpers.  :attr:`Pattern.profile` lists every circle of a reference with
+its balance; no computation here reads it.
 
 :func:`require_hypotheses` is the one hypothesis gate: the census, the
 rank route, the hyperplane realization and the command line refuse
@@ -53,7 +53,6 @@ from .graphs import (
     GainGraph,
     ValidationReport,
     all_circles_small,
-    is_balanced,
     validate,
 )
 
@@ -129,49 +128,6 @@ def triangles(g: GainGraph) -> list[Triangle]:
 
 
 # ---------------------------------------------------------------------------
-# bias profiles: every circle of a small graph, with its balance
-
-
-@dataclass(frozen=True)
-class _BiasProfile:
-    graph: GainGraph
-    verts: tuple[int, ...]
-    pair_mult: Mapping[tuple[int, int], int]
-    loop_count: Mapping[int, int]
-    circles: tuple[tuple[frozenset[int], bool], ...]
-    balance_of: Mapping[frozenset[int], bool]
-    vertex_sig: Mapping[int, tuple]
-    summary: tuple
-
-
-def _bias_profile(g: GainGraph) -> _BiasProfile:
-    pair_mult = {pair: len(es) for pair, es in g.link_map.items()}
-    loop_count = {v: len(es) for v, es in g.loop_map.items()}
-    circles = tuple((c.edge_ids, is_balanced(g, c)) for c in all_circles_small(g))
-    balance_of = {ids: flag for ids, flag in circles}
-    vertex_sig = {}
-    for v in g.incident_vertices:
-        mults = sorted(m for pair, m in pair_mult.items() if v in pair)
-        degree = sum(mults) + 2 * loop_count.get(v, 0)
-        vertex_sig[v] = (degree, loop_count.get(v, 0), tuple(mults))
-    balanced_by_len = Counter(len(ids) for ids, flag in circles if flag)
-    circles_by_len = Counter(len(ids) for ids, _ in circles)
-    summary = (
-        len(g.incident_vertices),
-        g.n,
-        tuple(sorted(vertex_sig.values())),
-        tuple(sorted(pair_mult.values())),
-        tuple(sorted(loop_count.values())),
-        tuple(sorted(balanced_by_len.items())),
-        tuple(sorted(circles_by_len.items())),
-    )
-    return _BiasProfile(
-        g, g.incident_vertices, pair_mult, loop_count, circles, balance_of,
-        vertex_sig, summary,
-    )
-
-
-# ---------------------------------------------------------------------------
 # the pattern atlas
 
 
@@ -184,8 +140,9 @@ class Pattern:
     distinguished: frozenset[frozenset[int]]
 
     @cached_property
-    def profile(self) -> _BiasProfile:
-        return _bias_profile(self.reference)
+    def profile(self) -> tuple[tuple[frozenset[int], bool], ...]:
+        """Every circle of the reference with its balance (:func:`all_circles_small`)."""
+        return tuple(all_circles_small(self.reference))
 
 
 # Each entry: name, vertex count, (tail, head, gain) per edge id 1.., and the

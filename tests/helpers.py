@@ -1,13 +1,18 @@
-"""Shared test utilities and the oracles the library is checked against.
+"""Shared test utilities, test data, and the oracles the library is checked against.
 
 The library computes each quantity once.  The second computations it is
 checked against live here, except the vertex-tuple occurrence search,
 which stays in ``test_census_oracle.py``, its only user.
 
+* Test data: :func:`random_gain_graph` samples H1-H5 graphs from
+  :data:`RANDOM_GAINS`; :func:`switch` regauges the gains by a vertex
+  function and :func:`with_reversed_edge` stores one edge the other way
+  round, the two moves every invariant must survive.
 * Circles: :func:`brute_circle_sets` enumerates circles by depth-first
   closed walks over vertex-simple paths, a different characterization from
   the library's degree-2 subset scan, so the two can check each other.
-  :func:`circle_from_edges` builds one circle for the balance tests.
+  :func:`circle_balance` walks one edge set and multiplies its gains, the
+  check on the balance flags of :func:`falkkit.graphs.all_circles_small`.
 * Rank: :func:`fraction_rank` eliminates over ``fractions.Fraction`` and
   shares no code with the library's fraction-free
   :func:`falkkit.exterior.rank`.
@@ -22,31 +27,25 @@ which stays in ``test_census_oracle.py``, its only user.
   :func:`fraction_rank` only.  :func:`_shape_kind` names a dependent
   triple's kind from its shape alone (loops taken, vertices spanned).
 * Isomorphism: :func:`biased_isomorphic` decides biased-graph isomorphism
-  exhaustively, from every circle and its balance
-  (:attr:`falkkit.patterns.Pattern.profile`); the census oracle compares
-  :func:`induced_subgraph` candidates with it.
+  exhaustively, from every circle and its balance and the multiplicities,
+  vertex signatures and summary of :func:`_bias_profile`; the census
+  oracle compares :func:`induced_subgraph` candidates with it.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from falkkit.arrangement import arrangement
-from falkkit.graphs import (
-    RANDOM_GAINS,
-    Circle,
-    CircleError,
-    GainGraph,
-    _trace_circle,
-    parse,
-    random_gain_graph,
-)
-from falkkit.patterns import TriangleKind, _bias_profile, _BiasProfile
+from falkkit.graphs import Edge, GainGraph, all_circles_small, parse, validate
+from falkkit.patterns import TriangleKind
 
 DATA = Path(__file__).parent / "data"
 
@@ -74,9 +73,90 @@ def type_b(m: int) -> GainGraph:
     return GainGraph.from_edge_list(m, _signed_pairs(m) + [(v, v, 2) for v in range(1, m + 1)])
 
 
+# ---------------------------------------------------------------------------
+# reproducible random instances, switching and reorientation
+
+
+#: gain pool of the random-graph generator and of random switchings
+RANDOM_GAINS = (
+    Fraction(1),
+    Fraction(-1),
+    Fraction(2),
+    Fraction(-2),
+    Fraction(3),
+    Fraction(-3),
+    Fraction(1, 2),
+    Fraction(1, 3),
+    Fraction(2, 3),
+)
+
+
+def random_gain_graph(
+    rng: random.Random,
+    *,
+    min_vertices: int = 3,
+    max_vertices: int = 6,
+    min_edges: int = 6,
+    max_edges: int = 14,
+    max_tries: int = 100_000,
+) -> GainGraph:
+    """Sample a gain graph satisfying H1..H5 by rejection.
+
+    Endpoints are uniform, gains are drawn from :data:`RANDOM_GAINS`, and the
+    whole candidate is resampled until every hypothesis passes, so results
+    are reproducible for a fixed ``rng`` seed.
+    """
+    for _ in range(max_tries):
+        ell = rng.randrange(min_vertices, max_vertices + 1)
+        m = rng.randrange(min_edges, max_edges + 1)
+        triples = [
+            (rng.randrange(1, ell + 1), rng.randrange(1, ell + 1), rng.choice(RANDOM_GAINS))
+            for _ in range(m)
+        ]
+        g = GainGraph.from_edge_list(ell, triples)
+        if validate(g).all_pass:
+            return g
+    raise RuntimeError("random graph rejection sampling did not converge")
+
+
 def seeded_graphs(count: int, seed: int, **kwargs) -> list[GainGraph]:
     rng = random.Random(seed)
     return [random_gain_graph(rng, **kwargs) for _ in range(count)]
+
+
+def switch(g: GainGraph, lam: Mapping[int, object]) -> GainGraph:
+    """Regauge gains by a vertex function: gain -> lam(tail)^-1 * gain * lam(head).
+
+    The underlying graph and the set of balanced circles are unchanged.
+    """
+    table: dict[int, Fraction] = {}
+    for v in g.vertices:
+        if v not in lam:
+            raise ValueError(f"switching function misses vertex {v}")
+        value = Fraction(lam[v])
+        if value == 0:
+            raise ValueError(f"switching value at vertex {v} must be nonzero")
+        table[v] = value
+    edges = tuple(
+        Edge(e.id, e.tail, e.head, e.gain * table[e.head] / table[e.tail]) for e in g.edges
+    )
+    return GainGraph(g.num_vertices, edges)
+
+
+def random_switching(g: GainGraph, rng: random.Random) -> dict[int, object]:
+    """A reproducible switching function with values from the generator pool."""
+    return {v: rng.choice(RANDOM_GAINS) for v in g.vertices}
+
+
+def with_reversed_edge(g: GainGraph, edge_id: int) -> GainGraph:
+    """The same graph with one edge stored the other way round, gain inverted."""
+    return GainGraph(
+        g.num_vertices,
+        tuple(
+            Edge(e.id, e.head, e.tail, 1 / e.gain) if e.id == edge_id else e
+            for e in g.edges
+        ),
+    )
 
 
 def enriched_pattern_host(rng: random.Random, reference: GainGraph, max_tries: int = 200):
@@ -85,11 +165,8 @@ def enriched_pattern_host(rng: random.Random, reference: GainGraph, max_tries: i
     Returns None when rejection sampling fails (some patterns tolerate few
     additions before a hypothesis breaks).
     """
-    from falkkit.graphs import switch, validate
-
     for _ in range(max_tries):
-        lam = {v: rng.choice(RANDOM_GAINS) for v in reference.vertices}
-        base = switch(reference, lam)
+        base = switch(reference, random_switching(reference, rng))
         ell = reference.num_vertices + rng.randrange(0, 3)
         triples = [(e.tail, e.head, e.gain) for e in base.edges]
         for _ in range(rng.randrange(0, 5)):
@@ -100,6 +177,10 @@ def enriched_pattern_host(rng: random.Random, reference: GainGraph, max_tries: i
         if validate(g).all_pass:
             return g
     return None
+
+
+# ---------------------------------------------------------------------------
+# circles
 
 
 def brute_circle_sets(g: GainGraph) -> set[frozenset[int]]:
@@ -122,6 +203,39 @@ def brute_circle_sets(g: GainGraph) -> set[frozenset[int]]:
     for start in g.incident_vertices:
         walk(start, start, frozenset(), frozenset({start}))
     return circles
+
+
+def circle_balance(g: GainGraph, edge_ids: Iterable[int]) -> bool:
+    """Whether the circle on an edge set is balanced (its gain is 1).
+
+    Walks from the first edge's tail to its head, then each time along the
+    one unused edge at the current vertex, multiplying the gains (inverted
+    against the stored orientation).  Raises ``ValueError`` when the edges
+    form no circle: the walk is stuck, has a choice of edges, or closes
+    before every edge is used.
+    """
+    ids = sorted(set(edge_ids))
+    if not ids:
+        raise ValueError("no edges")
+    first, *rest = (g.edge(i) for i in ids)
+    start, current, gain = first.tail, first.head, first.gain
+    while current != start:
+        step = [e for e in rest if current in (e.tail, e.head)]
+        if len(step) != 1:
+            raise ValueError(f"edges {ids} do not form a circle")
+        e = step[0]
+        rest.remove(e)
+        if e.tail == current:
+            gain, current = gain * e.gain, e.head
+        else:
+            gain, current = gain / e.gain, e.tail
+    if rest:
+        raise ValueError(f"edges {ids} do not form a circle")
+    return gain == 1
+
+
+# ---------------------------------------------------------------------------
+# rank and matroid
 
 
 def proportional(a, b) -> bool:
@@ -229,26 +343,6 @@ def regime_graphs(rng: random.Random, count: int) -> list[GainGraph]:
     return out
 
 
-def random_switching(g: GainGraph, rng: random.Random) -> dict[int, object]:
-    """A reproducible switching function with values from the generator pool."""
-    return {v: rng.choice(RANDOM_GAINS) for v in g.vertices}
-
-
-def circle_from_edges(g: GainGraph, edge_ids: Iterable[int]) -> Circle:
-    """Build the circle on an edge set, or raise :class:`CircleError`."""
-    ids = sorted(set(edge_ids))
-    if not ids:
-        raise CircleError("empty circle")
-    try:
-        chosen = [g.edge(i) for i in ids]
-    except KeyError as exc:
-        raise CircleError(str(exc)) from None
-    circle = _trace_circle(chosen)
-    if circle is None:
-        raise CircleError(f"edges {ids} do not form a circle")
-    return circle
-
-
 # ---------------------------------------------------------------------------
 # exterior algebra on index tuples
 
@@ -315,6 +409,48 @@ def wedge1(t: int, vec: Vec2) -> Vec3:
 
 # ---------------------------------------------------------------------------
 # exhaustive biased-graph isomorphism
+
+
+@dataclass(frozen=True)
+class _BiasProfile:
+    graph: GainGraph
+    verts: tuple[int, ...]
+    pair_mult: Mapping[tuple[int, int], int]
+    loop_count: Mapping[int, int]
+    circles: tuple[tuple[frozenset[int], bool], ...]
+    balance_of: Mapping[frozenset[int], bool]
+    vertex_sig: Mapping[int, tuple]
+    summary: tuple
+
+
+def _bias_profile(g: GainGraph) -> _BiasProfile:
+    """Every circle of ``g`` with its balance, and the invariants the
+    isomorphism search prunes with: multiplicities, vertex signatures and a
+    summary of the whole graph."""
+    pair_mult = {pair: len(es) for pair, es in g.link_map.items()}
+    loop_count = {v: len(es) for v, es in g.loop_map.items()}
+    circles = tuple(all_circles_small(g))
+    balance_of = dict(circles)
+    vertex_sig = {}
+    for v in g.incident_vertices:
+        mults = sorted(m for pair, m in pair_mult.items() if v in pair)
+        degree = sum(mults) + 2 * loop_count.get(v, 0)
+        vertex_sig[v] = (degree, loop_count.get(v, 0), tuple(mults))
+    balanced_by_len = Counter(len(ids) for ids, flag in circles if flag)
+    circles_by_len = Counter(len(ids) for ids, _ in circles)
+    summary = (
+        len(g.incident_vertices),
+        g.n,
+        tuple(sorted(vertex_sig.values())),
+        tuple(sorted(pair_mult.values())),
+        tuple(sorted(loop_count.values())),
+        tuple(sorted(balanced_by_len.items())),
+        tuple(sorted(circles_by_len.items())),
+    )
+    return _BiasProfile(
+        g, g.incident_vertices, pair_mult, loop_count, circles, balance_of,
+        vertex_sig, summary,
+    )
 
 
 def _pair(u: int, v: int) -> tuple[int, int]:

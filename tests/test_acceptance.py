@@ -15,9 +15,16 @@ from falkkit.falk import (
     phi3_rank,
     verify,
 )
-from falkkit.graphs import RANDOM_GAINS, random_gain_graph, switch
 from falkkit.patterns import atlas, count_patterns, find_occurrences, triangles
-from helpers import boundary2, boundary3, dependent_3sets, load_graph
+from helpers import (
+    RANDOM_GAINS,
+    boundary2,
+    boundary3,
+    dependent_3sets,
+    load_graph,
+    random_gain_graph,
+    switch,
+)
 
 SEED_MATROID = 20260801
 SEED_MAIN = 20260802
@@ -151,7 +158,7 @@ def test_criterion_7_structural_identities():
         for g in graphs:
             tris = triangles(g)
             counts = count_patterns(g)
-            assert exterior.dim_I2(tris) == len(tris)
+            assert exterior.dim_I2(g.n, tris) == len(tris)
             size, f3_rank = exterior.span_F3(g.n, tris)
             i32 = exterior.dim_I3_2(g.n, tris)
             assert i32 == len(tris) + f3_rank

@@ -7,6 +7,7 @@ circle class is biased-isomorphic to the pattern's.  It shares no search
 logic with :func:`find_occurrences` or the census walk behind it.
 """
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -14,13 +15,12 @@ from fractions import Fraction
 import pytest
 
 from falkkit import falk, patterns
-from falkkit.graphs import GainGraph, random_gain_graph, validate
+from falkkit.graphs import GainGraph, validate
 from falkkit.patterns import (
     _EXCESS_PATTERN,
     _KIND_FIELD,
     COUNT_FIELDS,
     TriangleKind,
-    _bias_profile,
     _occurrences,
     atlas,
     count_patterns,
@@ -28,10 +28,12 @@ from falkkit.patterns import (
     triangles,
 )
 from helpers import (
+    _bias_profile,
     _isomorphic_profiles,
     braid,
     enriched_pattern_host,
     induced_subgraph,
+    random_gain_graph,
     type_d,
 )
 
@@ -40,8 +42,14 @@ SEED_HOSTS = 5150
 SEED_BUNDLED = 5
 
 
+@functools.cache
+def reference_profile(pattern):
+    """The oracle's profile of an atlas reference, built once per pattern."""
+    return _bias_profile(pattern.reference)
+
+
 def vertex_tuple_occurrences(g: GainGraph, pattern) -> set[frozenset[int]]:
-    ref_profile = pattern.profile
+    ref_profile = reference_profile(pattern)
     ref_pairs = sorted(pattern.reference.link_map.items())
     ref_loops = sorted(pattern.reference.loop_map.items())
     k = len(ref_profile.verts)

@@ -28,7 +28,7 @@ def test_boundary3_rejects_unsorted_input():
 @pytest.mark.parametrize("triple", [(2, 1, 3), (1, 1, 3), (0, 1, 2)])
 def test_eliminations_reject_non_increasing_triples(triple):
     with pytest.raises(ValueError):
-        dim_I2([triple])
+        dim_I2(4, [triple])
     with pytest.raises(ValueError):
         span_F3(4, [triple])
     with pytest.raises(ValueError):
@@ -41,6 +41,11 @@ def test_degree_3_eliminations_reject_ids_above_n():
         span_F3(4, [(1, 2, 3), (2, 3, 5)])
     with pytest.raises(ValueError):
         dim_I3_2(4, [(1, 2, 3), (2, 3, 5)])
+    assert dim_I2(4, [(2, 3, 4)]) == 1
+    with pytest.raises(ValueError):
+        dim_I2(3, [(1, 2, 5)])
+    with pytest.raises(ValueError):
+        dim_A2(3, [(1, 2, 5)])
 
 
 def test_boundary_squared_is_zero():
@@ -90,10 +95,10 @@ def test_rank_invariant_under_scaling_and_permutation(final_example):
 
 
 def test_dim_I2_values(final_example, pattern_atlas):
-    assert dim_I2(triangles(final_example)) == 13
-    assert dim_I2([]) == 0
+    assert dim_I2(final_example.n, triangles(final_example)) == 13
+    assert dim_I2(9, []) == 0
     gcirc = pattern_atlas["Gcirc"].reference
-    assert dim_I2(triangles(gcirc)) == 4
+    assert dim_I2(gcirc.n, triangles(gcirc)) == 4
 
 
 def test_dim_A2_values(final_example, pattern_atlas):
@@ -143,7 +148,7 @@ def test_direct_sum_decomposition(final_example, pattern_atlas):
         tris = triangles(g)
         _, f3_rank = span_F3(g.n, tris)
         assert dim_I3_2(g.n, tris) == len(tris) + f3_rank
-        assert dim_I2(tris) == len(tris)
+        assert dim_I2(g.n, tris) == len(tris)
 
 
 def test_direct_sum_fails_without_hypotheses(pattern_atlas):
@@ -160,7 +165,7 @@ def test_direct_sum_fails_without_hypotheses(pattern_atlas):
 def test_exterior_accepts_plain_triples(final_example):
     tris = triangles(final_example)
     raw = [t.edge_ids for t in tris]
-    assert dim_I2(raw) == dim_I2(tris)
+    assert dim_I2(final_example.n, raw) == dim_I2(final_example.n, tris)
     assert dim_I3_2(final_example.n, raw) == dim_I3_2(final_example.n, tris)
 
 

@@ -12,9 +12,17 @@ from falkkit.falk import (
     phi3_rank,
     verify,
 )
-from falkkit.graphs import GainGraph, switch, validate
+from falkkit.graphs import GainGraph, validate
 from falkkit.patterns import HypothesisError, PatternCounts, count_patterns, triangles
-from helpers import braid, load_graph, random_switching, seeded_graphs, type_b, type_d
+from helpers import (
+    braid,
+    load_graph,
+    random_switching,
+    seeded_graphs,
+    switch,
+    type_b,
+    type_d,
+)
 
 PHI3_LADDER = {
     "K3": 2,

@@ -4,22 +4,24 @@ from fractions import Fraction
 import pytest
 
 from falkkit.graphs import (
-    Circle,
-    CircleError,
     Edge,
     GainGraph,
     GraphFormatError,
     GraphTooLargeError,
     all_circles_small,
-    circle_gain,
-    is_balanced,
     parse,
-    random_gain_graph,
     serialize,
-    switch,
     validate,
 )
-from helpers import brute_circle_sets, circle_from_edges, load_graph, seeded_graphs
+from helpers import (
+    RANDOM_GAINS,
+    brute_circle_sets,
+    circle_balance,
+    load_graph,
+    seeded_graphs,
+    switch,
+    with_reversed_edge,
+)
 
 
 def balanced_triangle():
@@ -185,55 +187,49 @@ def test_validate_two_loops_fail_h5():
 # circles and balance
 
 
+def balanced_circles(g):
+    return {ids for ids, balanced in all_circles_small(g) if balanced}
+
+
 def test_circle_gain_reference_values(seven_edge_example):
     g = seven_edge_example
-    c1 = circle_from_edges(g, {1, 5, 4})
-    c2 = circle_from_edges(g, {2, 6, 4})
-    assert circle_gain(g, c1) == 1
-    assert circle_gain(g, c2) == 1
-    assert is_balanced(g, c1)
-    assert is_balanced(g, c2)
+    flags = dict(all_circles_small(g))
+    for ids in ({1, 5, 4}, {2, 6, 4}):
+        assert circle_balance(g, ids)
+        assert flags[frozenset(ids)]
 
 
 def test_two_circle_gain():
     g = parse("graph 2\nedge 1 1 2 1\nedge 2 1 2 2\n")
-    c = circle_from_edges(g, {1, 2})
-    assert circle_gain(g, c) in (Fraction(1, 2), Fraction(2))
-    assert not is_balanced(g, c)
+    assert all_circles_small(g) == [(frozenset({1, 2}), False)]
+    assert not circle_balance(g, {1, 2})
 
 
 def test_loop_is_unbalanced_in_valid_graph(final_example):
-    c = circle_from_edges(final_example, {14})
-    assert not is_balanced(final_example, c)
+    assert not circle_balance(final_example, {14})
+    loop = GainGraph.from_edge_list(1, [(1, 1, -1)])
+    assert all_circles_small(loop) == [(frozenset({1}), False)]
 
 
 def test_unbalanced_triangle():
     g = GainGraph.from_edge_list(3, [(1, 2, 1), (2, 3, 1), (1, 3, 2)])
-    c = circle_from_edges(g, {1, 2, 3})
-    assert not is_balanced(g, c)
+    assert all_circles_small(g) == [(frozenset({1, 2, 3}), False)]
+    assert not circle_balance(g, {1, 2, 3})
 
 
 def test_circle_errors():
     g = GainGraph.from_edge_list(3, [(1, 2, 1), (2, 3, 1), (1, 3, 1)])
-    with pytest.raises(CircleError):
-        circle_from_edges(g, {1, 2})  # open path
-    with pytest.raises(CircleError):
-        circle_gain(g, Circle(((1, True), (1, False))))  # repeated edge
-    with pytest.raises(CircleError):
-        circle_gain(g, Circle(((1, True), (3, True))))  # walk does not close
-
-
-def test_balance_independent_of_start_and_direction(final_example):
-    g = final_example
-    for edge_ids in brute_circle_sets(g):
-        circle = circle_from_edges(g, edge_ids)
-        steps = circle.steps
-        value = is_balanced(g, circle)
-        for shift in range(len(steps)):
-            rotated = Circle(steps[shift:] + steps[:shift])
-            assert is_balanced(g, rotated) == value
-        reversed_steps = tuple((eid, not fwd) for eid, fwd in reversed(steps))
-        assert is_balanced(g, Circle(reversed_steps)) == value
+    with pytest.raises(ValueError):
+        circle_balance(g, {1, 2})  # open path
+    assert frozenset({1, 2}) not in dict(all_circles_small(g))
+    # two loops at one vertex, and two triangles sharing a vertex
+    bowtie = GainGraph.from_edge_list(
+        5, [(1, 1, 2), (1, 1, 3), (1, 2, 1), (2, 3, 1), (3, 1, 1), (1, 4, 1), (4, 5, 1), (5, 1, 1)]
+    )
+    for ids in ({1, 2}, {3, 4, 5, 6, 7, 8}):
+        with pytest.raises(ValueError):
+            circle_balance(bowtie, ids)
+        assert frozenset(ids) not in dict(all_circles_small(bowtie))
 
 
 def test_all_circles_small_counts(pattern_atlas):
@@ -253,8 +249,18 @@ def test_all_circles_small_size_bound():
 
 def test_all_circles_small_matches_walk_oracle():
     for g in seeded_graphs(8, seed=424242, max_edges=10):
-        got = {c.edge_ids for c in all_circles_small(g)}
+        got = {ids for ids, _ in all_circles_small(g)}
         assert got == brute_circle_sets(g)
+
+
+def test_all_circles_small_balance_matches_gain_product(seven_edge_example, pattern_atlas):
+    graphs = [seven_edge_example] + seeded_graphs(8, seed=424242, max_edges=10)
+    for g in graphs:
+        for ids, balanced in all_circles_small(g):
+            assert balanced == circle_balance(g, ids), ids
+    assert {balanced for g in graphs for _, balanced in all_circles_small(g)} == {True, False}
+    for pattern in pattern_atlas.values():
+        assert pattern.profile == tuple(all_circles_small(pattern.reference))
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +282,8 @@ def test_switch_balanced_triangle():
     g = balanced_triangle()
     out = switch(g, {1: 1, 2: 2, 3: 6})
     assert [e.gain for e in out.edges] == [2, 3, 6]
-    c = circle_from_edges(out, {1, 2, 3})
-    assert is_balanced(out, c)
+    assert circle_balance(out, {1, 2, 3})
+    assert balanced_circles(out) == {frozenset({1, 2, 3})}
 
 
 def test_switch_requires_total_nonzero_function():
@@ -290,20 +296,13 @@ def test_switch_requires_total_nonzero_function():
 
 def test_switch_preserves_balanced_circles():
     rng = random.Random(777)
-    from falkkit.graphs import RANDOM_GAINS
-
     for g in seeded_graphs(6, seed=90210, max_edges=10):
         lam = {v: rng.choice(RANDOM_GAINS) for v in g.vertices}
-        h = switch(g, lam)
-        balanced_g = {c.edge_ids for c in all_circles_small(g) if is_balanced(g, c)}
-        balanced_h = {c.edge_ids for c in all_circles_small(h) if is_balanced(h, c)}
-        assert balanced_g == balanced_h
+        assert balanced_circles(switch(g, lam)) == balanced_circles(g)
 
 
 def test_validate_invariant_under_switching():
     rng = random.Random(31337)
-    from falkkit.graphs import RANDOM_GAINS
-
     for g in seeded_graphs(6, seed=60601):
         lam = {v: rng.choice(RANDOM_GAINS) for v in g.vertices}
         assert validate(switch(g, lam)) == validate(g)
@@ -316,16 +315,14 @@ def test_validate_invariant_under_switching():
 def test_reorientation_is_observationally_trivial():
     for g in seeded_graphs(6, seed=55500, max_edges=10):
         for eid in (1, g.n):
-            h = g.with_reversed_edge(eid)
+            h = with_reversed_edge(g, eid)
             assert validate(h) == validate(g)
-            balanced_g = {c.edge_ids for c in all_circles_small(g) if is_balanced(g, c)}
-            balanced_h = {c.edge_ids for c in all_circles_small(h) if is_balanced(h, c)}
-            assert balanced_g == balanced_h
+            assert balanced_circles(h) == balanced_circles(g)
 
 
 def test_double_reversal_restores_graph(final_example):
     g = final_example
-    assert g.with_reversed_edge(7).with_reversed_edge(7) == g
+    assert with_reversed_edge(with_reversed_edge(g, 7), 7) == g
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +340,5 @@ def test_random_gain_graph_is_reproducible_and_valid():
 
 
 def test_random_gain_graph_uses_gain_pool():
-    from falkkit.graphs import RANDOM_GAINS
-
     for g in seeded_graphs(5, seed=99):
         assert all(e.gain in RANDOM_GAINS for e in g.edges)

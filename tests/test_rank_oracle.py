@@ -20,7 +20,7 @@ import pytest
 
 from falkkit import exterior
 from falkkit.falk import phi3_rank
-from falkkit.graphs import random_gain_graph, validate
+from falkkit.graphs import validate
 from falkkit.patterns import triangles
 from helpers import (
     _shape_kind,
@@ -30,6 +30,7 @@ from helpers import (
     fraction_phi3,
     fraction_rank,
     load_graph,
+    random_gain_graph,
     regime_graphs,
     type_b,
     type_d,
@@ -132,7 +133,7 @@ FAMILIES = (
 def check_library_rows(monkeypatch, g) -> None:
     tris = triangles(g)
     for compute in (
-        lambda: exterior.dim_I2(tris),
+        lambda: exterior.dim_I2(g.n, tris),
         lambda: exterior.span_F3(g.n, tris),
         lambda: exterior.dim_I3_2(g.n, tris),
     ):
