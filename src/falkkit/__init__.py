@@ -9,7 +9,6 @@ routes are cross-validated against each other.
 from .arrangement import Hyperplane, arrangement
 from .falk import (
     FalkReport,
-    dim_I3_2_closed_form,
     phi3_combinatorial,
     phi3_rank,
     verify,
@@ -66,7 +65,6 @@ __all__ = [
     "as_gain",
     "atlas",
     "count_patterns",
-    "dim_I3_2_closed_form",
     "find_occurrences",
     "parse",
     "phi3_combinatorial",

@@ -12,7 +12,6 @@ import json
 import os
 import sys
 
-from . import exterior
 from .arrangement import arrangement
 from .falk import FalkReport, _rank_route, phi3_combinatorial, verify
 from .graphs import (
@@ -39,13 +38,13 @@ EXIT_INPUT = 2
 
 
 def _hypotheses_json(report: ValidationReport) -> dict:
-    return {
-        name: {
-            "passed": verdict.passed,
-            "witnesses": [sorted(w) for w in verdict.witnesses],
-        }
-        for name, verdict in report.items()
-    }
+    out = {}
+    for name, verdict in report.items():
+        entry = {"passed": verdict.passed, "witnesses": [sorted(w) for w in verdict.witnesses]}
+        if verdict.count > len(verdict.witnesses):
+            entry["witness_count"] = verdict.count
+        out[name] = entry
+    return out
 
 
 def _hypotheses_lines(report: ValidationReport) -> list[str]:
@@ -56,6 +55,8 @@ def _hypotheses_lines(report: ValidationReport) -> list[str]:
             lines.append(f"{name} {label}: pass")
         else:
             shown = "; ".join("{" + ",".join(map(str, sorted(w))) + "}" for w in verdict.witnesses)
+            if verdict.count > len(verdict.witnesses):
+                shown += f" ({len(verdict.witnesses)} of {verdict.count} listed)"
             lines.append(f"{name} {label}: FAIL  witnesses: {shown}")
     return lines
 
@@ -110,7 +111,7 @@ def cmd_phi3(g: GainGraph, args) -> int:
     if args.method in ("comb", "both"):
         comb_value = phi3_combinatorial(_census(g, tris))
     if args.method in ("rank", "both"):
-        rank_value = _rank_route(g.n, tris)[2]
+        rank_value = _rank_route(g.n, tris).phi3_rank
     if args.method == "both":
         agree = comb_value == rank_value
     if args.json:
@@ -146,7 +147,8 @@ def cmd_realize(g: GainGraph, args) -> int:
 
 def cmd_rank_f3(g: GainGraph, args) -> int:
     require_hypotheses(g, ("H4", "H5"))
-    size, rank = exterior.span_F3(g.n, triangles(g))
+    fields = _rank_route(g.n, triangles(g))
+    size, rank = fields.span_F3_size, fields.span_F3_rank
     if args.json:
         _dump({"n": g.n, "f3": {"size": size, "rank": rank}})
     else:

@@ -1,11 +1,47 @@
 """Exact exterior algebra in degrees 2 and 3 over an edge ground set.
 
-The rows of the three eliminations are written out directly: the boundary
-e_jk - e_ik + e_ij of each dependent triple i < j < k (degree 2), and its
-products with each e_t (degree 3), case by case on where t falls relative
-to i < j < k.  A column is a lexicographic int code, a*m + b for e_ab and
-(a*m + b)*m + c for e_abc, with m larger than every edge id, so integer
-order is the lexicographic order of the index tuples.
+The rank route needs three numbers: dim A^2, dim I^3_2 (the degree-3 slice
+of the ideal generated by the boundaries of the dependent triples) and the
+size and rank of F3 = {e_t * boundary(e_S) : t not in S}.  All of them are
+read off the rank-2 flats of the arrangement, with one elimination.
+
+A rank-2 flat X of size >= 3 is a maximal set of edges whose every
+3-subset is dependent; two flats share at most one edge, so each pair of
+edges lies in at most one flat, and each dependent triple lies in exactly
+one (:func:`flats`).  Write I_X for the span of the boundaries
+e_jk - e_ik + e_ij of the 3-subsets of X, and x = min X.
+
+* **dim I^2 = sum_X C(|X|-1, 2).**  The boundary of a triple in X lives on
+  the pairs of X, and the flats share no pair, so I^2 is the direct sum of
+  the I_X.  The boundary map is exact on the exterior algebra of X, so
+  dim I_X = C(|X|, 2) - (|X| - 1) = C(|X|-1, 2), with basis the boundaries
+  of the triples S = {x, b, c}.  Hence dim A^2 = C(n, 2) - sum_X C(|X|-1, 2)
+  (:func:`dim_A2`).
+* **dim I^3_2 = sum_X C(|X|, 3) + rank G.**  I^3_2 is spanned by
+  e_t * I_X over every flat X and every edge t.  The local rows (t in X)
+  lie in Lambda^3(X) and span it: for t in S, e_t * e_S = 0 and so
+  e_t * boundary(e_S) = e_S - boundary(e_t * e_S) = e_S.  The global rows
+  G are e_t * boundary(e_S) for the basis triples S of each flat and each
+  t outside it.  A term e_tab of such a row has a, b in X and t outside X,
+  so {t, a, b} lies in no flat: a flat holding a and b is X.  The local and
+  global spans sit on disjoint sets of columns, so their dimensions add
+  (:func:`dim_I3_2`; G is :func:`_global_rows`, with
+  sum_X C(|X|-1, 2)*(n - |X|) rows).
+* **|F3| = (n-3)*|T| and rank F3 = dim I^3_2 - #{X : |X| = 3}.**  F3 holds
+  the global rows of every triple, which span e_t * I_X like G does, and
+  the local rows with t in X but outside S.  For a 4-set Y in X and
+  S = Y - {t}, e_t * e_S = s*e_Y where s is the sign of e_S in
+  boundary(e_Y), so the local row is e_S - s*boundary(e_Y).  Summed with
+  those signs, the four rows of Y give -3*boundary(e_Y), so every e_S with
+  S in Y lies in F3.  So Lambda^3(X) lies in F3 when |X| >= 4, while a
+  flat of three has no local F3 row, and no global row reaches its
+  monomial e_X (:func:`f3_size_and_rank`).
+
+The rows of G are written out directly: each basis triple i < j < k times
+each outside e_t, case by case on where t falls relative to i < j < k.  A
+column is a lexicographic int code, (a*m + b)*m + c for e_abc with
+m = n + 1 larger than every edge id, so integer order is the lexicographic
+order of the index tuples.
 
 Ranks are computed by fraction-free elimination of these Python-int rows,
 with no conversion of their entries: every pivot row is kept primitive (its
@@ -14,17 +50,17 @@ deterministic (first nonzero column in lexicographic order).  A new pivot
 whose leading entry is 1 or -1 is primitive already and is stored without a
 gcd.  There is no floating point, modular or randomized step, so every
 dimension reported here is exact.
-
-Only degrees 2 and 3 are materialized as vector spaces; that is all the
-degree-3 invariant needs.
 """
 
 from __future__ import annotations
 
+import itertools
+from bisect import bisect_left
 from math import comb, gcd
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 Triple = tuple[int, int, int]
+Flat = tuple[int, ...]
 
 
 def _divide_content(row: dict, negate: bool = False) -> dict:
@@ -81,7 +117,7 @@ def _pivot_rows(rows: Iterable[Mapping]) -> dict:
 def rank(rows: Iterable[Mapping]) -> int:
     """Exact rank of sparse integer rows keyed by comparable column labels.
 
-    Values must be Python ints, as the row builders below write them; zero
+    Values must be Python ints, as the row builder below writes them; zero
     entries are dropped.
     """
     return len(_pivot_rows(rows))
@@ -104,59 +140,102 @@ def _triples(triangles: Iterable, n: int) -> list[Triple]:
     return out
 
 
-def _boundary_rows(triples: list[Triple], m: int) -> list[dict[int, int]]:
-    """The rows e_jk - e_ik + e_ij, with e_ab coded a*m + b (m > every id)."""
-    return [{j * m + k: 1, i * m + k: -1, i * m + j: 1} for i, j, k in triples]
+def flats(n: int, triangles: Iterable) -> list[Flat]:
+    """The rank-2 flats of size >= 3 that the dependent triples make up.
+
+    Each flat is a sorted tuple of edge ids; the flats come in the order of
+    their smallest triple.  One pass over the triples in lexicographic
+    order suffices.  Let x < y < z be the three smallest edges of X; every
+    triple (a, b, c) of X after (x, y, z) shares a pair with an earlier
+    one: (x, a, b) when a > x, (x, y, b) when a = x < y < b, and (x, y, z)
+    when (a, b) = (x, y).
+
+    Raises ``ValueError`` for a triple outside 1 <= i < j < k <= n, and
+    for triples that are not the dependent triples of any arrangement: a
+    triple that meets two flats in a pair each, or a flat that misses some
+    of its 3-subsets.
+    """
+    m = n + 1
+    owner: dict[int, int] = {}  # pair code a*m + b -> index of its flat
+    members: list[set[int]] = []
+    sizes: list[int] = []
+    for ijk in sorted(set(_triples(triangles, n))):
+        i, j, k = ijk
+        pairs = (i * m + j, i * m + k, j * m + k)
+        found = {owner[p] for p in pairs if p in owner}
+        if len(found) > 1:
+            raise ValueError(f"edge triple {ijk} meets two rank-2 flats")
+        if found:
+            index = found.pop()
+            members[index].update(ijk)
+            sizes[index] += 1
+        else:
+            index = len(members)
+            members.append(set(ijk))
+            sizes.append(1)
+        for p in pairs:
+            owner[p] = index
+    out = []
+    for flat, size in zip(members, sizes):
+        if size != comb(len(flat), 3):
+            raise ValueError(
+                f"edges {sorted(flat)} form a rank-2 flat but only {size} of its "
+                f"{comb(len(flat), 3)} triples are dependent"
+            )
+        out.append(tuple(sorted(flat)))
+    return out
 
 
-def _wedge_rows(triples: list[Triple], n: int, inside: bool) -> list[dict[int, int]]:
-    """The rows e_t * (e_jk - e_ik + e_ij) for t = 1..n, triple by triple.
+def dim_A2(n: int, flats: Iterable[Flat]) -> int:
+    """dim A^2 = C(n, 2) - sum_X C(|X|-1, 2), with no elimination."""
+    return comb(n, 2) - sum(comb(len(flat) - 1, 2) for flat in flats)
 
-    e_abc is coded (a*m + b)*m + c with m = n + 1.  A t in {i, j, k} gives
-    the row e_ijk when ``inside`` is set and no row otherwise.
+
+def _global_rows(n: int, flats: Iterable[Flat]) -> list[dict[int, int]]:
+    """The rows e_t * (e_jk - e_ik + e_ij) of G, flat by flat.
+
+    For each flat X with x = min X, each basis triple (i, j, k) = (x, b, c)
+    with b < c in X, and each t = 1..n outside X in increasing order.
+    e_abc is coded (a*m + b)*m + c with m = n + 1.
     """
     m = n + 1
     mm = m * m
     rows: list[dict[int, int]] = []
-    for i, j, k in triples:
-        ij, ik, jk = i * m + j, i * m + k, j * m + k
-        imj, imk, jmk = i * mm + j, i * mm + k, j * mm + k
-        ijm, ikm, jkm = ij * m, ik * m, jk * m
-        monomial = [{ijm + k: 1}] if inside else []
-        # t < i: e_tjk - e_tik + e_tij
-        rows.extend([{tmm + jk: 1, tmm + ik: -1, tmm + ij: 1} for tmm in range(mm, i * mm, mm)])
-        rows.extend(monomial)
-        # i < t < j: e_tjk + e_itk - e_itj
-        rows.extend([{t * mm + jk: 1, imk + t * m: 1, imj + t * m: -1} for t in range(i + 1, j)])
-        rows.extend(monomial)
-        # j < t < k: -e_jtk + e_itk + e_ijt
-        rows.extend([{jmk + t * m: -1, imk + t * m: 1, ijm + t: 1} for t in range(j + 1, k)])
-        rows.extend(monomial)
-        # k < t: e_jkt - e_ikt + e_ijt
-        rows.extend([{jkm + t: 1, ikm + t: -1, ijm + t: 1} for t in range(k + 1, m)])
+    for flat in flats:
+        inside = set(flat)
+        outside = [t for t in range(1, m) if t not in inside]
+        i = flat[0]
+        below = i - 1  # i = min X, so outside[:below] is 1..i-1
+        tmm_below = range(mm, i * mm, mm)
+        for j, k in itertools.combinations(flat[1:], 2):
+            ij, ik, jk = i * m + j, i * m + k, j * m + k
+            imj, imk, jmk = i * mm + j, i * mm + k, j * mm + k
+            ijm, ikm, jkm = ij * m, ik * m, jk * m
+            a = bisect_left(outside, j, below)
+            b = bisect_left(outside, k, a)
+            # t < i: e_tjk - e_tik + e_tij
+            rows.extend([{tmm + jk: 1, tmm + ik: -1, tmm + ij: 1} for tmm in tmm_below])
+            # i < t < j: e_tjk + e_itk - e_itj
+            rows.extend(
+                [{t * mm + jk: 1, imk + t * m: 1, imj + t * m: -1} for t in outside[below:a]]
+            )
+            # j < t < k: -e_jtk + e_itk + e_ijt
+            rows.extend([{jmk + t * m: -1, imk + t * m: 1, ijm + t: 1} for t in outside[a:b]])
+            # k < t: e_jkt - e_ikt + e_ijt
+            rows.extend([{jkm + t: 1, ikm + t: -1, ijm + t: 1} for t in outside[b:]])
     return rows
 
 
-def dim_I2(n: int, triangles: Iterable) -> int:
-    """Rank of the boundaries of the dependent triples (degree-2 ideal slice)."""
-    return rank(_boundary_rows(_triples(triangles, n), n + 1))
+def dim_I3_2(n: int, flats: Sequence[Flat]) -> int:
+    """dim I^3_2 = sum_X C(|X|, 3) + rank G: the rank route's one elimination."""
+    return sum(comb(len(flat), 3) for flat in flats) + rank(_global_rows(n, flats))
 
 
-def dim_A2(n: int, triangles: Iterable) -> int:
-    """C(n,2) minus :func:`dim_I2`."""
-    return comb(n, 2) - dim_I2(n, triangles)
+def f3_size_and_rank(n: int, flats: Sequence[Flat], dim_i32: int) -> tuple[int, int]:
+    """Size and rank of F3, from the flats and ``dim_i32`` = :func:`dim_I3_2`.
 
-
-def span_F3(n: int, triangles: Iterable) -> tuple[int, int]:
-    """Size and exact rank of {e_t * boundary(e_S)} over t outside S."""
-    rows = _wedge_rows(_triples(triangles, n), n, inside=False)
-    return len(rows), rank(rows)
-
-
-def dim_I3_2(n: int, triangles: Iterable) -> int:
-    """Rank of the full degree-3 slice of the 2-adic ideal, by elimination.
-
-    Spans e_t * boundary(e_S) for every dependent triple S and every t in
-    1..n; no decomposition shortcut is assumed.
+    |F3| = (n-3)*|T| with |T| = sum_X C(|X|, 3), and
+    rank F3 = dim I^3_2 - #{X : |X| = 3}.
     """
-    return rank(_wedge_rows(_triples(triangles, n), n, inside=True))
+    size = (n - 3) * sum(comb(len(flat), 3) for flat in flats)
+    return size, dim_i32 - sum(len(flat) == 3 for flat in flats)

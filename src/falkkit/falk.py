@@ -4,8 +4,14 @@
 
     phi3 = 2*C(n+1,3) - n*dim(A^2) + C(n,3) - dim(I^3_2)
 
-from exact ranks of explicit integer matrices; it is valid for any gain graph
-whose hyperplanes are pairwise distinct (H4 and H5).
+and is valid for any gain graph whose hyperplanes are pairwise distinct
+(H4 and H5).  Both dimensions are read off the rank-2 flats of size >= 3
+(Falk 1988: phi3 depends only on them): dim(A^2) and the local part of
+dim(I^3_2) in closed form, and the global part as the exact rank of one
+integer matrix G (see :mod:`falkkit.exterior`).  So phi3 = 2|T| + nullity(G),
+the two per triangle of the Papadima-Suciu lower bound plus the global
+excess that G's kernel carries.  The size and rank of F3 follow from the
+same numbers with no further elimination.
 
 :func:`phi3_combinatorial` evaluates the census form, a local part plus a
 global excess,
@@ -16,18 +22,15 @@ global excess,
 from subgraph occurrence counts; it is only claimed under H1-H5, so
 :func:`verify` withholds it (rather than guessing) when hypotheses fail.
 The local part counts two per rank-2 flat of size three: under H1-H5 the
-four local counts sum to the number of triangles |T|, and phi3 depends only
-on the flats of rank at most 2 (Falk 1988).  The excess comes from the
-larger patterns.  Since dim(A^2) = C(n,2) - |T| under H1-H5, the rank
-formula reads phi3 = n*|T| - dim(I^3_2), so the same two numbers give the
-companion :func:`dim_I3_2_closed_form` = (n-2)*local - excess.
+four local counts sum to the number of triangles |T|.  The excess comes
+from the larger patterns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import exterior
 from .graphs import GainGraph, ValidationReport, validate
@@ -44,12 +47,25 @@ _RANK_FIELDS = (
 )
 
 
-def _rank_route(n: int, tris: Sequence[Triangle]) -> tuple[int, int, int]:
-    """dim(A^2), dim(I^3_2) and phi3 from them, for a caller that has checked
-    H4 and H5 and holds ``triangles(g)``."""
-    dim_a2 = exterior.dim_A2(n, tris)
-    dim_i32 = exterior.dim_I3_2(n, tris)
-    return dim_a2, dim_i32, 2 * comb(n + 1, 3) - n * dim_a2 + comb(n, 3) - dim_i32
+class RankFields(NamedTuple):
+    """The rank route's numbers for one graph, named as in :class:`FalkReport`."""
+
+    dim_A2: int
+    dim_I3_2: int
+    span_F3_size: int
+    span_F3_rank: int
+    phi3_rank: int
+
+
+def _rank_route(n: int, tris: Sequence[Triangle]) -> RankFields:
+    """The rank route, for a caller that has checked H4 and H5 and holds
+    ``triangles(g)``; it runs one elimination."""
+    flats = exterior.flats(n, tris)
+    dim_a2 = exterior.dim_A2(n, flats)
+    dim_i32 = exterior.dim_I3_2(n, flats)
+    size, rank_f3 = exterior.f3_size_and_rank(n, flats, dim_i32)
+    phi3 = 2 * comb(n + 1, 3) - n * dim_a2 + comb(n, 3) - dim_i32
+    return RankFields(dim_a2, dim_i32, size, rank_f3, phi3)
 
 
 def phi3_rank(g: GainGraph) -> int:
@@ -59,7 +75,7 @@ def phi3_rank(g: GainGraph) -> int:
     hyperplanes are then not pairwise distinct.
     """
     require_hypotheses(g, ("H4", "H5"))
-    return _rank_route(g.n, triangles(g))[2]
+    return _rank_route(g.n, triangles(g)).phi3_rank
 
 
 # coefficient of each larger pattern in phi3's global excess
@@ -79,16 +95,6 @@ def phi3_combinatorial(counts: PatternCounts) -> int:
     """Falk invariant as a linear form in the occurrence counts: 2*local + excess."""
     local, excess = _local_and_excess(counts)
     return 2 * local + excess
-
-
-def dim_I3_2_closed_form(n: int, counts: PatternCounts) -> int:
-    """Census prediction for dim(I^3_2), valid under H1-H5: (n-2)*local - excess.
-
-    The test suite checks this against the direct elimination on every
-    valid graph it touches.
-    """
-    local, excess = _local_and_excess(counts)
-    return (n - 2) * local - excess
 
 
 @dataclass(frozen=True)
@@ -134,16 +140,8 @@ def verify(g: GainGraph) -> FalkReport:
     else:
         n = g.n
         tris = tuple(triangles(g))
-        a2, i32, phi3 = _rank_route(n, tris)
-        size, rank_f3 = exterior.span_F3(n, tris)
         values.update(
-            num_triangles=len(tris),
-            triangle_list=tris,
-            dim_A2=a2,
-            dim_I3_2=i32,
-            span_F3_size=size,
-            span_F3_rank=rank_f3,
-            phi3_rank=phi3,
+            num_triangles=len(tris), triangle_list=tris, **_rank_route(n, tris)._asdict()
         )
 
     if failing:

@@ -32,6 +32,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import comb
 from typing import Iterable, Sequence, Union
 
 GainLike = Union[Fraction, int, str]
@@ -277,10 +278,21 @@ def serialize(g: GainGraph) -> str:
 # hypothesis checks
 
 
+#: most witnesses a verdict lists per hypothesis; it counts all of them
+MAX_WITNESSES = 100
+
+
 @dataclass(frozen=True)
 class Verdict:
+    """One hypothesis: whether it holds, and the edge sets that break it.
+
+    ``count`` is the number of witnesses and ``witnesses`` lists at most
+    :data:`MAX_WITNESSES` of them, sorted.
+    """
+
     passed: bool
     witnesses: tuple[frozenset[int], ...] = ()
+    count: int = 0
 
 
 @dataclass(frozen=True)
@@ -310,51 +322,64 @@ class ValidationReport:
         return all(self.verdict(name).passed for name in names)
 
 
-def _verdict(witnesses: list[frozenset[int]]) -> Verdict:
-    ordered = tuple(sorted(witnesses, key=lambda w: tuple(sorted(w))))
-    return Verdict(not ordered, ordered)
-
-
 def validate(g: GainGraph) -> ValidationReport:
     """Check hypotheses H1..H5; never raises, failures carry witnesses.
 
-    Every witness is listed.  A bundle of b links with l_u and l_v loops at
-    its ends gives C(b,2)*l_u*l_v H1 witnesses and C(b,3)*(l_u+l_v) H2
-    witnesses, so the lists grow with the fourth power of the input.
+    A bundle of b links with l_u and l_v loops at its ends has
+    C(b,2)*l_u*l_v H1 witnesses and C(b,3)*(l_u+l_v) H2 witnesses, which
+    grow with the fourth power of the input.  So every witness is counted
+    by such a closed form first, and only the first :data:`MAX_WITNESSES`
+    per hypothesis are built, bundle by bundle in vertex-pair order, then
+    loop by loop in vertex order, each bundle's witnesses in edge-id order.
+    When there are no more than that, the list is complete.
     """
-    w1: list[frozenset[int]] = []
-    w2: list[frozenset[int]] = []
-    w3: list[frozenset[int]] = []
-    w4: list[frozenset[int]] = []
-    w5: list[frozenset[int]] = []
+    found: dict[str, list[frozenset[int]]] = {name: [] for name in HYPOTHESES}
+    counts = dict.fromkeys(HYPOTHESES, 0)
+
+    def add(name: str, count: int, witnesses: Iterable[frozenset[int]]) -> None:
+        counts[name] += count
+        room = MAX_WITNESSES - len(found[name])
+        if room > 0:
+            found[name].extend(itertools.islice(witnesses, room))
 
     for (u, v), bundle in sorted(g.link_map.items()):
-        if len(bundle) >= 2 and g.loops_at(u) and g.loops_at(v):
-            for e, f in itertools.combinations(bundle, 2):
-                for lu in g.loops_at(u):
-                    for lv in g.loops_at(v):
-                        w1.append(frozenset({e.id, f.id, lu.id, lv.id}))
-        if len(bundle) >= 3:
-            loops = [l for w in (u, v) for l in g.loops_at(w)]
-            for triple in itertools.combinations(bundle, 3):
-                for loop in loops:
-                    w2.append(frozenset({triple[0].id, triple[1].id, triple[2].id, loop.id}))
-        if len(bundle) >= 4:
-            w3.append(frozenset(e.id for e in bundle))
-        for e, f in itertools.combinations(bundle, 2):
-            if e.gain_from(u) == f.gain_from(u):
-                w4.append(frozenset({e.id, f.id}))
+        b = len(bundle)
+        if b < 2:
+            continue
+        at_u, at_v = g.loops_at(u), g.loops_at(v)
+        if at_u and at_v:
+            add("H1", comb(b, 2) * len(at_u) * len(at_v), (
+                frozenset({e.id, f.id, lu.id, lv.id})
+                for e, f in itertools.combinations(bundle, 2) for lu in at_u for lv in at_v
+            ))
+        loops = at_u + at_v
+        if b >= 3 and loops:
+            add("H2", comb(b, 3) * len(loops), (
+                frozenset({x.id, y.id, z.id, loop.id})
+                for x, y, z in itertools.combinations(bundle, 3) for loop in loops
+            ))
+        if b >= 4:
+            add("H3", 1, [frozenset(e.id for e in bundle)])
+        # a balanced 2-circle is a pair of links with one gain read from u
+        by_gain: dict[tuple[int, int], list[int]] = {}
+        for e in bundle:
+            gain = e.gain_from(u)
+            by_gain.setdefault((gain.numerator, gain.denominator), []).append(e.id)
+        for ids in by_gain.values():
+            if len(ids) > 1:
+                add("H4", comb(len(ids), 2), (frozenset(p) for p in itertools.combinations(ids, 2)))
 
     for v, loops in sorted(g.loop_map.items()):
-        for loop in loops:
-            if loop.gain == 1:
-                w4.append(frozenset({loop.id}))
+        balanced = [loop.id for loop in loops if loop.gain == 1]
+        if balanced:
+            add("H4", len(balanced), (frozenset({i}) for i in balanced))
         if len(loops) >= 2:
-            w5.append(frozenset(l.id for l in loops))
+            add("H5", 1, [frozenset(loop.id for loop in loops)])
 
-    return ValidationReport(
-        h1=_verdict(w1), h2=_verdict(w2), h3=_verdict(w3), h4=_verdict(w4), h5=_verdict(w5)
-    )
+    return ValidationReport(*(
+        Verdict(not counts[name], tuple(sorted(found[name], key=sorted)), counts[name])
+        for name in HYPOTHESES
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,13 @@ which stays in ``test_census_oracle.py``, its only user.
   and :func:`pair_vector` act on vectors keyed by increasing index tuples.
   They are the generic form of the rows the library writes out directly
   with integer-coded columns, and the row-builder tests decode against them.
+* Full eliminations: :func:`dim_I2`, :func:`span_F3` and
+  :func:`full_dim_I3_2` rank every row of I^2, F3 and I^3_2 (|T|,
+  (n-3)*|T| and n*|T| rows), with no decomposition over the rank-2 flats;
+  :func:`full_rank_fields` gathers them into the rank fields of a report.
+  They are the oracle for the library's closed forms and its one
+  elimination of the global rows.  :func:`dim_I3_2_closed_form` predicts
+  dim(I^3_2) from the census counts under H1-H5.
 * Matroid: :func:`dependent_3sets` ranks the hyperplane normals of every
   edge triple with :func:`fraction_rank`, the linear-algebra side of
   "dependent 3-sets == triangle census".  :func:`fraction_phi3` rebuilds
@@ -43,9 +50,11 @@ from math import comb
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from falkkit import exterior
 from falkkit.arrangement import arrangement
+from falkkit.falk import _local_and_excess
 from falkkit.graphs import Edge, GainGraph, all_circles_small, parse, validate
-from falkkit.patterns import TriangleKind
+from falkkit.patterns import PatternCounts, TriangleKind, triangles
 
 DATA = Path(__file__).parent / "data"
 
@@ -405,6 +414,88 @@ def wedge1(t: int, vec: Vec2) -> Vec3:
         else:
             out.pop(key, None)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the full eliminations: the rank route before its closed forms
+
+
+def _boundary_rows(triples: list[Triple], m: int) -> list[dict[int, int]]:
+    """The rows e_jk - e_ik + e_ij, with e_ab coded a*m + b (m > every id)."""
+    return [{j * m + k: 1, i * m + k: -1, i * m + j: 1} for i, j, k in triples]
+
+
+def _wedge_rows(triples: list[Triple], n: int, inside: bool) -> list[dict[int, int]]:
+    """The rows e_t * (e_jk - e_ik + e_ij) for t = 1..n, triple by triple.
+
+    e_abc is coded (a*m + b)*m + c with m = n + 1.  A t in {i, j, k} gives
+    the row e_ijk when ``inside`` is set and no row otherwise.
+    """
+    m = n + 1
+    mm = m * m
+    rows: list[dict[int, int]] = []
+    for i, j, k in triples:
+        ij, ik, jk = i * m + j, i * m + k, j * m + k
+        imj, imk, jmk = i * mm + j, i * mm + k, j * mm + k
+        ijm, ikm, jkm = ij * m, ik * m, jk * m
+        monomial = [{ijm + k: 1}] if inside else []
+        # t < i: e_tjk - e_tik + e_tij
+        rows.extend([{tmm + jk: 1, tmm + ik: -1, tmm + ij: 1} for tmm in range(mm, i * mm, mm)])
+        rows.extend(monomial)
+        # i < t < j: e_tjk + e_itk - e_itj
+        rows.extend([{t * mm + jk: 1, imk + t * m: 1, imj + t * m: -1} for t in range(i + 1, j)])
+        rows.extend(monomial)
+        # j < t < k: -e_jtk + e_itk + e_ijt
+        rows.extend([{jmk + t * m: -1, imk + t * m: 1, ijm + t: 1} for t in range(j + 1, k)])
+        rows.extend(monomial)
+        # k < t: e_jkt - e_ikt + e_ijt
+        rows.extend([{jkm + t: 1, ikm + t: -1, ijm + t: 1} for t in range(k + 1, m)])
+    return rows
+
+
+def dim_I2(n: int, triangles: Iterable) -> int:
+    """Rank of the boundaries of every dependent triple (degree-2 ideal slice)."""
+    return exterior.rank(_boundary_rows(exterior._triples(triangles, n), n + 1))
+
+
+def span_F3(n: int, triangles: Iterable) -> tuple[int, int]:
+    """Size and exact rank of {e_t * boundary(e_S)} over t outside S, all (n-3)*|T| rows."""
+    rows = _wedge_rows(exterior._triples(triangles, n), n, inside=False)
+    return len(rows), exterior.rank(rows)
+
+
+def full_dim_I3_2(n: int, triangles: Iterable) -> int:
+    """Rank of the full degree-3 slice of the 2-adic ideal: e_t * boundary(e_S)
+    for every dependent triple S and every t in 1..n, n*|T| rows, with no
+    decomposition over the flats assumed."""
+    return exterior.rank(_wedge_rows(exterior._triples(triangles, n), n, inside=True))
+
+
+def full_rank_fields(g: GainGraph) -> dict[str, int]:
+    """The rank fields of :func:`falkkit.falk.verify`, each by a full elimination."""
+    n = g.n
+    tris = triangles(g)
+    dim_a2 = comb(n, 2) - dim_I2(n, tris)
+    dim_i32 = full_dim_I3_2(n, tris)
+    size, rank_f3 = span_F3(n, tris)
+    return {
+        "dim_A2": dim_a2,
+        "dim_I3_2": dim_i32,
+        "span_F3_size": size,
+        "span_F3_rank": rank_f3,
+        "phi3_rank": 2 * comb(n + 1, 3) - n * dim_a2 + comb(n, 3) - dim_i32,
+    }
+
+
+def dim_I3_2_closed_form(n: int, counts: PatternCounts) -> int:
+    """Census prediction for dim(I^3_2), valid under H1-H5: (n-2)*local - excess.
+
+    Under H1-H5, dim(A^2) = C(n,2) - |T| and the rank formula reads
+    phi3 = n*|T| - dim(I^3_2); with phi3 = 2*local + excess and
+    |T| = local this gives the prediction.
+    """
+    local, excess = _local_and_excess(counts)
+    return (n - 2) * local - excess
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from falkkit import exterior
 from falkkit.falk import (
-    dim_I3_2_closed_form,
     phi3_combinatorial,
     phi3_rank,
     verify,
@@ -21,8 +19,12 @@ from helpers import (
     boundary2,
     boundary3,
     dependent_3sets,
+    dim_I2,
+    dim_I3_2_closed_form,
+    full_dim_I3_2,
     load_graph,
     random_gain_graph,
+    span_F3,
     switch,
 )
 
@@ -91,9 +93,10 @@ def test_criterion_2_reference_f3_ranks():
         for name, want in expected.items():
             ref = patterns[name].reference
             start = time.perf_counter()
-            got = exterior.span_F3(ref.n, triangles(ref))
+            report = verify(ref)
             elapsed = time.perf_counter() - start
-            assert got == want, name
+            assert (report.span_F3_size, report.span_F3_rank) == want, name
+            assert span_F3(ref.n, triangles(ref)) == want, name
             assert elapsed < 1.0, name
 
 
@@ -101,10 +104,11 @@ def test_criterion_3_final_example_dimensions():
     with criterion(3, "final example: |F3| = 143, dim I^3_2 = 151, dim A^2 = 78"):
         g = load_graph("final_example.gg")
         tris = triangles(g)
-        size, _ = exterior.span_F3(g.n, tris)
-        assert size == 143 == len(tris) * (g.n - 3)
-        assert exterior.dim_I3_2(g.n, tris) == 151
-        assert exterior.dim_A2(g.n, tris) == 78
+        report = verify(g)
+        size, _ = span_F3(g.n, tris)
+        assert report.span_F3_size == size == 143 == len(tris) * (g.n - 3)
+        assert report.dim_I3_2 == full_dim_I3_2(g.n, tris) == 151
+        assert report.dim_A2 == 78
 
 
 def test_criterion_4_matroid_correspondence():
@@ -158,11 +162,11 @@ def test_criterion_7_structural_identities():
         for g in graphs:
             tris = triangles(g)
             counts = count_patterns(g)
-            assert exterior.dim_I2(g.n, tris) == len(tris)
-            size, f3_rank = exterior.span_F3(g.n, tris)
-            i32 = exterior.dim_I3_2(g.n, tris)
+            assert dim_I2(g.n, tris) == len(tris)
+            size, f3_rank = span_F3(g.n, tris)
+            i32 = full_dim_I3_2(g.n, tris)
             assert i32 == len(tris) + f3_rank
-            assert i32 == dim_I3_2_closed_form(g.n, counts)
+            assert i32 == dim_I3_2_closed_form(g.n, counts) == verify(g).dim_I3_2
             for t in tris:
                 assert boundary2(boundary3(t.edge_ids)) == {}
 

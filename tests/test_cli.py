@@ -3,12 +3,14 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from collections import Counter
 
 import pytest
 
 from falkkit import cli, falk, patterns
 from falkkit.cli import main
+from falkkit.graphs import MAX_WITNESSES
 from helpers import DATA
 
 FINAL = str(DATA / "final_example.gg")
@@ -72,6 +74,34 @@ def test_check_human_and_json(capsys):
     assert sorted(payload["hypotheses"]) == ["H1", "H2", "H3", "H4", "H5"]
     assert payload["hypotheses"]["H1"]["passed"] is False
     assert payload["hypotheses"]["H1"]["witnesses"] == [[1, 2, 3, 4]]
+
+
+def test_check_caps_the_witness_lists_of_a_fourth_power_input(capsys, tmp_path):
+    # 30 links between two vertices with 30 loops at each end: 91 lines,
+    # C(30,2)*30*30 = 391 500 H1 and C(30,3)*60 = 243 600 H2 witnesses
+    lines = ["graph 2"]
+    lines += [f"edge {i} 1 2 {i + 1}" for i in range(1, 31)]
+    lines += [f"edge {i} 1 1 {i}" for i in range(31, 61)]
+    lines += [f"edge {i} 2 2 {i}" for i in range(61, 91)]
+    path = tmp_path / "bundle.gg"
+    path.write_text("\n".join(lines) + "\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", str(path), "--json")
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    hypotheses = json.loads(out)["hypotheses"]
+    assert hypotheses["H1"]["witness_count"] == 391_500
+    assert hypotheses["H2"]["witness_count"] == 243_600
+    for name in ("H1", "H2"):
+        assert len(hypotheses[name]["witnesses"]) == MAX_WITNESSES
+    # complete lists carry no count
+    assert hypotheses["H5"] == {"passed": False, "witnesses": [list(range(31, 61)), list(range(61, 91))]}
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, err) == (0, "")
+    assert f"({MAX_WITNESSES} of 391500 listed)" in out
+    code, out, err = run(capsys, "report", str(path), "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["withheld"]["phi3_rank"] == ["H5"]
 
 
 def test_triangles_output(capsys):

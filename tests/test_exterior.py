@@ -1,14 +1,35 @@
+"""The library's closed forms and its one elimination, against the full
+eliminations of :mod:`helpers` (``dim_I2``, ``span_F3``, ``full_dim_I3_2``)
+on small graphs with pinned values."""
+
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from falkkit import exterior
-from falkkit.exterior import dim_A2, dim_I2, dim_I3_2, rank, span_F3
+from falkkit.exterior import dim_A2, dim_I3_2, f3_size_and_rank, flats, rank
 from falkkit.graphs import GainGraph
 from falkkit.patterns import atlas, triangles
-from helpers import boundary2, boundary3, pair_vector, seeded_graphs, wedge1
+from helpers import (
+    boundary2,
+    boundary3,
+    dim_I2,
+    full_dim_I3_2,
+    pair_vector,
+    seeded_graphs,
+    span_F3,
+    wedge1,
+)
+
+
+def library_dims(n, tris):
+    """dim A^2, dim I^3_2 and (|F3|, rank F3) the way the rank route gets them."""
+    xs = flats(n, tris)
+    i32 = dim_I3_2(n, xs)
+    return dim_A2(n, xs), i32, f3_size_and_rank(n, xs, i32)
 
 ONE = Fraction(1)
 
@@ -28,24 +49,56 @@ def test_boundary3_rejects_unsorted_input():
 @pytest.mark.parametrize("triple", [(2, 1, 3), (1, 1, 3), (0, 1, 2)])
 def test_eliminations_reject_non_increasing_triples(triple):
     with pytest.raises(ValueError):
+        flats(4, [triple])
+    with pytest.raises(ValueError):
         dim_I2(4, [triple])
     with pytest.raises(ValueError):
         span_F3(4, [triple])
     with pytest.raises(ValueError):
-        dim_I3_2(4, [triple])
+        full_dim_I3_2(4, [triple])
 
 
 def test_degree_3_eliminations_reject_ids_above_n():
-    assert dim_I3_2(4, [(2, 3, 4)]) == 2
+    assert library_dims(4, [(2, 3, 4)]) == (5, 2, (1, 1))
+    assert full_dim_I3_2(4, [(2, 3, 4)]) == 2
+    with pytest.raises(ValueError):
+        flats(4, [(1, 2, 3), (2, 3, 5)])
     with pytest.raises(ValueError):
         span_F3(4, [(1, 2, 3), (2, 3, 5)])
     with pytest.raises(ValueError):
-        dim_I3_2(4, [(1, 2, 3), (2, 3, 5)])
+        full_dim_I3_2(4, [(1, 2, 3), (2, 3, 5)])
     assert dim_I2(4, [(2, 3, 4)]) == 1
     with pytest.raises(ValueError):
         dim_I2(3, [(1, 2, 5)])
     with pytest.raises(ValueError):
-        dim_A2(3, [(1, 2, 5)])
+        flats(3, [(1, 2, 5)])
+
+
+@pytest.mark.parametrize(
+    "triples",
+    [
+        # {1,2,3,4} would be one flat, but (1,3,4) and (2,3,4) are missing
+        [(1, 2, 3), (1, 2, 4)],
+        # (1,2,5) puts 5 into the flat {1,2,3,4}, which then misses (1,3,5)
+        [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (1, 2, 5), (3, 4, 5)],
+        # (4,6,7) meets the flat {1,4,5,6} in (4,6) and the flat {2,6,7} in (6,7)
+        [(1, 4, 5), (2, 6, 7), (4, 5, 6), (4, 6, 7)],
+    ],
+)
+def test_flats_reject_triples_of_no_arrangement(triples):
+    with pytest.raises(ValueError):
+        flats(8, triples)
+
+
+def test_flats_group_triples_by_shared_pairs(final_example, pattern_atlas):
+    assert flats(6, []) == []
+    # repeated triples and any input order give the same flats
+    b2 = [t.edge_ids for t in triangles(pattern_atlas["B2"].reference)]
+    assert flats(4, b2[::-1] + b2) == [(1, 2, 3, 4)]
+    for g in [final_example] + seeded_graphs(10, seed=160161):
+        tris = [t.edge_ids for t in triangles(g)]
+        xs = flats(g.n, tris)
+        assert sorted(s for x in xs for s in itertools.combinations(x, 3)) == sorted(tris)
 
 
 def test_boundary_squared_is_zero():
@@ -99,12 +152,15 @@ def test_dim_I2_values(final_example, pattern_atlas):
     assert dim_I2(9, []) == 0
     gcirc = pattern_atlas["Gcirc"].reference
     assert dim_I2(gcirc.n, triangles(gcirc)) == 4
+    b2 = pattern_atlas["B2"].reference
+    assert dim_I2(b2.n, triangles(b2)) == 3 == comb(4, 2) - dim_A2(4, [(1, 2, 3, 4)])
 
 
 def test_dim_A2_values(final_example, pattern_atlas):
-    assert dim_A2(final_example.n, triangles(final_example)) == 78
     k4 = pattern_atlas["K4"].reference
-    assert dim_A2(k4.n, triangles(k4)) == 11
+    for g, want in ((final_example, 78), (k4, 11)):
+        tris = triangles(g)
+        assert dim_A2(g.n, flats(g.n, tris)) == want == comb(g.n, 2) - dim_I2(g.n, tris)
     # triangle-free: a star with 5 edges
     star = GainGraph.from_edge_list(6, [(1, i, 1) for i in range(2, 7)])
     assert triangles(star) == []
@@ -125,19 +181,21 @@ REFERENCE_F3 = {
 @pytest.mark.parametrize("name", sorted(REFERENCE_F3))
 def test_span_F3_reference_values(name, pattern_atlas):
     ref = pattern_atlas[name].reference
-    assert span_F3(ref.n, triangles(ref)) == REFERENCE_F3[name]
+    tris = triangles(ref)
+    assert span_F3(ref.n, tris) == REFERENCE_F3[name] == library_dims(ref.n, tris)[2]
 
 
 def test_span_F3_empty_complement():
     # one triangle on a 3-edge graph leaves no outside factor
-    assert span_F3(3, [(1, 2, 3)]) == (0, 0)
+    assert span_F3(3, [(1, 2, 3)]) == (0, 0) == library_dims(3, [(1, 2, 3)])[2]
 
 
 def test_dim_I3_2_values(final_example, pattern_atlas):
-    assert dim_I3_2(final_example.n, triangles(final_example)) == 151
     gcirc = pattern_atlas["Gcirc"].reference
-    assert dim_I3_2(gcirc.n, triangles(gcirc)) == 14
-    assert dim_I3_2(9, []) == 0
+    for g, want in ((final_example, 151), (gcirc, 14)):
+        tris = triangles(g)
+        assert full_dim_I3_2(g.n, tris) == want == library_dims(g.n, tris)[1]
+    assert full_dim_I3_2(9, []) == 0 == dim_I3_2(9, [])
 
 
 def test_direct_sum_decomposition(final_example, pattern_atlas):
@@ -147,8 +205,10 @@ def test_direct_sum_decomposition(final_example, pattern_atlas):
     for g in graphs:
         tris = triangles(g)
         _, f3_rank = span_F3(g.n, tris)
-        assert dim_I3_2(g.n, tris) == len(tris) + f3_rank
+        assert full_dim_I3_2(g.n, tris) == len(tris) + f3_rank
         assert dim_I2(g.n, tris) == len(tris)
+        # under H1-H5 every flat has three edges
+        assert {len(x) for x in flats(g.n, tris)} <= {3}
 
 
 def test_direct_sum_fails_without_hypotheses(pattern_atlas):
@@ -159,14 +219,17 @@ def test_direct_sum_fails_without_hypotheses(pattern_atlas):
     tris = triangles(b2)
     assert len(tris) == 4
     _, f3_rank = span_F3(b2.n, tris)
-    assert dim_I3_2(b2.n, tris) == 4 < len(tris) + f3_rank
+    assert full_dim_I3_2(b2.n, tris) == 4 < len(tris) + f3_rank
+    # the closed forms hold without H1-H3: one flat of four, no global rows
+    assert library_dims(b2.n, tris) == (3, 4, (4, 4))
 
 
 def test_exterior_accepts_plain_triples(final_example):
     tris = triangles(final_example)
     raw = [t.edge_ids for t in tris]
+    assert flats(final_example.n, raw) == flats(final_example.n, tris)
     assert dim_I2(final_example.n, raw) == dim_I2(final_example.n, tris)
-    assert dim_I3_2(final_example.n, raw) == dim_I3_2(final_example.n, tris)
+    assert full_dim_I3_2(final_example.n, raw) == full_dim_I3_2(final_example.n, tris)
 
 
 def test_rank_bounded_by_column_count():

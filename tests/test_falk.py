@@ -7,7 +7,6 @@ import pytest
 
 from falkkit import exterior, falk, patterns
 from falkkit.falk import (
-    dim_I3_2_closed_form,
     phi3_combinatorial,
     phi3_rank,
     verify,
@@ -16,6 +15,8 @@ from falkkit.graphs import GainGraph, validate
 from falkkit.patterns import HypothesisError, PatternCounts, count_patterns, triangles
 from helpers import (
     braid,
+    dim_I3_2_closed_form,
+    full_dim_I3_2,
     load_graph,
     random_switching,
     seeded_graphs,
@@ -169,7 +170,9 @@ def test_closed_form_dimension_prediction(final_example, pattern_atlas):
     for g in graphs:
         counts = count_patterns(g)
         tris = triangles(g)
-        assert exterior.dim_I3_2(g.n, tris) == dim_I3_2_closed_form(g.n, counts)
+        predicted = dim_I3_2_closed_form(g.n, counts)
+        assert exterior.dim_I3_2(g.n, exterior.flats(g.n, tris)) == predicted
+        assert full_dim_I3_2(g.n, tris) == predicted
 
 
 def test_census_equals_rank_on_seeded_sample():

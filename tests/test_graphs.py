@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from falkkit.graphs import (
     GainGraph,
     GraphFormatError,
     GraphTooLargeError,
+    MAX_WITNESSES,
     all_circles_small,
     parse,
     serialize,
@@ -181,6 +183,42 @@ def test_validate_two_loops_fail_h5():
     report = validate(g)
     assert not report.h5.passed
     assert report.h5.witnesses == (frozenset({1, 2}),)
+
+
+def bundle_with_loops(links, loops, equal_gains=0):
+    """A bundle of ``links`` links between 1 and 2 with ``loops`` loops at
+    each end; the first ``equal_gains`` links share one gain."""
+    triples = [(1, 2, 1 if i < equal_gains else i + 2) for i in range(links)]
+    triples += [(v, v, i + 2) for v in (1, 2) for i in range(loops)]
+    return GainGraph.from_edge_list(2, triples)
+
+
+def brute_witnesses(g):
+    """Every witness of H1, H2 and H4 on a one-bundle graph, by definition."""
+    links = [e for e in g.edges if not e.is_loop]
+    loops = {v: [e.id for e in g.loops_at(v)] for v in (1, 2)}
+    return {
+        "H1": {frozenset({e.id, f.id, a, b}) for e, f in itertools.combinations(links, 2)
+               for a in loops[1] for b in loops[2]},
+        "H2": {frozenset({x.id, y.id, z.id, loop}) for x, y, z in itertools.combinations(links, 3)
+               for loop in loops[1] + loops[2]},
+        "H4": {frozenset({e.id, f.id}) for e, f in itertools.combinations(links, 2)
+               if e.gain == f.gain},
+    }
+
+
+@pytest.mark.parametrize("links, loops, equal_gains", [(5, 3, 0), (4, 2, 4), (6, 4, 16), (8, 2, 8)])
+def test_validate_counts_every_witness_and_lists_at_most_the_cap(links, loops, equal_gains):
+    g = bundle_with_loops(links, loops, equal_gains)
+    report = validate(g)
+    for name, every in brute_witnesses(g).items():
+        verdict = report.verdict(name)
+        assert verdict.count == len(every)
+        assert verdict.passed == (not every)
+        assert set(verdict.witnesses) <= every
+        assert len(verdict.witnesses) == min(len(every), MAX_WITNESSES)
+        assert list(verdict.witnesses) == sorted(verdict.witnesses, key=lambda w: sorted(w))
+    assert report.h5.count == (2 if loops > 1 else 0)
 
 
 # ---------------------------------------------------------------------------

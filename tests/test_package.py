@@ -17,7 +17,8 @@ from helpers import DATA
 SRC = Path(__file__).resolve().parents[1] / "src"
 TESTS = Path(__file__).resolve().parent
 
-#: test oracles and test-data generators that once shipped in the library,
+#: test oracles and test-data generators that once shipped in the library
+#: (among them the full eliminations the rank route's closed forms replaced),
 #: and the circle model no computation needed, by the module that held them
 MOVED = {
     "falkkit.patterns": (
@@ -30,9 +31,10 @@ MOVED = {
         "switch", "random_gain_graph", "RANDOM_GAINS", "GainGraph.with_reversed_edge",
         "Edge.reversed",
     ),
-    "falkkit.falk": ("random_switching",),
+    "falkkit.falk": ("random_switching", "dim_I3_2_closed_form"),
     "falkkit.exterior": (
         "boundary3", "boundary2", "pair_vector", "wedge1", "_check_increasing", "_ONE",
+        "dim_I2", "span_F3", "_boundary_rows", "_wedge_rows",
     ),
 }
 

@@ -1,0 +1,108 @@
+"""The rank route's closed forms and its one elimination, across the H4/H5 regime.
+
+The library reads dim A^2, |F3| and rank F3 off the rank-2 flats and ranks
+only the global rows G (:mod:`falkkit.exterior`).  Here every rank field of
+:func:`falkkit.falk.verify` is checked against the full eliminations of the
+test oracle (:func:`helpers.full_rank_fields`: |T|, (n-3)*|T| and n*|T|
+rows, no decomposition assumed) on the reflection families, the test data
+and a seeded regime corpus in which H1, H2 and H3 each fail.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from falkkit import exterior
+from falkkit.cli import main
+from falkkit.falk import phi3_rank, verify
+from falkkit.graphs import GraphFormatError, validate
+from falkkit.patterns import triangles
+from helpers import DATA, braid, full_rank_fields, load_graph, regime_graphs, type_b, type_d
+
+SEED_REGIME = 99
+RANK_FIELDS = ("dim_A2", "dim_I3_2", "span_F3_size", "span_F3_rank", "phi3_rank")
+
+
+def data_graphs():
+    out = []
+    for path in sorted(DATA.glob("*.gg")):
+        try:
+            g = load_graph(path.name)
+        except GraphFormatError:
+            continue
+        out.append(pytest.param(g, id=path.stem))
+    return out
+
+
+FAMILIES = (
+    [pytest.param(type_b(m), id=f"B{m}") for m in range(2, 7)]
+    + [pytest.param(type_d(m), id=f"D{m}") for m in range(3, 8)]
+    + [pytest.param(braid(m), id=f"K{m}") for m in range(4, 12)]
+)
+
+
+def check_rank_fields(g) -> None:
+    report = verify(g)
+    assert {name: getattr(report, name) for name in RANK_FIELDS} == full_rank_fields(g)
+    rows = exterior._global_rows(g.n, exterior.flats(g.n, report.triangle_list))
+    excess = len(rows) - exterior.rank(rows)
+    assert report.phi3_rank == 2 * report.num_triangles + excess
+    assert excess >= 0
+
+
+@pytest.mark.parametrize("g", FAMILIES + data_graphs())
+def test_rank_fields_match_full_elimination_on_families_and_data(g):
+    if not validate(g).passes("H4", "H5"):
+        assert verify(g).phi3_rank is None
+        return
+    check_rank_fields(g)
+
+
+def test_rank_fields_match_full_elimination_on_regime_corpus():
+    failing = set()
+    for g in regime_graphs(random.Random(SEED_REGIME), 400):
+        failing.update(validate(g).failing())
+        check_rank_fields(g)
+    assert failing == {"H1", "H2", "H3"}
+
+
+@pytest.mark.parametrize("g", FAMILIES[::4] + [pytest.param(load_graph("final_example.gg"), id="final")])
+def test_flats_partition_the_triangles_and_the_global_rows_avoid_them(g):
+    tris = [t.edge_ids for t in triangles(g)]
+    flats = exterior.flats(g.n, tris)
+    flat_of_pair = {}
+    for index, flat in enumerate(flats):
+        for pair in itertools.combinations(flat, 2):
+            assert flat_of_pair.setdefault(pair, index) == index
+    # the three pairs of every triangle lie in one flat, which holds it
+    for tri in tris:
+        (index,) = {flat_of_pair[pair] for pair in itertools.combinations(tri, 2)}
+        assert set(tri) <= set(flats[index])
+    m = g.n + 1
+    inside = {s for flat in flats for s in itertools.combinations(flat, 3)}
+    for row in exterior._global_rows(g.n, flats):
+        for code in row:
+            assert (code // (m * m), code // m % m, code % m) not in inside
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["report", "--json"], ["phi3", "--method", "rank"], ["rank-f3"]],
+    ids=["report", "phi3", "rank-f3"],
+)
+def test_each_command_eliminates_once(monkeypatch, capsys, argv):
+    calls = []
+    real_rank = exterior.rank
+
+    def counted(rows):
+        calls.append(len(rows))
+        return real_rank(rows)
+
+    monkeypatch.setattr(exterior, "rank", counted)
+    path = str(DATA / "final_example.gg")
+    assert main([argv[0], path] + argv[1:]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    phi3_rank(type_b(3))
+    assert calls == [69]

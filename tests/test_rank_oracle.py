@@ -5,23 +5,26 @@ before it switched to primitive integer rows; it shares no code with
 :func:`exterior.rank`.  Random matrices with rational entries and dependent
 rows reach pivots whose leading entry is not 1; :func:`exterior.rank` takes
 integer rows only, so each rational row is scaled to integers before it gets
-there, while the oracle ranks the rational rows.  The exact row sets of the
-I^2, F3 and I^3_2 eliminations cover the rows the library really builds.
+there, while the oracle ranks the rational rows.  The rows of the rank
+route's one elimination, the global rows G of :func:`exterior._global_rows`,
+cover the rows the library really builds.
 
 The rank route is claimed wherever H4 and H5 hold, so the regime corpus
 (:func:`helpers.regime_graphs`) also has graphs where H1, H2 or H3 fails.
 """
 
+import itertools
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 import pytest
 
 from falkkit import exterior
-from falkkit.falk import phi3_rank
+from falkkit.falk import _rank_route, phi3_rank
 from falkkit.graphs import validate
 from falkkit.patterns import triangles
+import helpers
 from helpers import (
     _shape_kind,
     boundary3,
@@ -132,15 +135,12 @@ FAMILIES = (
 
 def check_library_rows(monkeypatch, g) -> None:
     tris = triangles(g)
-    for compute in (
-        lambda: exterior.dim_I2(g.n, tris),
-        lambda: exterior.span_F3(g.n, tris),
-        lambda: exterior.dim_I3_2(g.n, tris),
-    ):
-        (rows,) = recorded_rows(monkeypatch, compute)
-        # the contract exterior.rank relies on
-        assert all(type(v) is int and v for row in rows for v in row.values())
-        checked_pivots(rows)
+    # the rank route eliminates once
+    (rows,) = recorded_rows(monkeypatch, lambda: _rank_route(g.n, tris))
+    assert rows == exterior._global_rows(g.n, exterior.flats(g.n, tris))
+    # the contract exterior.rank relies on
+    assert all(type(v) is int and v for row in rows for v in row.values())
+    checked_pivots(rows)
 
 
 @pytest.mark.parametrize("g", FAMILIES)
@@ -163,7 +163,12 @@ def decoded_pivots(rows: list[dict], decode) -> list:
 
 
 def check_row_builders(g) -> None:
-    """The coded rows decode to the tuple algebra's rows, and eliminate alike."""
+    """The coded rows decode to the tuple algebra's rows, and eliminate alike.
+
+    The library's global rows are e_t * boundary(e_S) for each flat X, each
+    triple S of X through min X and each t outside X; the full eliminations
+    of the test oracle take every triple S and every t.
+    """
     triples = [t.edge_ids for t in triangles(g)]
     n = g.n
     m = n + 1
@@ -174,12 +179,23 @@ def check_row_builders(g) -> None:
     def triple(code):
         return (code // (m * m), code // m % m, code % m)
 
-    coded = exterior._boundary_rows(triples, m)
+    flats = exterior.flats(n, triples)
+    coded = exterior._global_rows(n, flats)
+    tupled = [
+        wedge1(t, boundary3((x[0], b, c)))
+        for x in flats for b, c in itertools.combinations(x[1:], 2)
+        for t in range(1, n + 1) if t not in x
+    ]
+    assert len(coded) == sum(comb(len(x) - 1, 2) * (n - len(x)) for x in flats)
+    assert [{triple(k): v for k, v in row.items()} for row in coded] == tupled
+    assert decoded_pivots(coded, triple) == decoded_pivots(tupled, lambda k: k)
+
+    coded = helpers._boundary_rows(triples, m)
     tupled = [boundary3(s) for s in triples]
     assert [{pair(k): v for k, v in row.items()} for row in coded] == tupled
     assert decoded_pivots(coded, pair) == decoded_pivots(tupled, lambda k: k)
     for inside in (False, True):
-        coded = exterior._wedge_rows(triples, n, inside)
+        coded = helpers._wedge_rows(triples, n, inside)
         tupled = [
             wedge1(t, boundary3(s)) for s in triples for t in range(1, n + 1)
             if inside or t not in s
