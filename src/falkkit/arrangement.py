@@ -5,10 +5,10 @@ as the normal vector with +1 at u and -g at v; an unbalanced loop at u
 realizes x_u = 0.  Reorienting an edge or switching the graph only rescales
 normals, so everything downstream compares ranks, never raw coefficients.
 
-The library finds dependent triples only combinatorially
-(:func:`falkkit.patterns.triangles`).  The tests rank the normals of every
-edge triple with their own rational eliminator and check that the dependent
-triples are exactly the triangles.
+The library finds the rank-2 flats, and so the dependent triples, only
+combinatorially (:func:`falkkit.patterns.flats`).  The tests rank the
+normals of every edge triple with their own rational eliminator and check
+that the dependent triples make up exactly those flats.
 """
 
 from __future__ import annotations
@@ -16,8 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import GainGraph
+from .graphs import GainGraph, GraphTooLargeError
 from .patterns import require_hypotheses
+
+#: most normal coefficients, V per edge, that a realization writes out
+MAX_NORMAL_ENTRIES = 10**6
 
 
 @dataclass(frozen=True)
@@ -32,9 +35,16 @@ def arrangement(g: GainGraph) -> list[Hyperplane]:
     The normals are pairwise non-proportional exactly when H4 and H5 hold,
     so the realization refuses (raises
     :class:`~falkkit.patterns.HypothesisError`) through the same gate as the
-    rank route when either fails.
+    rank route when either fails.  The normals are dense, so it also refuses
+    (raises :class:`~falkkit.graphs.GraphTooLargeError`) a graph whose V*n
+    coefficients exceed :data:`MAX_NORMAL_ENTRIES`.
     """
     require_hypotheses(g, ("H4", "H5"))
+    if g.num_vertices * g.n > MAX_NORMAL_ENTRIES:
+        raise GraphTooLargeError(
+            f"realization has {g.num_vertices} * {g.n} normal coefficients, "
+            f"more than {MAX_NORMAL_ENTRIES}"
+        )
     planes = []
     for e in g.edges:
         normal = [Fraction(0)] * g.num_vertices

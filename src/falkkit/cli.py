@@ -1,8 +1,9 @@
 """Command line front end: ``falkkit <subcommand> <file> [--json] [...]``.
 
-Exit codes: 0 success, 1 computation refused (hypothesis gate), 2 input
-error (unreadable file, malformed graph, bad arguments).  A reader that
-closes the output early, as ``| head`` does, is not an error.
+Exit codes: 0 success, 1 computation refused (hypothesis gate, or a
+realization too large to write out), 2 input error (unreadable file,
+malformed graph, bad arguments).  A reader that closes the output early, as
+``| head`` does, is not an error.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .falk import FalkReport, _rank_route, phi3_combinatorial, verify
 from .graphs import (
     GainGraph,
     GraphFormatError,
+    GraphTooLargeError,
     HYPOTHESES,
     HYPOTHESIS_LABELS,
     ValidationReport,
@@ -27,7 +29,9 @@ from .patterns import (
     COUNT_FIELDS,
     HypothesisError,
     _census,
+    _triangles,
     count_patterns,
+    flats,
     require_hypotheses,
     triangles,
 )
@@ -106,12 +110,12 @@ def cmd_counts(g: GainGraph, args) -> int:
 
 def cmd_phi3(g: GainGraph, args) -> int:
     require_hypotheses(g, ("H4", "H5") if args.method == "rank" else HYPOTHESES)
-    tris = triangles(g)
+    xs = flats(g)
     comb_value = rank_value = agree = None
     if args.method in ("comb", "both"):
-        comb_value = phi3_combinatorial(_census(g, tris))
+        comb_value = phi3_combinatorial(_census(g, _triangles(g, xs)))
     if args.method in ("rank", "both"):
-        rank_value = _rank_route(g.n, tris).phi3_rank
+        rank_value = _rank_route(g.n, xs).phi3_rank
     if args.method == "both":
         agree = comb_value == rank_value
     if args.json:
@@ -147,7 +151,7 @@ def cmd_realize(g: GainGraph, args) -> int:
 
 def cmd_rank_f3(g: GainGraph, args) -> int:
     require_hypotheses(g, ("H4", "H5"))
-    fields = _rank_route(g.n, triangles(g))
+    fields = _rank_route(g.n, flats(g))
     size, rank = fields.span_F3_size, fields.span_F3_rank
     if args.json:
         _dump({"n": g.n, "f3": {"size": size, "rank": rank}})
@@ -269,7 +273,7 @@ def main(argv=None) -> int:
     try:
         code = args.func(g, args)
         sys.stdout.flush()
-    except HypothesisError as exc:
+    except (HypothesisError, GraphTooLargeError) as exc:
         print(f"falkkit: refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     except BrokenPipeError:

@@ -3,13 +3,15 @@
 The rank route needs three numbers: dim A^2, dim I^3_2 (the degree-3 slice
 of the ideal generated by the boundaries of the dependent triples) and the
 size and rank of F3 = {e_t * boundary(e_S) : t not in S}.  All of them are
-read off the rank-2 flats of the arrangement, with one elimination.
+read off the rank-2 flats of the arrangement, with one elimination.  The
+flats come in as increasing edge-id tuples (:func:`falkkit.patterns.flats`),
+and each entry point checks only their shape (:func:`_checked`).
 
 A rank-2 flat X of size >= 3 is a maximal set of edges whose every
 3-subset is dependent; two flats share at most one edge, so each pair of
 edges lies in at most one flat, and each dependent triple lies in exactly
-one (:func:`flats`).  Write I_X for the span of the boundaries
-e_jk - e_ik + e_ij of the 3-subsets of X, and x = min X.
+one.  Write I_X for the span of the boundaries e_jk - e_ik + e_ij of the
+3-subsets of X, and x = min X.
 
 * **dim I^2 = sum_X C(|X|-1, 2).**  The boundary of a triple in X lives on
   the pairs of X, and the flats share no pair, so I^2 is the direct sum of
@@ -57,9 +59,9 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from math import comb, gcd
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-Triple = tuple[int, int, int]
+#: a rank-2 flat: the increasing edge ids of its hyperplanes
 Flat = tuple[int, ...]
 
 
@@ -123,72 +125,21 @@ def rank(rows: Iterable[Mapping]) -> int:
     return len(_pivot_rows(rows))
 
 
-def _triples(triangles: Iterable, n: int) -> list[Triple]:
-    """The edge triples, each checked to be 1 <= i < j < k <= n.
-
-    The column codes are only injective and ordered on such triples.
-    """
-    out = []
-    for t in triangles:
-        ids = tuple(getattr(t, "edge_ids", t))
-        if len(ids) != 3:
-            raise ValueError(f"expected an edge triple, got {ids}")
-        i, j, k = ids
-        if not 1 <= i < j < k <= n:
-            raise ValueError(f"expected edge ids 1 <= i < j < k <= {n}, got {ids}")
-        out.append(ids)
-    return out
-
-
-def flats(n: int, triangles: Iterable) -> list[Flat]:
-    """The rank-2 flats of size >= 3 that the dependent triples make up.
-
-    Each flat is a sorted tuple of edge ids; the flats come in the order of
-    their smallest triple.  One pass over the triples in lexicographic
-    order suffices.  Let x < y < z be the three smallest edges of X; every
-    triple (a, b, c) of X after (x, y, z) shares a pair with an earlier
-    one: (x, a, b) when a > x, (x, y, b) when a = x < y < b, and (x, y, z)
-    when (a, b) = (x, y).
-
-    Raises ``ValueError`` for a triple outside 1 <= i < j < k <= n, and
-    for triples that are not the dependent triples of any arrangement: a
-    triple that meets two flats in a pair each, or a flat that misses some
-    of its 3-subsets.
-    """
-    m = n + 1
-    owner: dict[int, int] = {}  # pair code a*m + b -> index of its flat
-    members: list[set[int]] = []
-    sizes: list[int] = []
-    for ijk in sorted(set(_triples(triangles, n))):
-        i, j, k = ijk
-        pairs = (i * m + j, i * m + k, j * m + k)
-        found = {owner[p] for p in pairs if p in owner}
-        if len(found) > 1:
-            raise ValueError(f"edge triple {ijk} meets two rank-2 flats")
-        if found:
-            index = found.pop()
-            members[index].update(ijk)
-            sizes[index] += 1
-        else:
-            index = len(members)
-            members.append(set(ijk))
-            sizes.append(1)
-        for p in pairs:
-            owner[p] = index
-    out = []
-    for flat, size in zip(members, sizes):
-        if size != comb(len(flat), 3):
-            raise ValueError(
-                f"edges {sorted(flat)} form a rank-2 flat but only {size} of its "
-                f"{comb(len(flat), 3)} triples are dependent"
-            )
-        out.append(tuple(sorted(flat)))
+def _checked(n: int, flats: Iterable[Flat]) -> list[Flat]:
+    """The flats as a list; raises ``ValueError`` unless each has 3 or more
+    edge ids 1 <= x_1 < x_2 < ... <= n, which the row codes rely on."""
+    out = list(flats)
+    for flat in out:
+        if len(flat) < 3 or flat[0] < 1 or flat[-1] > n or any(
+            a >= b for a, b in zip(flat, flat[1:])
+        ):
+            raise ValueError(f"expected 3 or more edge ids 1 <= x_1 < x_2 < ... <= {n}: {flat}")
     return out
 
 
 def dim_A2(n: int, flats: Iterable[Flat]) -> int:
     """dim A^2 = C(n, 2) - sum_X C(|X|-1, 2), with no elimination."""
-    return comb(n, 2) - sum(comb(len(flat) - 1, 2) for flat in flats)
+    return comb(n, 2) - sum(comb(len(flat) - 1, 2) for flat in _checked(n, flats))
 
 
 def _global_rows(n: int, flats: Iterable[Flat]) -> list[dict[int, int]]:
@@ -226,16 +177,18 @@ def _global_rows(n: int, flats: Iterable[Flat]) -> list[dict[int, int]]:
     return rows
 
 
-def dim_I3_2(n: int, flats: Sequence[Flat]) -> int:
+def dim_I3_2(n: int, flats: Iterable[Flat]) -> int:
     """dim I^3_2 = sum_X C(|X|, 3) + rank G: the rank route's one elimination."""
+    flats = _checked(n, flats)
     return sum(comb(len(flat), 3) for flat in flats) + rank(_global_rows(n, flats))
 
 
-def f3_size_and_rank(n: int, flats: Sequence[Flat], dim_i32: int) -> tuple[int, int]:
+def f3_size_and_rank(n: int, flats: Iterable[Flat], dim_i32: int) -> tuple[int, int]:
     """Size and rank of F3, from the flats and ``dim_i32`` = :func:`dim_I3_2`.
 
     |F3| = (n-3)*|T| with |T| = sum_X C(|X|, 3), and
     rank F3 = dim I^3_2 - #{X : |X| = 3}.
     """
+    flats = _checked(n, flats)
     size = (n - 3) * sum(comb(len(flat), 3) for flat in flats)
     return size, dim_i32 - sum(len(flat) == 3 for flat in flats)

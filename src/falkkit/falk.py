@@ -6,7 +6,8 @@
 
 and is valid for any gain graph whose hyperplanes are pairwise distinct
 (H4 and H5).  Both dimensions are read off the rank-2 flats of size >= 3
-(Falk 1988: phi3 depends only on them): dim(A^2) and the local part of
+(Falk 1988: phi3 depends only on them), which one walk over the graph
+finds (:func:`falkkit.patterns.flats`): dim(A^2) and the local part of
 dim(I^3_2) in closed form, and the global part as the exact rank of one
 integer matrix G (see :mod:`falkkit.exterior`).  So phi3 = 2|T| + nullity(G),
 the two per triangle of the Papadima-Suciu lower bound plus the global
@@ -34,16 +35,8 @@ from typing import Mapping, NamedTuple, Sequence
 
 from . import exterior
 from .graphs import GainGraph, ValidationReport, validate
-from .patterns import _KIND_FIELD, PatternCounts, Triangle, _census, require_hypotheses, triangles
-
-_RANK_FIELDS = (
-    "num_triangles",
-    "triangle_list",
-    "dim_A2",
-    "dim_I3_2",
-    "span_F3_size",
-    "span_F3_rank",
-    "phi3_rank",
+from .patterns import (
+    _KIND_FIELD, PatternCounts, Triangle, _census, _triangles, flats, require_hypotheses,
 )
 
 
@@ -57,13 +50,16 @@ class RankFields(NamedTuple):
     phi3_rank: int
 
 
-def _rank_route(n: int, tris: Sequence[Triangle]) -> RankFields:
+#: the report fields the rank route fills, withheld together when H4 or H5 fails
+_RANK_FIELDS = ("num_triangles", "triangle_list", *RankFields._fields)
+
+
+def _rank_route(n: int, xs: Sequence[exterior.Flat]) -> RankFields:
     """The rank route, for a caller that has checked H4 and H5 and holds
-    ``triangles(g)``; it runs one elimination."""
-    flats = exterior.flats(n, tris)
-    dim_a2 = exterior.dim_A2(n, flats)
-    dim_i32 = exterior.dim_I3_2(n, flats)
-    size, rank_f3 = exterior.f3_size_and_rank(n, flats, dim_i32)
+    ``flats(g)``; it runs one elimination."""
+    dim_a2 = exterior.dim_A2(n, xs)
+    dim_i32 = exterior.dim_I3_2(n, xs)
+    size, rank_f3 = exterior.f3_size_and_rank(n, xs, dim_i32)
     phi3 = 2 * comb(n + 1, 3) - n * dim_a2 + comb(n, 3) - dim_i32
     return RankFields(dim_a2, dim_i32, size, rank_f3, phi3)
 
@@ -75,7 +71,7 @@ def phi3_rank(g: GainGraph) -> int:
     hyperplanes are then not pairwise distinct.
     """
     require_hypotheses(g, ("H4", "H5"))
-    return _rank_route(g.n, triangles(g)).phi3_rank
+    return _rank_route(g.n, flats(g)).phi3_rank
 
 
 # coefficient of each larger pattern in phi3's global excess
@@ -126,7 +122,9 @@ def verify(g: GainGraph) -> FalkReport:
 
     The rank route needs only H4 and H5 (distinct hyperplanes); the census
     route needs H1..H5.  No field is silently skipped: anything not computed
-    is listed in ``withheld`` with the failing hypotheses.
+    is listed in ``withheld`` with the failing hypotheses.  The graph is
+    walked once: the rank route reads the flats, and the triangles of the
+    report and the census are their 3-subsets.
     """
     report = validate(g)
     failing = report.failing()
@@ -138,10 +136,10 @@ def verify(g: GainGraph) -> FalkReport:
         for name in _RANK_FIELDS:
             withheld[name] = standing
     else:
-        n = g.n
-        tris = tuple(triangles(g))
+        xs = flats(g)
+        tris = tuple(_triangles(g, xs))
         values.update(
-            num_triangles=len(tris), triangle_list=tris, **_rank_route(n, tris)._asdict()
+            num_triangles=len(tris), triangle_list=tris, **_rank_route(g.n, xs)._asdict()
         )
 
     if failing:

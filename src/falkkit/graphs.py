@@ -59,7 +59,7 @@ class GraphFormatError(ValueError):
 
 
 class GraphTooLargeError(ValueError):
-    """Raised when a graph exceeds an exhaustive enumeration bound."""
+    """Raised when a graph exceeds a documented size bound of a computation."""
 
 
 def as_gain(value: GainLike) -> Fraction:

@@ -13,11 +13,13 @@ one of:
   circle gain 1), which has exactly three elements.
 
 H1-H3 say that no two-vertex flat has more than three elements, so under
-H1-H5 the triangles are exactly the rank-2 flats of size three.  These
-triangles drive both computation routes of the invariant.  The atlas below
-fixes one rational-gain realization per distinguished biased graph; every
-realization is self-tested on first access, its triangle census must
-reproduce the expected distinguished 3-edge circle class.
+H1-H5 the triangles are exactly the rank-2 flats of size three.
+:func:`flats` is the library's one walk over the graph for them: the rank
+route reads the flats, and :func:`triangles`, the census's input, splits
+them into their 3-subsets.  The atlas below fixes one rational-gain
+realization per distinguished biased graph; every realization is
+self-tested on first access, its triangle census must reproduce the
+expected distinguished 3-edge circle class.
 
 Occurrences are concrete edge subsets, not isomorphism classes, and
 containment exclusions follow the count definitions: a D3 or Gcirc
@@ -48,6 +50,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
+from .exterior import Flat
 from .graphs import (
     HYPOTHESES,
     GainGraph,
@@ -95,17 +98,18 @@ def require_hypotheses(g: GainGraph, names: Sequence[str]) -> None:
         raise HypothesisError(report)
 
 
-def triangles(g: GainGraph) -> list[Triangle]:
-    """All dependent 3-sets, sorted by edge ids: the 3-subsets of the rank-2 flats.
+def flats(g: GainGraph) -> list[Flat]:
+    """The rank-2 flats of size >= 3, each a sorted tuple of edge ids, sorted.
 
     Requires H4 and H5, so that the hyperplanes are pairwise distinct; it
     does not check them, and its output on a graph where either fails is
     unspecified (the command line refuses such a graph).  H1-H3 may fail.
-    Each bundle (u, v) gives its two-vertex flat, the bundle with the loops
-    at u and v.  A balanced 3-circle u < v < w is closed from the bundle
-    (u, v) through each common neighbour w > v.
+    This is the library's one walk over the link map.  Each bundle (u, v)
+    gives its two-vertex flat, the bundle with the loops at u and v, when
+    that has three edges or more.  A balanced 3-circle u < v < w is closed
+    from the bundle (u, v) through each common neighbour w > v.
     """
-    found: list[Triangle] = []
+    found: list[Flat] = []
     # each link's gain read from its smaller end
     gain = {e.id: e.gain_from(u) for (u, _), bundle in g.link_map.items() for e in bundle}
     above: dict[int, set[int]] = defaultdict(set)
@@ -113,17 +117,36 @@ def triangles(g: GainGraph) -> list[Triangle]:
         above[u].add(v)
     for (u, v), bundle in g.link_map.items():
         flat = bundle + g.loops_at(u) + g.loops_at(v)
-        for triple in itertools.combinations(flat, 3):
-            ids = tuple(sorted(e.id for e in triple))
-            found.append(Triangle(ids, _FLAT_KIND[sum(e.is_loop for e in triple)]))
+        if len(flat) >= 3:
+            found.append(tuple(sorted(e.id for e in flat)))
         for w in above[u] & above[v]:
             for e in bundle:
                 for f in g.links_between(v, w):
                     for h in g.links_between(u, w):
                         # balanced: the circle gain g_e * g_f / g_h is 1
                         if gain[e.id] * gain[f.id] == gain[h.id]:
-                            ids = tuple(sorted((e.id, f.id, h.id)))
-                            found.append(Triangle(ids, TriangleKind.BALANCED_CIRCLE))
+                            found.append(tuple(sorted((e.id, f.id, h.id))))
+    return sorted(found)
+
+
+def triangles(g: GainGraph) -> list[Triangle]:
+    """All dependent 3-sets, sorted by edge ids: the 3-subsets of :func:`flats`."""
+    return _triangles(g, flats(g))
+
+
+def _triangles(g: GainGraph, xs: Sequence[Flat]) -> list[Triangle]:
+    """:func:`triangles` for a caller that holds ``flats(g)``: a flat on three
+    vertices is one balanced 3-circle, and the loops a triple of a two-vertex
+    flat takes give its kind."""
+    found: list[Triangle] = []
+    for flat in xs:
+        edges = [g.edge(i) for i in flat]
+        if len({v for e in edges for v in e.ends()}) == 3:
+            found.append(Triangle(flat, TriangleKind.BALANCED_CIRCLE))
+            continue
+        for triple in itertools.combinations(edges, 3):
+            kind = _FLAT_KIND[sum(e.is_loop for e in triple)]
+            found.append(Triangle(tuple(e.id for e in triple), kind))
     return sorted(found, key=lambda t: t.edge_ids)
 
 

@@ -29,7 +29,11 @@ which stays in ``test_census_oracle.py``, its only user.
   dim(I^3_2) from the census counts under H1-H5.
 * Matroid: :func:`dependent_3sets` ranks the hyperplane normals of every
   edge triple with :func:`fraction_rank`, the linear-algebra side of
-  "dependent 3-sets == triangle census".  :func:`fraction_phi3` rebuilds
+  "dependent 3-sets == triangle census".  :func:`flats` regroups dependent
+  triples into the rank-2 flats they make up, with its own checks that
+  they are the dependent triples of some arrangement; on
+  :func:`dependent_3sets` it is the oracle for
+  :func:`falkkit.patterns.flats`.  :func:`fraction_phi3` rebuilds
   the rank formula for phi_3 from those triples, again with
   :func:`fraction_rank` only.  :func:`_shape_kind` names a dependent
   triple's kind from its shape alone (loops taken, vertices spanned).
@@ -52,6 +56,7 @@ from typing import Iterable, Mapping, Sequence
 
 from falkkit import exterior
 from falkkit.arrangement import arrangement
+from falkkit.exterior import Flat
 from falkkit.falk import _local_and_excess
 from falkkit.graphs import Edge, GainGraph, all_circles_small, parse, validate
 from falkkit.patterns import PatternCounts, TriangleKind, triangles
@@ -297,6 +302,69 @@ def dependent_3sets(g: GainGraph) -> set[tuple[int, int, int]]:
     }
 
 
+def _triples(triangles: Iterable, n: int) -> list[Triple]:
+    """The edge triples, each checked to be 1 <= i < j < k <= n.
+
+    The column codes are only injective and ordered on such triples.
+    """
+    out = []
+    for t in triangles:
+        ids = tuple(getattr(t, "edge_ids", t))
+        if len(ids) != 3:
+            raise ValueError(f"expected an edge triple, got {ids}")
+        i, j, k = ids
+        if not 1 <= i < j < k <= n:
+            raise ValueError(f"expected edge ids 1 <= i < j < k <= {n}, got {ids}")
+        out.append(ids)
+    return out
+
+
+def flats(n: int, triangles: Iterable) -> list[Flat]:
+    """The rank-2 flats of size >= 3 that the dependent triples make up.
+
+    Each flat is a sorted tuple of edge ids; the flats come in the order of
+    their smallest triple.  One pass over the triples in lexicographic
+    order suffices.  Let x < y < z be the three smallest edges of X; every
+    triple (a, b, c) of X after (x, y, z) shares a pair with an earlier
+    one: (x, a, b) when a > x, (x, y, b) when a = x < y < b, and (x, y, z)
+    when (a, b) = (x, y).
+
+    Raises ``ValueError`` for a triple outside 1 <= i < j < k <= n, and
+    for triples that are not the dependent triples of any arrangement: a
+    triple that meets two flats in a pair each, or a flat that misses some
+    of its 3-subsets.
+    """
+    m = n + 1
+    owner: dict[int, int] = {}  # pair code a*m + b -> index of its flat
+    members: list[set[int]] = []
+    sizes: list[int] = []
+    for ijk in sorted(set(_triples(triangles, n))):
+        i, j, k = ijk
+        pairs = (i * m + j, i * m + k, j * m + k)
+        found = {owner[p] for p in pairs if p in owner}
+        if len(found) > 1:
+            raise ValueError(f"edge triple {ijk} meets two rank-2 flats")
+        if found:
+            index = found.pop()
+            members[index].update(ijk)
+            sizes[index] += 1
+        else:
+            index = len(members)
+            members.append(set(ijk))
+            sizes.append(1)
+        for p in pairs:
+            owner[p] = index
+    out = []
+    for flat, size in zip(members, sizes):
+        if size != comb(len(flat), 3):
+            raise ValueError(
+                f"edges {sorted(flat)} form a rank-2 flat but only {size} of its "
+                f"{comb(len(flat), 3)} triples are dependent"
+            )
+        out.append(tuple(sorted(flat)))
+    return out
+
+
 def _shape_kind(g: GainGraph, edge_ids) -> TriangleKind:
     """The kind of a dependent triple, read from its loops and vertices only."""
     edges = [g.edge(i) for i in edge_ids]
@@ -455,12 +523,12 @@ def _wedge_rows(triples: list[Triple], n: int, inside: bool) -> list[dict[int, i
 
 def dim_I2(n: int, triangles: Iterable) -> int:
     """Rank of the boundaries of every dependent triple (degree-2 ideal slice)."""
-    return exterior.rank(_boundary_rows(exterior._triples(triangles, n), n + 1))
+    return exterior.rank(_boundary_rows(_triples(triangles, n), n + 1))
 
 
 def span_F3(n: int, triangles: Iterable) -> tuple[int, int]:
     """Size and exact rank of {e_t * boundary(e_S)} over t outside S, all (n-3)*|T| rows."""
-    rows = _wedge_rows(exterior._triples(triangles, n), n, inside=False)
+    rows = _wedge_rows(_triples(triangles, n), n, inside=False)
     return len(rows), exterior.rank(rows)
 
 
@@ -468,7 +536,7 @@ def full_dim_I3_2(n: int, triangles: Iterable) -> int:
     """Rank of the full degree-3 slice of the 2-adic ideal: e_t * boundary(e_S)
     for every dependent triple S and every t in 1..n, n*|T| rows, with no
     decomposition over the flats assumed."""
-    return exterior.rank(_wedge_rows(exterior._triples(triangles, n), n, inside=True))
+    return exterior.rank(_wedge_rows(_triples(triangles, n), n, inside=True))
 
 
 def full_rank_fields(g: GainGraph) -> dict[str, int]:

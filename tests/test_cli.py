@@ -9,6 +9,7 @@ from collections import Counter
 import pytest
 
 from falkkit import cli, falk, patterns
+from falkkit.arrangement import MAX_NORMAL_ENTRIES
 from falkkit.cli import main
 from falkkit.graphs import MAX_WITNESSES
 from helpers import DATA
@@ -152,6 +153,22 @@ def test_realize_json_serializes_gains_as_fractions(capsys, tmp_path):
     assert json.loads(out)["hyperplanes"] == [{"edge": 1, "normal": ["1", "-1/2"]}]
 
 
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_realize_refuses_a_huge_vertex_count(capsys, tmp_path, flags):
+    path = tmp_path / "huge.gg"
+    path.write_text("graph 10000000000000000000\nedge 1 1 2 3\n", encoding="utf-8")
+    code, out, err = run(capsys, "realize", str(path), *flags)
+    assert (code, out) == (1, "")
+    assert err == (
+        "falkkit: refused: realization has 10000000000000000000 * 1 normal "
+        f"coefficients, more than {MAX_NORMAL_ENTRIES}\n"
+    )
+    # only the realization writes V coefficients per edge
+    code, out, err = run(capsys, "report", str(path))
+    assert (code, err) == (0, "")
+    assert "phi3 rank = 0" in out
+
+
 def test_report_json_schema(capsys):
     code, out, _ = run(capsys, "report", FINAL, "--json")
     assert code == 0
@@ -212,12 +229,14 @@ def test_phi3_validates_and_finds_triangles_once(capsys, monkeypatch, pattern_at
 
         return wrapper
 
+    # the graph is walked once, for the flats; the triangles are split from them
     for module in (cli, falk, patterns):
-        for name in ("validate", "triangles"):
-            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        for name in ("validate", "flats", "triangles"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     code, _, _ = run(capsys, "phi3", FINAL, f"--method={method}")
     assert code == 0
-    assert calls == {"validate": 1, "triangles": 1}
+    assert calls == {"validate": 1, "flats": 1}
 
 
 def test_phi3_rank_refuses_balanced_two_circle(capsys, tmp_path):

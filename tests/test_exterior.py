@@ -10,13 +10,14 @@ from math import comb
 import pytest
 
 from falkkit import exterior
-from falkkit.exterior import dim_A2, dim_I3_2, f3_size_and_rank, flats, rank
+from falkkit.exterior import dim_A2, dim_I3_2, f3_size_and_rank, rank
 from falkkit.graphs import GainGraph
 from falkkit.patterns import atlas, triangles
 from helpers import (
     boundary2,
     boundary3,
     dim_I2,
+    flats,
     full_dim_I3_2,
     pair_vector,
     seeded_graphs,
@@ -26,7 +27,8 @@ from helpers import (
 
 
 def library_dims(n, tris):
-    """dim A^2, dim I^3_2 and (|F3|, rank F3) the way the rank route gets them."""
+    """dim A^2, dim I^3_2 and (|F3|, rank F3) the way the rank route gets them,
+    from the flats the oracle regroup makes of the triples."""
     xs = flats(n, tris)
     i32 = dim_I3_2(n, xs)
     return dim_A2(n, xs), i32, f3_size_and_rank(n, xs, i32)
@@ -72,6 +74,34 @@ def test_degree_3_eliminations_reject_ids_above_n():
         dim_I2(3, [(1, 2, 5)])
     with pytest.raises(ValueError):
         flats(3, [(1, 2, 5)])
+
+
+@pytest.mark.parametrize(
+    "n, xs",
+    [
+        (3, [(1, 2, 5)]),  # an edge id above n
+        (4, [(3, 1, 2)]),  # not increasing: G would take 3 for the smallest edge
+        (4, [(1, 2, 2, 3)]),
+        (4, [(0, 1, 2)]),
+        (4, [(1, 2)]),  # too small to be a flat of size >= 3
+        (4, [(1, 2, 3), ()]),
+    ],
+)
+def test_entry_points_reject_bad_flats(n, xs):
+    with pytest.raises(ValueError):
+        dim_A2(n, xs)
+    with pytest.raises(ValueError):
+        dim_I3_2(n, xs)
+    with pytest.raises(ValueError):
+        f3_size_and_rank(n, xs, 0)
+
+
+def test_entry_points_take_valid_flats_as_given():
+    assert dim_A2(3, [(1, 2, 3)]) == 2
+    assert dim_I3_2(4, [(1, 2, 3)]) == 2
+    assert dim_A2(5, iter([(1, 2, 3, 4)])) == 7
+    assert dim_I3_2(5, iter([(1, 2, 3, 4)])) == 4 + 3
+    assert f3_size_and_rank(5, iter([(1, 2, 3, 4)]), 7) == (8, 7)
 
 
 @pytest.mark.parametrize(

@@ -34,7 +34,7 @@ MOVED = {
     "falkkit.falk": ("random_switching", "dim_I3_2_closed_form"),
     "falkkit.exterior": (
         "boundary3", "boundary2", "pair_vector", "wedge1", "_check_increasing", "_ONE",
-        "dim_I2", "span_F3", "_boundary_rows", "_wedge_rows",
+        "dim_I2", "span_F3", "_boundary_rows", "_wedge_rows", "flats", "_triples",
     ),
 }
 

@@ -5,7 +5,10 @@ only the global rows G (:mod:`falkkit.exterior`).  Here every rank field of
 :func:`falkkit.falk.verify` is checked against the full eliminations of the
 test oracle (:func:`helpers.full_rank_fields`: |T|, (n-3)*|T| and n*|T|
 rows, no decomposition assumed) on the reflection families, the test data
-and a seeded regime corpus in which H1, H2 and H3 each fail.
+and a seeded regime corpus in which H1, H2 and H3 each fail.  On the same
+graphs the flats of :func:`falkkit.patterns.flats`, the rank route's input,
+are checked against the oracle regroup of the dependent triples that
+:func:`helpers.dependent_3sets` finds by ranking the hyperplane normals.
 """
 
 import itertools
@@ -17,7 +20,8 @@ from falkkit import exterior
 from falkkit.cli import main
 from falkkit.falk import phi3_rank, verify
 from falkkit.graphs import GraphFormatError, validate
-from falkkit.patterns import triangles
+from falkkit.patterns import flats, triangles
+import helpers
 from helpers import DATA, braid, full_rank_fields, load_graph, regime_graphs, type_b, type_d
 
 SEED_REGIME = 99
@@ -45,7 +49,7 @@ FAMILIES = (
 def check_rank_fields(g) -> None:
     report = verify(g)
     assert {name: getattr(report, name) for name in RANK_FIELDS} == full_rank_fields(g)
-    rows = exterior._global_rows(g.n, exterior.flats(g.n, report.triangle_list))
+    rows = exterior._global_rows(g.n, flats(g))
     excess = len(rows) - exterior.rank(rows)
     assert report.phi3_rank == 2 * report.num_triangles + excess
     assert excess >= 0
@@ -67,21 +71,39 @@ def test_rank_fields_match_full_elimination_on_regime_corpus():
     assert failing == {"H1", "H2", "H3"}
 
 
+def check_flats(g) -> None:
+    assert flats(g) == helpers.flats(g.n, helpers.dependent_3sets(g))
+
+
+@pytest.mark.parametrize("g", FAMILIES + data_graphs())
+def test_flats_match_dependent_3sets_on_families_and_data(g):
+    if validate(g).passes("H4", "H5"):
+        check_flats(g)
+
+
+def test_flats_match_dependent_3sets_on_regime_corpus():
+    failing = set()
+    for g in regime_graphs(random.Random(SEED_REGIME), 400):
+        failing.update(validate(g).failing())
+        check_flats(g)
+    assert failing == {"H1", "H2", "H3"}
+
+
 @pytest.mark.parametrize("g", FAMILIES[::4] + [pytest.param(load_graph("final_example.gg"), id="final")])
 def test_flats_partition_the_triangles_and_the_global_rows_avoid_them(g):
     tris = [t.edge_ids for t in triangles(g)]
-    flats = exterior.flats(g.n, tris)
+    xs = flats(g)
     flat_of_pair = {}
-    for index, flat in enumerate(flats):
+    for index, flat in enumerate(xs):
         for pair in itertools.combinations(flat, 2):
             assert flat_of_pair.setdefault(pair, index) == index
     # the three pairs of every triangle lie in one flat, which holds it
     for tri in tris:
         (index,) = {flat_of_pair[pair] for pair in itertools.combinations(tri, 2)}
-        assert set(tri) <= set(flats[index])
+        assert set(tri) <= set(xs[index])
     m = g.n + 1
-    inside = {s for flat in flats for s in itertools.combinations(flat, 3)}
-    for row in exterior._global_rows(g.n, flats):
+    inside = {s for flat in xs for s in itertools.combinations(flat, 3)}
+    for row in exterior._global_rows(g.n, xs):
         for code in row:
             assert (code // (m * m), code // m % m, code % m) not in inside
 

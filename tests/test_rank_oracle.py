@@ -23,7 +23,7 @@ import pytest
 from falkkit import exterior
 from falkkit.falk import _rank_route, phi3_rank
 from falkkit.graphs import validate
-from falkkit.patterns import triangles
+from falkkit.patterns import flats, triangles
 import helpers
 from helpers import (
     _shape_kind,
@@ -134,10 +134,10 @@ FAMILIES = (
 
 
 def check_library_rows(monkeypatch, g) -> None:
-    tris = triangles(g)
+    xs = flats(g)
     # the rank route eliminates once
-    (rows,) = recorded_rows(monkeypatch, lambda: _rank_route(g.n, tris))
-    assert rows == exterior._global_rows(g.n, exterior.flats(g.n, tris))
+    (rows,) = recorded_rows(monkeypatch, lambda: _rank_route(g.n, xs))
+    assert rows == exterior._global_rows(g.n, xs)
     # the contract exterior.rank relies on
     assert all(type(v) is int and v for row in rows for v in row.values())
     checked_pivots(rows)
@@ -179,14 +179,14 @@ def check_row_builders(g) -> None:
     def triple(code):
         return (code // (m * m), code // m % m, code % m)
 
-    flats = exterior.flats(n, triples)
-    coded = exterior._global_rows(n, flats)
+    xs = flats(g)
+    coded = exterior._global_rows(n, xs)
     tupled = [
         wedge1(t, boundary3((x[0], b, c)))
-        for x in flats for b, c in itertools.combinations(x[1:], 2)
+        for x in xs for b, c in itertools.combinations(x[1:], 2)
         for t in range(1, n + 1) if t not in x
     ]
-    assert len(coded) == sum(comb(len(x) - 1, 2) * (n - len(x)) for x in flats)
+    assert len(coded) == sum(comb(len(x) - 1, 2) * (n - len(x)) for x in xs)
     assert [{triple(k): v for k, v in row.items()} for row in coded] == tupled
     assert decoded_pivots(coded, triple) == decoded_pivots(tupled, lambda k: k)
 
