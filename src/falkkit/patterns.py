@@ -29,11 +29,22 @@ inside a G2 occurrence is not counted.
 The four local counts are the triangles by kind: under H4 and H5 the
 occurrences of K3, D21, K22 and Theta3 are exactly the balanced 3-circles,
 tight handcuffs, loose handcuffs and thetas.  The seven larger patterns
-are found by one walk over unions of triangles (:func:`_occurrences`),
-the library's only biased-isomorphism decision; the exhaustive decider
-the tests check it against lives with the other oracles in the test
-helpers.  :attr:`Pattern.profile` lists every circle of a reference with
-its balance; no computation here reads it.
+each span at most four vertices and hold a balanced 3-circle: K4 spans
+four, the other six span three, and each exclusion pairs patterns on the
+same vertices.  So the census (:func:`_census`) counts them per vertex set:
+each triple of a balanced 3-circle, and each 4-set that two balanced
+3-circles sharing an edge span with a link on all six pairs.  A set's
+counts come from a walk over unions of its triangles on its local graph
+(:func:`_occurrences`), the library's only biased-isomorphism decision,
+and are memoized for the call by a switching-normalized copy of the local
+gain graph (:func:`_local_key`).  The work is one key per such set (one
+per balanced 3-circle and at most one per pair of them sharing an edge)
+and one local walk per distinct key: K_m makes one and D_m two.
+:func:`find_occurrences` runs the same walk over the whole graph, one
+pattern at a time.  The exhaustive decider the tests check both against
+lives with the other oracles in the test helpers.  :attr:`Pattern.profile`
+lists every circle of a reference with its balance; no computation here
+reads it.
 
 :func:`require_hypotheses` is the one hypothesis gate: the census, the
 rank route, the hyperplane realization and the command line refuse
@@ -47,12 +58,14 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
+from math import gcd
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .exterior import Flat
 from .graphs import (
     HYPOTHESES,
+    Edge,
     GainGraph,
     ValidationReport,
     all_circles_small,
@@ -259,6 +272,10 @@ def _occurrences(
     union explored has at most four vertices, so the work is O(|T|) times
     the number of local unions around a triangle, with no V^k term.
 
+    The census hands it the local graph of one vertex set, at most four
+    vertices, once per distinct local type (:func:`_census`);
+    :func:`find_occurrences` hands it the whole graph.
+
     Starting from each host triangle, the walk adds one triangle at a time
     that shares an edge with the union, and visits each union once.  It
     prunes a union with more vertices than any pattern, or with more edges
@@ -430,7 +447,7 @@ def count_patterns(g: GainGraph) -> PatternCounts:
     Refuses (raises :class:`HypothesisError`) unless H1..H5 all pass; the
     combinatorial invariant formula is only claimed in that regime.  The
     four local counts are the triangles by kind; the seven larger patterns
-    come from one census walk (:func:`_occurrences`).
+    are counted per vertex set (:func:`_census`).
     """
     require_hypotheses(g, HYPOTHESES)
     return _census(g, triangles(g))
@@ -438,12 +455,130 @@ def count_patterns(g: GainGraph) -> PatternCounts:
 
 def _census(g: GainGraph, tris: Sequence[Triangle]) -> PatternCounts:
     """:func:`count_patterns` for a caller that has checked H1..H5 and holds
-    ``triangles(g)``."""
-    patterns = atlas()
-    occ = _occurrences(g, tris, [patterns[name] for name in _EXCESS_PATTERN.values()])
-    occ = {field: occ[name] for field, name in _EXCESS_PATTERN.items()}
+    ``triangles(g)``.
+
+    Each excess pattern spans three or four vertices and holds a balanced
+    3-circle, and each exclusion pairs patterns on the same vertices, so the
+    larger patterns are counted per vertex set (:func:`_pattern_sets`) on
+    the set's local graph, with the exclusions applied inside it.  A set
+    with fewer local edges than every excess pattern on as many vertices is
+    skipped.  The counts are memoized by :func:`_local_key` for this call.
+    """
+    walked: dict[int, list[Pattern]] = defaultdict(list)
+    for name in _EXCESS_PATTERN.values():
+        p = atlas()[name]
+        walked[len(p.reference.incident_vertices)].append(p)
+    fewest = {size: min(p.reference.n for p in ps) for size, ps in walked.items()}
     counts = Counter(_KIND_FIELD[t.kind] for t in tris)
-    for field, found in occ.items():
-        hosts = occ[_EXCLUDED_INSIDE[field]] if field in _EXCLUDED_INSIDE else ()
-        counts[field] = sum(1 for o in found if not any(o <= host for host in hosts))
+    # the triangles by their sorted vertex tuple: two vertices for a triple
+    # of a two-vertex flat, three for a balanced 3-circle
+    by_verts: dict[tuple[int, ...], list[Triangle]] = defaultdict(list)
+    for t in tris:
+        by_verts[tuple(sorted({v for i in t.edge_ids for v in g.edge(i).ends()}))].append(t)
+    memo: dict[tuple, dict[str, int]] = {}
+    for verts in _pattern_sets(g, by_verts):
+        key = _local_key(g, verts)
+        bundles, loops = key
+        if sum(map(len, bundles)) + sum(loops) < fewest[len(verts)]:
+            continue
+        if key not in memo:
+            memo[key] = _local_counts(g, verts, by_verts, walked[len(verts)])
+        counts.update(memo[key])
     return PatternCounts(**counts)
+
+
+def _pattern_sets(
+    g: GainGraph, by_verts: Mapping[tuple[int, ...], Sequence[Triangle]]
+) -> set[tuple[int, ...]]:
+    """The vertex sets, as sorted tuples, that can carry an excess pattern:
+    the vertices of each balanced 3-circle, and each 4-set that is the union
+    of two balanced 3-circles sharing an edge with a link on all six pairs."""
+    found: set[tuple[int, ...]] = set()
+    apexes: dict[int, set[int]] = defaultdict(set)
+    for verts, circles in by_verts.items():
+        if len(verts) < 3:
+            continue
+        found.add(verts)
+        for t in circles:
+            for i in t.edge_ids:
+                apexes[i].update(v for v in verts if v not in g.edge(i).ends())
+    for i, apex in apexes.items():
+        u, v = g.edge(i).ends()
+        for w, x in itertools.combinations(apex, 2):
+            if g.links_between(w, x):
+                found.add(tuple(sorted((u, v, w, x))))
+    return found
+
+
+def _gain_ratio(e: Edge, v: int) -> tuple[int, int]:
+    """The gain of ``e`` read from its end ``v`` as (numerator, denominator);
+    the denominator may be negative."""
+    gain = e.gain
+    if e.tail == v:
+        return gain.numerator, gain.denominator
+    return gain.denominator, gain.numerator
+
+
+def _local_key(g: GainGraph, verts: Sequence[int]) -> tuple:
+    """A switching-normalized copy of the local gain graph on ``verts``
+    (sorted, with a link from the first to every other vertex).
+
+    The vertices are relabelled 1..k in sorted order.  Each bundle (a, b),
+    a < b, becomes the sorted reduced (numerator, denominator) pairs of
+    s(a) * gain / s(b), its gains read from a, where s(v) is the gain of
+    the first link from the hub verts[0] to v and s(hub) = 1: the gain of
+    the closed walk hub, a, b, hub, which no switching changes.  Loops are
+    counted per vertex; their gains are not read, since under H4 every
+    loop is unbalanced.  Equal keys mean identical local biased graphs.
+    """
+    hub = verts[0]
+    scale = {hub: (1, 1)}
+    for v in verts[1:]:
+        scale[v] = _gain_ratio(g.links_between(hub, v)[0], hub)
+    bundles = []
+    for a, b in itertools.combinations(verts, 2):
+        na, da = scale[a]
+        nb, db = scale[b]
+        bundle = []
+        for e in g.links_between(a, b):
+            p, q = _gain_ratio(e, a)
+            num, den = na * p * db, da * q * nb
+            if den < 0:
+                num, den = -num, -den
+            d = gcd(num, den)
+            bundle.append((num // d, den // d))
+        bundles.append(tuple(sorted(bundle)))
+    return tuple(bundles), tuple(len(g.loops_at(v)) for v in verts)
+
+
+def _local_counts(
+    g: GainGraph,
+    verts: Sequence[int],
+    by_verts: Mapping[tuple[int, ...], Sequence[Triangle]],
+    walked: Sequence[Pattern],
+) -> dict[str, int]:
+    """Occurrence counts of the ``walked`` patterns on the local graph of
+    ``verts`` (its links and the loops at its vertices, relabelled 1..k),
+    with the exclusions applied inside it.  Its triangles are those of
+    ``by_verts`` on two or three of its vertices."""
+    inside = [
+        t
+        for size in (2, 3)
+        for sub in itertools.combinations(verts, size)
+        for t in by_verts.get(sub, ())
+    ]
+    edges = [e for a, b in itertools.combinations(verts, 2) for e in g.links_between(a, b)]
+    edges += [e for v in verts for e in g.loops_at(v)]
+    label = {v: k for k, v in enumerate(verts, 1)}
+    local = GainGraph.from_edge_list(
+        len(verts), [(label[e.tail], label[e.head], e.gain) for e in edges]
+    )
+    ids = {e.id: k for k, e in enumerate(edges, 1)}
+    local_tris = [Triangle(tuple(sorted(ids[i] for i in t.edge_ids)), t.kind) for t in inside]
+    found = _occurrences(local, local_tris, walked)
+    occ = {field: found[name] for field, name in _EXCESS_PATTERN.items() if name in found}
+    counts = {}
+    for field, sets in occ.items():
+        hosts = occ.get(_EXCLUDED_INSIDE.get(field), ())
+        counts[field] = sum(1 for o in sets if not any(o <= host for host in hosts))
+    return counts

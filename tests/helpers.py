@@ -7,7 +7,10 @@ which stays in ``test_census_oracle.py``, its only user.
 * Test data: :func:`random_gain_graph` samples H1-H5 graphs from
   :data:`RANDOM_GAINS`; :func:`switch` regauges the gains by a vertex
   function and :func:`with_reversed_edge` stores one edge the other way
-  round, the two moves every invariant must survive.
+  round, the two moves every invariant must survive; :func:`scrambled`
+  makes both at random and shuffles the edge ids too.
+  :func:`pattern_rich_hosts` embeds switched copies of every excess
+  pattern into random H1-H5 hosts.
 * Circles: :func:`brute_circle_sets` enumerates circles by depth-first
   closed walks over vertex-simple paths, a different characterization from
   the library's degree-2 subset scan, so the two can check each other.
@@ -59,7 +62,7 @@ from falkkit.arrangement import arrangement
 from falkkit.exterior import Flat
 from falkkit.falk import _local_and_excess
 from falkkit.graphs import Edge, GainGraph, all_circles_small, parse, validate
-from falkkit.patterns import PatternCounts, TriangleKind, triangles
+from falkkit.patterns import _EXCESS_PATTERN, PatternCounts, TriangleKind, atlas, triangles
 
 DATA = Path(__file__).parent / "data"
 
@@ -191,6 +194,31 @@ def enriched_pattern_host(rng: random.Random, reference: GainGraph, max_tries: i
         if validate(g).all_pass:
             return g
     return None
+
+
+def pattern_rich_hosts() -> list[tuple[str, GainGraph]]:
+    """Random H1-H5 hosts around a switched copy of each excess pattern,
+    each with the pattern's name; uniform random graphs rarely hold them."""
+    rng = random.Random(424243)
+    hosts = []
+    for name in _EXCESS_PATTERN.values():
+        for _ in range(15):
+            g = enriched_pattern_host(rng, atlas()[name].reference)
+            if g is not None:
+                hosts.append((name, g))
+    return hosts
+
+
+def scrambled(g: GainGraph, rng: random.Random) -> GainGraph:
+    """``g`` under a random switching from the pool, with each edge stored
+    the other way round at random and the edge ids shuffled."""
+    h = switch(g, random_switching(g, rng))
+    triples = [
+        (e.head, e.tail, 1 / e.gain) if rng.random() < 0.5 else (e.tail, e.head, e.gain)
+        for e in h.edges
+    ]
+    rng.shuffle(triples)
+    return GainGraph.from_edge_list(g.num_vertices, triples)
 
 
 # ---------------------------------------------------------------------------

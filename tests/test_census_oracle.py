@@ -1,15 +1,18 @@
-"""The triangle-seeded occurrence search against the vertex-tuple search.
+"""The triangle-seeded occurrence search and the census against the
+vertex-tuple search.
 
 :func:`vertex_tuple_occurrences` is an exhaustive search: it maps the
 pattern's vertices to every ordered tuple of host vertices, takes every edge
 choice with the pattern's multiplicities, and accepts a candidate whose full
 circle class is biased-isomorphic to the pattern's.  It shares no search
-logic with :func:`find_occurrences` or the census walk behind it.
+logic with :func:`find_occurrences`, nor with the census, which counts per
+vertex set on local graphs.
 """
 
 import functools
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,6 +21,7 @@ from falkkit import falk, patterns
 from falkkit.graphs import GainGraph, validate
 from falkkit.patterns import (
     _EXCESS_PATTERN,
+    _EXCLUDED_INSIDE,
     _KIND_FIELD,
     COUNT_FIELDS,
     TriangleKind,
@@ -34,12 +38,14 @@ from helpers import (
     enriched_pattern_host,
     induced_subgraph,
     random_gain_graph,
+    scrambled,
     type_d,
 )
 
 SEED_MAIN = 20260802
 SEED_HOSTS = 5150
 SEED_BUNDLED = 5
+SEED_SCRAMBLE = 77
 
 
 @functools.cache
@@ -191,6 +197,8 @@ def test_census_tables_split_the_count_fields():
 
 
 def test_census_walks_only_the_excess_patterns(hosts, monkeypatch):
+    # each call walks the excess patterns of one vertex-set size; together
+    # the calls walk all seven, and never a one-triangle pattern
     given = []
 
     def recording(g, tris, walked):
@@ -200,7 +208,94 @@ def test_census_walks_only_the_excess_patterns(hosts, monkeypatch):
     monkeypatch.setattr(patterns, "_occurrences", recording)
     for g in hosts:
         count_patterns(g)
-    assert given and all(sorted(names) == sorted(EXCESS) for names in given), set(given)
+    walked = {name for names in given for name in names}
+    assert walked == set(EXCESS), walked
+    assert walked.isdisjoint(KIND_PATTERN.values())
+
+
+def test_census_walks_stay_local_and_the_memo_hits(hosts, monkeypatch):
+    handed = []
+
+    def recording(g, tris, walked):
+        handed.append(g)
+        return _occurrences(g, tris, walked)
+
+    monkeypatch.setattr(patterns, "_occurrences", recording)
+    for g in hosts:
+        count_patterns(g)
+    assert handed and all(g.num_vertices <= 4 for g in handed)
+    # one local type per set size: K_m has no triple with enough edges for
+    # a 3-vertex excess pattern, D_m has one type of triple and of 4-set;
+    # the key reads gains up to switching, so scrambled copies hit as well
+    rng = random.Random(SEED_SCRAMBLE)
+    for g, most in ((braid(11), 1), (type_d(7), 2)):
+        for h in (g, scrambled(g, rng), scrambled(g, rng)):
+            handed.clear()
+            count_patterns(h)
+            assert 0 < len(handed) <= most
+
+
+def test_census_tells_sets_of_one_shape_apart():
+    # pairs of vertex sets with the same multiplicities and loops but other
+    # balanced circles: a D3 and a 2-2-2 triple with one balanced 3-circle,
+    # and a K4 and a 4-set of links with two; a memo key that forgot the
+    # gains would count both sets of a pair alike
+    d3 = [(1, 2, 1), (1, 2, -1), (2, 3, 1), (2, 3, -1), (1, 3, 1), (1, 3, -1)]
+    near_d3 = [(4, 5, 1), (4, 5, 2), (5, 6, 1), (5, 6, 3), (4, 6, 1), (4, 6, 5)]
+    k4 = [(u, v, 1) for u, v in itertools.combinations((7, 8, 9, 10), 2)]
+    near_k4 = [
+        (u, v, 2 if (u, v) == (13, 14) else 1)
+        for u, v in itertools.combinations((11, 12, 13, 14), 2)
+    ]
+    g = GainGraph.from_edge_list(14, d3 + near_d3 + k4 + near_k4)
+    assert validate(g).all_pass
+    counts = count_patterns(g)
+    assert (counts.d3, counts.k4) == (1, 1)
+    for name, expected in (("D3", 1), ("K4", 1)):
+        assert len(vertex_tuple_occurrences(g, atlas()[name])) == expected
+
+
+def test_excess_patterns_sit_on_a_balanced_circle_within_one_vertex_set():
+    # the premise of the census by vertex set: every excess occurrence, and
+    # every occurrence that excludes it, spans a triple or a 4-set around a
+    # balanced 3-circle
+    spans = {}
+    for field, name in _EXCESS_PATTERN.items():
+        ref = atlas()[name].reference
+        assert any(t.kind is TriangleKind.BALANCED_CIRCLE for t in triangles(ref)), name
+        spans[field] = len(ref.incident_vertices)
+    assert {field for field, size in spans.items() if size == 4} == {"k4"}
+    assert {size for field, size in spans.items() if field != "k4"} == {3}
+    for inner, outer in _EXCLUDED_INSIDE.items():
+        assert spans[inner] == spans[outer], (inner, outer)
+
+
+# the atlas pattern behind each count field
+FIELD_PATTERN = {
+    **_EXCESS_PATTERN,
+    **{_KIND_FIELD[kind]: name for kind, name in KIND_PATTERN.items()},
+}
+
+
+@pytest.mark.parametrize(
+    "cases, nonzero", [("host_cases", COUNT_FIELDS), ("bundled_cases", ("k3", "d3"))]
+)
+def test_census_counts_match_vertex_tuple_oracle(cases, nonzero, request):
+    # the census counts per vertex set and shares no walk with
+    # find_occurrences; its counts must be the oracle's occurrence sets with
+    # the exclusions applied, on every H1-H5 case
+    seen = Counter()
+    for index, (g, expected) in enumerate(request.getfixturevalue(cases)):
+        if not validate(g).all_pass:
+            continue
+        occ = {field: expected[name] for field, name in FIELD_PATTERN.items()}
+        want = {}
+        for field, found in occ.items():
+            hosts = occ.get(_EXCLUDED_INSIDE.get(field), ())
+            want[field] = sum(1 for o in found if not any(o <= host for host in hosts))
+        assert count_patterns(g).as_dict() == want, index
+        seen.update(want)
+    assert all(seen[field] > 0 for field in nonzero), dict(seen)
 
 
 def test_count_patterns_makes_one_walk(hosts, monkeypatch):

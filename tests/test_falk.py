@@ -12,12 +12,21 @@ from falkkit.falk import (
     verify,
 )
 from falkkit.graphs import GainGraph, validate
-from falkkit.patterns import HypothesisError, PatternCounts, count_patterns, flats, triangles
+from falkkit.patterns import (
+    _EXCESS_PATTERN,
+    COUNT_FIELDS,
+    HypothesisError,
+    PatternCounts,
+    count_patterns,
+    flats,
+    triangles,
+)
 from helpers import (
     braid,
     dim_I3_2_closed_form,
     full_dim_I3_2,
     load_graph,
+    pattern_rich_hosts,
     random_switching,
     seeded_graphs,
     switch,
@@ -240,26 +249,16 @@ def test_phi3_rank_type_b_falk_randell(m):
     assert phi3_rank(g) == sum((d**3 - d) // 3 for d in range(1, 2 * m, 2))
 
 
-def test_census_equals_rank_on_pattern_rich_hosts(pattern_atlas):
+def test_census_equals_rank_on_pattern_rich_hosts():
     # uniform random graphs rarely contain the larger patterns, so embed
     # switched reference copies into bigger hosts to exercise every count
-    from collections import Counter
-
-    from falkkit.patterns import COUNT_FIELDS
-    from helpers import enriched_pattern_host
-
-    rng = random.Random(424243)
     seen = Counter()
-    for name in ("K4", "D3", "K33", "Gcirc", "D31", "G1", "G2"):
-        produced = 0
-        for _ in range(15):
-            g = enriched_pattern_host(rng, pattern_atlas[name].reference)
-            if g is None:
-                continue
-            produced += 1
-            counts = count_patterns(g)
-            assert phi3_combinatorial(counts) == phi3_rank(g), (name, counts)
-            for field, value in counts.as_dict().items():
-                seen[field] += value
-        assert produced > 0, name
+    produced = Counter()
+    for name, g in pattern_rich_hosts():
+        produced[name] += 1
+        counts = count_patterns(g)
+        assert phi3_combinatorial(counts) == phi3_rank(g), (name, counts)
+        for field, value in counts.as_dict().items():
+            seen[field] += value
+    assert set(produced) == set(_EXCESS_PATTERN.values()), dict(produced)
     assert all(seen[field] > 0 for field in COUNT_FIELDS), dict(seen)

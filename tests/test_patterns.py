@@ -17,13 +17,17 @@ from helpers import (
     RANDOM_GAINS,
     _shape_kind,
     biased_isomorphic,
+    braid,
     circle_balance,
     dependent_3sets,
     induced_subgraph,
     load_graph,
+    pattern_rich_hosts,
+    scrambled,
     seeded_graphs,
     switch,
     type_b,
+    type_d,
     with_reversed_edge,
 )
 
@@ -301,6 +305,18 @@ def test_counts_stable_under_switching():
     for g in seeded_graphs(5, seed=171717):
         lam = {v: rng.choice(RANDOM_GAINS) for v in g.vertices}
         assert count_patterns(switch(g, lam)) == count_patterns(g)
+
+
+def test_counts_stable_under_switching_reversals_and_edge_shuffles():
+    # the census memoizes per vertex set by a key read off the gains, so
+    # check it on graphs rich in excess patterns, not only random ones
+    rng = random.Random(515151)
+    graphs = [braid(m) for m in range(4, 10)] + [type_d(m) for m in range(3, 7)]
+    graphs += [g for _, g in pattern_rich_hosts()]
+    for index, g in enumerate(graphs):
+        counts = count_patterns(g)
+        for _ in range(2):
+            assert count_patterns(scrambled(g, rng)) == counts, index
 
 
 def test_census_matches_rank_oracle_on_small_sample(final_example):
