@@ -56,7 +56,8 @@ _RANK_FIELDS = ("num_triangles", "triangle_list", *RankFields._fields)
 
 def _rank_route(n: int, xs: Sequence[exterior.Flat]) -> RankFields:
     """The rank route, for a caller that has checked H4 and H5 and holds
-    ``flats(g)``; it runs one elimination."""
+    ``flats(g)``; it checks and sums the flats once and runs one elimination."""
+    xs = exterior._checked(n, xs)
     dim_a2 = exterior.dim_A2(n, xs)
     dim_i32 = exterior.dim_I3_2(n, xs)
     size, rank_f3 = exterior.f3_size_and_rank(n, xs, dim_i32)

@@ -28,7 +28,10 @@ which stays in ``test_census_oracle.py``, its only user.
   (n-3)*|T| and n*|T| rows), with no decomposition over the rank-2 flats;
   :func:`full_rank_fields` gathers them into the rank fields of a report.
   They are the oracle for the library's closed forms and its one
-  elimination of the global rows.  :func:`dim_I3_2_closed_form` predicts
+  elimination of the global rows.  :func:`global_rows` writes every row of
+  G, the global rows, and :func:`kept_global_rows` keeps those of the
+  blocks the library eliminates; :func:`recorded_rows` records the rows
+  the library hands to :func:`falkkit.exterior.rank`.  :func:`dim_I3_2_closed_form` predicts
   dim(I^3_2) from the census counts under H1-H5.
 * Matroid: :func:`dependent_3sets` ranks the hyperplane normals of every
   edge triple with :func:`fraction_rank`, the linear-algebra side of
@@ -50,6 +53,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -547,6 +551,75 @@ def _wedge_rows(triples: list[Triple], n: int, inside: bool) -> list[dict[int, i
         # k < t: e_jkt - e_ikt + e_ijt
         rows.extend([{jkm + t: 1, ikm + t: -1, ijm + t: 1} for t in range(k + 1, m)])
     return rows
+
+
+def global_rows(n: int, flats: Iterable[Flat]) -> list[dict[int, int]]:
+    """Every row e_t * (e_jk - e_ik + e_ij) of G, flat by flat.
+
+    For each flat X with x = min X, each basis triple (i, j, k) = (x, b, c)
+    with b < c in X, and each t = 1..n outside X in increasing order:
+    sum_X C(|X|-1, 2)*(n - |X|) rows.  e_abc is coded (a*m + b)*m + c with
+    m = n + 1.  The library writes only the kept blocks of G
+    (:func:`kept_global_rows`).
+    """
+    m = n + 1
+    mm = m * m
+    rows: list[dict[int, int]] = []
+    for flat in flats:
+        inside = set(flat)
+        outside = [t for t in range(1, m) if t not in inside]
+        i = flat[0]
+        below = i - 1  # i = min X, so outside[:below] is 1..i-1
+        tmm_below = range(mm, i * mm, mm)
+        for j, k in itertools.combinations(flat[1:], 2):
+            ij, ik, jk = i * m + j, i * m + k, j * m + k
+            imj, imk, jmk = i * mm + j, i * mm + k, j * mm + k
+            ijm, ikm, jkm = ij * m, ik * m, jk * m
+            a = bisect_left(outside, j, below)
+            b = bisect_left(outside, k, a)
+            # t < i: e_tjk - e_tik + e_tij
+            rows.extend([{tmm + jk: 1, tmm + ik: -1, tmm + ij: 1} for tmm in tmm_below])
+            # i < t < j: e_tjk + e_itk - e_itj
+            rows.extend(
+                [{t * mm + jk: 1, imk + t * m: 1, imj + t * m: -1} for t in outside[below:a]]
+            )
+            # j < t < k: -e_jtk + e_itk + e_ijt
+            rows.extend([{jmk + t * m: -1, imk + t * m: 1, ijm + t: 1} for t in outside[a:b]])
+            # k < t: e_jkt - e_ikt + e_ijt
+            rows.extend([{jkm + t: 1, ikm + t: -1, ijm + t: 1} for t in outside[b:]])
+    return rows
+
+
+def kept_global_rows(n: int, flats: Sequence[Flat]) -> list[dict[int, int]]:
+    """The rows of :func:`global_rows` whose block (X, t) is kept: t shares a
+    flat with two or more edges of X, decided pair by pair from the flats."""
+    m = n + 1
+    in_flat = {pair for flat in flats for pair in itertools.combinations(flat, 2)}
+    rows = []
+    for flat in flats:
+        for row in global_rows(n, [flat]):
+            code = next(iter(row))
+            (t,) = {code // (m * m), code // m % m, code % m} - set(flat)
+            if sum((min(a, t), max(a, t)) in in_flat for a in flat) >= 2:
+                rows.append(row)
+    return rows
+
+
+def recorded_rows(monkeypatch, compute) -> tuple[list[list[dict]], object]:
+    """The row lists ``compute()`` hands to :func:`falkkit.exterior.rank`,
+    one per call, and what ``compute()`` returns."""
+    calls = []
+    real_rank = exterior.rank
+
+    def recording(rows):
+        rows = list(rows)
+        calls.append(rows)
+        return real_rank(rows)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(exterior, "rank", recording)
+        result = compute()
+    return calls, result
 
 
 def dim_I2(n: int, triangles: Iterable) -> int:

@@ -2,6 +2,7 @@
 eliminations of :mod:`helpers` (``dim_I2``, ``span_F3``, ``full_dim_I3_2``)
 on small graphs with pinned values."""
 
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -102,6 +103,17 @@ def test_entry_points_take_valid_flats_as_given():
     assert dim_A2(5, iter([(1, 2, 3, 4)])) == 7
     assert dim_I3_2(5, iter([(1, 2, 3, 4)])) == 4 + 3
     assert f3_size_and_rank(5, iter([(1, 2, 3, 4)]), 7) == (8, 7)
+
+
+def test_checked_flats_carry_their_sums_and_pass_unchecked_for_the_same_n():
+    xs = exterior._checked(7, iter([(1, 2, 3, 4), (4, 5, 6)]))
+    assert xs == [(1, 2, 3, 4), (4, 5, 6)]
+    assert (xs.triangles, xs.dim_I2, xs.threes) == (4 + 1, 3 + 1, 1)
+    assert exterior._checked(7, xs) is xs
+    assert dim_A2(7, xs) == comb(7, 2) - 4
+    assert f3_size_and_rank(7, xs, 9) == (4 * 5, 8)
+    with pytest.raises(ValueError):
+        exterior._checked(5, xs)
 
 
 @pytest.mark.parametrize(
@@ -265,3 +277,15 @@ def test_exterior_accepts_plain_triples(final_example):
 def test_rank_bounded_by_column_count():
     rows = [{(1, 2): 1}, {(1, 2): 2}, {(1, 2): -3}]
     assert exterior.rank(rows) == 1
+
+
+def test_rank_leaves_its_rows_alone_and_drops_zero_entries():
+    # the zeros at columns 1 and 2 are no entries: neither may lead a pivot
+    rows = [{1: 0, 2: 3, 4: 6}, {2: 1, 3: -1, 4: 2}, {1: 2, 2: 0}, {2: 1, 3: -1, 4: 2}]
+    before = copy.deepcopy(rows)
+    assert exterior.rank(rows) == 3 == exterior.rank(rows)
+    assert rows == before
+    pivots = exterior._pivot_rows(rows)
+    assert rows == before
+    assert pivots == {2: {2: 1, 4: 2}, 3: {3: 1}, 1: {1: 1}}
+    assert not any(pivot is row for pivot in pivots.values() for row in rows)

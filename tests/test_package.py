@@ -35,6 +35,7 @@ MOVED = {
     "falkkit.exterior": (
         "boundary3", "boundary2", "pair_vector", "wedge1", "_check_increasing", "_ONE",
         "dim_I2", "span_F3", "_boundary_rows", "_wedge_rows", "flats", "_triples",
+        "_global_rows",
     ),
 }
 

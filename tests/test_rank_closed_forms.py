@@ -1,30 +1,34 @@
 """The rank route's closed forms and its one elimination, across the H4/H5 regime.
 
 The library reads dim A^2, |F3| and rank F3 off the rank-2 flats and ranks
-only the global rows G (:mod:`falkkit.exterior`).  Here every rank field of
-:func:`falkkit.falk.verify` is checked against the full eliminations of the
-test oracle (:func:`helpers.full_rank_fields`: |T|, (n-3)*|T| and n*|T|
-rows, no decomposition assumed) on the reflection families, the test data
-and a seeded regime corpus in which H1, H2 and H3 each fail.  On the same
-graphs the flats of :func:`falkkit.patterns.flats`, the rank route's input,
-are checked against the oracle regroup of the dependent triples that
+only the kept blocks of the global rows G (:mod:`falkkit.exterior`).  Here
+every rank field of :func:`falkkit.falk.verify` is checked against the full
+eliminations of the test oracle (:func:`helpers.full_rank_fields`: |T|,
+(n-3)*|T| and n*|T| rows, no decomposition assumed) on the reflection
+families, the test data and a seeded regime corpus in which H1, H2 and H3
+each fail, and the kept rows are checked to have the nullity of all of G
+(:func:`helpers.global_rows`).  On the same graphs the flats of
+:func:`falkkit.patterns.flats`, the rank route's input, are checked against
+the oracle regroup of the dependent triples that
 :func:`helpers.dependent_3sets` finds by ranking the hyperplane normals.
 """
 
 import itertools
 import random
+from math import comb
 
 import pytest
 
 from falkkit import exterior
 from falkkit.cli import main
 from falkkit.falk import phi3_rank, verify
-from falkkit.graphs import GraphFormatError, validate
+from falkkit.graphs import GainGraph, GraphFormatError, validate
 from falkkit.patterns import flats, triangles
 import helpers
 from helpers import DATA, braid, full_rank_fields, load_graph, regime_graphs, type_b, type_d
 
 SEED_REGIME = 99
+SEEDS_KEPT = (4545, 99)
 RANK_FIELDS = ("dim_A2", "dim_I3_2", "span_F3_size", "span_F3_rank", "phi3_rank")
 
 
@@ -49,7 +53,7 @@ FAMILIES = (
 def check_rank_fields(g) -> None:
     report = verify(g)
     assert {name: getattr(report, name) for name in RANK_FIELDS} == full_rank_fields(g)
-    rows = exterior._global_rows(g.n, flats(g))
+    rows = helpers.global_rows(g.n, flats(g))
     excess = len(rows) - exterior.rank(rows)
     assert report.phi3_rank == 2 * report.num_triangles + excess
     assert excess >= 0
@@ -69,6 +73,78 @@ def test_rank_fields_match_full_elimination_on_regime_corpus():
         failing.update(validate(g).failing())
         check_rank_fields(g)
     assert failing == {"H1", "H2", "H3"}
+
+
+def check_kept_nullity(monkeypatch, g) -> tuple[int, int]:
+    """nullity(kept rows) == nullity(G); returns the numbers of kept and of all rows."""
+    xs = flats(g)
+    (kept,), dim_i32 = helpers.recorded_rows(monkeypatch, lambda: exterior.dim_I3_2(g.n, xs))
+    full = helpers.global_rows(g.n, xs)
+    rank_full = exterior.rank(full)
+    assert len(kept) - exterior.rank(kept) == len(full) - rank_full
+    assert dim_i32 == sum(comb(len(x), 3) for x in xs) + rank_full
+    return len(kept), len(full)
+
+
+@pytest.mark.parametrize("g", FAMILIES + data_graphs())
+def test_kept_rows_have_the_nullity_of_all_global_rows_on_families_and_data(monkeypatch, g):
+    if validate(g).passes("H4", "H5"):
+        check_kept_nullity(monkeypatch, g)
+
+
+@pytest.mark.parametrize("seed", SEEDS_KEPT)
+def test_kept_rows_have_the_nullity_of_all_global_rows_on_regime_corpus(monkeypatch, seed):
+    sizes = [check_kept_nullity(monkeypatch, g) for g in regime_graphs(random.Random(seed), 400)]
+    # the corpus has graphs where some blocks are dropped and some kept
+    assert any(0 < kept < full for kept, full in sizes)
+
+
+def triangulated_grid(side: int) -> GainGraph:
+    """The side x side grid with the diagonal (r, c)-(r+1, c+1) in every
+    square and every gain 1: a graphic arrangement."""
+
+    def vertex(r, c):
+        return r * side + c + 1
+
+    edges = []
+    for r in range(side):
+        for c in range(side):
+            if c + 1 < side:
+                edges.append((vertex(r, c), vertex(r, c + 1), 1))
+            if r + 1 < side:
+                edges.append((vertex(r, c), vertex(r + 1, c), 1))
+            if r + 1 < side and c + 1 < side:
+                edges.append((vertex(r, c), vertex(r + 1, c + 1), 1))
+    return GainGraph.from_edge_list(side * side, edges)
+
+
+def cliques(g: GainGraph) -> tuple[int, int]:
+    """kappa_3 and kappa_4, the 3- and 4-cliques of g's underlying simple graph."""
+    adjacent = {v: set() for v in range(1, g.num_vertices + 1)}
+    for e in g.edges:
+        if e.tail != e.head:
+            adjacent[e.tail].add(e.head)
+            adjacent[e.head].add(e.tail)
+    k3 = k4 = 0
+    for u in adjacent:
+        for v in adjacent[u]:
+            if v > u:
+                common = {w for w in adjacent[u] & adjacent[v] if w > v}
+                k3 += len(common)
+                k4 += sum(1 for w in common for x in common & adjacent[w] if x > w)
+    return k3, k4
+
+
+def test_triangulated_grid_keeps_no_rows_and_meets_the_graphic_formula(monkeypatch):
+    g = triangulated_grid(12)
+    calls, phi3 = helpers.recorded_rows(monkeypatch, lambda: phi3_rank(g))
+    # every flat is a triangle of the grid, and no outside edge meets two of its edges
+    assert [len(rows) for rows in calls] == [0]
+    k3, k4 = cliques(g)
+    assert (k3, k4) == (2 * 11 * 11, 0)
+    # Schenck-Suciu: phi_3 = 2(kappa_3 + kappa_4) for a graphic arrangement
+    assert phi3 == 2 * (k3 + k4)
+    assert cliques(braid(6)) == (comb(6, 3), comb(6, 4))
 
 
 def check_flats(g) -> None:
@@ -103,7 +179,7 @@ def test_flats_partition_the_triangles_and_the_global_rows_avoid_them(g):
         assert set(tri) <= set(xs[index])
     m = g.n + 1
     inside = {s for flat in xs for s in itertools.combinations(flat, 3)}
-    for row in exterior._global_rows(g.n, xs):
+    for row in helpers.global_rows(g.n, xs):
         for code in row:
             assert (code // (m * m), code // m % m, code % m) not in inside
 

@@ -6,8 +6,10 @@ before it switched to primitive integer rows; it shares no code with
 rows reach pivots whose leading entry is not 1; :func:`exterior.rank` takes
 integer rows only, so each rational row is scaled to integers before it gets
 there, while the oracle ranks the rational rows.  The rows of the rank
-route's one elimination, the global rows G of :func:`exterior._global_rows`,
-cover the rows the library really builds.
+route's one elimination cover the rows the library really builds: they are
+the kept blocks of the global rows G (:func:`helpers.kept_global_rows`),
+and :func:`helpers.global_rows`, which writes all of G, decodes to the
+tuple algebra.
 
 The rank route is claimed wherever H4 and H5 hold, so the regime corpus
 (:func:`helpers.regime_graphs`) also has graphs where H1, H2 or H3 fails.
@@ -111,21 +113,6 @@ def test_unit_lead_pivots_are_stored_without_a_gcd():
     assert exterior._pivot_rows([{5: 1, 7: -2}]) == {5: {5: 1, 7: -2}}
 
 
-def recorded_rows(monkeypatch, compute) -> list[list[dict]]:
-    calls = []
-    real_rank = exterior.rank
-
-    def recording(rows):
-        rows = list(rows)
-        calls.append(rows)
-        return real_rank(rows)
-
-    monkeypatch.setattr(exterior, "rank", recording)
-    compute()
-    monkeypatch.undo()
-    return calls
-
-
 FAMILIES = (
     [pytest.param(type_b(m), id=f"B{m}") for m in range(2, 6)]
     + [pytest.param(type_d(m), id=f"D{m}") for m in range(3, 7)]
@@ -136,8 +123,9 @@ FAMILIES = (
 def check_library_rows(monkeypatch, g) -> None:
     xs = flats(g)
     # the rank route eliminates once
-    (rows,) = recorded_rows(monkeypatch, lambda: _rank_route(g.n, xs))
-    assert rows == exterior._global_rows(g.n, xs)
+    (rows,), _ = helpers.recorded_rows(monkeypatch, lambda: _rank_route(g.n, xs))
+    # exactly the rows of G's kept blocks, eliminated last row first
+    assert rows == helpers.kept_global_rows(g.n, xs)[::-1]
     # the contract exterior.rank relies on
     assert all(type(v) is int and v for row in rows for v in row.values())
     checked_pivots(rows)
@@ -165,7 +153,7 @@ def decoded_pivots(rows: list[dict], decode) -> list:
 def check_row_builders(g) -> None:
     """The coded rows decode to the tuple algebra's rows, and eliminate alike.
 
-    The library's global rows are e_t * boundary(e_S) for each flat X, each
+    The global rows of G are e_t * boundary(e_S) for each flat X, each
     triple S of X through min X and each t outside X; the full eliminations
     of the test oracle take every triple S and every t.
     """
@@ -180,7 +168,7 @@ def check_row_builders(g) -> None:
         return (code // (m * m), code // m % m, code % m)
 
     xs = flats(g)
-    coded = exterior._global_rows(n, xs)
+    coded = helpers.global_rows(n, xs)
     tupled = [
         wedge1(t, boundary3((x[0], b, c)))
         for x in xs for b, c in itertools.combinations(x[1:], 2)
