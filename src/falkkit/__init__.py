@@ -37,7 +37,6 @@ from .patterns import (
     TriangleKind,
     atlas,
     count_patterns,
-    find_occurrences,
     triangles,
 )
 
@@ -65,7 +64,6 @@ __all__ = [
     "as_gain",
     "atlas",
     "count_patterns",
-    "find_occurrences",
     "parse",
     "phi3_combinatorial",
     "phi3_rank",

@@ -33,18 +33,20 @@ each span at most four vertices and hold a balanced 3-circle: K4 spans
 four, the other six span three, and each exclusion pairs patterns on the
 same vertices.  So the census (:func:`_census`) counts them per vertex set:
 each triple of a balanced 3-circle, and each 4-set that two balanced
-3-circles sharing an edge span with a link on all six pairs.  A set's
-counts come from a walk over unions of its triangles on its local graph
+3-circles sharing an edge span with a link on all six pairs.  A set with
+fewer local edges (links among its vertices, loops at them) than the
+smallest excess pattern on as many vertices is skipped.  The counts of
+any other set come from a walk over unions of the set's triangles
 (:func:`_occurrences`), the library's only biased-isomorphism decision,
-and are memoized for the call by a switching-normalized copy of the local
-gain graph (:func:`_local_key`).  The work is one key per such set (one
-per balanced 3-circle and at most one per pair of them sharing an edge)
-and one local walk per distinct key: K_m makes one and D_m two.
-:func:`find_occurrences` runs the same walk over the whole graph, one
-pattern at a time.  The exhaustive decider the tests check both against
-lives with the other oracles in the test helpers.  :attr:`Pattern.profile`
-lists every circle of a reference with its balance; no computation here
-reads it.
+run in place on the host graph, and are memoized for the call by a
+switching-normalized copy of the local gain graph (:func:`_local_key`).
+The work is at most one key per such set (one per balanced 3-circle and
+at most one per pair of them sharing an edge) and one walk per distinct
+key: K_m makes one and D_m two.  The tests run the same walk over the
+whole graph, and check it and the census against an exhaustive decider
+that lives with the other oracles in the test helpers.
+:attr:`Pattern.profile` lists every circle of a reference with its
+balance; no computation here reads it.
 
 :func:`require_hypotheses` is the one hypothesis gate: the census, the
 rank route, the hyperplane realization and the command line refuse
@@ -238,29 +240,15 @@ def atlas() -> Mapping[str, Pattern]:
     return _atlas_cache
 
 
-def find_occurrences(
-    g: GainGraph, pattern: Pattern, tris: Sequence[Triangle] | None = None
-) -> set[frozenset[int]]:
-    """Edge sets of ``g`` inducing a subgraph biased-isomorphic to the pattern.
-
-    Assumes H4 and H5, as :func:`triangles` does; ``tris`` is
-    ``triangles(g)`` when the caller already has it.  This is the walk of
-    :func:`_occurrences` given one pattern, so it prunes with that
-    pattern's own edge, vertex and triangle counts.
-    """
-    if tris is None:
-        tris = triangles(g)
-    return _occurrences(g, tris, (pattern,))[pattern.name]
-
-
 def _occurrences(
     g: GainGraph, tris: Sequence[Triangle], patterns: Sequence[Pattern]
 ) -> dict[str, set[frozenset[int]]]:
-    """Occurrences of every given pattern, from one walk over unions of triangles.
+    """Occurrences of every given pattern in ``g`` among the unions of ``tris``,
+    from one walk.
 
     An occurrence is the union of its k distinguished triples, which are
     host triangles linked by shared edges.  A union of m edges with exactly
-    k host triangles inside is accepted when some incidence-preserving
+    k given triangles inside is accepted when some incidence-preserving
     bijection onto the pattern carries those triangles onto the
     distinguished triples (:func:`_carries_triangles`).
 
@@ -269,49 +257,33 @@ def _occurrences(
     at most three vertices, where the only circles that can be balanced are
     3-circles, and a 3-circle is balanced exactly when it is a triangle.
     K4's four balanced triangles force its 4-circles to be balanced.  Every
-    union explored has at most four vertices, so the work is O(|T|) times
-    the number of local unions around a triangle, with no V^k term.
+    union explored has at most four vertices, so there is no V^k term.
 
-    The census hands it the local graph of one vertex set, at most four
-    vertices, once per distinct local type (:func:`_census`);
-    :func:`find_occurrences` hands it the whole graph.
-
-    Starting from each host triangle, the walk adds one triangle at a time
-    that shares an edge with the union, and visits each union once.  It
-    prunes a union with more vertices than any pattern, or with more edges
-    or more host triangles inside it than any pattern on at least as many
-    vertices; edges, vertices and inside triangles only grow with the
-    union, so the pruning loses no occurrence.  Each union is tested against the patterns
-    with its numbers of edges, inside triangles and vertices.
-
-    Below the vertex cap a union grows by the triangles on its edges.  At
-    the cap it can only grow by triangles on its own vertices, so those come
-    from an index keyed by vertex set.
+    The census hands it the host graph and the triangles of one vertex set
+    of at most four vertices, once per distinct local type
+    (:func:`_census`); given all of ``triangles(g)`` it walks the whole
+    graph.  Starting from each given triangle, the walk adds one triangle
+    at a time that shares an edge with the union, and visits each union
+    once.  It prunes a union with more edges, more vertices or more given
+    triangles inside it than any pattern; all three only grow with the
+    union, so the pruning loses no occurrence.  Each union is tested
+    against the patterns with its numbers of edges, inside triangles and
+    vertices.
     """
     shapes: dict[tuple[int, int, int], list[Pattern]] = defaultdict(list)
     for p in patterns:
         ref = p.reference
         shapes[ref.n, len(p.distinguished), len(ref.incident_vertices)].append(p)
-    vertex_cap = max(v for _, _, v in shapes)
-    # (edge cap, triangle cap) of a union on v vertices
-    caps = {
-        v: (
-            max(m for m, _, pv in shapes if pv >= v),
-            max(k for _, k, pv in shapes if pv >= v),
-        )
-        for v in range(1, vertex_cap + 1)
-    }
+    edge_cap, triangle_cap, vertex_cap = map(max, zip(*shapes))
 
     edge_sets = [frozenset(t.edge_ids) for t in tris]
     vertex_sets = [
         frozenset(v for i in t.edge_ids for v in g.edge(i).ends()) for t in tris
     ]
     by_edge: dict[int, list[int]] = defaultdict(list)
-    by_verts: dict[frozenset[int], list[int]] = defaultdict(list)
-    for index, (edges, verts) in enumerate(zip(edge_sets, vertex_sets)):
+    for index, edges in enumerate(edge_sets):
         for e in edges:
             by_edge[e].append(index)
-        by_verts[verts].append(index)
 
     found: dict[str, set[frozenset[int]]] = {p.name: set() for p in patterns}
     seen: set[frozenset[int]] = set()
@@ -325,19 +297,8 @@ def _occurrences(
         if union in seen:
             continue
         seen.add(union)
-        if len(verts) == vertex_cap:
-            # a triangle spans two or three vertices
-            touching = {
-                j
-                for size in (2, 3)
-                for key in itertools.combinations(verts, size)
-                for j in by_verts.get(frozenset(key), ())
-                if not edge_sets[j].isdisjoint(union)
-            }
-        else:
-            touching = {j for e in union for j in by_edge[e]}
+        touching = {j for e in union for j in by_edge[e]}
         inside = [j for j in touching if edge_sets[j] <= union]
-        edge_cap, triangle_cap = caps[len(verts)]
         if len(inside) > triangle_cap:
             continue
         shape = (len(union), len(inside), len(verts))
@@ -353,7 +314,7 @@ def _occurrences(
             if len(grown_verts) > vertex_cap:
                 continue
             grown = union | edge_sets[j]
-            if len(grown) <= caps[len(grown_verts)][0] and grown not in seen:
+            if len(grown) <= edge_cap and grown not in seen:
                 stack.append((grown, grown_verts))
     return found
 
@@ -462,7 +423,8 @@ def _census(g: GainGraph, tris: Sequence[Triangle]) -> PatternCounts:
     larger patterns are counted per vertex set (:func:`_pattern_sets`) on
     the set's local graph, with the exclusions applied inside it.  A set
     with fewer local edges than every excess pattern on as many vertices is
-    skipped.  The counts are memoized by :func:`_local_key` for this call.
+    skipped before its key is built.  The counts are memoized by
+    :func:`_local_key` for this call.
     """
     walked: dict[int, list[Pattern]] = defaultdict(list)
     for name in _EXCESS_PATTERN.values():
@@ -477,10 +439,10 @@ def _census(g: GainGraph, tris: Sequence[Triangle]) -> PatternCounts:
         by_verts[tuple(sorted({v for i in t.edge_ids for v in g.edge(i).ends()}))].append(t)
     memo: dict[tuple, dict[str, int]] = {}
     for verts in _pattern_sets(g, by_verts):
-        key = _local_key(g, verts)
-        bundles, loops = key
-        if sum(map(len, bundles)) + sum(loops) < fewest[len(verts)]:
+        links = sum(len(g.links_between(a, b)) for a, b in itertools.combinations(verts, 2))
+        if links + sum(len(g.loops_at(v)) for v in verts) < fewest[len(verts)]:
             continue
+        key = _local_key(g, verts)
         if key not in memo:
             memo[key] = _local_counts(g, verts, by_verts, walked[len(verts)])
         counts.update(memo[key])
@@ -558,24 +520,16 @@ def _local_counts(
     walked: Sequence[Pattern],
 ) -> dict[str, int]:
     """Occurrence counts of the ``walked`` patterns on the local graph of
-    ``verts`` (its links and the loops at its vertices, relabelled 1..k),
-    with the exclusions applied inside it.  Its triangles are those of
-    ``by_verts`` on two or three of its vertices."""
+    ``verts`` (its links and the loops at its vertices), with the
+    exclusions applied inside it.  The walk runs on ``g`` itself, given
+    only the triangles of ``by_verts`` on two or three of ``verts``."""
     inside = [
         t
         for size in (2, 3)
         for sub in itertools.combinations(verts, size)
         for t in by_verts.get(sub, ())
     ]
-    edges = [e for a, b in itertools.combinations(verts, 2) for e in g.links_between(a, b)]
-    edges += [e for v in verts for e in g.loops_at(v)]
-    label = {v: k for k, v in enumerate(verts, 1)}
-    local = GainGraph.from_edge_list(
-        len(verts), [(label[e.tail], label[e.head], e.gain) for e in edges]
-    )
-    ids = {e.id: k for k, e in enumerate(edges, 1)}
-    local_tris = [Triangle(tuple(sorted(ids[i] for i in t.edge_ids)), t.kind) for t in inside]
-    found = _occurrences(local, local_tris, walked)
+    found = _occurrences(g, inside, walked)
     occ = {field: found[name] for field, name in _EXCESS_PATTERN.items() if name in found}
     counts = {}
     for field, sets in occ.items():

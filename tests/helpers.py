@@ -9,6 +9,8 @@ which stays in ``test_census_oracle.py``, its only user.
   function and :func:`with_reversed_edge` stores one edge the other way
   round, the two moves every invariant must survive; :func:`scrambled`
   makes both at random and shuffles the edge ids too.
+  :func:`triangulated_grid` is a graphic arrangement with many triangles
+  and no larger pattern.
   :func:`pattern_rich_hosts` embeds switched copies of every excess
   pattern into random H1-H5 hosts.
 * Circles: :func:`brute_circle_sets` enumerates circles by depth-first
@@ -47,6 +49,10 @@ which stays in ``test_census_oracle.py``, its only user.
   exhaustively, from every circle and its balance and the multiplicities,
   vertex signatures and summary of :func:`_bias_profile`; the census
   oracle compares :func:`induced_subgraph` candidates with it.
+* Occurrences: :func:`find_occurrences` runs the library's occurrence walk
+  (:func:`falkkit.patterns._occurrences`), which the census runs per vertex
+  set, over the whole graph for one pattern; the vertex-tuple search
+  checks it there, H1-H3 failures included.
 """
 
 from __future__ import annotations
@@ -66,7 +72,16 @@ from falkkit.arrangement import arrangement
 from falkkit.exterior import Flat
 from falkkit.falk import _local_and_excess
 from falkkit.graphs import Edge, GainGraph, all_circles_small, parse, validate
-from falkkit.patterns import _EXCESS_PATTERN, PatternCounts, TriangleKind, atlas, triangles
+from falkkit.patterns import (
+    _EXCESS_PATTERN,
+    Pattern,
+    PatternCounts,
+    Triangle,
+    TriangleKind,
+    _occurrences,
+    atlas,
+    triangles,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -92,6 +107,25 @@ def type_d(m: int) -> GainGraph:
 def type_b(m: int) -> GainGraph:
     """type_d(m) plus an unbalanced loop at every vertex: the type B_m arrangement."""
     return GainGraph.from_edge_list(m, _signed_pairs(m) + [(v, v, 2) for v in range(1, m + 1)])
+
+
+def triangulated_grid(side: int) -> GainGraph:
+    """The side x side grid with the diagonal (r, c)-(r+1, c+1) in every
+    square and every gain 1: a graphic arrangement."""
+
+    def vertex(r, c):
+        return r * side + c + 1
+
+    edges = []
+    for r in range(side):
+        for c in range(side):
+            if c + 1 < side:
+                edges.append((vertex(r, c), vertex(r, c + 1), 1))
+            if r + 1 < side:
+                edges.append((vertex(r, c), vertex(r + 1, c), 1))
+            if r + 1 < side and c + 1 < side:
+                edges.append((vertex(r, c), vertex(r + 1, c + 1), 1))
+    return GainGraph.from_edge_list(side * side, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -781,3 +815,12 @@ def induced_subgraph(g: GainGraph, edge_ids: Iterable[int]) -> GainGraph:
     return GainGraph.from_edge_list(
         max(len(verts), 1), [(vmap[e.tail], vmap[e.head], e.gain) for e in chosen]
     )
+
+
+def find_occurrences(
+    g: GainGraph, pattern: Pattern, tris: Sequence[Triangle] | None = None
+) -> set[frozenset[int]]:
+    """Edge sets of ``g`` inducing a subgraph biased-isomorphic to ``pattern``,
+    from the library's walk over all of ``tris`` (``triangles(g)`` if None)."""
+    tris = triangles(g) if tris is None else tris
+    return _occurrences(g, tris, (pattern,))[pattern.name]

@@ -13,7 +13,7 @@ from falkkit.falk import (
     phi3_rank,
     verify,
 )
-from falkkit.patterns import atlas, count_patterns, find_occurrences, triangles
+from falkkit.patterns import atlas, count_patterns, triangles
 from helpers import (
     RANDOM_GAINS,
     boundary2,
@@ -21,6 +21,7 @@ from helpers import (
     dependent_3sets,
     dim_I2,
     dim_I3_2_closed_form,
+    find_occurrences,
     full_dim_I3_2,
     load_graph,
     random_gain_graph,

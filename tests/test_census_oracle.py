@@ -5,8 +5,9 @@ vertex-tuple search.
 pattern's vertices to every ordered tuple of host vertices, takes every edge
 choice with the pattern's multiplicities, and accepts a candidate whose full
 circle class is biased-isomorphic to the pattern's.  It shares no search
-logic with :func:`find_occurrences`, nor with the census, which counts per
-vertex set on local graphs.
+logic with the library's occurrence walk, which the census runs on the
+triangles of one vertex set at a time and :func:`helpers.find_occurrences`
+runs over the whole graph.
 """
 
 import functools
@@ -26,9 +27,9 @@ from falkkit.patterns import (
     COUNT_FIELDS,
     TriangleKind,
     _occurrences,
+    _pattern_sets,
     atlas,
     count_patterns,
-    find_occurrences,
     triangles,
 )
 from helpers import (
@@ -36,9 +37,11 @@ from helpers import (
     _isomorphic_profiles,
     braid,
     enriched_pattern_host,
+    find_occurrences,
     induced_subgraph,
     random_gain_graph,
     scrambled,
+    triangulated_grid,
     type_d,
 )
 
@@ -214,16 +217,33 @@ def test_census_walks_only_the_excess_patterns(hosts, monkeypatch):
 
 
 def test_census_walks_stay_local_and_the_memo_hits(hosts, monkeypatch):
-    handed = []
+    # every walk runs on the host graph itself, given only triangles inside
+    # one vertex set that can carry an excess pattern: never the whole graph
+    sets, handed = [], []
+
+    def recording_sets(g, by_verts):
+        found = _pattern_sets(g, by_verts)
+        sets.append(found)
+        return found
 
     def recording(g, tris, walked):
-        handed.append(g)
+        handed.append((g, tris))
         return _occurrences(g, tris, walked)
 
+    monkeypatch.setattr(patterns, "_pattern_sets", recording_sets)
     monkeypatch.setattr(patterns, "_occurrences", recording)
-    for g in hosts:
-        count_patterns(g)
-    assert handed and all(g.num_vertices <= 4 for g in handed)
+    walks = 0
+    for host in hosts:
+        sets.clear()
+        handed.clear()
+        count_patterns(host)
+        [found] = sets
+        for g, tris in handed:
+            assert g is host
+            spanned = {v for t in tris for i in t.edge_ids for v in g.edge(i).ends()}
+            assert len(spanned) <= 4 and any(spanned <= set(s) for s in found)
+        walks += len(handed)
+    assert walks
     # one local type per set size: K_m has no triple with enough edges for
     # a 3-vertex excess pattern, D_m has one type of triple and of 4-set;
     # the key reads gains up to switching, so scrambled copies hit as well
@@ -233,6 +253,19 @@ def test_census_walks_stay_local_and_the_memo_hits(hosts, monkeypatch):
             handed.clear()
             count_patterns(h)
             assert 0 < len(handed) <= most
+
+
+def test_census_skips_thin_sets_before_keying_them(monkeypatch):
+    # every triple of the grid holds its three links and nothing more, fewer
+    # than any 3-vertex excess pattern, and no 4-set has all six links
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the census keyed or walked a set it can skip")
+
+    g = triangulated_grid(12)
+    monkeypatch.setattr(patterns, "_local_key", forbidden)
+    monkeypatch.setattr(patterns, "_occurrences", forbidden)
+    counts = count_patterns(g)
+    assert counts.as_dict() == {**dict.fromkeys(COUNT_FIELDS, 0), "k3": 2 * 11 * 11}
 
 
 def test_census_tells_sets_of_one_shape_apart():
@@ -281,9 +314,8 @@ FIELD_PATTERN = {
     "cases, nonzero", [("host_cases", COUNT_FIELDS), ("bundled_cases", ("k3", "d3"))]
 )
 def test_census_counts_match_vertex_tuple_oracle(cases, nonzero, request):
-    # the census counts per vertex set and shares no walk with
-    # find_occurrences; its counts must be the oracle's occurrence sets with
-    # the exclusions applied, on every H1-H5 case
+    # the census counts per vertex set; its counts must be the oracle's
+    # occurrence sets with the exclusions applied, on every H1-H5 case
     seen = Counter()
     for index, (g, expected) in enumerate(request.getfixturevalue(cases)):
         if not validate(g).all_pass:
@@ -296,15 +328,6 @@ def test_census_counts_match_vertex_tuple_oracle(cases, nonzero, request):
         assert count_patterns(g).as_dict() == want, index
         seen.update(want)
     assert all(seen[field] > 0 for field in nonzero), dict(seen)
-
-
-def test_count_patterns_makes_one_walk(hosts, monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("count_patterns searched pattern by pattern")
-
-    monkeypatch.setattr(patterns, "find_occurrences", forbidden)
-    for g in hosts:
-        count_patterns(g)
 
 
 def test_census_never_runs_biased_isomorphism(hosts, monkeypatch):

@@ -23,7 +23,7 @@ TESTS = Path(__file__).resolve().parent
 MOVED = {
     "falkkit.patterns": (
         "biased_isomorphic", "_isomorphic_profiles", "_edge_bijection_matches", "_pair",
-        "induced_subgraph", "_BiasProfile", "_bias_profile",
+        "induced_subgraph", "_BiasProfile", "_bias_profile", "find_occurrences",
     ),
     "falkkit.arrangement": ("dependent_3sets",),
     "falkkit.graphs": (

@@ -10,7 +10,6 @@ from falkkit.patterns import (
     TriangleKind,
     atlas,
     count_patterns,
-    find_occurrences,
     triangles,
 )
 from helpers import (
@@ -20,6 +19,7 @@ from helpers import (
     braid,
     circle_balance,
     dependent_3sets,
+    find_occurrences,
     induced_subgraph,
     load_graph,
     pattern_rich_hosts,

@@ -25,7 +25,16 @@ from falkkit.falk import phi3_rank, verify
 from falkkit.graphs import GainGraph, GraphFormatError, validate
 from falkkit.patterns import flats, triangles
 import helpers
-from helpers import DATA, braid, full_rank_fields, load_graph, regime_graphs, type_b, type_d
+from helpers import (
+    DATA,
+    braid,
+    full_rank_fields,
+    load_graph,
+    regime_graphs,
+    triangulated_grid,
+    type_b,
+    type_d,
+)
 
 SEED_REGIME = 99
 SEEDS_KEPT = (4545, 99)
@@ -97,25 +106,6 @@ def test_kept_rows_have_the_nullity_of_all_global_rows_on_regime_corpus(monkeypa
     sizes = [check_kept_nullity(monkeypatch, g) for g in regime_graphs(random.Random(seed), 400)]
     # the corpus has graphs where some blocks are dropped and some kept
     assert any(0 < kept < full for kept, full in sizes)
-
-
-def triangulated_grid(side: int) -> GainGraph:
-    """The side x side grid with the diagonal (r, c)-(r+1, c+1) in every
-    square and every gain 1: a graphic arrangement."""
-
-    def vertex(r, c):
-        return r * side + c + 1
-
-    edges = []
-    for r in range(side):
-        for c in range(side):
-            if c + 1 < side:
-                edges.append((vertex(r, c), vertex(r, c + 1), 1))
-            if r + 1 < side:
-                edges.append((vertex(r, c), vertex(r + 1, c), 1))
-            if r + 1 < side and c + 1 < side:
-                edges.append((vertex(r, c), vertex(r + 1, c + 1), 1))
-    return GainGraph.from_edge_list(side * side, edges)
 
 
 def cliques(g: GainGraph) -> tuple[int, int]:
