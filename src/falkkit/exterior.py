@@ -46,6 +46,9 @@ one.  Write I_X for the span of the boundaries e_jk - e_ik + e_ij of the
   rows.  G_kept has 3 960 of the 8 580 rows of G for the braid
   arrangement K_11, 2 820 of 4 080 for B_6, and none for a triangulated
   grid, where every flat is a triangle no outside edge meets twice.
+  |G_kept| is counted before any row is written, and the route refuses
+  (raises :class:`~falkkit.graphs.GraphTooLargeError`) above
+  :data:`MAX_KEPT_ROWS`.
 * **|F3| = (n-3)*|T| and rank F3 = dim I^3_2 - #{X : |X| = 3}.**  F3 holds
   the global rows of every triple, which span e_t * I_X like G does, and
   the local rows with t in X but outside S.  For a 4-set Y in X and
@@ -83,8 +86,14 @@ from bisect import bisect_left
 from math import comb, gcd
 from typing import Iterable, Mapping
 
+from .graphs import GraphTooLargeError
+
 #: a rank-2 flat: the increasing edge ids of its hyperplanes
 Flat = tuple[int, ...]
+
+#: most rows of G_kept that :func:`dim_I3_2` writes out and eliminates; the
+#: braid arrangement K_28 has 245 700, which take about 1 s and 150 MB
+MAX_KEPT_ROWS = 250_000
 
 
 def _divide_content(row: dict, negate: bool = False) -> dict:
@@ -242,16 +251,25 @@ def _kept_rows(n: int, flats: Iterable[Flat], kept: Iterable[list[int]]) -> list
 
 def dim_I3_2(n: int, flats: Iterable[Flat]) -> int:
     """dim I^3_2 = sum_X C(|X|, 3) + |G| - |G_kept| + rank G_kept: the rank
-    route's one elimination, over the kept blocks of G only."""
+    route's one elimination, over the kept blocks of G only.
+
+    Raises :class:`~falkkit.graphs.GraphTooLargeError`, before it writes a
+    row, when G_kept has more than :data:`MAX_KEPT_ROWS` rows.
+    """
     flats = _checked(n, flats)
     kept = _kept_outside(flats)
-    dropped = sum(
-        comb(len(flat) - 1, 2) * (n - len(flat) - len(outside))
-        for flat, outside in zip(flats, kept)
-    )
+    size_g = size_kept = 0
+    for flat, outside in zip(flats, kept):
+        basis = comb(len(flat) - 1, 2)
+        size_g += basis * (n - len(flat))
+        size_kept += basis * len(outside)
+    if size_kept > MAX_KEPT_ROWS:
+        raise GraphTooLargeError(
+            f"rank route has {size_kept} rows to eliminate, more than {MAX_KEPT_ROWS}"
+        )
     rows = _kept_rows(n, flats, kept)
     rows.reverse()  # less fill-in than the written order (see the module docstring)
-    return flats.triangles + dropped + rank(rows)
+    return flats.triangles + size_g - size_kept + rank(rows)
 
 
 def f3_size_and_rank(n: int, flats: Iterable[Flat], dim_i32: int) -> tuple[int, int]:

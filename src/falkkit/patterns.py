@@ -29,22 +29,21 @@ inside a G2 occurrence is not counted.
 The four local counts are the triangles by kind: under H4 and H5 the
 occurrences of K3, D21, K22 and Theta3 are exactly the balanced 3-circles,
 tight handcuffs, loose handcuffs and thetas.  The seven larger patterns
-each span at most four vertices and hold a balanced 3-circle: K4 spans
-four, the other six span three, and each exclusion pairs patterns on the
-same vertices.  So the census (:func:`_census`) counts them per vertex set:
-each triple of a balanced 3-circle, and each 4-set that two balanced
-3-circles sharing an edge span with a link on all six pairs.  A set with
-fewer local edges (links among its vertices, loops at them) than the
-smallest excess pattern on as many vertices is skipped.  The counts of
-any other set come from a walk over unions of the set's triangles
-(:func:`_occurrences`), the library's only biased-isomorphism decision,
-run in place on the host graph, and are memoized for the call by a
-switching-normalized copy of the local gain graph (:func:`_local_key`).
-The work is at most one key per such set (one per balanced 3-circle and
-at most one per pair of them sharing an edge) and one walk per distinct
-key: K_m makes one and D_m two.  The tests run the same walk over the
-whole graph, and check it and the census against an exhaustive decider
-that lives with the other oracles in the test helpers.
+each hold a balanced 3-circle.  K4 spans four vertices and is counted by a
+join over the balanced 3-circles (:func:`_k4_count`): each occurrence once,
+from its smallest edge.  The other six span three vertices, and each
+exclusion pairs two of them, so the census (:func:`_census`) counts them per
+triple of a balanced 3-circle.  A triple with fewer local edges (links
+among its vertices, loops at them) than the smallest such pattern is
+skipped.  The counts of any other triple come from a walk over unions of
+its triangles (:func:`_occurrences`), the library's only
+biased-isomorphism decision, run in place on the host graph, and are
+memoized for the call by a switching-normalized copy of the local gain
+graph (:func:`_local_key`).  The work is the join's, at most one key per
+balanced 3-circle and one walk per distinct key: K_m makes none and D_m
+one.  The tests run the same walk over the whole graph, and check it, the
+join and the census against an exhaustive decider that lives with the
+other oracles in the test helpers.
 :attr:`Pattern.profile` lists every circle of a reference with its
 balance; no computation here reads it.
 
@@ -259,16 +258,15 @@ def _occurrences(
     K4's four balanced triangles force its 4-circles to be balanced.  Every
     union explored has at most four vertices, so there is no V^k term.
 
-    The census hands it the host graph and the triangles of one vertex set
-    of at most four vertices, once per distinct local type
-    (:func:`_census`); given all of ``triangles(g)`` it walks the whole
-    graph.  Starting from each given triangle, the walk adds one triangle
-    at a time that shares an edge with the union, and visits each union
-    once.  It prunes a union with more edges, more vertices or more given
-    triangles inside it than any pattern; all three only grow with the
-    union, so the pruning loses no occurrence.  Each union is tested
-    against the patterns with its numbers of edges, inside triangles and
-    vertices.
+    The census hands it the host graph and the triangles of the triple of
+    one balanced 3-circle, once per distinct local type (:func:`_census`);
+    given all of ``triangles(g)`` it walks the whole graph.  Starting from
+    each given triangle, the walk adds one triangle at a time that shares an
+    edge with the union, and visits each union once.  It prunes a union
+    with more edges, more vertices or more given triangles inside it than
+    any pattern; all three only grow with the union, so the pruning loses
+    no occurrence.  Each union is tested against the patterns with its
+    numbers of edges, inside triangles and vertices.
     """
     shapes: dict[tuple[int, int, int], list[Pattern]] = defaultdict(list)
     for p in patterns:
@@ -418,58 +416,77 @@ def _census(g: GainGraph, tris: Sequence[Triangle]) -> PatternCounts:
     """:func:`count_patterns` for a caller that has checked H1..H5 and holds
     ``triangles(g)``.
 
-    Each excess pattern spans three or four vertices and holds a balanced
-    3-circle, and each exclusion pairs patterns on the same vertices, so the
-    larger patterns are counted per vertex set (:func:`_pattern_sets`) on
-    the set's local graph, with the exclusions applied inside it.  A set
-    with fewer local edges than every excess pattern on as many vertices is
-    skipped before its key is built.  The counts are memoized by
-    :func:`_local_key` for this call.
+    K4 is counted by a join over the balanced 3-circles (:func:`_k4_count`).
+    The six other excess patterns span three vertices and hold a balanced
+    3-circle, and each exclusion pairs two of them, so they are counted per
+    triple of a balanced 3-circle on the triple's local graph, with the
+    exclusions applied inside it.  A triple with fewer local edges than
+    every such pattern is skipped before its key is built.  The counts are
+    memoized by :func:`_local_key` for this call.
+
+    The work is the join's, at most the sum over edges e of C(c_e, 2) for
+    c_e balanced 3-circles through e, plus one key per balanced 3-circle
+    triple with enough edges and one walk per distinct key: K_m makes none
+    and D_m one.
     """
-    walked: dict[int, list[Pattern]] = defaultdict(list)
-    for name in _EXCESS_PATTERN.values():
-        p = atlas()[name]
-        walked[len(p.reference.incident_vertices)].append(p)
-    fewest = {size: min(p.reference.n for p in ps) for size, ps in walked.items()}
+    walked = [atlas()[name] for field, name in _EXCESS_PATTERN.items() if field != "k4"]
+    fewest = min(p.reference.n for p in walked)
     counts = Counter(_KIND_FIELD[t.kind] for t in tris)
     # the triangles by their sorted vertex tuple: two vertices for a triple
     # of a two-vertex flat, three for a balanced 3-circle
     by_verts: dict[tuple[int, ...], list[Triangle]] = defaultdict(list)
     for t in tris:
         by_verts[tuple(sorted({v for i in t.edge_ids for v in g.edge(i).ends()}))].append(t)
+    circles = [t for t in tris if t.kind is TriangleKind.BALANCED_CIRCLE]
+    counts["k4"] = _k4_count(g, circles)
     memo: dict[tuple, dict[str, int]] = {}
-    for verts in _pattern_sets(g, by_verts):
+    for verts in by_verts:
+        if len(verts) < 3:
+            continue
         links = sum(len(g.links_between(a, b)) for a, b in itertools.combinations(verts, 2))
-        if links + sum(len(g.loops_at(v)) for v in verts) < fewest[len(verts)]:
+        if links + sum(len(g.loops_at(v)) for v in verts) < fewest:
             continue
         key = _local_key(g, verts)
         if key not in memo:
-            memo[key] = _local_counts(g, verts, by_verts, walked[len(verts)])
+            memo[key] = _local_counts(g, verts, by_verts, walked)
         counts.update(memo[key])
     return PatternCounts(**counts)
 
 
-def _pattern_sets(
-    g: GainGraph, by_verts: Mapping[tuple[int, ...], Sequence[Triangle]]
-) -> set[tuple[int, ...]]:
-    """The vertex sets, as sorted tuples, that can carry an excess pattern:
-    the vertices of each balanced 3-circle, and each 4-set that is the union
-    of two balanced 3-circles sharing an edge with a link on all six pairs."""
-    found: set[tuple[int, ...]] = set()
-    apexes: dict[int, set[int]] = defaultdict(set)
-    for verts, circles in by_verts.items():
-        if len(verts) < 3:
-            continue
-        found.add(verts)
-        for t in circles:
-            for i in t.edge_ids:
-                apexes[i].update(v for v in verts if v not in g.edge(i).ends())
-    for i, apex in apexes.items():
-        u, v = g.edge(i).ends()
-        for w, x in itertools.combinations(apex, 2):
-            if g.links_between(w, x):
-                found.add(tuple(sorted((u, v, w, x))))
-    return found
+def _k4_count(g: GainGraph, circles: Sequence[Triangle]) -> int:
+    """The number of K4 occurrences, from the balanced 3-circles ``circles``.
+
+    Under H4 a K4 occurrence is six links, one on each pair of four
+    vertices, whose four 3-circles are balanced (:func:`_occurrences`): its
+    four balanced triangles decide it.  K4 has no exclusion partner, and one
+    link per pair leaves no triple of a two-vertex flat inside, so these
+    six-link sets are exactly the unions the walk accepts.  Each is counted
+    once, from its smallest edge e = uv: two balanced 3-circles through e
+    whose other edges are larger than e, with links a and a' at u to apexes
+    w and x, close to a K4 when a, a' and a link f on wx larger than e form
+    a balanced 3-circle.  The fourth 3-circle, on v, w, x, is then balanced
+    too: its gain is the product of the other three's.  Two links in one
+    balanced 3-circle fix its third, since its gain is then fixed and
+    parallel links differ in gain (H4), so f is a lookup; parallel a and a'
+    (w = x) lie in no balanced 3-circle.  The work is at most the sum over
+    edges e of C(c_e, 2) for c_e balanced 3-circles through e.
+    """
+    # third[a, b]: the third edge of the balanced 3-circle through a and b
+    third: dict[tuple[int, int], int] = {}
+    # fans[e]: the link at e's smaller end of each balanced 3-circle whose
+    # smallest edge is e
+    fans: dict[int, list[int]] = defaultdict(list)
+    for t in circles:
+        i, j, k = t.edge_ids  # increasing
+        third[i, j] = third[j, i] = k
+        third[i, k] = third[k, i] = j
+        third[j, k] = third[k, j] = i
+        fans[i].append(j if g.edge(i).ends()[0] in g.edge(j).ends() else k)
+    return sum(
+        third.get(pair, 0) > e
+        for e, fan in fans.items()
+        for pair in itertools.combinations(fan, 2)
+    )
 
 
 def _gain_ratio(e: Edge, v: int) -> tuple[int, int]:

@@ -15,6 +15,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -27,7 +28,6 @@ from falkkit.patterns import (
     COUNT_FIELDS,
     TriangleKind,
     _occurrences,
-    _pattern_sets,
     atlas,
     count_patterns,
     triangles,
@@ -39,6 +39,7 @@ from helpers import (
     enriched_pattern_host,
     find_occurrences,
     induced_subgraph,
+    pattern_rich_hosts,
     random_gain_graph,
     scrambled,
     triangulated_grid,
@@ -200,8 +201,8 @@ def test_census_tables_split_the_count_fields():
 
 
 def test_census_walks_only_the_excess_patterns(hosts, monkeypatch):
-    # each call walks the excess patterns of one vertex-set size; together
-    # the calls walk all seven, and never a one-triangle pattern
+    # every call walks the six 3-vertex excess patterns: never K4, which the
+    # join over balanced 3-circles counts, and never a one-triangle pattern
     given = []
 
     def recording(g, tris, walked):
@@ -211,53 +212,56 @@ def test_census_walks_only_the_excess_patterns(hosts, monkeypatch):
     monkeypatch.setattr(patterns, "_occurrences", recording)
     for g in hosts:
         count_patterns(g)
-    walked = {name for names in given for name in names}
-    assert walked == set(EXCESS), walked
-    assert walked.isdisjoint(KIND_PATTERN.values())
+    assert given
+    for names in given:
+        assert sorted(names) == sorted(set(EXCESS) - {"K4"}), names
+
+
+def balanced_circle_triples(g: GainGraph) -> set[frozenset[int]]:
+    """The vertex set of each balanced 3-circle of ``g``."""
+    return {
+        frozenset(v for i in t.edge_ids for v in g.edge(i).ends())
+        for t in triangles(g)
+        if t.kind is TriangleKind.BALANCED_CIRCLE
+    }
 
 
 def test_census_walks_stay_local_and_the_memo_hits(hosts, monkeypatch):
-    # every walk runs on the host graph itself, given only triangles inside
-    # one vertex set that can carry an excess pattern: never the whole graph
-    sets, handed = [], []
-
-    def recording_sets(g, by_verts):
-        found = _pattern_sets(g, by_verts)
-        sets.append(found)
-        return found
+    # every walk runs on the host graph itself, given only the triangles
+    # inside the triple of one balanced 3-circle: never the whole graph
+    handed = []
 
     def recording(g, tris, walked):
         handed.append((g, tris))
         return _occurrences(g, tris, walked)
 
-    monkeypatch.setattr(patterns, "_pattern_sets", recording_sets)
     monkeypatch.setattr(patterns, "_occurrences", recording)
     walks = 0
     for host in hosts:
-        sets.clear()
         handed.clear()
         count_patterns(host)
-        [found] = sets
+        triples = balanced_circle_triples(host)
         for g, tris in handed:
             assert g is host
             spanned = {v for t in tris for i in t.edge_ids for v in g.edge(i).ends()}
-            assert len(spanned) <= 4 and any(spanned <= set(s) for s in found)
+            assert spanned in triples
         walks += len(handed)
     assert walks
-    # one local type per set size: K_m has no triple with enough edges for
-    # a 3-vertex excess pattern, D_m has one type of triple and of 4-set;
-    # the key reads gains up to switching, so scrambled copies hit as well
+    # K_m has no triple with enough edges for a 3-vertex excess pattern, and
+    # D_m has one type of triple; the key reads gains up to switching, so
+    # scrambled copies hit as well
     rng = random.Random(SEED_SCRAMBLE)
-    for g, most in ((braid(11), 1), (type_d(7), 2)):
+    for g, expected in ((braid(11), 0), (type_d(7), 1)):
         for h in (g, scrambled(g, rng), scrambled(g, rng)):
             handed.clear()
             count_patterns(h)
-            assert 0 < len(handed) <= most
+            assert len(handed) == expected
 
 
 def test_census_skips_thin_sets_before_keying_them(monkeypatch):
     # every triple of the grid holds its three links and nothing more, fewer
-    # than any 3-vertex excess pattern, and no 4-set has all six links
+    # than any 3-vertex excess pattern, and the join finds no K4: no 4-set
+    # has all six links
     def forbidden(*args, **kwargs):
         raise AssertionError("the census keyed or walked a set it can skip")
 
@@ -271,8 +275,8 @@ def test_census_skips_thin_sets_before_keying_them(monkeypatch):
 def test_census_tells_sets_of_one_shape_apart():
     # pairs of vertex sets with the same multiplicities and loops but other
     # balanced circles: a D3 and a 2-2-2 triple with one balanced 3-circle,
-    # and a K4 and a 4-set of links with two; a memo key that forgot the
-    # gains would count both sets of a pair alike
+    # and a K4 and a 4-set of links with two; a memo key or a K4 join that
+    # forgot the gains would count both sets of a pair alike
     d3 = [(1, 2, 1), (1, 2, -1), (2, 3, 1), (2, 3, -1), (1, 3, 1), (1, 3, -1)]
     near_d3 = [(4, 5, 1), (4, 5, 2), (5, 6, 1), (5, 6, 3), (4, 6, 1), (4, 6, 5)]
     k4 = [(u, v, 1) for u, v in itertools.combinations((7, 8, 9, 10), 2)]
@@ -289,9 +293,10 @@ def test_census_tells_sets_of_one_shape_apart():
 
 
 def test_excess_patterns_sit_on_a_balanced_circle_within_one_vertex_set():
-    # the premise of the census by vertex set: every excess occurrence, and
-    # every occurrence that excludes it, spans a triple or a 4-set around a
-    # balanced 3-circle
+    # the premise of the census: every excess occurrence holds a balanced
+    # 3-circle; K4 alone spans four vertices and has no exclusion partner,
+    # so the join over balanced 3-circles counts it, and every other one,
+    # with every occurrence that excludes it, spans the triple of one
     spans = {}
     for field, name in _EXCESS_PATTERN.items():
         ref = atlas()[name].reference
@@ -300,7 +305,52 @@ def test_excess_patterns_sit_on_a_balanced_circle_within_one_vertex_set():
     assert {field for field, size in spans.items() if size == 4} == {"k4"}
     assert {size for field, size in spans.items() if field != "k4"} == {3}
     for inner, outer in _EXCLUDED_INSIDE.items():
-        assert spans[inner] == spans[outer], (inner, outer)
+        assert spans[inner] == spans[outer] == 3, (inner, outer)
+
+
+def k4_sharing_hosts() -> list[GainGraph]:
+    """K_4 with a triple bundle on every pair, gains 1, 2, 1/2 or 1, -1, 2:
+    H1-H5 hold, and several K4s share the one 4-set."""
+    return [
+        GainGraph.from_edge_list(
+            4, [(u, v, Fraction(x)) for u, v in itertools.combinations(range(1, 5), 2) for x in gains]
+        )
+        for gains in ((1, 2, "1/2"), (1, -1, 2))
+    ]
+
+
+def test_k4_join_matches_the_walk_and_the_vertex_tuple_oracle():
+    # the census counts K4 by a join over balanced 3-circles, not by a walk;
+    # it must find each occurrence the whole-graph walk and the exhaustive
+    # search find, once
+    rng = random.Random(SEED_SCRAMBLE)
+    base = [braid(m) for m in range(4, 10)] + [type_d(m) for m in (4, 5, 6)]
+    graphs = [scrambled(g, rng) for g in base + k4_sharing_hosts()]
+    graphs += k4_sharing_hosts() + [g for _, g in pattern_rich_hosts()]
+    k4 = atlas()["K4"]
+    shared = 0
+    for index, g in enumerate(graphs):
+        assert validate(g).all_pass, index
+        found = count_patterns(g).k4
+        assert found == len(find_occurrences(g, k4)) == len(vertex_tuple_occurrences(g, k4)), index
+        shared += found > 1 and g.num_vertices == 4
+    assert shared >= 4
+
+
+@pytest.mark.parametrize(
+    "g, k4",
+    [(braid(m), comb(m, 4)) for m in range(4, 12)]
+    + [(type_d(m), 8 * comb(m, 4)) for m in range(4, 8)],
+    ids=[f"K{m}" for m in range(4, 12)] + [f"D{m}" for m in range(4, 8)],
+)
+def test_k4_join_closed_forms(g, k4):
+    # K_m holds C(m, 4) K4s, one per 4-set; D_m holds 8 per 4-set, the sign
+    # choices s(u)s(v) for a switching s of the four vertices by signs, up
+    # to a global sign; a join that counted each K4 from more than one of
+    # its edges would read more
+    rng = random.Random(SEED_SCRAMBLE)
+    for h in (g, scrambled(g, rng)):
+        assert count_patterns(h).k4 == k4
 
 
 # the atlas pattern behind each count field

@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from falkkit import cli, falk, patterns
+from falkkit import cli, exterior, falk, patterns
 from falkkit.arrangement import MAX_NORMAL_ENTRIES
 from falkkit.cli import main
 from falkkit.graphs import MAX_WITNESSES
@@ -356,3 +356,21 @@ def test_report_piped_into_head():
     )
     assert proc.stdout == "graph: 4 vertices, 14 edges\n"
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_rank_route_refuses_above_the_kept_row_bound(capsys, monkeypatch, flags):
+    # final_example.gg keeps 53 rows of G; under a bound of 52 every command
+    # that runs the rank route is refused with one line, the others run
+    monkeypatch.setattr(exterior, "MAX_KEPT_ROWS", 52)
+    refused = [("phi3",), ("phi3", "--method", "rank"), ("rank-f3",), ("report",)]
+    for command in refused:
+        code, out, err = run(capsys, command[0], FINAL, *command[1:], *flags)
+        assert (code, out) == (1, ""), command
+        assert err == "falkkit: refused: rank route has 53 rows to eliminate, more than 52\n"
+    for command in [("phi3", "--method", "comb"), ("counts",), ("triangles",), ("check",)]:
+        code, _, err = run(capsys, command[0], FINAL, *command[1:], *flags)
+        assert (code, err) == (0, ""), command
+    monkeypatch.setattr(exterior, "MAX_KEPT_ROWS", 53)
+    code, out, _ = run(capsys, "phi3", FINAL, "--method", "rank")
+    assert (code, out) == (0, "rank: 31\n")

@@ -10,13 +10,15 @@ from math import comb
 
 import pytest
 
-from falkkit import exterior
+from falkkit import exterior, falk
 from falkkit.exterior import dim_A2, dim_I3_2, f3_size_and_rank, rank
-from falkkit.graphs import GainGraph
+from falkkit.graphs import GainGraph, GraphTooLargeError
 from falkkit.patterns import atlas, triangles
+from falkkit.patterns import flats as graph_flats
 from helpers import (
     boundary2,
     boundary3,
+    braid,
     dim_I2,
     flats,
     full_dim_I3_2,
@@ -289,3 +291,26 @@ def test_rank_leaves_its_rows_alone_and_drops_zero_entries():
     assert rows == before
     assert pivots == {2: {2: 1, 4: 2}, 3: {3: 1}, 1: {1: 1}}
     assert not any(pivot is row for pivot in pivots.values() for row in rows)
+
+
+def test_rank_route_refuses_above_the_kept_row_bound(monkeypatch):
+    # K_11 keeps 3 960 rows of G: a bound one below that refuses it before
+    # any row is written, and a bound of exactly that lets it through
+    g = braid(11)
+    monkeypatch.setattr(exterior, "MAX_KEPT_ROWS", 3959)
+    written = exterior._kept_rows
+
+    def forbidden(*args):
+        raise AssertionError("rows written before the bound was checked")
+
+    monkeypatch.setattr(exterior, "_kept_rows", forbidden)
+    with pytest.raises(GraphTooLargeError) as info:
+        falk.phi3_rank(g)
+    assert str(info.value) == "rank route has 3960 rows to eliminate, more than 3959"
+    with pytest.raises(GraphTooLargeError):
+        falk.verify(g)
+    with pytest.raises(GraphTooLargeError):
+        dim_I3_2(g.n, graph_flats(g))
+    monkeypatch.setattr(exterior, "_kept_rows", written)
+    monkeypatch.setattr(exterior, "MAX_KEPT_ROWS", 3960)
+    assert falk.phi3_rank(g) == 2 * comb(12, 4)
