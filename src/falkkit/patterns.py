@@ -35,15 +35,16 @@ from its smallest edge.  The other six span three vertices, and each
 exclusion pairs two of them, so the census (:func:`_census`) counts them per
 triple of a balanced 3-circle.  A triple with fewer local edges (links
 among its vertices, loops at them) than the smallest such pattern is
-skipped.  The counts of any other triple come from a walk over unions of
-its triangles (:func:`_occurrences`), the library's only
-biased-isomorphism decision, run in place on the host graph, and are
-memoized for the call by a switching-normalized copy of the local gain
-graph (:func:`_local_key`).  The work is the join's, at most one key per
-balanced 3-circle and one walk per distinct key: K_m makes none and D_m
-one.  The tests run the same walk over the whole graph, and check it, the
-join and the census against an exhaustive decider that lives with the
-other oracles in the test helpers.
+skipped.  The counts of any other triple come from its sub-multigraphs
+shaped like each pattern whose triangles are the distinguished triples
+(:func:`_triple_occurrences`), the library's only biased-isomorphism
+decision, read in place on the host graph, and are memoized for the call
+by a switching-normalized copy of the local gain graph
+(:func:`_local_key`).  The work is the join's, at most one key per
+balanced 3-circle and one search per distinct key: K_m makes none and D_m
+one.  The tests check the per-triple search, the join and the census
+against an exhaustive decider that lives with the other oracles in the
+test helpers.
 :attr:`Pattern.profile` lists every circle of a reference with its
 balance; no computation here reads it.
 
@@ -121,7 +122,11 @@ def flats(g: GainGraph) -> list[Flat]:
     This is the library's one walk over the link map.  Each bundle (u, v)
     gives its two-vertex flat, the bundle with the loops at u and v, when
     that has three edges or more.  A balanced 3-circle u < v < w is closed
-    from the bundle (u, v) through each common neighbour w > v.
+    from the bundle (u, v) through each common neighbour w > v.  It compares
+    each pair of links on (u, v) and (v, w) with every link on (u, w), so
+    the work is the sum of b_uv * b_vw * b_uw over the triples u < v < w,
+    for b the bundle sizes; H3 bounds it by 27 per triple, but the rank
+    route needs only H4 and H5.
     """
     found: list[Flat] = []
     # each link's gain read from its smaller end
@@ -136,9 +141,10 @@ def flats(g: GainGraph) -> list[Flat]:
         for w in above[u] & above[v]:
             for e in bundle:
                 for f in g.links_between(v, w):
+                    # balanced: the circle gain g_e * g_f / g_h is 1
+                    closing = gain[e.id] * gain[f.id]
                     for h in g.links_between(u, w):
-                        # balanced: the circle gain g_e * g_f / g_h is 1
-                        if gain[e.id] * gain[f.id] == gain[h.id]:
+                        if closing == gain[h.id]:
                             found.append(tuple(sorted((e.id, f.id, h.id))))
     return sorted(found)
 
@@ -239,114 +245,6 @@ def atlas() -> Mapping[str, Pattern]:
     return _atlas_cache
 
 
-def _occurrences(
-    g: GainGraph, tris: Sequence[Triangle], patterns: Sequence[Pattern]
-) -> dict[str, set[frozenset[int]]]:
-    """Occurrences of every given pattern in ``g`` among the unions of ``tris``,
-    from one walk.
-
-    An occurrence is the union of its k distinguished triples, which are
-    host triangles linked by shared edges.  A union of m edges with exactly
-    k given triangles inside is accepted when some incidence-preserving
-    bijection onto the pattern carries those triangles onto the
-    distinguished triples (:func:`_carries_triangles`).
-
-    This is exact under H4 because a biased graph is fixed by its
-    multigraph and its balanced circles.  Every atlas pattern except K4 has
-    at most three vertices, where the only circles that can be balanced are
-    3-circles, and a 3-circle is balanced exactly when it is a triangle.
-    K4's four balanced triangles force its 4-circles to be balanced.  Every
-    union explored has at most four vertices, so there is no V^k term.
-
-    The census hands it the host graph and the triangles of the triple of
-    one balanced 3-circle, once per distinct local type (:func:`_census`);
-    given all of ``triangles(g)`` it walks the whole graph.  Starting from
-    each given triangle, the walk adds one triangle at a time that shares an
-    edge with the union, and visits each union once.  It prunes a union
-    with more edges, more vertices or more given triangles inside it than
-    any pattern; all three only grow with the union, so the pruning loses
-    no occurrence.  Each union is tested against the patterns with its
-    numbers of edges, inside triangles and vertices.
-    """
-    shapes: dict[tuple[int, int, int], list[Pattern]] = defaultdict(list)
-    for p in patterns:
-        ref = p.reference
-        shapes[ref.n, len(p.distinguished), len(ref.incident_vertices)].append(p)
-    edge_cap, triangle_cap, vertex_cap = map(max, zip(*shapes))
-
-    edge_sets = [frozenset(t.edge_ids) for t in tris]
-    vertex_sets = [
-        frozenset(v for i in t.edge_ids for v in g.edge(i).ends()) for t in tris
-    ]
-    by_edge: dict[int, list[int]] = defaultdict(list)
-    for index, edges in enumerate(edge_sets):
-        for e in edges:
-            by_edge[e].append(index)
-
-    found: dict[str, set[frozenset[int]]] = {p.name: set() for p in patterns}
-    seen: set[frozenset[int]] = set()
-    stack = [
-        (edges, verts)
-        for edges, verts in zip(edge_sets, vertex_sets)
-        if len(verts) <= vertex_cap
-    ]
-    while stack:
-        union, verts = stack.pop()
-        if union in seen:
-            continue
-        seen.add(union)
-        touching = {j for e in union for j in by_edge[e]}
-        inside = [j for j in touching if edge_sets[j] <= union]
-        if len(inside) > triangle_cap:
-            continue
-        shape = (len(union), len(inside), len(verts))
-        if shape in shapes:
-            inside_sets = [edge_sets[j] for j in inside]
-            for p in shapes[shape]:
-                if _carries_triangles(g, union, inside_sets, p):
-                    found[p.name].add(union)
-        if len(union) == edge_cap:
-            continue
-        for j in touching.difference(inside):
-            grown_verts = verts | vertex_sets[j]
-            if len(grown_verts) > vertex_cap:
-                continue
-            grown = union | edge_sets[j]
-            if len(grown) <= edge_cap and grown not in seen:
-                stack.append((grown, grown_verts))
-    return found
-
-
-def _carries_triangles(
-    g: GainGraph, edge_ids: frozenset[int], inside: list[frozenset[int]], pattern: Pattern
-) -> bool:
-    """True when a vertex bijection onto the pattern, with edge bijections
-    between matching parallel classes and loop sets, maps ``inside`` into
-    the pattern's distinguished triples.  The union spans as many vertices
-    as the pattern, since the walk only tries patterns of its shape."""
-    ref = pattern.reference
-    classes: dict[tuple[int, int], list[int]] = defaultdict(list)
-    for i in sorted(edge_ids):
-        classes[g.edge(i).ends()].append(i)  # a loop's ends are (v, v)
-    verts = sorted({v for pair in classes for v in pair})
-    for image in itertools.permutations(ref.incident_vertices):
-        vmap = dict(zip(verts, image))
-        targets = []
-        for u, w in classes:
-            a, b = vmap[u], vmap[w]
-            targets.append(ref.loops_at(a) if a == b else ref.links_between(a, b))
-        if any(len(t) != len(ids) for t, ids in zip(targets, classes.values())):
-            continue
-        for pick in itertools.product(*(itertools.permutations(t) for t in targets)):
-            sigma = {
-                i: e.id for ids, images in zip(classes.values(), pick)
-                for i, e in zip(ids, images)
-            }
-            if all(frozenset(sigma[i] for i in t) in pattern.distinguished for t in inside):
-                return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # occurrence counts
 
@@ -360,7 +258,7 @@ _KIND_FIELD = {
     TriangleKind.THETA: "theta",
 }
 
-# count field of each larger pattern, found by the census walk
+# count field of each larger pattern, counted by the census
 _EXCESS_PATTERN = {
     "k4": "K4",
     "d3": "D3",
@@ -426,11 +324,11 @@ def _census(g: GainGraph, tris: Sequence[Triangle]) -> PatternCounts:
 
     The work is the join's, at most the sum over edges e of C(c_e, 2) for
     c_e balanced 3-circles through e, plus one key per balanced 3-circle
-    triple with enough edges and one walk per distinct key: K_m makes none
-    and D_m one.
+    triple with enough edges and one search per distinct key: K_m makes
+    none and D_m one.
     """
-    walked = [atlas()[name] for field, name in _EXCESS_PATTERN.items() if field != "k4"]
-    fewest = min(p.reference.n for p in walked)
+    searched = [atlas()[name] for field, name in _EXCESS_PATTERN.items() if field != "k4"]
+    fewest = min(p.reference.n for p in searched)
     counts = Counter(_KIND_FIELD[t.kind] for t in tris)
     # the triangles by their sorted vertex tuple: two vertices for a triple
     # of a two-vertex flat, three for a balanced 3-circle
@@ -448,7 +346,7 @@ def _census(g: GainGraph, tris: Sequence[Triangle]) -> PatternCounts:
             continue
         key = _local_key(g, verts)
         if key not in memo:
-            memo[key] = _local_counts(g, verts, by_verts, walked)
+            memo[key] = _local_counts(g, verts, by_verts, searched)
         counts.update(memo[key])
     return PatternCounts(**counts)
 
@@ -457,10 +355,11 @@ def _k4_count(g: GainGraph, circles: Sequence[Triangle]) -> int:
     """The number of K4 occurrences, from the balanced 3-circles ``circles``.
 
     Under H4 a K4 occurrence is six links, one on each pair of four
-    vertices, whose four 3-circles are balanced (:func:`_occurrences`): its
-    four balanced triangles decide it.  K4 has no exclusion partner, and one
-    link per pair leaves no triple of a two-vertex flat inside, so these
-    six-link sets are exactly the unions the walk accepts.  Each is counted
+    vertices, whose four 3-circles are balanced: a biased graph is fixed by
+    its multigraph and its balanced circles, and the four balanced
+    3-circles force the 4-circles to be balanced.  K4 has no exclusion
+    partner, and one link per pair leaves no triple of a two-vertex flat
+    inside, so each such six-link set is one occurrence.  Each is counted
     once, from its smallest edge e = uv: two balanced 3-circles through e
     whose other edges are larger than e, with links a and a' at u to apexes
     w and x, close to a K4 when a, a' and a link f on wx larger than e form
@@ -534,22 +433,72 @@ def _local_counts(
     g: GainGraph,
     verts: Sequence[int],
     by_verts: Mapping[tuple[int, ...], Sequence[Triangle]],
-    walked: Sequence[Pattern],
+    searched: Sequence[Pattern],
 ) -> dict[str, int]:
-    """Occurrence counts of the ``walked`` patterns on the local graph of
+    """Occurrence counts of the ``searched`` patterns on the local graph of
     ``verts`` (its links and the loops at its vertices), with the
-    exclusions applied inside it.  The walk runs on ``g`` itself, given
+    exclusions applied inside it.  The search reads ``g`` itself, given
     only the triangles of ``by_verts`` on two or three of ``verts``."""
     inside = [
-        t
+        frozenset(t.edge_ids)
         for size in (2, 3)
         for sub in itertools.combinations(verts, size)
         for t in by_verts.get(sub, ())
     ]
-    found = _occurrences(g, inside, walked)
+    found = {p.name: _triple_occurrences(g, verts, inside, p) for p in searched}
     occ = {field: found[name] for field, name in _EXCESS_PATTERN.items() if name in found}
     counts = {}
     for field, sets in occ.items():
         hosts = occ.get(_EXCLUDED_INSIDE.get(field), ())
         counts[field] = sum(1 for o in sets if not any(o <= host for host in hosts))
     return counts
+
+
+def _triple_occurrences(
+    g: GainGraph, verts: Sequence[int], inside: Sequence[frozenset[int]], pattern: Pattern
+) -> set[frozenset[int]]:
+    """Occurrences of ``pattern``, which spans three vertices, on the triple
+    ``verts`` of ``g``; ``inside`` holds the edge sets of the triangles of
+    ``g`` on two or three of ``verts``.
+
+    An occurrence is an edge set of the pattern's multigraph whose inside
+    triangles are exactly the images of the distinguished triples D.  So
+    each order of ``verts``, mapped onto the reference's vertices, gives
+    candidates: every choice of as many links on each pair, and loops at
+    each vertex, as the reference has on the preimage.  A candidate is kept
+    when exactly |D| of ``inside`` lie in it and some bijection within its
+    classes carries them onto D.  This is exact under H4: a biased graph is
+    fixed by its multigraph and its balanced circles, and on three vertices
+    the only circles that can be balanced are 3-circles, which are balanced
+    exactly when they are triangles.
+    """
+    need = len(pattern.distinguished)
+    if len(inside) < need:
+        return set()
+    ref = pattern.reference
+    classes: dict[tuple[int, int], list[int]] = defaultdict(list)
+    for e in ref.edges:
+        classes[e.ends()].append(e.id)  # a loop's ends are (v, v)
+    found: set[frozenset[int]] = set()
+    for image in itertools.permutations(verts):
+        vmap = dict(zip(ref.incident_vertices, image))
+        pools = []
+        for (a, b), ids in classes.items():
+            x, y = vmap[a], vmap[b]
+            host = g.loops_at(x) if x == y else g.links_between(x, y)
+            # a host class smaller than the reference's gives no choice
+            pools.append(itertools.combinations([e.id for e in host], len(ids)))
+        for pick in itertools.product(*pools):
+            chosen = list(itertools.chain.from_iterable(pick))
+            edges = frozenset(chosen)
+            if edges in found:
+                continue
+            held = [t for t in inside if t <= edges]
+            if len(held) != need:
+                continue
+            for images in itertools.product(*map(itertools.permutations, classes.values())):
+                sigma = dict(zip(chosen, itertools.chain.from_iterable(images)))
+                if all(frozenset(sigma[i] for i in t) in pattern.distinguished for t in held):
+                    found.add(edges)
+                    break
+    return found

@@ -1,8 +1,7 @@
 """Shared test utilities, test data, and the oracles the library is checked against.
 
 The library computes each quantity once.  The second computations it is
-checked against live here, except the vertex-tuple occurrence search,
-which stays in ``test_census_oracle.py``, its only user.
+checked against live here.
 
 * Test data: :func:`random_gain_graph` samples H1-H5 graphs from
   :data:`RANDOM_GAINS`; :func:`switch` regauges the gains by a vertex
@@ -47,16 +46,18 @@ which stays in ``test_census_oracle.py``, its only user.
   triple's kind from its shape alone (loops taken, vertices spanned).
 * Isomorphism: :func:`biased_isomorphic` decides biased-graph isomorphism
   exhaustively, from every circle and its balance and the multiplicities,
-  vertex signatures and summary of :func:`_bias_profile`; the census
-  oracle compares :func:`induced_subgraph` candidates with it.
-* Occurrences: :func:`find_occurrences` runs the library's occurrence walk
-  (:func:`falkkit.patterns._occurrences`), which the census runs per vertex
-  set, over the whole graph for one pattern; the vertex-tuple search
-  checks it there, H1-H3 failures included.
+  vertex signatures and summary of :func:`_bias_profile`.
+* Occurrences: :func:`find_occurrences` is the vertex-tuple search: it
+  compares every edge choice with the pattern's multiplicities, on every
+  ordered tuple of host vertices, with the pattern by that decider, as an
+  :func:`induced_subgraph`.  It is the oracle for the census's per-triple
+  search (:func:`falkkit.patterns._triple_occurrences`), its K4 join and
+  its counts, H1-H3 failures included.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from bisect import bisect_left
@@ -76,9 +77,7 @@ from falkkit.patterns import (
     _EXCESS_PATTERN,
     Pattern,
     PatternCounts,
-    Triangle,
     TriangleKind,
-    _occurrences,
     atlas,
     triangles,
 )
@@ -817,10 +816,42 @@ def induced_subgraph(g: GainGraph, edge_ids: Iterable[int]) -> GainGraph:
     )
 
 
-def find_occurrences(
-    g: GainGraph, pattern: Pattern, tris: Sequence[Triangle] | None = None
-) -> set[frozenset[int]]:
-    """Edge sets of ``g`` inducing a subgraph biased-isomorphic to ``pattern``,
-    from the library's walk over all of ``tris`` (``triangles(g)`` if None)."""
-    tris = triangles(g) if tris is None else tris
-    return _occurrences(g, tris, (pattern,))[pattern.name]
+@functools.cache
+def _reference_profile(pattern: Pattern) -> _BiasProfile:
+    """The profile of an atlas reference, built once per pattern."""
+    return _bias_profile(pattern.reference)
+
+
+def find_occurrences(g: GainGraph, pattern: Pattern) -> set[frozenset[int]]:
+    """Edge sets of ``g`` inducing a subgraph biased-isomorphic to ``pattern``.
+
+    An exhaustive search: it maps the pattern's vertices to every ordered
+    tuple of host vertices, takes every edge choice with the pattern's
+    multiplicities, and accepts a candidate whose full circle class is
+    biased-isomorphic to the pattern's (:func:`biased_isomorphic`).  It
+    reads no triangle and shares no search logic with the census.
+    """
+    ref_profile = _reference_profile(pattern)
+    ref_pairs = sorted(pattern.reference.link_map.items())
+    ref_loops = sorted(pattern.reference.loop_map.items())
+    results: set[frozenset[int]] = set()
+    tested: dict[frozenset[int], bool] = {}
+    for image in itertools.permutations(g.incident_vertices, len(ref_profile.verts)):
+        vmap = dict(zip(ref_profile.verts, image))
+        slots = []
+        for (u, w), edges in ref_pairs:
+            slots.append((len(edges), [e.id for e in g.links_between(vmap[u], vmap[w])]))
+        for v, loops in ref_loops:
+            slots.append((len(loops), [e.id for e in g.loops_at(vmap[v])]))
+        if any(len(ids) < need for need, ids in slots):
+            continue
+        pools = [itertools.combinations(ids, need) for need, ids in slots]
+        for pick in itertools.product(*pools):
+            candidate = frozenset(itertools.chain.from_iterable(pick))
+            if candidate not in tested:
+                tested[candidate] = _isomorphic_profiles(
+                    _bias_profile(induced_subgraph(g, candidate)), ref_profile
+                )
+            if tested[candidate]:
+                results.add(candidate)
+    return results

@@ -1,19 +1,17 @@
-"""The triangle-seeded occurrence search and the census against the
+"""The per-triple occurrence search and the census against the
 vertex-tuple search.
 
-:func:`vertex_tuple_occurrences` is an exhaustive search: it maps the
+:func:`helpers.find_occurrences` is an exhaustive search: it maps the
 pattern's vertices to every ordered tuple of host vertices, takes every edge
 choice with the pattern's multiplicities, and accepts a candidate whose full
 circle class is biased-isomorphic to the pattern's.  It shares no search
-logic with the library's occurrence walk, which the census runs on the
-triangles of one vertex set at a time and :func:`helpers.find_occurrences`
-runs over the whole graph.
+logic with the library's per-triple search, which the census runs on the
+triple of one balanced 3-circle at a time.
 """
 
-import functools
 import itertools
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from math import comb
 
@@ -27,18 +25,15 @@ from falkkit.patterns import (
     _KIND_FIELD,
     COUNT_FIELDS,
     TriangleKind,
-    _occurrences,
+    _triple_occurrences,
     atlas,
     count_patterns,
     triangles,
 )
 from helpers import (
-    _bias_profile,
-    _isomorphic_profiles,
     braid,
     enriched_pattern_host,
     find_occurrences,
-    induced_subgraph,
     pattern_rich_hosts,
     random_gain_graph,
     scrambled,
@@ -50,40 +45,6 @@ SEED_MAIN = 20260802
 SEED_HOSTS = 5150
 SEED_BUNDLED = 5
 SEED_SCRAMBLE = 77
-
-
-@functools.cache
-def reference_profile(pattern):
-    """The oracle's profile of an atlas reference, built once per pattern."""
-    return _bias_profile(pattern.reference)
-
-
-def vertex_tuple_occurrences(g: GainGraph, pattern) -> set[frozenset[int]]:
-    ref_profile = reference_profile(pattern)
-    ref_pairs = sorted(pattern.reference.link_map.items())
-    ref_loops = sorted(pattern.reference.loop_map.items())
-    k = len(ref_profile.verts)
-    results: set[frozenset[int]] = set()
-    tested: dict[frozenset[int], bool] = {}
-    for image in itertools.permutations(g.incident_vertices, k):
-        vmap = dict(zip(ref_profile.verts, image))
-        slots = []
-        for (u, w), edges in ref_pairs:
-            slots.append((len(edges), [e.id for e in g.links_between(vmap[u], vmap[w])]))
-        for v, loops in ref_loops:
-            slots.append((len(loops), [e.id for e in g.loops_at(vmap[v])]))
-        if any(len(ids) < need for need, ids in slots):
-            continue
-        pools = [itertools.combinations(ids, need) for need, ids in slots]
-        for pick in itertools.product(*pools):
-            candidate = frozenset(itertools.chain.from_iterable(pick))
-            if candidate not in tested:
-                tested[candidate] = _isomorphic_profiles(
-                    _bias_profile(induced_subgraph(g, candidate)), ref_profile
-                )
-            if tested[candidate]:
-                results.add(candidate)
-    return results
 
 
 def oracle_hosts() -> list[GainGraph]:
@@ -103,7 +64,7 @@ def oracle_hosts() -> list[GainGraph]:
 def with_oracle(graphs: list[GainGraph]) -> list[tuple[GainGraph, dict]]:
     """Each graph with the vertex-tuple occurrences of every atlas pattern."""
     return [
-        (g, {name: vertex_tuple_occurrences(g, p) for name, p in atlas().items()})
+        (g, {name: find_occurrences(g, p) for name, p in atlas().items()})
         for g in graphs
     ]
 
@@ -121,12 +82,6 @@ def host_cases(hosts):
 @pytest.fixture(scope="module")
 def bundled_cases():
     return with_oracle(bundled_graphs(random.Random(SEED_BUNDLED), 120))
-
-
-def test_search_matches_vertex_tuple_oracle(host_cases):
-    for index, (g, expected) in enumerate(host_cases):
-        for name, pattern in atlas().items():
-            assert find_occurrences(g, pattern) == expected[name], (index, name)
 
 
 def bundled_graphs(rng: random.Random, count: int) -> list[GainGraph]:
@@ -150,15 +105,9 @@ def bundled_graphs(rng: random.Random, count: int) -> list[GainGraph]:
     return out
 
 
-def test_search_matches_oracle_on_bundled_graphs(bundled_cases):
-    for index, (g, expected) in enumerate(bundled_cases):
-        for name, pattern in atlas().items():
-            assert find_occurrences(g, pattern) == expected[name], (index, name)
-
-
-# the eleven counted patterns, and the seven the census walk is given
-COUNTED = ("K3", "K4", "D3", "D21", "K22", "K33", "Gcirc", "D31", "G1", "G2", "Theta3")
+# the seven excess patterns, and the six the census searches per triple
 EXCESS = ("K4", "D3", "K33", "Gcirc", "D31", "G1", "G2")
+PER_TRIPLE = tuple(name for name in EXCESS if name != "K4")
 # the one-triangle pattern whose occurrences are the triangles of each kind
 KIND_PATTERN = {
     TriangleKind.BALANCED_CIRCLE: "K3",
@@ -168,16 +117,55 @@ KIND_PATTERN = {
 }
 
 
-@pytest.mark.parametrize("cases", ["host_cases", "bundled_cases"])
-def test_one_walk_for_all_counted_patterns_matches_oracle(cases, request):
-    # the caps of several patterns together are looser than any one's: all
-    # eleven counted patterns, and the seven the census walks; the bundled
-    # graphs include hosts where H1-H3 fail
-    for names in (COUNTED, EXCESS):
-        given = [atlas()[name] for name in names]
-        for index, (g, expected) in enumerate(request.getfixturevalue(cases)):
-            found = _occurrences(g, triangles(g), given)
-            assert found == {name: expected[name] for name in names}, (index, names)
+def spanned(g: GainGraph, edge_ids) -> frozenset[int]:
+    """The vertices the edges ``edge_ids`` of ``g`` touch."""
+    return frozenset(v for i in edge_ids for v in g.edge(i).ends())
+
+
+@pytest.mark.parametrize(
+    "cases, nonzero", [("host_cases", PER_TRIPLE), ("bundled_cases", ("D3", "D31", "G1"))]
+)
+def test_triple_search_matches_vertex_tuple_oracle(cases, nonzero, request):
+    # on the triple of each balanced 3-circle, given the triangles on two or
+    # three of its vertices, the search finds exactly the oracle's
+    # occurrences on that triple, and the triples together hold all of
+    # them; the bundled graphs include hosts where H1-H3 fail
+    seen = Counter()
+    for index, (g, expected) in enumerate(request.getfixturevalue(cases)):
+        inside = defaultdict(list)
+        for t in triangles(g):
+            inside[spanned(g, t.edge_ids)].append(frozenset(t.edge_ids))
+        triples = balanced_circle_triples(g)
+        for name in PER_TRIPLE:
+            pattern = atlas()[name]
+            found = set()
+            for verts in triples:
+                given = [t for span, ts in inside.items() if span <= verts for t in ts]
+                occ = _triple_occurrences(g, sorted(verts), given, pattern)
+                assert occ == {o for o in expected[name] if spanned(g, o) == verts}, (index, name)
+                found |= occ
+            assert found == expected[name], (index, name)
+            seen[name] += len(found)
+    assert all(seen[name] > 0 for name in nonzero), dict(seen)
+
+
+def test_per_triple_patterns_are_unions_of_linked_distinguished_triples():
+    # the premise of the per-triple search: each pattern it is given spans
+    # three vertices, and its distinguished triples cover its edges and are
+    # linked by shared edges, so an occurrence is the union of the images of
+    # its distinguished triples, which lie on one triple of vertices
+    for name in PER_TRIPLE:
+        pattern = atlas()[name]
+        ref = pattern.reference
+        assert len(ref.incident_vertices) == 3, name
+        assert frozenset().union(*pattern.distinguished) == {e.id for e in ref.edges}, name
+        reached = {min(pattern.distinguished, key=sorted)}
+        while True:
+            grown = {t for t in pattern.distinguished if any(t & r for r in reached)}
+            if grown == reached:
+                break
+            reached = grown
+        assert reached == pattern.distinguished, name
 
 
 @pytest.mark.parametrize("cases", ["host_cases", "bundled_cases"])
@@ -188,7 +176,6 @@ def test_one_triangle_patterns_are_the_triangles_by_kind(cases, request):
         tris = triangles(g)
         for kind, name in KIND_PATTERN.items():
             by_kind = {frozenset(t.edge_ids) for t in tris if t.kind is kind}
-            assert find_occurrences(g, atlas()[name], tris) == by_kind, (index, name)
             assert by_kind == expected[name], (index, name)
 
 
@@ -201,52 +188,51 @@ def test_census_tables_split_the_count_fields():
 
 
 def test_census_walks_only_the_excess_patterns(hosts, monkeypatch):
-    # every call walks the six 3-vertex excess patterns: never K4, which the
-    # join over balanced 3-circles counts, and never a one-triangle pattern
-    given = []
+    # each triple the census searches is searched for the six 3-vertex
+    # excess patterns, once each: never K4, which the join over balanced
+    # 3-circles counts, and never a one-triangle pattern
+    given = defaultdict(list)
 
-    def recording(g, tris, walked):
-        given.append(tuple(p.name for p in walked))
-        return _occurrences(g, tris, walked)
+    def recording(g, verts, inside, pattern):
+        given[id(g), tuple(verts)].append(pattern.name)
+        return _triple_occurrences(g, verts, inside, pattern)
 
-    monkeypatch.setattr(patterns, "_occurrences", recording)
+    monkeypatch.setattr(patterns, "_triple_occurrences", recording)
     for g in hosts:
         count_patterns(g)
     assert given
-    for names in given:
-        assert sorted(names) == sorted(set(EXCESS) - {"K4"}), names
+    for names in given.values():
+        assert sorted(names) == sorted(PER_TRIPLE), names
 
 
 def balanced_circle_triples(g: GainGraph) -> set[frozenset[int]]:
     """The vertex set of each balanced 3-circle of ``g``."""
     return {
-        frozenset(v for i in t.edge_ids for v in g.edge(i).ends())
-        for t in triangles(g)
-        if t.kind is TriangleKind.BALANCED_CIRCLE
+        spanned(g, t.edge_ids) for t in triangles(g) if t.kind is TriangleKind.BALANCED_CIRCLE
     }
 
 
 def test_census_walks_stay_local_and_the_memo_hits(hosts, monkeypatch):
-    # every walk runs on the host graph itself, given only the triangles
-    # inside the triple of one balanced 3-circle: never the whole graph
+    # every search reads the host graph itself, on the triple of one
+    # balanced 3-circle, given only the triangles inside that triple
     handed = []
 
-    def recording(g, tris, walked):
-        handed.append((g, tris))
-        return _occurrences(g, tris, walked)
+    def recording(g, verts, inside, pattern):
+        handed.append((g, verts, inside))
+        return _triple_occurrences(g, verts, inside, pattern)
 
-    monkeypatch.setattr(patterns, "_occurrences", recording)
-    walks = 0
+    monkeypatch.setattr(patterns, "_triple_occurrences", recording)
+    searched = 0
     for host in hosts:
         handed.clear()
         count_patterns(host)
         triples = balanced_circle_triples(host)
-        for g, tris in handed:
+        for g, verts, inside in handed:
             assert g is host
-            spanned = {v for t in tris for i in t.edge_ids for v in g.edge(i).ends()}
-            assert spanned in triples
-        walks += len(handed)
-    assert walks
+            assert frozenset(verts) in triples
+            assert all(spanned(g, t) <= frozenset(verts) for t in inside)
+        searched += len(handed)
+    assert searched
     # K_m has no triple with enough edges for a 3-vertex excess pattern, and
     # D_m has one type of triple; the key reads gains up to switching, so
     # scrambled copies hit as well
@@ -255,7 +241,8 @@ def test_census_walks_stay_local_and_the_memo_hits(hosts, monkeypatch):
         for h in (g, scrambled(g, rng), scrambled(g, rng)):
             handed.clear()
             count_patterns(h)
-            assert len(handed) == expected
+            assert len({tuple(verts) for _, verts, _ in handed}) == expected
+            assert len(handed) == expected * len(PER_TRIPLE)
 
 
 def test_census_skips_thin_sets_before_keying_them(monkeypatch):
@@ -263,11 +250,11 @@ def test_census_skips_thin_sets_before_keying_them(monkeypatch):
     # than any 3-vertex excess pattern, and the join finds no K4: no 4-set
     # has all six links
     def forbidden(*args, **kwargs):
-        raise AssertionError("the census keyed or walked a set it can skip")
+        raise AssertionError("the census keyed or searched a set it can skip")
 
     g = triangulated_grid(12)
     monkeypatch.setattr(patterns, "_local_key", forbidden)
-    monkeypatch.setattr(patterns, "_occurrences", forbidden)
+    monkeypatch.setattr(patterns, "_triple_occurrences", forbidden)
     counts = count_patterns(g)
     assert counts.as_dict() == {**dict.fromkeys(COUNT_FIELDS, 0), "k3": 2 * 11 * 11}
 
@@ -289,7 +276,7 @@ def test_census_tells_sets_of_one_shape_apart():
     counts = count_patterns(g)
     assert (counts.d3, counts.k4) == (1, 1)
     for name, expected in (("D3", 1), ("K4", 1)):
-        assert len(vertex_tuple_occurrences(g, atlas()[name])) == expected
+        assert len(find_occurrences(g, atlas()[name])) == expected
 
 
 def test_excess_patterns_sit_on_a_balanced_circle_within_one_vertex_set():
@@ -319,10 +306,9 @@ def k4_sharing_hosts() -> list[GainGraph]:
     ]
 
 
-def test_k4_join_matches_the_walk_and_the_vertex_tuple_oracle():
-    # the census counts K4 by a join over balanced 3-circles, not by a walk;
-    # it must find each occurrence the whole-graph walk and the exhaustive
-    # search find, once
+def test_k4_join_matches_the_vertex_tuple_oracle():
+    # the census counts K4 by a join over balanced 3-circles, not by a
+    # search; it must find each occurrence the exhaustive search finds, once
     rng = random.Random(SEED_SCRAMBLE)
     base = [braid(m) for m in range(4, 10)] + [type_d(m) for m in (4, 5, 6)]
     graphs = [scrambled(g, rng) for g in base + k4_sharing_hosts()]
@@ -332,7 +318,7 @@ def test_k4_join_matches_the_walk_and_the_vertex_tuple_oracle():
     for index, g in enumerate(graphs):
         assert validate(g).all_pass, index
         found = count_patterns(g).k4
-        assert found == len(find_occurrences(g, k4)) == len(vertex_tuple_occurrences(g, k4)), index
+        assert found == len(find_occurrences(g, k4)), index
         shared += found > 1 and g.num_vertices == 4
     assert shared >= 4
 

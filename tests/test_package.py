@@ -24,6 +24,7 @@ MOVED = {
     "falkkit.patterns": (
         "biased_isomorphic", "_isomorphic_profiles", "_edge_bijection_matches", "_pair",
         "induced_subgraph", "_BiasProfile", "_bias_profile", "find_occurrences",
+        "_occurrences", "_carries_triangles",
     ),
     "falkkit.arrangement": ("dependent_3sets",),
     "falkkit.graphs": (
