@@ -15,7 +15,8 @@ import os
 import sys
 
 from .arrangement import arrangement
-from .falk import FalkReport, _rank_route, phi3_combinatorial, verify
+from .exterior import rank_fields
+from .falk import FalkReport, phi3_combinatorial, verify
 from .graphs import (
     GainGraph,
     GraphFormatError,
@@ -116,7 +117,7 @@ def cmd_phi3(g: GainGraph, args) -> int:
     if args.method in ("comb", "both"):
         comb_value = phi3_combinatorial(_census(g, _triangles(g, xs)))
     if args.method in ("rank", "both"):
-        rank_value = _rank_route(g.n, xs).phi3_rank
+        rank_value = rank_fields(g.n, xs).phi3_rank
     if args.method == "both":
         agree = comb_value == rank_value
     if args.json:
@@ -152,7 +153,7 @@ def cmd_realize(g: GainGraph, args) -> int:
 
 def cmd_rank_f3(g: GainGraph, args) -> int:
     require_hypotheses(g, ("H4", "H5"))
-    fields = _rank_route(g.n, flats(g))
+    fields = rank_fields(g.n, flats(g))
     size, rank = fields.span_F3_size, fields.span_F3_rank
     if args.json:
         _dump({"n": g.n, "f3": {"size": size, "rank": rank}})

@@ -3,9 +3,11 @@
 The rank route needs three numbers: dim A^2, dim I^3_2 (the degree-3 slice
 of the ideal generated by the boundaries of the dependent triples) and the
 size and rank of F3 = {e_t * boundary(e_S) : t not in S}.  All of them are
-read off the rank-2 flats of the arrangement, with one elimination.  The
-flats come in as increasing edge-id tuples (:func:`falkkit.patterns.flats`),
-and each entry point checks only their shape (:func:`_checked`).
+read off the rank-2 flats of the arrangement, with one elimination, and
+Falk's formula turns them into phi3 (:func:`rank_fields`, the route's one
+entry point).  The flats come in as increasing edge-id tuples
+(:func:`falkkit.patterns.flats`), and :func:`rank_fields` checks only their
+shape.
 
 A rank-2 flat X of size >= 3 is a maximal set of edges whose every
 3-subset is dependent; two flats share at most one edge, so each pair of
@@ -17,8 +19,7 @@ one.  Write I_X for the span of the boundaries e_jk - e_ik + e_ij of the
   the pairs of X, and the flats share no pair, so I^2 is the direct sum of
   the I_X.  The boundary map is exact on the exterior algebra of X, so
   dim I_X = C(|X|, 2) - (|X| - 1) = C(|X|-1, 2), with basis the boundaries
-  of the triples S = {x, b, c}.  Hence dim A^2 = C(n, 2) - sum_X C(|X|-1, 2)
-  (:func:`dim_A2`).
+  of the triples S = {x, b, c}.  Hence dim A^2 = C(n, 2) - sum_X C(|X|-1, 2).
 * **dim I^3_2 = sum_X C(|X|, 3) + rank G.**  I^3_2 is spanned by
   e_t * I_X over every flat X and every edge t.  The local rows (t in X)
   lie in Lambda^3(X) and span it: for t in S, e_t * e_S = 0 and so
@@ -41,14 +42,13 @@ one.  Write I_X for the span of the boundaries e_jk - e_ik + e_ij of the
   coefficients)*e_a = 0 forces v = 0.  So every vector of the left kernel
   of G is zero on such a block, and nullity(G) = nullity(G_kept), where
   G_kept holds the blocks with |A| >= 2.  Hence
-  dim I^3_2 = sum_X C(|X|, 3) + |G| - |G_kept| + rank G_kept
-  (:func:`dim_I3_2`), with |G_kept| = sum_X C(|X|-1, 2)*#{t : |A| >= 2}
-  rows.  G_kept has 3 960 of the 8 580 rows of G for the braid
-  arrangement K_11, 2 820 of 4 080 for B_6, and none for a triangulated
-  grid, where every flat is a triangle no outside edge meets twice.
-  |G_kept| is counted before any row is written, and the route refuses
-  (raises :class:`~falkkit.graphs.GraphTooLargeError`) above
-  :data:`MAX_KEPT_ROWS`.
+  dim I^3_2 = sum_X C(|X|, 3) + |G| - |G_kept| + rank G_kept, with
+  |G_kept| = sum_X C(|X|-1, 2)*#{t : |A| >= 2} rows.  G_kept has 3 960
+  of the 8 580 rows of G for the braid arrangement K_11, 2 820 of 4 080
+  for B_6, and none for a triangulated grid, where every flat is a
+  triangle no outside edge meets twice.  |G_kept| is counted before any
+  row is written, and the route refuses (raises
+  :class:`~falkkit.graphs.GraphTooLargeError`) above :data:`MAX_KEPT_ROWS`.
 * **|F3| = (n-3)*|T| and rank F3 = dim I^3_2 - #{X : |X| = 3}.**  F3 holds
   the global rows of every triple, which span e_t * I_X like G does, and
   the local rows with t in X but outside S.  For a 4-set Y in X and
@@ -57,7 +57,7 @@ one.  Write I_X for the span of the boundaries e_jk - e_ik + e_ij of the
   those signs, the four rows of Y give -3*boundary(e_Y), so every e_S with
   S in Y lies in F3.  So Lambda^3(X) lies in F3 when |X| >= 4, while a
   flat of three has no local F3 row, and no global row reaches its
-  monomial e_X (:func:`f3_size_and_rank`).
+  monomial e_X.
 
 The kept t of a flat X are the edges outside X that lie in N(a) and N(b)
 for two edges a != b of X, where N(a) is the union of the flats through a;
@@ -84,14 +84,14 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from math import comb, gcd
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .graphs import GraphTooLargeError
 
 #: a rank-2 flat: the increasing edge ids of its hyperplanes
 Flat = tuple[int, ...]
 
-#: most rows of G_kept that :func:`dim_I3_2` writes out and eliminates; the
+#: most rows of G_kept that :func:`rank_fields` writes out and eliminates; the
 #: braid arrangement K_28 has 245 700, which take about 1 s and 150 MB
 MAX_KEPT_ROWS = 250_000
 
@@ -158,41 +158,6 @@ def rank(rows: Iterable[Mapping]) -> int:
     return len(_pivot_rows(rows))
 
 
-class _Checked(list):
-    """Flats that :func:`_checked` accepted for ``n``, with the sums the closed
-    forms read: |T| = sum_X C(|X|, 3), dim I^2 = sum_X C(|X|-1, 2) and the
-    number of flats of size 3."""
-
-    __slots__ = ("n", "triangles", "dim_I2", "threes")
-
-
-def _checked(n: int, flats: Iterable[Flat]) -> _Checked:
-    """The flats as a list with their sums; raises ``ValueError`` unless each
-    has 3 or more edge ids 1 <= x_1 < x_2 < ... <= n, which the row codes rely
-    on.  Flats this function returned for the same ``n`` come back as they are,
-    so a caller that checks once can hand the result to every entry point."""
-    if type(flats) is _Checked and flats.n == n:
-        return flats
-    out = _Checked(flats)
-    triangles = dim_i2 = threes = 0
-    for flat in out:
-        size = len(flat)
-        if size < 3 or flat[0] < 1 or flat[-1] > n or any(
-            a >= b for a, b in zip(flat, flat[1:])
-        ):
-            raise ValueError(f"expected 3 or more edge ids 1 <= x_1 < x_2 < ... <= {n}: {flat}")
-        triangles += comb(size, 3)
-        dim_i2 += comb(size - 1, 2)
-        threes += size == 3
-    out.n, out.triangles, out.dim_I2, out.threes = n, triangles, dim_i2, threes
-    return out
-
-
-def dim_A2(n: int, flats: Iterable[Flat]) -> int:
-    """dim A^2 = C(n, 2) - sum_X C(|X|-1, 2), with no elimination."""
-    return comb(n, 2) - _checked(n, flats).dim_I2
-
-
 def _kept_outside(flats: list[Flat]) -> list[list[int]]:
     """For each flat X, the increasing edges t outside X whose block of G is
     kept: those that share a flat with two or more edges of X."""
@@ -249,34 +214,50 @@ def _kept_rows(n: int, flats: Iterable[Flat], kept: Iterable[list[int]]) -> list
     return rows
 
 
-def dim_I3_2(n: int, flats: Iterable[Flat]) -> int:
-    """dim I^3_2 = sum_X C(|X|, 3) + |G| - |G_kept| + rank G_kept: the rank
-    route's one elimination, over the kept blocks of G only.
+class RankFields(NamedTuple):
+    """The rank route's numbers for one graph, named as in
+    :class:`~falkkit.falk.FalkReport`."""
 
-    Raises :class:`~falkkit.graphs.GraphTooLargeError`, before it writes a
-    row, when G_kept has more than :data:`MAX_KEPT_ROWS` rows.
+    dim_A2: int
+    dim_I3_2: int
+    span_F3_size: int
+    span_F3_rank: int
+    phi3_rank: int
+
+
+def rank_fields(n: int, flats: Iterable[Flat]) -> RankFields:
+    """dim A^2, dim I^3_2, |F3|, rank F3 and phi3 of an arrangement of ``n``
+    hyperplanes, from its rank-2 flats of size >= 3: the closed forms above,
+    one elimination of G_kept, and
+    phi3 = 2*C(n+1, 3) - n*dim A^2 + C(n, 3) - dim I^3_2.
+
+    Raises ``ValueError`` unless each flat has 3 or more edge ids
+    1 <= x_1 < x_2 < ... <= n, which the row codes rely on, and
+    :class:`~falkkit.graphs.GraphTooLargeError`, before it writes a row,
+    when G_kept has more than :data:`MAX_KEPT_ROWS` rows.
     """
-    flats = _checked(n, flats)
+    flats = list(flats)
+    triangles = dim_i2 = threes = size_g = 0
+    for flat in flats:
+        size = len(flat)
+        if size < 3 or flat[0] < 1 or flat[-1] > n or any(
+            a >= b for a, b in zip(flat, flat[1:])
+        ):
+            raise ValueError(f"expected 3 or more edge ids 1 <= x_1 < x_2 < ... <= {n}: {flat}")
+        basis = comb(size - 1, 2)
+        triangles += comb(size, 3)
+        dim_i2 += basis
+        threes += size == 3
+        size_g += basis * (n - size)
     kept = _kept_outside(flats)
-    size_g = size_kept = 0
-    for flat, outside in zip(flats, kept):
-        basis = comb(len(flat) - 1, 2)
-        size_g += basis * (n - len(flat))
-        size_kept += basis * len(outside)
+    size_kept = sum(comb(len(flat) - 1, 2) * len(outside) for flat, outside in zip(flats, kept))
     if size_kept > MAX_KEPT_ROWS:
         raise GraphTooLargeError(
             f"rank route has {size_kept} rows to eliminate, more than {MAX_KEPT_ROWS}"
         )
     rows = _kept_rows(n, flats, kept)
     rows.reverse()  # less fill-in than the written order (see the module docstring)
-    return flats.triangles + size_g - size_kept + rank(rows)
-
-
-def f3_size_and_rank(n: int, flats: Iterable[Flat], dim_i32: int) -> tuple[int, int]:
-    """Size and rank of F3, from the flats and ``dim_i32`` = :func:`dim_I3_2`.
-
-    |F3| = (n-3)*|T| with |T| = sum_X C(|X|, 3), and
-    rank F3 = dim I^3_2 - #{X : |X| = 3}.
-    """
-    flats = _checked(n, flats)
-    return (n - 3) * flats.triangles, dim_i32 - flats.threes
+    dim_a2 = comb(n, 2) - dim_i2
+    dim_i32 = triangles + size_g - size_kept + rank(rows)
+    phi3 = 2 * comb(n + 1, 3) - n * dim_a2 + comb(n, 3) - dim_i32
+    return RankFields(dim_a2, dim_i32, (n - 3) * triangles, dim_i32 - threes, phi3)

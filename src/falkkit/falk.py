@@ -7,12 +7,13 @@
 and is valid for any gain graph whose hyperplanes are pairwise distinct
 (H4 and H5).  Both dimensions are read off the rank-2 flats of size >= 3
 (Falk 1988: phi3 depends only on them), which one walk over the graph
-finds (:func:`falkkit.patterns.flats`): dim(A^2) and the local part of
-dim(I^3_2) in closed form, and the global part as the exact rank of one
-integer matrix G (see :mod:`falkkit.exterior`).  So phi3 = 2|T| + nullity(G),
-the two per triangle of the Papadima-Suciu lower bound plus the global
-excess that G's kernel carries.  The size and rank of F3 follow from the
-same numbers with no further elimination.
+finds (:func:`falkkit.patterns.flats`), and one call turns into every rank
+field (:func:`falkkit.exterior.rank_fields`): dim(A^2) and the local part
+of dim(I^3_2) in closed form, and the global part as the exact rank of one
+integer matrix G.  So phi3 = 2|T| + nullity(G), the two per triangle of
+the Papadima-Suciu lower bound plus the global excess that G's kernel
+carries.  The size and rank of F3 follow from the same numbers with no
+further elimination.
 
 :func:`phi3_combinatorial` evaluates the census form, a local part plus a
 global excess,
@@ -30,8 +31,7 @@ from the larger patterns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping
 
 from . import exterior
 from .graphs import GainGraph, ValidationReport, validate
@@ -40,29 +40,8 @@ from .patterns import (
 )
 
 
-class RankFields(NamedTuple):
-    """The rank route's numbers for one graph, named as in :class:`FalkReport`."""
-
-    dim_A2: int
-    dim_I3_2: int
-    span_F3_size: int
-    span_F3_rank: int
-    phi3_rank: int
-
-
 #: the report fields the rank route fills, withheld together when H4 or H5 fails
-_RANK_FIELDS = ("num_triangles", "triangle_list", *RankFields._fields)
-
-
-def _rank_route(n: int, xs: Sequence[exterior.Flat]) -> RankFields:
-    """The rank route, for a caller that has checked H4 and H5 and holds
-    ``flats(g)``; it checks and sums the flats once and runs one elimination."""
-    xs = exterior._checked(n, xs)
-    dim_a2 = exterior.dim_A2(n, xs)
-    dim_i32 = exterior.dim_I3_2(n, xs)
-    size, rank_f3 = exterior.f3_size_and_rank(n, xs, dim_i32)
-    phi3 = 2 * comb(n + 1, 3) - n * dim_a2 + comb(n, 3) - dim_i32
-    return RankFields(dim_a2, dim_i32, size, rank_f3, phi3)
+_RANK_FIELDS = ("num_triangles", "triangle_list", *exterior.RankFields._fields)
 
 
 def phi3_rank(g: GainGraph) -> int:
@@ -72,7 +51,7 @@ def phi3_rank(g: GainGraph) -> int:
     hyperplanes are then not pairwise distinct.
     """
     require_hypotheses(g, ("H4", "H5"))
-    return _rank_route(g.n, flats(g)).phi3_rank
+    return exterior.rank_fields(g.n, flats(g)).phi3_rank
 
 
 # coefficient of each larger pattern in phi3's global excess
@@ -139,9 +118,8 @@ def verify(g: GainGraph) -> FalkReport:
     else:
         xs = flats(g)
         tris = tuple(_triangles(g, xs))
-        values.update(
-            num_triangles=len(tris), triangle_list=tris, **_rank_route(g.n, xs)._asdict()
-        )
+        fields = exterior.rank_fields(g.n, xs)
+        values.update(num_triangles=len(tris), triangle_list=tris, **fields._asdict())
 
     if failing:
         for name in ("counts", "phi3_combinatorial", "agree"):

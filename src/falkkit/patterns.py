@@ -33,14 +33,15 @@ each hold a balanced 3-circle.  K4 spans four vertices and is counted by a
 join over the balanced 3-circles (:func:`_k4_count`): each occurrence once,
 from its smallest edge.  The other six span three vertices, and each
 exclusion pairs two of them, so the census (:func:`_census`) counts them per
-triple of a balanced 3-circle.  A triple with fewer local edges (links
-among its vertices, loops at them) than the smallest such pattern is
-skipped.  The counts of any other triple come from its sub-multigraphs
-shaped like each pattern whose triangles are the distinguished triples
-(:func:`_triple_occurrences`), the library's only biased-isomorphism
-decision, read in place on the host graph, and are memoized for the call
-by a switching-normalized copy of the local gain graph
-(:func:`_local_key`).  The work is the join's, at most one key per
+triple of a balanced 3-circle.  A triple with fewer triangles (on two or
+three of its vertices) than the fewest distinguished triples of such a
+pattern is skipped: an occurrence's inside triangles are exactly its |D|
+distinguished ones.  The counts of any other triple come from its
+sub-multigraphs shaped like each pattern whose triangles are the
+distinguished triples (:func:`_triple_occurrences`), the library's only
+biased-isomorphism decision, read in place on the host graph, and are
+memoized for the call by a switching-normalized copy of the local gain
+graph (:func:`_local_key`).  The work is the join's, at most one key per
 balanced 3-circle and one search per distinct key: K_m makes none and D_m
 one.  The tests check the per-triple search, the join and the census
 against an exhaustive decider that lives with the other oracles in the
@@ -318,17 +319,17 @@ def _census(g: GainGraph, tris: Sequence[Triangle]) -> PatternCounts:
     The six other excess patterns span three vertices and hold a balanced
     3-circle, and each exclusion pairs two of them, so they are counted per
     triple of a balanced 3-circle on the triple's local graph, with the
-    exclusions applied inside it.  A triple with fewer local edges than
-    every such pattern is skipped before its key is built.  The counts are
-    memoized by :func:`_local_key` for this call.
+    exclusions applied inside it.  A triple with fewer triangles than every
+    such pattern has distinguished triples is skipped before its key is
+    built.  The counts are memoized by :func:`_local_key` for this call.
 
     The work is the join's, at most the sum over edges e of C(c_e, 2) for
     c_e balanced 3-circles through e, plus one key per balanced 3-circle
-    triple with enough edges and one search per distinct key: K_m makes
+    triple with enough triangles and one search per distinct key: K_m makes
     none and D_m one.
     """
     searched = [atlas()[name] for field, name in _EXCESS_PATTERN.items() if field != "k4"]
-    fewest = min(p.reference.n for p in searched)
+    fewest = min(len(p.distinguished) for p in searched)
     counts = Counter(_KIND_FIELD[t.kind] for t in tris)
     # the triangles by their sorted vertex tuple: two vertices for a triple
     # of a two-vertex flat, three for a balanced 3-circle
@@ -341,12 +342,18 @@ def _census(g: GainGraph, tris: Sequence[Triangle]) -> PatternCounts:
     for verts in by_verts:
         if len(verts) < 3:
             continue
-        links = sum(len(g.links_between(a, b)) for a, b in itertools.combinations(verts, 2))
-        if links + sum(len(g.loops_at(v)) for v in verts) < fewest:
+        # the triangles on two or three of verts
+        inside = [
+            frozenset(t.edge_ids)
+            for size in (2, 3)
+            for sub in itertools.combinations(verts, size)
+            for t in by_verts.get(sub, ())
+        ]
+        if len(inside) < fewest:
             continue
         key = _local_key(g, verts)
         if key not in memo:
-            memo[key] = _local_counts(g, verts, by_verts, searched)
+            memo[key] = _local_counts(g, verts, inside, searched)
         counts.update(memo[key])
     return PatternCounts(**counts)
 
@@ -432,19 +439,14 @@ def _local_key(g: GainGraph, verts: Sequence[int]) -> tuple:
 def _local_counts(
     g: GainGraph,
     verts: Sequence[int],
-    by_verts: Mapping[tuple[int, ...], Sequence[Triangle]],
+    inside: Sequence[frozenset[int]],
     searched: Sequence[Pattern],
 ) -> dict[str, int]:
     """Occurrence counts of the ``searched`` patterns on the local graph of
     ``verts`` (its links and the loops at its vertices), with the
     exclusions applied inside it.  The search reads ``g`` itself, given
-    only the triangles of ``by_verts`` on two or three of ``verts``."""
-    inside = [
-        frozenset(t.edge_ids)
-        for size in (2, 3)
-        for sub in itertools.combinations(verts, size)
-        for t in by_verts.get(sub, ())
-    ]
+    only ``inside``, the edge sets of the triangles on two or three of
+    ``verts``."""
     found = {p.name: _triple_occurrences(g, verts, inside, p) for p in searched}
     occ = {field: found[name] for field, name in _EXCESS_PATTERN.items() if name in found}
     counts = {}

@@ -29,9 +29,10 @@ checked against live here.
   (n-3)*|T| and n*|T| rows), with no decomposition over the rank-2 flats;
   :func:`full_rank_fields` gathers them into the rank fields of a report.
   They are the oracle for the library's closed forms and its one
-  elimination of the global rows.  :func:`global_rows` writes every row of
-  G, the global rows, and :func:`kept_global_rows` keeps those of the
-  blocks the library eliminates; :func:`recorded_rows` records the rows
+  elimination of the global rows, which :func:`falkkit.exterior.rank_fields`
+  reads off the rank-2 flats in one call.  :func:`global_rows` writes
+  every row of G, the global rows, and :func:`kept_global_rows` keeps those
+  of the blocks the library eliminates; :func:`recorded_rows` records the rows
   the library hands to :func:`falkkit.exterior.rank`.  :func:`dim_I3_2_closed_form` predicts
   dim(I^3_2) from the census counts under H1-H5.
 * Matroid: :func:`dependent_3sets` ranks the hyperplane normals of every

@@ -246,9 +246,9 @@ def test_census_walks_stay_local_and_the_memo_hits(hosts, monkeypatch):
 
 
 def test_census_skips_thin_sets_before_keying_them(monkeypatch):
-    # every triple of the grid holds its three links and nothing more, fewer
-    # than any 3-vertex excess pattern, and the join finds no K4: no 4-set
-    # has all six links
+    # every triple of the grid holds one triangle, fewer than the four or
+    # more distinguished triples of any 3-vertex excess pattern, and the
+    # join finds no K4: no 4-set has all six links
     def forbidden(*args, **kwargs):
         raise AssertionError("the census keyed or searched a set it can skip")
 

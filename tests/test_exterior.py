@@ -1,6 +1,7 @@
-"""The library's closed forms and its one elimination, against the full
-eliminations of :mod:`helpers` (``dim_I2``, ``span_F3``, ``full_dim_I3_2``)
-on small graphs with pinned values."""
+"""The library's closed forms and its one elimination
+(:func:`falkkit.exterior.rank_fields`), against the full eliminations of
+:mod:`helpers` (``dim_I2``, ``span_F3``, ``full_dim_I3_2``) on small graphs
+with pinned values."""
 
 import copy
 import itertools
@@ -11,7 +12,7 @@ from math import comb
 import pytest
 
 from falkkit import exterior, falk
-from falkkit.exterior import dim_A2, dim_I3_2, f3_size_and_rank, rank
+from falkkit.exterior import rank, rank_fields
 from falkkit.graphs import GainGraph, GraphTooLargeError
 from falkkit.patterns import atlas, triangles
 from falkkit.patterns import flats as graph_flats
@@ -30,11 +31,10 @@ from helpers import (
 
 
 def library_dims(n, tris):
-    """dim A^2, dim I^3_2 and (|F3|, rank F3) the way the rank route gets them,
-    from the flats the oracle regroup makes of the triples."""
-    xs = flats(n, tris)
-    i32 = dim_I3_2(n, xs)
-    return dim_A2(n, xs), i32, f3_size_and_rank(n, xs, i32)
+    """dim A^2, dim I^3_2 and (|F3|, rank F3) as :func:`rank_fields` reads
+    them off the flats the oracle regroup makes of the triples."""
+    fields = rank_fields(n, flats(n, tris))
+    return fields.dim_A2, fields.dim_I3_2, (fields.span_F3_size, fields.span_F3_rank)
 
 ONE = Fraction(1)
 
@@ -91,31 +91,20 @@ def test_degree_3_eliminations_reject_ids_above_n():
     ],
 )
 def test_entry_points_reject_bad_flats(n, xs):
-    with pytest.raises(ValueError):
-        dim_A2(n, xs)
-    with pytest.raises(ValueError):
-        dim_I3_2(n, xs)
-    with pytest.raises(ValueError):
-        f3_size_and_rank(n, xs, 0)
+    with pytest.raises(ValueError, match=r"expected 3 or more edge ids 1 <= x_1 < x_2"):
+        rank_fields(n, xs)
 
 
 def test_entry_points_take_valid_flats_as_given():
-    assert dim_A2(3, [(1, 2, 3)]) == 2
-    assert dim_I3_2(4, [(1, 2, 3)]) == 2
-    assert dim_A2(5, iter([(1, 2, 3, 4)])) == 7
-    assert dim_I3_2(5, iter([(1, 2, 3, 4)])) == 4 + 3
-    assert f3_size_and_rank(5, iter([(1, 2, 3, 4)]), 7) == (8, 7)
-
-
-def test_checked_flats_carry_their_sums_and_pass_unchecked_for_the_same_n():
-    xs = exterior._checked(7, iter([(1, 2, 3, 4), (4, 5, 6)]))
-    assert xs == [(1, 2, 3, 4), (4, 5, 6)]
-    assert (xs.triangles, xs.dim_I2, xs.threes) == (4 + 1, 3 + 1, 1)
-    assert exterior._checked(7, xs) is xs
-    assert dim_A2(7, xs) == comb(7, 2) - 4
-    assert f3_size_and_rank(7, xs, 9) == (4 * 5, 8)
-    with pytest.raises(ValueError):
-        exterior._checked(5, xs)
+    assert rank_fields(3, [(1, 2, 3)]).dim_A2 == 2
+    assert rank_fields(4, [(1, 2, 3)]).dim_I3_2 == 2
+    assert rank_fields(5, iter([(1, 2, 3, 4)])) == (7, 4 + 3, 8, 7, 8)
+    # |T| = 4 + 1, dim I^2 = 3 + 1, one flat of three, and phi3 = 2|T|
+    xs = [(1, 2, 3, 4), (4, 5, 6)]
+    i32 = full_dim_I3_2(7, [s for x in xs for s in itertools.combinations(x, 3)])
+    assert rank_fields(7, iter(xs)) == (comb(7, 2) - 4, i32, 4 * 5, i32 - 1, 2 * 5) == (
+        17, 18, 20, 17, 10
+    )
 
 
 @pytest.mark.parametrize(
@@ -197,18 +186,18 @@ def test_dim_I2_values(final_example, pattern_atlas):
     gcirc = pattern_atlas["Gcirc"].reference
     assert dim_I2(gcirc.n, triangles(gcirc)) == 4
     b2 = pattern_atlas["B2"].reference
-    assert dim_I2(b2.n, triangles(b2)) == 3 == comb(4, 2) - dim_A2(4, [(1, 2, 3, 4)])
+    assert dim_I2(b2.n, triangles(b2)) == 3 == comb(4, 2) - rank_fields(4, [(1, 2, 3, 4)]).dim_A2
 
 
 def test_dim_A2_values(final_example, pattern_atlas):
     k4 = pattern_atlas["K4"].reference
     for g, want in ((final_example, 78), (k4, 11)):
         tris = triangles(g)
-        assert dim_A2(g.n, flats(g.n, tris)) == want == comb(g.n, 2) - dim_I2(g.n, tris)
+        assert library_dims(g.n, tris)[0] == want == comb(g.n, 2) - dim_I2(g.n, tris)
     # triangle-free: a star with 5 edges
     star = GainGraph.from_edge_list(6, [(1, i, 1) for i in range(2, 7)])
     assert triangles(star) == []
-    assert dim_A2(star.n, []) == 10
+    assert rank_fields(star.n, []).dim_A2 == 10
 
 
 REFERENCE_F3 = {
@@ -239,7 +228,7 @@ def test_dim_I3_2_values(final_example, pattern_atlas):
     for g, want in ((final_example, 151), (gcirc, 14)):
         tris = triangles(g)
         assert full_dim_I3_2(g.n, tris) == want == library_dims(g.n, tris)[1]
-    assert full_dim_I3_2(9, []) == 0 == dim_I3_2(9, [])
+    assert full_dim_I3_2(9, []) == 0 == rank_fields(9, []).dim_I3_2
 
 
 def test_direct_sum_decomposition(final_example, pattern_atlas):
@@ -310,7 +299,7 @@ def test_rank_route_refuses_above_the_kept_row_bound(monkeypatch):
     with pytest.raises(GraphTooLargeError):
         falk.verify(g)
     with pytest.raises(GraphTooLargeError):
-        dim_I3_2(g.n, graph_flats(g))
+        rank_fields(g.n, graph_flats(g))
     monkeypatch.setattr(exterior, "_kept_rows", written)
     monkeypatch.setattr(exterior, "MAX_KEPT_ROWS", 3960)
     assert falk.phi3_rank(g) == 2 * comb(12, 4)

@@ -182,7 +182,7 @@ def test_closed_form_dimension_prediction(final_example, pattern_atlas):
         counts = count_patterns(g)
         tris = triangles(g)
         predicted = dim_I3_2_closed_form(g.n, counts)
-        assert exterior.dim_I3_2(g.n, flats(g)) == predicted
+        assert exterior.rank_fields(g.n, flats(g)).dim_I3_2 == predicted
         assert full_dim_I3_2(g.n, tris) == predicted
 
 

@@ -19,7 +19,9 @@ TESTS = Path(__file__).resolve().parent
 
 #: test oracles and test-data generators that once shipped in the library
 #: (among them the full eliminations the rank route's closed forms replaced),
-#: and the circle model no computation needed, by the module that held them
+#: the circle model no computation needed, and the entry points folded into
+#: one (the rank route's into :func:`falkkit.exterior.rank_fields`), by the
+#: module that held them
 MOVED = {
     "falkkit.patterns": (
         "biased_isomorphic", "_isomorphic_profiles", "_edge_bijection_matches", "_pair",
@@ -32,11 +34,11 @@ MOVED = {
         "switch", "random_gain_graph", "RANDOM_GAINS", "GainGraph.with_reversed_edge",
         "Edge.reversed",
     ),
-    "falkkit.falk": ("random_switching", "dim_I3_2_closed_form"),
+    "falkkit.falk": ("random_switching", "dim_I3_2_closed_form", "RankFields", "_rank_route"),
     "falkkit.exterior": (
         "boundary3", "boundary2", "pair_vector", "wedge1", "_check_increasing", "_ONE",
         "dim_I2", "span_F3", "_boundary_rows", "_wedge_rows", "flats", "_triples",
-        "_global_rows",
+        "_global_rows", "_Checked", "_checked", "dim_A2", "dim_I3_2", "f3_size_and_rank",
     ),
 }
 

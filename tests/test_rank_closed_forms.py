@@ -1,7 +1,8 @@
 """The rank route's closed forms and its one elimination, across the H4/H5 regime.
 
 The library reads dim A^2, |F3| and rank F3 off the rank-2 flats and ranks
-only the kept blocks of the global rows G (:mod:`falkkit.exterior`).  Here
+only the kept blocks of the global rows G, in one call
+(:func:`falkkit.exterior.rank_fields`).  Here
 every rank field of :func:`falkkit.falk.verify` is checked against the full
 eliminations of the test oracle (:func:`helpers.full_rank_fields`: |T|,
 (n-3)*|T| and n*|T| rows, no decomposition assumed) on the reflection
@@ -87,11 +88,11 @@ def test_rank_fields_match_full_elimination_on_regime_corpus():
 def check_kept_nullity(monkeypatch, g) -> tuple[int, int]:
     """nullity(kept rows) == nullity(G); returns the numbers of kept and of all rows."""
     xs = flats(g)
-    (kept,), dim_i32 = helpers.recorded_rows(monkeypatch, lambda: exterior.dim_I3_2(g.n, xs))
+    (kept,), fields = helpers.recorded_rows(monkeypatch, lambda: exterior.rank_fields(g.n, xs))
     full = helpers.global_rows(g.n, xs)
     rank_full = exterior.rank(full)
     assert len(kept) - exterior.rank(kept) == len(full) - rank_full
-    assert dim_i32 == sum(comb(len(x), 3) for x in xs) + rank_full
+    assert fields.dim_I3_2 == sum(comb(len(x), 3) for x in xs) + rank_full
     return len(kept), len(full)
 
 

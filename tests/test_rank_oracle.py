@@ -23,7 +23,7 @@ from math import comb, gcd, lcm
 import pytest
 
 from falkkit import exterior
-from falkkit.falk import _rank_route, phi3_rank
+from falkkit.falk import phi3_rank
 from falkkit.graphs import validate
 from falkkit.patterns import flats, triangles
 import helpers
@@ -123,7 +123,7 @@ FAMILIES = (
 def check_library_rows(monkeypatch, g) -> None:
     xs = flats(g)
     # the rank route eliminates once
-    (rows,), _ = helpers.recorded_rows(monkeypatch, lambda: _rank_route(g.n, xs))
+    (rows,), _ = helpers.recorded_rows(monkeypatch, lambda: exterior.rank_fields(g.n, xs))
     # exactly the rows of G's kept blocks, eliminated last row first
     assert rows == helpers.kept_global_rows(g.n, xs)[::-1]
     # the contract exterior.rank relies on
