@@ -99,12 +99,18 @@ def test_entry_points_take_valid_flats_as_given():
     assert rank_fields(3, [(1, 2, 3)]).dim_A2 == 2
     assert rank_fields(4, [(1, 2, 3)]).dim_I3_2 == 2
     assert rank_fields(5, iter([(1, 2, 3, 4)])) == (7, 4 + 3, 8, 7, 8)
+
+
+def test_rank_fields_sum_over_the_flats_and_check_them_against_n():
     # |T| = 4 + 1, dim I^2 = 3 + 1, one flat of three, and phi3 = 2|T|
     xs = [(1, 2, 3, 4), (4, 5, 6)]
     i32 = full_dim_I3_2(7, [s for x in xs for s in itertools.combinations(x, 3)])
     assert rank_fields(7, iter(xs)) == (comb(7, 2) - 4, i32, 4 * 5, i32 - 1, 2 * 5) == (
         17, 18, 20, 17, 10
     )
+    # the same flats name edge 6, so five hyperplanes are too few
+    with pytest.raises(ValueError, match=r"<= 5: \(4, 5, 6\)"):
+        rank_fields(5, iter(xs))
 
 
 @pytest.mark.parametrize(
