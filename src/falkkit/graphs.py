@@ -137,9 +137,7 @@ class GainGraph:
         cls, num_vertices: int, triples: Iterable[tuple[int, int, GainLike]]
     ) -> "GainGraph":
         """Build from ``(tail, head, gain)`` triples; ids are assigned 1..n in order."""
-        edges = tuple(
-            Edge(i, t, h, as_gain(gain)) for i, (t, h, gain) in enumerate(triples, start=1)
-        )
+        edges = tuple(Edge(i, t, h, gain) for i, (t, h, gain) in enumerate(triples, start=1))
         return cls(num_vertices, edges)
 
     @property
@@ -177,6 +175,25 @@ class GainGraph:
             if not e.is_loop:
                 grouped[e.ends()].append(e)
         return {pair: tuple(es) for pair, es in grouped.items()}
+
+    @cached_property
+    def gain_groups(self) -> dict[tuple[int, int], dict[tuple[int, int], list[Edge]]]:
+        """Each bundle's links (u < v) grouped by their gain read from u, as
+        its reduced (numerator, denominator) with a positive denominator.
+
+        Two links of a bundle have one hyperplane exactly when they share a
+        group (H4).  The groups come in the order of their first links, so
+        the first holds the bundle's first link.
+        """
+        groups = {}
+        for (u, v), bundle in self.link_map.items():
+            groups[u, v] = by_gain = {}
+            for e in bundle:
+                p, q = e.gain.numerator, e.gain.denominator
+                if e.tail != u:  # read from u, the gain is q/p
+                    p, q = (q, p) if p > 0 else (-q, -p)
+                by_gain.setdefault((p, q), []).append(e)
+        return groups
 
     def loops_at(self, v: int) -> tuple[Edge, ...]:
         return self.loop_map.get(v, ())
@@ -360,14 +377,12 @@ def validate(g: GainGraph) -> ValidationReport:
             ))
         if b >= 4:
             add("H3", 1, [frozenset(e.id for e in bundle)])
-        # a balanced 2-circle is a pair of links with one gain read from u
-        by_gain: dict[tuple[int, int], list[int]] = {}
-        for e in bundle:
-            gain = e.gain_from(u)
-            by_gain.setdefault((gain.numerator, gain.denominator), []).append(e.id)
-        for ids in by_gain.values():
-            if len(ids) > 1:
-                add("H4", comb(len(ids), 2), (frozenset(p) for p in itertools.combinations(ids, 2)))
+        # a balanced 2-circle is a pair of links with one gain
+        for group in g.gain_groups[u, v].values():
+            if len(group) > 1:
+                add("H4", comb(len(group), 2), (
+                    frozenset({e.id, f.id}) for e, f in itertools.combinations(group, 2)
+                ))
 
     for v, loops in sorted(g.loop_map.items()):
         balanced = [loop.id for loop in loops if loop.gain == 1]

@@ -17,9 +17,9 @@ H1-H5 the triangles are exactly the rank-2 flats of size three.
 :func:`flats` is the library's one walk over the graph for them: the rank
 route reads the flats, and :func:`triangles`, the census's input, splits
 them into their 3-subsets.  The atlas below fixes one rational-gain
-realization per distinguished biased graph; every realization is
-self-tested on first access, its triangle census must reproduce the
-expected distinguished 3-edge circle class.
+realization per distinguished biased graph together with its
+distinguished 3-edge circle class; the tests check that the triangle
+census of every realization reproduces its class.
 
 Occurrences are concrete edge subsets, not isomorphism classes, and
 containment exclusions follow the count definitions: a D3 or Gcirc
@@ -60,7 +60,7 @@ import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass, fields
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -68,7 +68,6 @@ from typing import Mapping, Sequence
 from .exterior import Flat
 from .graphs import (
     HYPOTHESES,
-    Edge,
     GainGraph,
     ValidationReport,
     all_circles_small,
@@ -123,15 +122,13 @@ def flats(g: GainGraph) -> list[Flat]:
     This is the library's one walk over the link map.  Each bundle (u, v)
     gives its two-vertex flat, the bundle with the loops at u and v, when
     that has three edges or more.  A balanced 3-circle u < v < w is closed
-    from the bundle (u, v) through each common neighbour w > v.  It compares
-    each pair of links on (u, v) and (v, w) with every link on (u, w), so
-    the work is the sum of b_uv * b_vw * b_uw over the triples u < v < w,
-    for b the bundle sizes; H3 bounds it by 27 per triple, but the rank
-    route needs only H4 and H5.
+    from the bundle (u, v) through each common neighbour w > v: each pair
+    of links on (u, v) and (v, w) fixes the gain of the closing link on
+    (u, w), one lookup in the bundle's gain groups.  So the work is the sum
+    of b_uv * b_vw over the triples u < v < w, for b the bundle sizes.
     """
     found: list[Flat] = []
-    # each link's gain read from its smaller end
-    gain = {e.id: e.gain_from(u) for (u, _), bundle in g.link_map.items() for e in bundle}
+    groups = g.gain_groups
     above: dict[int, set[int]] = defaultdict(set)
     for u, v in g.link_map:
         above[u].add(v)
@@ -140,18 +137,24 @@ def flats(g: GainGraph) -> list[Flat]:
         if len(flat) >= 3:
             found.append(tuple(sorted(e.id for e in flat)))
         for w in above[u] & above[v]:
-            for e in bundle:
-                for f in g.links_between(v, w):
+            closing = groups[u, w]
+            for (p, q), es in groups[u, v].items():
+                for (r, s), fs in groups[v, w].items():
                     # balanced: the circle gain g_e * g_f / g_h is 1
-                    closing = gain[e.id] * gain[f.id]
-                    for h in g.links_between(u, w):
-                        if closing == gain[h.id]:
-                            found.append(tuple(sorted((e.id, f.id, h.id))))
+                    d = gcd(p * r, q * s)
+                    hs = closing.get((p * r // d, q * s // d))
+                    if hs:
+                        found.extend(
+                            tuple(sorted((e.id, f.id, h.id))) for e in es for f in fs for h in hs
+                        )
     return sorted(found)
 
 
 def triangles(g: GainGraph) -> list[Triangle]:
-    """All dependent 3-sets, sorted by edge ids: the 3-subsets of :func:`flats`."""
+    """All dependent 3-sets, sorted by edge ids: the 3-subsets of :func:`flats`.
+
+    Like :func:`flats`, it requires H4 and H5 and does not check them.
+    """
     return _triangles(g, flats(g))
 
 
@@ -190,9 +193,9 @@ class Pattern:
 
 
 # Each entry: name, vertex count, (tail, head, gain) per edge id 1.., and the
-# expected distinguished 3-edge circle class under this labeling (digit
-# strings: "126" means edges {1,2,6}).  Realizations were chosen so the
-# census reproduces the class exactly; atlas() re-derives and checks this.
+# distinguished 3-edge circle class under this labeling (digit strings:
+# "126" means edges {1,2,6}).  Realizations were chosen so the census
+# reproduces the class exactly; the tests check this.
 _ATLAS_SPEC = (
     ("K3", 3, ((1, 2, 1), (2, 3, 1), (1, 3, 1)), ("123",)),
     ("D21", 2, ((1, 2, 1), (1, 2, 2), (1, 1, 2)), ("123",)),
@@ -221,29 +224,19 @@ _ATLAS_SPEC = (
     ("Theta3", 2, ((1, 2, 1), (1, 2, 2), (1, 2, 3)), ("123",)),
 )
 
-_atlas_cache: Mapping[str, Pattern] | None = None
 
-
+@cache
 def atlas() -> Mapping[str, Pattern]:
-    """The pattern atlas; every realization is census-checked on first access."""
-    global _atlas_cache
-    if _atlas_cache is None:
-        patterns = {}
-        for name, num_vertices, edge_spec, classes in _ATLAS_SPEC:
-            reference = GainGraph.from_edge_list(num_vertices, edge_spec)
-            expected = frozenset(
-                frozenset(int(ch) for ch in word) for word in classes
-            )
-            census = frozenset(frozenset(t.edge_ids) for t in triangles(reference))
-            if census != expected:
-                raise RuntimeError(
-                    f"atlas self-test failed for {name}: "
-                    f"census {sorted(sorted(s) for s in census)} != "
-                    f"expected {sorted(sorted(s) for s in expected)}"
-                )
-            patterns[name] = Pattern(name, reference, expected)
-        _atlas_cache = MappingProxyType(patterns)
-    return _atlas_cache
+    """The pattern atlas, built on first access.  Its classes define the
+    patterns; the tests check that each reference's triangles are them."""
+    return MappingProxyType({
+        name: Pattern(
+            name,
+            GainGraph.from_edge_list(num_vertices, edge_spec),
+            frozenset(frozenset(int(ch) for ch in word) for word in classes),
+        )
+        for name, num_vertices, edge_spec, classes in _ATLAS_SPEC
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -395,15 +388,6 @@ def _k4_count(g: GainGraph, circles: Sequence[Triangle]) -> int:
     )
 
 
-def _gain_ratio(e: Edge, v: int) -> tuple[int, int]:
-    """The gain of ``e`` read from its end ``v`` as (numerator, denominator);
-    the denominator may be negative."""
-    gain = e.gain
-    if e.tail == v:
-        return gain.numerator, gain.denominator
-    return gain.denominator, gain.numerator
-
-
 def _local_key(g: GainGraph, verts: Sequence[int]) -> tuple:
     """A switching-normalized copy of the local gain graph on ``verts``
     (sorted, with a link from the first to every other vertex).
@@ -416,22 +400,22 @@ def _local_key(g: GainGraph, verts: Sequence[int]) -> tuple:
     counted per vertex; their gains are not read, since under H4 every
     loop is unbalanced.  Equal keys mean identical local biased graphs.
     """
+    groups = g.gain_groups
     hub = verts[0]
     scale = {hub: (1, 1)}
     for v in verts[1:]:
-        scale[v] = _gain_ratio(g.links_between(hub, v)[0], hub)
+        scale[v] = next(iter(groups[hub, v]))  # the first link's group
     bundles = []
     for a, b in itertools.combinations(verts, 2):
         na, da = scale[a]
         nb, db = scale[b]
         bundle = []
-        for e in g.links_between(a, b):
-            p, q = _gain_ratio(e, a)
+        for (p, q), es in groups.get((a, b), {}).items():
             num, den = na * p * db, da * q * nb
             if den < 0:
                 num, den = -num, -den
             d = gcd(num, den)
-            bundle.append((num // d, den // d))
+            bundle += [(num // d, den // d)] * len(es)
         bundles.append(tuple(sorted(bundle)))
     return tuple(bundles), tuple(len(g.loops_at(v)) for v in verts)
 

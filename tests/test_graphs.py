@@ -132,6 +132,12 @@ def test_serialize_reduces_gains():
     assert "edge 1 1 2 1/2" in serialize(g)
 
 
+@pytest.mark.parametrize("gain", [0, "0/5", Fraction(0)])
+def test_from_edge_list_rejects_a_zero_gain(gain):
+    with pytest.raises(ValueError, match="gain must be a nonzero rational"):
+        GainGraph.from_edge_list(2, [(1, 2, 1), (1, 2, gain)])
+
+
 def test_edge_ids_must_cover_range():
     with pytest.raises(ValueError, match="edge ids"):
         GainGraph(2, (Edge(2, 1, 2, 1),))
@@ -219,6 +225,19 @@ def test_validate_counts_every_witness_and_lists_at_most_the_cap(links, loops, e
         assert len(verdict.witnesses) == min(len(every), MAX_WITNESSES)
         assert list(verdict.witnesses) == sorted(verdict.witnesses, key=lambda w: sorted(w))
     assert report.h5.count == (2 if loops > 1 else 0)
+
+
+def test_gain_groups_read_each_link_from_the_smaller_end():
+    # links 1 and 2 are one hyperplane (2 read from 1), and so are 3 and 4
+    # (-1/3 read from 1, negative gains keep a positive denominator)
+    g = GainGraph.from_edge_list(
+        3, [(1, 2, 2), (2, 1, "1/2"), (3, 1, -3), (1, 3, "-1/3"), (1, 3, 5), (1, 1, 2)]
+    )
+    ids = {pair: {gain: [e.id for e in es] for gain, es in groups.items()}
+           for pair, groups in g.gain_groups.items()}
+    assert ids == {(1, 2): {(2, 1): [1, 2]}, (1, 3): {(-1, 3): [3, 4], (5, 1): [5]}}
+    assert list(ids[1, 3]) == [(-1, 3), (5, 1)]  # in the order of their first links
+    assert validate(g).h4.witnesses == (frozenset({1, 2}), frozenset({3, 4}))
 
 
 # ---------------------------------------------------------------------------

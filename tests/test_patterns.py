@@ -10,8 +10,10 @@ from falkkit.patterns import (
     TriangleKind,
     atlas,
     count_patterns,
+    flats,
     triangles,
 )
+import helpers
 from helpers import (
     RANDOM_GAINS,
     _shape_kind,
@@ -149,6 +151,29 @@ def test_triangles_on_type_b(m):
     assert {t.edge_ids for t in tris} == dependent_3sets(g)
     for t in tris:
         assert t.kind is _shape_kind(g, t.edge_ids), t
+
+
+def doubling_triangle(m):
+    """Three bundles of m links on one triangle, with gains 2^0 .. 2^(m-1):
+    H3 fails and H4 and H5 hold.  The links 2^a on (1, 2) and 2^b on (2, 3)
+    close a balanced 3-circle with 2^(a+b) on (1, 3) when a + b < m."""
+    bundles = ((1, 2), (2, 3), (1, 3))
+    return GainGraph.from_edge_list(3, [(u, v, 2**k) for u, v in bundles for k in range(m)])
+
+
+def test_flats_of_wide_bundles_match_the_dependent_triples():
+    g = doubling_triangle(8)
+    assert validate(g).failing() == ("H3",)
+    assert flats(g) == helpers.flats(g.n, dependent_3sets(g))
+
+
+def test_flats_close_each_circle_by_one_lookup():
+    # each pair of links on (1, 2) and (2, 3) is looked up in the gain
+    # groups of (1, 3), not compared with its 200 links
+    m = 200
+    xs = flats(doubling_triangle(m))
+    assert len(xs) == 3 + m * (m + 1) // 2 == 20103
+    assert sorted(map(len, xs))[-4:] == [3, m, m, m]
 
 
 # ---------------------------------------------------------------------------
