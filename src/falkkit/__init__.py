@@ -1,9 +1,11 @@
 """Exact Falk invariant (phi_3) computations for rational gain graphs.
 
-The invariant is computed two independent ways, a subgraph census with a
-closed formula and an exact-rank evaluation on the degree-2/3 slices of the
+The invariant is computed two ways, a subgraph census with a closed
+formula and an exact-rank evaluation on the degree-2/3 slices of the
 Orlik-Solomon ideal of the associated hyperplane arrangement, and the two
-routes are cross-validated against each other.
+routes are cross-validated against each other.  They are not yet
+independent: both start from the one walk for the rank-2 flats
+(:mod:`falkkit.falk` says more).
 """
 
 from .arrangement import Hyperplane, arrangement

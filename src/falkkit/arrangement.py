@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import GainGraph, GraphTooLargeError
+from .graphs import GainGraph, GraphTooLargeError, validate
 from .patterns import require_hypotheses
 
 #: most normal coefficients, V per edge, that a realization writes out
@@ -39,7 +39,7 @@ def arrangement(g: GainGraph) -> list[Hyperplane]:
     (raises :class:`~falkkit.graphs.GraphTooLargeError`) a graph whose V*n
     coefficients exceed :data:`MAX_NORMAL_ENTRIES`.
     """
-    require_hypotheses(g, ("H4", "H5"))
+    require_hypotheses(validate(g), ("H4", "H5"))
     if g.num_vertices * g.n > MAX_NORMAL_ENTRIES:
         raise GraphTooLargeError(
             f"realization has {g.num_vertices} * {g.n} normal coefficients, "

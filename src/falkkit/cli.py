@@ -13,30 +13,18 @@ import argparse
 import json
 import os
 import sys
+from typing import Iterable, Iterator
 
 from .arrangement import arrangement
-from .exterior import rank_fields
-from .falk import FalkReport, phi3_combinatorial, verify
+from .falk import FalkReport, Run, phi3_combinatorial, verify
 from .graphs import (
-    GainGraph,
     GraphFormatError,
     GraphTooLargeError,
-    HYPOTHESES,
     HYPOTHESIS_LABELS,
     ValidationReport,
     parse,
-    validate,
 )
-from .patterns import (
-    COUNT_FIELDS,
-    HypothesisError,
-    _census,
-    _triangles,
-    count_patterns,
-    flats,
-    require_hypotheses,
-    triangles,
-)
+from .patterns import HypothesisError
 
 EXIT_OK = 0
 EXIT_REFUSED = 1
@@ -71,104 +59,55 @@ def _triangles_json(tris) -> list[dict]:
     return [{"edges": list(t.edge_ids), "kind": t.kind.value} for t in tris]
 
 
-def _bool(value: bool | None) -> str:
-    if value is None:
-        return "n/a"
-    return "true" if value else "false"
+# Each view reads the stages of the request's run and returns its JSON
+# fields and its text lines; main prints the one the request asked for.
 
 
-def cmd_check(g: GainGraph, args) -> int:
-    report = validate(g)
-    if args.json:
-        _dump({"n": g.n, "hypotheses": _hypotheses_json(report)})
-    else:
-        lines = _hypotheses_lines(report)
-        lines.append(f"all hypotheses: {'pass' if report.all_pass else 'FAIL'}")
-        print("\n".join(lines))
-    return EXIT_OK
+def cmd_check(run: Run, args) -> tuple[dict, Iterable[str]]:
+    report = run.hypotheses
+    lines = _hypotheses_lines(report)
+    lines.append(f"all hypotheses: {'pass' if report.all_pass else 'FAIL'}")
+    return {"hypotheses": _hypotheses_json(report)}, lines
 
 
-def cmd_triangles(g: GainGraph, args) -> int:
-    require_hypotheses(g, ("H4", "H5"))
-    tris = triangles(g)
-    if args.json:
-        _dump({"n": g.n, "triangles": _triangles_json(tris)})
-    else:
-        for t in tris:
-            print(f"{{{','.join(map(str, t.edge_ids))}}} {t.kind.value}")
-        print(f"total: {len(tris)}")
-    return EXIT_OK
+def cmd_triangles(run: Run, args) -> tuple[dict, Iterable[str]]:
+    tris = run.triangles
+    lines = [f"{{{','.join(map(str, t.edge_ids))}}} {t.kind.value}" for t in tris]
+    lines.append(f"total: {len(tris)}")
+    return {"triangles": _triangles_json(tris)}, lines
 
 
-def cmd_counts(g: GainGraph, args) -> int:
-    counts = count_patterns(g)
-    if args.json:
-        _dump({"n": g.n, "counts": counts.as_dict()})
-    else:
-        for name in COUNT_FIELDS:
-            print(f"{name} = {getattr(counts, name)}")
-    return EXIT_OK
+def cmd_counts(run: Run, args) -> tuple[dict, Iterable[str]]:
+    counts = run.counts.as_dict()
+    return {"counts": counts}, [f"{name} = {value}" for name, value in counts.items()]
 
 
-def cmd_phi3(g: GainGraph, args) -> int:
-    require_hypotheses(g, ("H4", "H5") if args.method == "rank" else HYPOTHESES)
-    xs = flats(g)
-    comb_value = rank_value = agree = None
-    if args.method in ("comb", "both"):
-        comb_value = phi3_combinatorial(_census(g, _triangles(g, xs)))
-    if args.method in ("rank", "both"):
-        rank_value = rank_fields(g.n, xs).phi3_rank
-    if args.method == "both":
-        agree = comb_value == rank_value
-    if args.json:
-        _dump({"n": g.n, "phi3": {"comb": comb_value, "rank": rank_value, "agree": agree}})
-    else:
-        if comb_value is not None:
-            print(f"combinatorial: {comb_value}")
-        if rank_value is not None:
-            print(f"rank: {rank_value}")
-        if agree is not None:
-            print(f"agree: {_bool(agree)}")
-    return EXIT_OK
+def cmd_phi3(run: Run, args) -> tuple[dict, Iterable[str]]:
+    # the census first: its gate names every failing hypothesis
+    comb = phi3_combinatorial(run.counts) if args.method in ("comb", "both") else None
+    rank = run.rank.phi3_rank if args.method in ("rank", "both") else None
+    agree = comb == rank if args.method == "both" else None
+    shown = {"combinatorial": comb, "rank": rank, "agree": agree}
+    lines = [f"{k}: {str(v).lower()}" for k, v in shown.items() if v is not None]
+    return {"phi3": {"comb": comb, "rank": rank, "agree": agree}}, lines
 
 
-def cmd_realize(g: GainGraph, args) -> int:
-    planes = arrangement(g)
-    if args.json:
-        _dump(
-            {
-                "n": g.n,
-                "hyperplanes": [
-                    {"edge": h.edge_id, "normal": [str(c) for c in h.normal]}
-                    for h in planes
-                ],
-            }
-        )
-    else:
-        for h in planes:
-            coeffs = " ".join(str(c) for c in h.normal)
-            print(f"H {h.edge_id}: {coeffs}")
-    return EXIT_OK
+def cmd_realize(run: Run, args) -> tuple[dict, Iterable[str]]:
+    planes = [(h.edge_id, [str(c) for c in h.normal]) for h in arrangement(run.g)]
+    return (
+        {"hyperplanes": [{"edge": edge, "normal": normal} for edge, normal in planes]},
+        [f"H {edge}: {' '.join(normal)}" for edge, normal in planes],
+    )
 
 
-def cmd_rank_f3(g: GainGraph, args) -> int:
-    require_hypotheses(g, ("H4", "H5"))
-    fields = rank_fields(g.n, flats(g))
-    size, rank = fields.span_F3_size, fields.span_F3_rank
-    if args.json:
-        _dump({"n": g.n, "f3": {"size": size, "rank": rank}})
-    else:
-        print(f"|F3| = {size}, rank = {rank}")
-    return EXIT_OK
+def cmd_rank_f3(run: Run, args) -> tuple[dict, Iterable[str]]:
+    size, rank = run.rank.span_F3_size, run.rank.span_F3_rank
+    return {"f3": {"size": size, "rank": rank}}, [f"|F3| = {size}, rank = {rank}"]
 
 
-def cmd_report(g: GainGraph, args) -> int:
-    report = verify(g)
-    if args.json:
-        _dump(_report_json(report))
-    else:
-        print("\n".join(_report_lines(report)))
-    return EXIT_OK
+def cmd_report(run: Run, args) -> tuple[dict, Iterable[str]]:
+    report = verify(run)
+    return _report_json(report), _report_lines(report)
 
 
 def _report_json(rep: FalkReport) -> dict:
@@ -182,7 +121,6 @@ def _report_json(rep: FalkReport) -> dict:
             "span_F3_rank": rep.span_F3_rank,
         }
     return {
-        "n": rep.n,
         "num_vertices": rep.num_vertices,
         "hypotheses": _hypotheses_json(rep.hypotheses),
         "triangles": None if rep.triangle_list is None else _triangles_json(rep.triangle_list),
@@ -197,33 +135,29 @@ def _report_json(rep: FalkReport) -> dict:
     }
 
 
-def _report_lines(rep: FalkReport) -> list[str]:
-    lines = [f"graph: {rep.num_vertices} vertices, {rep.n} edges"]
+def _report_lines(rep: FalkReport) -> Iterator[str]:
+    """Made only when the text is printed, since ``report --json`` is the hot request."""
+    yield f"graph: {rep.num_vertices} vertices, {rep.n} edges"
     status = ", ".join(
         f"{name} {'pass' if verdict.passed else 'FAIL'}" for name, verdict in rep.hypotheses.items()
     )
-    lines.append(f"hypotheses: {status}")
+    yield f"hypotheses: {status}"
     if rep.num_triangles is not None:
-        lines.append(f"triangles: {rep.num_triangles}")
-        lines.append(f"dim A^2 = {rep.dim_A2}")
-        lines.append(f"dim I^3_2 = {rep.dim_I3_2}")
-        lines.append(f"|F3| = {rep.span_F3_size}, rank F3 = {rep.span_F3_rank}")
+        yield f"triangles: {rep.num_triangles}"
+        yield f"dim A^2 = {rep.dim_A2}"
+        yield f"dim I^3_2 = {rep.dim_I3_2}"
+        yield f"|F3| = {rep.span_F3_size}, rank F3 = {rep.span_F3_rank}"
     if rep.counts is not None:
         shown = " ".join(f"{k}={v}" for k, v in rep.counts.as_dict().items())
-        lines.append(f"counts: {shown}")
+        yield f"counts: {shown}"
     if rep.phi3_combinatorial is not None:
-        lines.append(f"phi3 combinatorial = {rep.phi3_combinatorial}")
+        yield f"phi3 combinatorial = {rep.phi3_combinatorial}"
     if rep.phi3_rank is not None:
-        lines.append(f"phi3 rank = {rep.phi3_rank}")
+        yield f"phi3 rank = {rep.phi3_rank}"
     if rep.agree is not None:
-        lines.append(f"agree: {_bool(rep.agree)}")
+        yield f"agree: {str(rep.agree).lower()}"
     for name, reasons in sorted(rep.withheld.items()):
-        lines.append(f"{name}: withheld ({', '.join(reasons)})")
-    return lines
-
-
-def _dump(obj) -> None:
-    print(json.dumps(obj, indent=2))
+        yield f"{name}: withheld ({', '.join(reasons)})"
 
 
 _COMMANDS = {
@@ -273,7 +207,13 @@ def main(argv=None) -> int:
         print(f"falkkit: error: {args.path}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        code = args.func(g, args)
+        fields, lines = args.func(Run(g), args)
+        if args.json:
+            print(json.dumps({"n": g.n, **fields}, indent=2))
+        else:
+            text = "\n".join(lines)
+            if text:  # an empty graph realizes to no line at all
+                print(text)
         sys.stdout.flush()
     except (HypothesisError, GraphTooLargeError) as exc:
         print(f"falkkit: refused: {exc}", file=sys.stderr)
@@ -283,8 +223,7 @@ def main(argv=None) -> int:
         # final flush does not fail again (recipe from the `signal` docs)
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
-        return EXIT_OK
-    return code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

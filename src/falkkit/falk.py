@@ -1,4 +1,12 @@
-"""Two independent routes to the degree-3 lower-central-series rank (phi_3).
+"""Two routes to the degree-3 lower-central-series rank (phi_3).
+
+The routes are not yet independent: both start from the one walk for the
+rank-2 flats (:func:`falkkit.patterns.flats`), so a fault there reaches
+both numbers alike, until the rank route takes its flats from the
+hyperplanes (ROADMAP item 4).  :class:`Run` orders the stages and holds
+the gate for every entry point: :func:`verify`, :func:`phi3_rank` and each
+command line view read one run's stages instead of calling the stage
+functions.
 
 :func:`phi3_rank` evaluates the exact linear-algebra formula
 
@@ -7,8 +15,8 @@
 and is valid for any gain graph whose hyperplanes are pairwise distinct
 (H4 and H5).  Both dimensions are read off the rank-2 flats of size >= 3
 (Falk 1988: phi3 depends only on them), which one walk over the graph
-finds (:func:`falkkit.patterns.flats`), and one call turns into every rank
-field (:func:`falkkit.exterior.rank_fields`): dim(A^2) and the local part
+finds, and one call turns into every rank field
+(:func:`falkkit.exterior.rank_fields`): dim(A^2) and the local part
 of dim(I^3_2) in closed form, and the global part as the exact rank of one
 integer matrix G.  So phi3 = 2|T| + nullity(G), the two per triangle of
 the Papadima-Suciu lower bound plus the global excess that G's kernel
@@ -31,10 +39,11 @@ from the larger patterns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 from . import exterior
-from .graphs import GainGraph, ValidationReport, validate
+from .graphs import HYPOTHESES, GainGraph, ValidationReport, validate
 from .patterns import (
     _KIND_FIELD, PatternCounts, Triangle, _census, _triangles, flats, require_hypotheses,
 )
@@ -44,14 +53,51 @@ from .patterns import (
 _RANK_FIELDS = ("num_triangles", "triangle_list", *exterior.RankFields._fields)
 
 
+class Run:
+    """The stages of one computation on ``g``, in the order they need each other.
+
+    ``hypotheses`` is the validation report.  ``flats`` (the rank-2 flats
+    of size >= 3) refuses, raising :class:`~falkkit.patterns.HypothesisError`,
+    unless H4 and H5 hold, and ``counts`` (the census) unless H1-H5 all
+    hold; both gates read ``hypotheses``.  ``triangles`` splits the flats
+    and ``rank`` (:class:`~falkkit.exterior.RankFields`) reads them.  Each
+    stage runs on first read and at most once; a refused stage raises again
+    on every read.
+    """
+
+    def __init__(self, g: GainGraph):
+        self.g = g
+
+    @cached_property
+    def hypotheses(self) -> ValidationReport:
+        return validate(self.g)
+
+    @cached_property
+    def flats(self) -> list[exterior.Flat]:
+        require_hypotheses(self.hypotheses, ("H4", "H5"))
+        return flats(self.g)
+
+    @cached_property
+    def triangles(self) -> tuple[Triangle, ...]:
+        return tuple(_triangles(self.g, self.flats))
+
+    @cached_property
+    def rank(self) -> exterior.RankFields:
+        return exterior.rank_fields(self.g.n, self.flats)
+
+    @cached_property
+    def counts(self) -> PatternCounts:
+        require_hypotheses(self.hypotheses, HYPOTHESES)
+        return _census(self.g, self.triangles)
+
+
 def phi3_rank(g: GainGraph) -> int:
     """Falk invariant via exact ranks of the degree-2/3 ideal slices.
 
     Refuses (raises :class:`HypothesisError`) when H4 or H5 fails, since the
     hyperplanes are then not pairwise distinct.
     """
-    require_hypotheses(g, ("H4", "H5"))
-    return exterior.rank_fields(g.n, flats(g)).phi3_rank
+    return Run(g).rank.phi3_rank
 
 
 # coefficient of each larger pattern in phi3's global excess
@@ -97,17 +143,17 @@ class FalkReport:
     withheld: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
 
 
-def verify(g: GainGraph) -> FalkReport:
+def verify(g: GainGraph | Run) -> FalkReport:
     """Run both pipelines with hypothesis gating and report agreement.
 
     The rank route needs only H4 and H5 (distinct hyperplanes); the census
     route needs H1..H5.  No field is silently skipped: anything not computed
-    is listed in ``withheld`` with the failing hypotheses.  The graph is
-    walked once: the rank route reads the flats, and the triangles of the
-    report and the census are their 3-subsets.
+    is listed in ``withheld`` with the failing hypotheses.  Given a
+    :class:`Run` of the graph in place of the graph, it reads that run's
+    stages, so nothing already computed runs again.
     """
-    report = validate(g)
-    failing = report.failing()
+    run = g if isinstance(g, Run) else Run(g)
+    failing = run.hypotheses.failing()
     withheld: dict[str, tuple[str, ...]] = {}
     values: dict = {}
 
@@ -116,24 +162,21 @@ def verify(g: GainGraph) -> FalkReport:
         for name in _RANK_FIELDS:
             withheld[name] = standing
     else:
-        xs = flats(g)
-        tris = tuple(_triangles(g, xs))
-        fields = exterior.rank_fields(g.n, xs)
-        values.update(num_triangles=len(tris), triangle_list=tris, **fields._asdict())
+        tris = run.triangles
+        values.update(num_triangles=len(tris), triangle_list=tris, **run.rank._asdict())
 
     if failing:
         for name in ("counts", "phi3_combinatorial", "agree"):
             withheld[name] = failing
     else:
-        counts = _census(g, tris)  # H1..H5 hold, so the rank route built tris
-        values["counts"] = counts
-        values["phi3_combinatorial"] = phi3_combinatorial(counts)
+        values["counts"] = run.counts
+        values["phi3_combinatorial"] = phi3_combinatorial(run.counts)
         values["agree"] = values["phi3_combinatorial"] == values["phi3_rank"]
 
     return FalkReport(
-        n=g.n,
-        num_vertices=g.num_vertices,
-        hypotheses=report,
+        n=run.g.n,
+        num_vertices=run.g.num_vertices,
+        hypotheses=run.hypotheses,
         withheld=withheld,
         **values,
     )

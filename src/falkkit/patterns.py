@@ -49,9 +49,10 @@ test helpers.
 :attr:`Pattern.profile` lists every circle of a reference with its
 balance; no computation here reads it.
 
-:func:`require_hypotheses` is the one hypothesis gate: the census, the
-rank route, the hyperplane realization and the command line refuse
-through it.
+:func:`require_hypotheses` is the one hypothesis gate, given the
+caller's validation report: :func:`count_patterns`, the hyperplane
+realization and the stages of :class:`falkkit.falk.Run`, which every other
+entry point reads, refuse through it.
 """
 
 from __future__ import annotations
@@ -103,12 +104,12 @@ class HypothesisError(ValueError):
         super().__init__("hypotheses violated: " + ", ".join(self.failing))
 
 
-def require_hypotheses(g: GainGraph, names: Sequence[str]) -> None:
-    """Raise :class:`HypothesisError` when any of ``names`` fails for ``g``.
+def require_hypotheses(report: ValidationReport, names: Sequence[str]) -> None:
+    """Raise :class:`HypothesisError` when any of ``names`` fails in ``report``,
+    the graph's :func:`~falkkit.graphs.validate` report.
 
     The error names every failing hypothesis, not only those in ``names``.
     """
-    report = validate(g)
     if not report.passes(*names):
         raise HypothesisError(report)
 
@@ -300,7 +301,7 @@ def count_patterns(g: GainGraph) -> PatternCounts:
     four local counts are the triangles by kind; the seven larger patterns
     are counted per vertex set (:func:`_census`).
     """
-    require_hypotheses(g, HYPOTHESES)
+    require_hypotheses(validate(g), HYPOTHESES)
     return _census(g, triangles(g))
 
 

@@ -13,6 +13,7 @@ from falkkit.arrangement import MAX_NORMAL_ENTRIES
 from falkkit.cli import main
 from falkkit.graphs import MAX_WITNESSES
 from helpers import DATA
+from test_golden_report import FORMS
 
 FINAL = str(DATA / "final_example.gg")
 GCIRC = str(DATA / "gcirc.gg")
@@ -217,8 +218,8 @@ def test_phi3_method_gates(capsys):
     assert out.strip() == "rank: 8"
 
 
-@pytest.mark.parametrize("method", ("comb", "rank", "both"))
-def test_phi3_validates_and_finds_triangles_once(capsys, monkeypatch, pattern_atlas, method):
+@pytest.mark.parametrize("form", FORMS, ids=" ".join)
+def test_each_request_validates_and_walks_the_flats_once(capsys, monkeypatch, pattern_atlas, form):
     # pattern_atlas: the atlas has run its own census already, so it is not counted
     calls = Counter()
 
@@ -230,13 +231,16 @@ def test_phi3_validates_and_finds_triangles_once(capsys, monkeypatch, pattern_at
         return wrapper
 
     # the graph is walked once, for the flats; the triangles are split from them
-    for module in (cli, falk, patterns):
+    # (the package's name `arrangement` is the function, not its module)
+    for module in (sys.modules["falkkit.arrangement"], cli, falk, patterns):
         for name in ("validate", "flats", "triangles"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    code, _, _ = run(capsys, "phi3", FINAL, f"--method={method}")
-    assert code == 0
-    assert calls == {"validate": 1, "flats": 1}
+    for flags in ((), ("--json",)):
+        calls.clear()
+        code, _, _ = run(capsys, form[0], FINAL, *form[1:], *flags)
+        assert code == 0
+        assert calls["validate"] == 1 and calls["flats"] <= 1 and "triangles" not in calls, calls
 
 
 def test_phi3_rank_refuses_balanced_two_circle(capsys, tmp_path):
