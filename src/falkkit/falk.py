@@ -45,7 +45,7 @@ from typing import Mapping
 from . import exterior
 from .graphs import HYPOTHESES, GainGraph, ValidationReport, validate
 from .patterns import (
-    _KIND_FIELD, PatternCounts, Triangle, _census, _triangles, flats, require_hypotheses,
+    _EXCESS, _KIND_FIELD, PatternCounts, Triangle, _census, _triangles, flats, require_hypotheses,
 )
 
 
@@ -100,16 +100,12 @@ def phi3_rank(g: GainGraph) -> int:
     return Run(g).rank.phi3_rank
 
 
-# coefficient of each larger pattern in phi3's global excess
-_EXCESS = {"k4": 2, "d3": 2, "k33": 2, "gcirc": 2, "g2": 2, "d31": 5, "g1": 1}
-
-
 def _local_and_excess(counts: PatternCounts) -> tuple[int, int]:
     values = counts.as_dict()
     return (
         # the triangles by kind, under H1-H5 the rank-2 flats of size three
         sum(values[name] for name in _KIND_FIELD.values()),
-        sum(c * values[name] for name, c in _EXCESS.items()),
+        sum(c * values[field] for field, (_, c) in _EXCESS.items()),
     )
 
 

@@ -326,17 +326,18 @@ class ValidationReport:
         return getattr(self, name.lower())
 
     def items(self) -> list[tuple[str, Verdict]]:
-        return [(name, self.verdict(name)) for name in HYPOTHESES]
+        return list(zip(HYPOTHESES, (self.h1, self.h2, self.h3, self.h4, self.h5)))
 
     @property
     def all_pass(self) -> bool:
-        return all(v.passed for _, v in self.items())
+        return not self.failing()
 
     def failing(self) -> tuple[str, ...]:
         return tuple(name for name, v in self.items() if not v.passed)
 
     def passes(self, *names: str) -> bool:
-        return all(self.verdict(name).passed for name in names)
+        verdicts = (self.h1, self.h2, self.h3, self.h4, self.h5)
+        return all(verdicts[HYPOTHESES.index(name)].passed for name in names)
 
 
 def validate(g: GainGraph) -> ValidationReport:

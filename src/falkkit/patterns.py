@@ -36,16 +36,18 @@ exclusion pairs two of them, so the census (:func:`_census`) counts them per
 triple of a balanced 3-circle.  A triple with fewer triangles (on two or
 three of its vertices) than the fewest distinguished triples of such a
 pattern is skipped: an occurrence's inside triangles are exactly its |D|
-distinguished ones.  The counts of any other triple come from its
-sub-multigraphs shaped like each pattern whose triangles are the
-distinguished triples (:func:`_triple_occurrences`), the library's only
-biased-isomorphism decision, read in place on the host graph, and are
-memoized for the call by a switching-normalized copy of the local gain
-graph (:func:`_local_key`).  The work is the join's, at most one key per
-balanced 3-circle and one search per distinct key: K_m makes none and D_m
-one.  The tests check the per-triple search, the join and the census
-against an exhaustive decider that lives with the other oracles in the
-test helpers.
+distinguished ones.  Any other triple is read once into its local type
+(:func:`_local_type`): the sizes of its three bundles and three loop sets,
+and its triangles as sets of slots in them, which under H4 fix its local
+biased graph.  Its counts come from the sub-multigraphs of the local type
+shaped like each pattern whose triangles are the distinguished triples
+(:func:`_triple_occurrences`), the library's only biased-isomorphism
+decision, and are memoized for the call by the local type, the search's
+only input, so no gain is read past :func:`flats`.  The work is the join's,
+at most one local type per balanced 3-circle and one search per distinct
+type: K_m makes none and D_m one.  The tests check the per-triple search,
+the join and the census against an exhaustive decider that lives with
+the other oracles in the test helpers.
 :attr:`Pattern.profile` lists every circle of a reference with its
 balance; no computation here reads it.
 
@@ -253,15 +255,16 @@ _KIND_FIELD = {
     TriangleKind.THETA: "theta",
 }
 
-# count field of each larger pattern, counted by the census
-_EXCESS_PATTERN = {
-    "k4": "K4",
-    "d3": "D3",
-    "k33": "K33",
-    "gcirc": "Gcirc",
-    "d31": "D31",
-    "g1": "G1",
-    "g2": "G2",
+# count field of each larger pattern, counted by the census: the pattern,
+# and the field's coefficient in phi3's global excess
+_EXCESS = {
+    "k4": ("K4", 2),
+    "d3": ("D3", 2),
+    "k33": ("K33", 2),
+    "gcirc": ("Gcirc", 2),
+    "d31": ("D31", 5),
+    "g1": ("G1", 1),
+    "g2": ("G2", 2),
 }
 
 # an occurrence counted in the key field is not counted when it lies inside
@@ -314,15 +317,16 @@ def _census(g: GainGraph, tris: Sequence[Triangle]) -> PatternCounts:
     3-circle, and each exclusion pairs two of them, so they are counted per
     triple of a balanced 3-circle on the triple's local graph, with the
     exclusions applied inside it.  A triple with fewer triangles than every
-    such pattern has distinguished triples is skipped before its key is
-    built.  The counts are memoized by :func:`_local_key` for this call.
+    such pattern has distinguished triples is skipped before its local type
+    is built.  The counts are memoized for this call by the local type
+    (:func:`_local_type`).
 
     The work is the join's, at most the sum over edges e of C(c_e, 2) for
-    c_e balanced 3-circles through e, plus one key per balanced 3-circle
-    triple with enough triangles and one search per distinct key: K_m makes
-    none and D_m one.
+    c_e balanced 3-circles through e, plus one local type per balanced
+    3-circle triple with enough triangles and one search per distinct type:
+    K_m makes none and D_m one.
     """
-    searched = [atlas()[name] for field, name in _EXCESS_PATTERN.items() if field != "k4"]
+    searched = [atlas()[name] for field, (name, _) in _EXCESS.items() if field != "k4"]
     fewest = min(len(p.distinguished) for p in searched)
     counts = Counter(_KIND_FIELD[t.kind] for t in tris)
     # the triangles by their sorted vertex tuple: two vertices for a triple
@@ -332,7 +336,7 @@ def _census(g: GainGraph, tris: Sequence[Triangle]) -> PatternCounts:
         by_verts[tuple(sorted({v for i in t.edge_ids for v in g.edge(i).ends()}))].append(t)
     circles = [t for t in tris if t.kind is TriangleKind.BALANCED_CIRCLE]
     counts["k4"] = _k4_count(g, circles)
-    memo: dict[tuple, dict[str, int]] = {}
+    memo: dict[LocalType, dict[str, int]] = {}
     for verts in by_verts:
         if len(verts) < 3:
             continue
@@ -345,10 +349,10 @@ def _census(g: GainGraph, tris: Sequence[Triangle]) -> PatternCounts:
         ]
         if len(inside) < fewest:
             continue
-        key = _local_key(g, verts)
-        if key not in memo:
-            memo[key] = _local_counts(g, verts, inside, searched)
-        counts.update(memo[key])
+        local, _ = _local_type(g, verts, inside)
+        if local not in memo:
+            memo[local] = _local_counts(local, searched)
+        counts.update(memo[local])
     return PatternCounts(**counts)
 
 
@@ -389,51 +393,54 @@ def _k4_count(g: GainGraph, circles: Sequence[Triangle]) -> int:
     )
 
 
-def _local_key(g: GainGraph, verts: Sequence[int]) -> tuple:
-    """A switching-normalized copy of the local gain graph on ``verts``
-    (sorted, with a link from the first to every other vertex).
+# the six classes of a triple's local graph, as pairs of positions in its
+# sorted vertices: the three bundles, then the loops at each vertex
+_CLASSES = ((0, 1), (0, 2), (1, 2), (0, 0), (1, 1), (2, 2))
 
-    The vertices are relabelled 1..k in sorted order.  Each bundle (a, b),
-    a < b, becomes the sorted reduced (numerator, denominator) pairs of
-    s(a) * gain / s(b), its gains read from a, where s(v) is the gain of
-    the first link from the hub verts[0] to v and s(hub) = 1: the gain of
-    the closed walk hub, a, b, hub, which no switching changes.  Loops are
-    counted per vertex; their gains are not read, since under H4 every
-    loop is unbalanced.  Equal keys mean identical local biased graphs.
+# a triple's local type: the size of each class, and its triangles as slot sets
+LocalType = tuple[tuple[int, ...], frozenset[frozenset[int]]]
+
+
+def _local_type(
+    g: GainGraph, verts: Sequence[int], inside: Sequence[frozenset[int]]
+) -> tuple[LocalType, list[int]]:
+    """The local type of the triple ``verts`` (sorted) of ``g``, given
+    ``inside``, the edge sets of its triangles on two or three of ``verts``,
+    and its edge ids in slot order.
+
+    The edges of each class of :data:`_CLASSES` take consecutive slots, the
+    classes in that order.  Loops and the links of the first two bundles
+    take theirs by id; the links of the last bundle, (verts[1], verts[2]),
+    by the slot pairs of the balanced 3-circles they close with the other
+    two, then by id, so that every triple of D_m has one type.  Under H4 a
+    biased graph on three vertices is fixed by its multigraph and its
+    balanced circles, which are the 3-circles among its triangles, so equal
+    local types mean identical local biased graphs.
     """
-    groups = g.gain_groups
-    hub = verts[0]
-    scale = {hub: (1, 1)}
-    for v in verts[1:]:
-        scale[v] = next(iter(groups[hub, v]))  # the first link's group
-    bundles = []
-    for a, b in itertools.combinations(verts, 2):
-        na, da = scale[a]
-        nb, db = scale[b]
-        bundle = []
-        for (p, q), es in groups.get((a, b), {}).items():
-            num, den = na * p * db, da * q * nb
-            if den < 0:
-                num, den = -num, -den
-            d = gcd(num, den)
-            bundle += [(num // d, den // d)] * len(es)
-        bundles.append(tuple(sorted(bundle)))
-    return tuple(bundles), tuple(len(g.loops_at(v)) for v in verts)
+    links, loops = g.link_map, g.loop_map
+    classes = []
+    for x, y in _CLASSES:
+        host = loops.get(verts[x], ()) if x == y else links.get((verts[x], verts[y]), ())
+        classes.append(sorted([e.id for e in host]))
+    slot = {i: k for k, i in enumerate(classes[0] + classes[1])}
+    closes: dict[int, list[list[int]]] = {z: [] for z in classes[2]}
+    for t in inside:
+        pair = sorted([slot[i] for i in t if i in slot])
+        for z in t:
+            if z in closes and len(pair) == 2:  # a balanced 3-circle
+                closes[z].append(pair)
+    classes[2].sort(key=lambda z: (sorted(closes[z]), z))
+    for i in itertools.chain(*classes[2:]):
+        slot[i] = len(slot)
+    sizes = tuple(map(len, classes))
+    return (sizes, frozenset([frozenset([slot[i] for i in t]) for t in inside])), list(slot)
 
 
-def _local_counts(
-    g: GainGraph,
-    verts: Sequence[int],
-    inside: Sequence[frozenset[int]],
-    searched: Sequence[Pattern],
-) -> dict[str, int]:
-    """Occurrence counts of the ``searched`` patterns on the local graph of
-    ``verts`` (its links and the loops at its vertices), with the
-    exclusions applied inside it.  The search reads ``g`` itself, given
-    only ``inside``, the edge sets of the triangles on two or three of
-    ``verts``."""
-    found = {p.name: _triple_occurrences(g, verts, inside, p) for p in searched}
-    occ = {field: found[name] for field, name in _EXCESS_PATTERN.items() if name in found}
+def _local_counts(local: LocalType, searched: Sequence[Pattern]) -> dict[str, int]:
+    """Occurrence counts of the ``searched`` patterns in the local type
+    ``local`` of a triple, with the exclusions applied inside it."""
+    found = {p.name: _triple_occurrences(local, p) for p in searched}
+    occ = {field: found[name] for field, (name, _) in _EXCESS.items() if name in found}
     counts = {}
     for field, sets in occ.items():
         hosts = occ.get(_EXCLUDED_INSIDE.get(field), ())
@@ -441,51 +448,47 @@ def _local_counts(
     return counts
 
 
-def _triple_occurrences(
-    g: GainGraph, verts: Sequence[int], inside: Sequence[frozenset[int]], pattern: Pattern
-) -> set[frozenset[int]]:
-    """Occurrences of ``pattern``, which spans three vertices, on the triple
-    ``verts`` of ``g``; ``inside`` holds the edge sets of the triangles of
-    ``g`` on two or three of ``verts``.
+def _triple_occurrences(local: LocalType, pattern: Pattern) -> set[frozenset[int]]:
+    """Occurrences of ``pattern``, which spans three vertices, in the local
+    type ``local`` of a triple (:func:`_local_type`), as slot sets.
 
     An occurrence is an edge set of the pattern's multigraph whose inside
     triangles are exactly the images of the distinguished triples D.  So
-    each order of ``verts``, mapped onto the reference's vertices, gives
-    candidates: every choice of as many links on each pair, and loops at
-    each vertex, as the reference has on the preimage.  A candidate is kept
-    when exactly |D| of ``inside`` lie in it and some bijection within its
-    classes carries them onto D.  This is exact under H4: a biased graph is
-    fixed by its multigraph and its balanced circles, and on three vertices
-    the only circles that can be balanced are 3-circles, which are balanced
-    exactly when they are triangles.
+    each map of the reference's vertices onto the triple's positions gives
+    candidates: every choice of as many slots in each class as the
+    reference has edges on its preimage.  A candidate is kept when exactly
+    |D| of the local triangles lie in it and some bijection within its
+    classes carries them onto D.  This is exact under H4: the local type
+    holds the triple's multigraph and its balanced circles.
     """
+    sizes, inside = local
     need = len(pattern.distinguished)
     if len(inside) < need:
         return set()
+    starts = [0, *itertools.accumulate(sizes)]
     ref = pattern.reference
     classes: dict[tuple[int, int], list[int]] = defaultdict(list)
     for e in ref.edges:
         classes[e.ends()].append(e.id)  # a loop's ends are (v, v)
     found: set[frozenset[int]] = set()
-    for image in itertools.permutations(verts):
+    for image in itertools.permutations(range(3)):
         vmap = dict(zip(ref.incident_vertices, image))
         pools = []
         for (a, b), ids in classes.items():
-            x, y = vmap[a], vmap[b]
-            host = g.loops_at(x) if x == y else g.links_between(x, y)
+            c = _CLASSES.index(tuple(sorted((vmap[a], vmap[b]))))
             # a host class smaller than the reference's gives no choice
-            pools.append(itertools.combinations([e.id for e in host], len(ids)))
+            pools.append(itertools.combinations(range(starts[c], starts[c + 1]), len(ids)))
         for pick in itertools.product(*pools):
             chosen = list(itertools.chain.from_iterable(pick))
-            edges = frozenset(chosen)
-            if edges in found:
+            slots = frozenset(chosen)
+            if slots in found:
                 continue
-            held = [t for t in inside if t <= edges]
+            held = [t for t in inside if t <= slots]
             if len(held) != need:
                 continue
             for images in itertools.product(*map(itertools.permutations, classes.values())):
                 sigma = dict(zip(chosen, itertools.chain.from_iterable(images)))
                 if all(frozenset(sigma[i] for i in t) in pattern.distinguished for t in held):
-                    found.add(edges)
+                    found.add(slots)
                     break
     return found

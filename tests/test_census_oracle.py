@@ -6,7 +6,7 @@ pattern's vertices to every ordered tuple of host vertices, takes every edge
 choice with the pattern's multiplicities, and accepts a candidate whose full
 circle class is biased-isomorphic to the pattern's.  It shares no search
 logic with the library's per-triple search, which the census runs on the
-triple of one balanced 3-circle at a time.
+local type of one balanced 3-circle's triple at a time.
 """
 
 import itertools
@@ -17,20 +17,23 @@ from math import comb
 
 import pytest
 
-from falkkit import falk, patterns
+from falkkit import patterns
 from falkkit.graphs import GainGraph, validate
 from falkkit.patterns import (
-    _EXCESS_PATTERN,
+    _EXCESS,
     _EXCLUDED_INSIDE,
     _KIND_FIELD,
     COUNT_FIELDS,
     TriangleKind,
+    _local_counts,
+    _local_type,
     _triple_occurrences,
     atlas,
     count_patterns,
     triangles,
 )
 from helpers import (
+    PAPPUS_GRAPHS,
     braid,
     enriched_pattern_host,
     find_occurrences,
@@ -126,10 +129,11 @@ def spanned(g: GainGraph, edge_ids) -> frozenset[int]:
     "cases, nonzero", [("host_cases", PER_TRIPLE), ("bundled_cases", ("D3", "D31", "G1"))]
 )
 def test_triple_search_matches_vertex_tuple_oracle(cases, nonzero, request):
-    # on the triple of each balanced 3-circle, given the triangles on two or
-    # three of its vertices, the search finds exactly the oracle's
-    # occurrences on that triple, and the triples together hold all of
-    # them; the bundled graphs include hosts where H1-H3 fail
+    # on the local type of each balanced 3-circle's triple, read with the
+    # triangles on two or three of its vertices, the search finds exactly
+    # the oracle's occurrences on that triple once its slots are mapped back
+    # to edge ids, and the triples together hold all of them; the bundled
+    # graphs include hosts where H1-H3 fail
     seen = Counter()
     for index, (g, expected) in enumerate(request.getfixturevalue(cases)):
         inside = defaultdict(list)
@@ -141,7 +145,8 @@ def test_triple_search_matches_vertex_tuple_oracle(cases, nonzero, request):
             found = set()
             for verts in triples:
                 given = [t for span, ts in inside.items() if span <= verts for t in ts]
-                occ = _triple_occurrences(g, sorted(verts), given, pattern)
+                local, order = _local_type(g, sorted(verts), given)
+                occ = {frozenset(order[k] for k in o) for o in _triple_occurrences(local, pattern)}
                 assert occ == {o for o in expected[name] if spanned(g, o) == verts}, (index, name)
                 found |= occ
             assert found == expected[name], (index, name)
@@ -182,27 +187,46 @@ def test_one_triangle_patterns_are_the_triangles_by_kind(cases, request):
 def test_census_tables_split_the_count_fields():
     local = set(_KIND_FIELD.values())
     assert set(KIND_PATTERN) == set(_KIND_FIELD) == set(TriangleKind)
-    assert local.isdisjoint(_EXCESS_PATTERN)
-    assert sorted(local | set(_EXCESS_PATTERN)) == sorted(COUNT_FIELDS)
-    assert set(_EXCESS_PATTERN) == set(falk._EXCESS)
+    assert local.isdisjoint(_EXCESS)
+    assert sorted(local | set(_EXCESS)) == sorted(COUNT_FIELDS)
+
+
+def test_search_reads_only_the_local_type():
+    # a D3 written by hand: three bundles of two slots (0-1, 2-3 and 4-5),
+    # no loops, and the four slot triples of even parity as its balanced
+    # 3-circles; the search sees nothing else, and finds one D3 on all six
+    # slots and no other pattern
+    inside = frozenset(
+        frozenset((i, 2 + j, 4 + k))
+        for i, j, k in itertools.product((0, 1), repeat=3)
+        if (i + j + k) % 2 == 0
+    )
+    local = ((2, 2, 2, 0, 0, 0), inside)
+    searched = [atlas()[name] for name in PER_TRIPLE]
+    assert _triple_occurrences(local, atlas()["D3"]) == {frozenset(range(6))}
+    assert _local_counts(local, searched) == {
+        field: int(field == "d3") for field, (name, _) in _EXCESS.items() if name in PER_TRIPLE
+    }
 
 
 def test_census_walks_only_the_excess_patterns(hosts, monkeypatch):
     # each triple the census searches is searched for the six 3-vertex
     # excess patterns, once each: never K4, which the join over balanced
     # 3-circles counts, and never a one-triangle pattern
-    given = defaultdict(list)
+    given = []
 
-    def recording(g, verts, inside, pattern):
-        given[id(g), tuple(verts)].append(pattern.name)
-        return _triple_occurrences(g, verts, inside, pattern)
+    def recording(local, pattern):
+        given[-1][local].append(pattern.name)
+        return _triple_occurrences(local, pattern)
 
     monkeypatch.setattr(patterns, "_triple_occurrences", recording)
     for g in hosts:
+        given.append(defaultdict(list))
         count_patterns(g)
-    assert given
-    for names in given.values():
-        assert sorted(names) == sorted(PER_TRIPLE), names
+    assert any(given)
+    for per_host in given:
+        for names in per_host.values():
+            assert sorted(names) == sorted(PER_TRIPLE), names
 
 
 def balanced_circle_triples(g: GainGraph) -> set[frozenset[int]]:
@@ -213,36 +237,45 @@ def balanced_circle_triples(g: GainGraph) -> set[frozenset[int]]:
 
 
 def test_census_walks_stay_local_and_the_memo_hits(hosts, monkeypatch):
-    # every search reads the host graph itself, on the triple of one
-    # balanced 3-circle, given only the triangles inside that triple
+    # every local type is read from the host graph itself, on the triple of
+    # one balanced 3-circle, given only the triangles inside that triple;
+    # the search reads the local type alone
+    read = []
     handed = []
 
-    def recording(g, verts, inside, pattern):
-        handed.append((g, verts, inside))
-        return _triple_occurrences(g, verts, inside, pattern)
+    def reading(g, verts, inside):
+        read.append((g, verts, inside))
+        return _local_type(g, verts, inside)
 
+    def recording(local, pattern):
+        handed.append(local)
+        return _triple_occurrences(local, pattern)
+
+    monkeypatch.setattr(patterns, "_local_type", reading)
     monkeypatch.setattr(patterns, "_triple_occurrences", recording)
-    searched = 0
     for host in hosts:
-        handed.clear()
+        read.clear()
         count_patterns(host)
         triples = balanced_circle_triples(host)
-        for g, verts, inside in handed:
+        for g, verts, inside in read:
             assert g is host
             assert frozenset(verts) in triples
             assert all(spanned(g, t) <= frozenset(verts) for t in inside)
-        searched += len(handed)
-    assert searched
+    assert handed
     # K_m has no triple with enough edges for a 3-vertex excess pattern, and
-    # D_m has one type of triple; the key reads gains up to switching, so
-    # scrambled copies hit as well
+    # every triple of D_m has one local type, whatever the switching,
+    # reversals and edge ids, so scrambled copies hit as well
     rng = random.Random(SEED_SCRAMBLE)
     for g, expected in ((braid(11), 0), (type_d(7), 1)):
         for h in (g, scrambled(g, rng), scrambled(g, rng)):
             handed.clear()
             count_patterns(h)
-            assert len({tuple(verts) for _, verts, _ in handed}) == expected
+            assert len(set(handed)) == expected
             assert len(handed) == expected * len(PER_TRIPLE)
+    handed.clear()
+    for _, g in pattern_rich_hosts():
+        count_patterns(g)
+    assert len(handed) <= 91 * len(PER_TRIPLE)
 
 
 def test_census_skips_thin_sets_before_keying_them(monkeypatch):
@@ -253,17 +286,19 @@ def test_census_skips_thin_sets_before_keying_them(monkeypatch):
         raise AssertionError("the census keyed or searched a set it can skip")
 
     g = triangulated_grid(12)
-    monkeypatch.setattr(patterns, "_local_key", forbidden)
+    monkeypatch.setattr(patterns, "_local_type", forbidden)
     monkeypatch.setattr(patterns, "_triple_occurrences", forbidden)
     counts = count_patterns(g)
     assert counts.as_dict() == {**dict.fromkeys(COUNT_FIELDS, 0), "k3": 2 * 11 * 11}
 
 
 def test_census_tells_sets_of_one_shape_apart():
-    # pairs of vertex sets with the same multiplicities and loops but other
-    # balanced circles: a D3 and a 2-2-2 triple with one balanced 3-circle,
-    # and a K4 and a 4-set of links with two; a memo key or a K4 join that
-    # forgot the gains would count both sets of a pair alike
+    # sets of vertices with the same multiplicities and loops but other
+    # balanced circles: a D3 and a 2-2-2 triple with one balanced 3-circle;
+    # a K4 and a 4-set of links with two; and the G2 reference and the two
+    # Pappus graphs, each with 3-3-3 bundles and six balanced 3-circles.  A
+    # memo key or a K4 join that forgot the balanced circles would count
+    # the sets of a group alike
     d3 = [(1, 2, 1), (1, 2, -1), (2, 3, 1), (2, 3, -1), (1, 3, 1), (1, 3, -1)]
     near_d3 = [(4, 5, 1), (4, 5, 2), (5, 6, 1), (5, 6, 3), (4, 6, 1), (4, 6, 5)]
     k4 = [(u, v, 1) for u, v in itertools.combinations((7, 8, 9, 10), 2)]
@@ -271,11 +306,27 @@ def test_census_tells_sets_of_one_shape_apart():
         (u, v, 2 if (u, v) == (13, 14) else 1)
         for u, v in itertools.combinations((11, 12, 13, 14), 2)
     ]
-    g = GainGraph.from_edge_list(14, d3 + near_d3 + k4 + near_k4)
+    nine = [[(e.tail, e.head, e.gain) for e in atlas()["G2"].reference.edges]]
+    nine += [list(edges) for edges in PAPPUS_GRAPHS.values()]
+    nine_types = []
+    for group in nine:
+        g = GainGraph.from_edge_list(3, group)
+        inside = [frozenset(t.edge_ids) for t in triangles(g)]
+        assert sum(len(spanned(g, t)) == 3 for t in inside) == 6
+        local, _ = _local_type(g, (1, 2, 3), inside)
+        assert local[0] == (3, 3, 3, 0, 0, 0)
+        nine_types.append(local)
+    assert nine_types[0] not in nine_types[1:]
+    shifted = [
+        (u + shift, v + shift, x)
+        for shift, group in zip((14, 17, 20), nine)
+        for u, v, x in group
+    ]
+    g = GainGraph.from_edge_list(23, d3 + near_d3 + k4 + near_k4 + shifted)
     assert validate(g).all_pass
     counts = count_patterns(g)
-    assert (counts.d3, counts.k4) == (1, 1)
-    for name, expected in (("D3", 1), ("K4", 1)):
+    assert (counts.d3, counts.k4, counts.g2) == (1, 1, 1)
+    for name, expected in (("D3", 1), ("K4", 1), ("G2", 1)):
         assert len(find_occurrences(g, atlas()[name])) == expected
 
 
@@ -285,7 +336,7 @@ def test_excess_patterns_sit_on_a_balanced_circle_within_one_vertex_set():
     # so the join over balanced 3-circles counts it, and every other one,
     # with every occurrence that excludes it, spans the triple of one
     spans = {}
-    for field, name in _EXCESS_PATTERN.items():
+    for field, (name, _) in _EXCESS.items():
         ref = atlas()[name].reference
         assert any(t.kind is TriangleKind.BALANCED_CIRCLE for t in triangles(ref)), name
         spans[field] = len(ref.incident_vertices)
@@ -341,7 +392,7 @@ def test_k4_join_closed_forms(g, k4):
 
 # the atlas pattern behind each count field
 FIELD_PATTERN = {
-    **_EXCESS_PATTERN,
+    **{field: name for field, (name, _) in _EXCESS.items()},
     **{_KIND_FIELD[kind]: name for kind, name in KIND_PATTERN.items()},
 }
 

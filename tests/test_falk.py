@@ -14,7 +14,7 @@ from falkkit.falk import (
 )
 from falkkit.graphs import GainGraph, validate
 from falkkit.patterns import (
-    _EXCESS_PATTERN,
+    _EXCESS,
     COUNT_FIELDS,
     HypothesisError,
     PatternCounts,
@@ -23,6 +23,7 @@ from falkkit.patterns import (
     triangles,
 )
 from helpers import (
+    PAPPUS_GRAPHS,
     braid,
     dim_I3_2_closed_form,
     fraction_phi3,
@@ -193,26 +194,6 @@ def test_census_equals_rank_on_seeded_sample():
         assert phi3_combinatorial(count_patterns(g)) == phi3_rank(g)
 
 
-# Three full bundles on three vertices, six balanced 3-circles, each link in
-# two of them: the nine flats of size 3 form the Pappus configuration.  Both
-# graphs pass H1-H5.  The census counts only the six balanced 3-circles and
-# the three thetas, so it gives 18 (k3 = 6, theta = 3) against the rank
-# route's 20 (ROADMAP item 1).  They are kept out of tests/data, where the
-# golden file would pin the wrong `agree: false`.
-PAPPUS_GRAPHS = {
-    "with -1": (
-        (1, 2, 1), (1, 2, -1), (1, 2, 2),
-        (1, 3, 1), (1, 3, 2), (1, 3, -2),
-        (2, 3, 1), (2, 3, -1), (2, 3, -2),
-    ),
-    "powers of 2": (
-        (1, 2, 1), (1, 2, 2), (1, 2, Fraction(1, 4)),
-        (1, 3, 1), (1, 3, 2), (1, 3, 8),
-        (2, 3, 1), (2, 3, 4), (2, 3, 8),
-    ),
-}
-
-
 @pytest.mark.parametrize("edges", PAPPUS_GRAPHS.values(), ids=PAPPUS_GRAPHS)
 def test_rank_route_on_the_pappus_graphs(edges):
     g = GainGraph.from_edge_list(3, edges)
@@ -298,5 +279,5 @@ def test_census_equals_rank_on_pattern_rich_hosts():
         assert phi3_combinatorial(counts) == phi3_rank(g), (name, counts)
         for field, value in counts.as_dict().items():
             seen[field] += value
-    assert set(produced) == set(_EXCESS_PATTERN.values()), dict(produced)
+    assert set(produced) == {name for name, _ in _EXCESS.values()}, dict(produced)
     assert all(seen[field] > 0 for field in COUNT_FIELDS), dict(seen)
