@@ -8,7 +8,7 @@ independent: both start from the one walk for the rank-2 flats
 (:mod:`falkkit.falk` says more).
 """
 
-from .arrangement import Hyperplane, arrangement
+from .arrangement import Hyperplane
 from .falk import (
     FalkReport,
     phi3_combinatorial,
@@ -62,7 +62,6 @@ __all__ = [
     "ValidationReport",
     "Verdict",
     "all_circles_small",
-    "arrangement",
     "as_gain",
     "atlas",
     "count_patterns",

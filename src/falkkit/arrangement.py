@@ -39,7 +39,7 @@ def arrangement(g: GainGraph) -> list[Hyperplane]:
     (raises :class:`~falkkit.graphs.GraphTooLargeError`) a graph whose V*n
     coefficients exceed :data:`MAX_NORMAL_ENTRIES`.
     """
-    require_hypotheses(validate(g), ("H4", "H5"))
+    require_hypotheses(validate(g), "flats")
     if g.num_vertices * g.n > MAX_NORMAL_ENTRIES:
         raise GraphTooLargeError(
             f"realization has {g.num_vertices} * {g.n} normal coefficients, "

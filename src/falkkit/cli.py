@@ -83,7 +83,8 @@ def cmd_counts(run: Run, args) -> tuple[dict, Iterable[str]]:
 
 
 def cmd_phi3(run: Run, args) -> tuple[dict, Iterable[str]]:
-    # the census first: its gate names every failing hypothesis
+    # both gates name every failing hypothesis; the census goes first so that,
+    # on a graph failing H1-H3, its refusal wins over the rank route's row bound
     comb = phi3_combinatorial(run.counts) if args.method in ("comb", "both") else None
     rank = run.rank.phi3_rank if args.method in ("rank", "both") else None
     agree = comb == rank if args.method == "both" else None

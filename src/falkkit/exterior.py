@@ -61,14 +61,15 @@ one.  Write I_X for the span of the boundaries e_jk - e_ik + e_ij of the
 
 The kept t of a flat X are the edges outside X that lie in N(a) and N(b)
 for two edges a != b of X, where N(a) is the union of the flats through a;
-the work is sum_X sum_{a in X} |N(a)|, over ints only.  The rows of the
-kept blocks are written out directly: each basis triple i < j < k times
-each kept e_t, case by case on where t falls relative to i < j < k.  A
-column is a lexicographic int code, (a*m + b)*m + c for e_abc with
-m = n + 1 larger than every edge id, so integer order is the lexicographic
-order of the index tuples.  The rows are eliminated last row first.  The
-pivot rows then keep about the three terms they were written with; in the
-written order they fill in to about four.
+the work is sum_X sum_{a in X} |N(a)| over ints only, less the largest N(a)
+of X: it is only intersected with the others' union, and & walks the
+smaller set.  The rows of the kept blocks are written out directly: each
+basis triple i < j < k times each kept e_t, case by case on where t falls
+relative to i < j < k.  A column is a lexicographic int code,
+(a*m + b)*m + c for e_abc with m = n + 1 larger than every edge id, so
+integer order is the lexicographic order of the index tuples.  The rows are
+eliminated last row first.  The pivot rows then keep about the three terms
+they were written with; in the written order they fill in to about four.
 
 Ranks are computed by fraction-free elimination of these Python-int rows,
 with no conversion of their entries: every pivot row is kept primitive (its
@@ -170,10 +171,14 @@ def _kept_outside(flats: list[Flat]) -> list[list[int]]:
     for flat in flats:
         once: set[int] = set()
         twice: set[int] = set()
-        for a in flat:
+        largest = linked[flat[0]]
+        for a in flat[1:]:
             near = linked[a]
+            if len(near) > len(largest):
+                near, largest = largest, near
             twice |= once & near
             once |= near
+        twice |= once & largest
         twice.difference_update(flat)
         kept.append(sorted(twice))
     return kept

@@ -43,13 +43,14 @@ from functools import cached_property
 from typing import Mapping
 
 from . import exterior
-from .graphs import HYPOTHESES, GainGraph, ValidationReport, validate
+from .graphs import GainGraph, ValidationReport, validate
 from .patterns import (
-    _EXCESS, _KIND_FIELD, PatternCounts, Triangle, _census, _triangles, flats, require_hypotheses,
+    _EXCESS, _KIND_FIELD, HypothesisError, PatternCounts, Triangle, _census, _triangles, flats,
+    require_hypotheses,
 )
 
 
-#: the report fields the rank route fills, withheld together when H4 or H5 fails
+#: the report fields the rank route fills, withheld together when its flats are refused
 _RANK_FIELDS = ("num_triangles", "triangle_list", *exterior.RankFields._fields)
 
 
@@ -57,12 +58,12 @@ class Run:
     """The stages of one computation on ``g``, in the order they need each other.
 
     ``hypotheses`` is the validation report.  ``flats`` (the rank-2 flats
-    of size >= 3) refuses, raising :class:`~falkkit.patterns.HypothesisError`,
-    unless H4 and H5 hold, and ``counts`` (the census) unless H1-H5 all
-    hold; both gates read ``hypotheses``.  ``triangles`` splits the flats
-    and ``rank`` (:class:`~falkkit.exterior.RankFields`) reads them.  Each
-    stage runs on first read and at most once; a refused stage raises again
-    on every read.
+    of size >= 3) and ``counts`` (the census) refuse, raising
+    :class:`~falkkit.patterns.HypothesisError`, unless what their stage
+    needs (:data:`~falkkit.graphs.NEEDS`) holds in ``hypotheses``.
+    ``triangles`` splits the flats and ``rank``
+    (:class:`~falkkit.exterior.RankFields`) reads them.  Each stage runs on
+    first read and at most once; a refused stage raises again on every read.
     """
 
     def __init__(self, g: GainGraph):
@@ -74,7 +75,7 @@ class Run:
 
     @cached_property
     def flats(self) -> list[exterior.Flat]:
-        require_hypotheses(self.hypotheses, ("H4", "H5"))
+        require_hypotheses(self.hypotheses, "flats")
         return flats(self.g)
 
     @cached_property
@@ -87,7 +88,7 @@ class Run:
 
     @cached_property
     def counts(self) -> PatternCounts:
-        require_hypotheses(self.hypotheses, HYPOTHESES)
+        require_hypotheses(self.hypotheses, "census")
         return _census(self.g, self.triangles)
 
 
@@ -142,32 +143,26 @@ class FalkReport:
 def verify(g: GainGraph | Run) -> FalkReport:
     """Run both pipelines with hypothesis gating and report agreement.
 
-    The rank route needs only H4 and H5 (distinct hyperplanes); the census
-    route needs H1..H5.  No field is silently skipped: anything not computed
-    is listed in ``withheld`` with the failing hypotheses.  Given a
+    Each route runs when the hypotheses its stages need hold
+    (:data:`~falkkit.graphs.NEEDS`).  No field is silently skipped: the
+    fields of a refused stage are listed in ``withheld`` with the failing
+    hypotheses that stage needs, as its refusal names them.  Given a
     :class:`Run` of the graph in place of the graph, it reads that run's
     stages, so nothing already computed runs again.
     """
     run = g if isinstance(g, Run) else Run(g)
-    failing = run.hypotheses.failing()
     withheld: dict[str, tuple[str, ...]] = {}
     values: dict = {}
-
-    standing = tuple(h for h in ("H4", "H5") if h in failing)
-    if standing:
-        for name in _RANK_FIELDS:
-            withheld[name] = standing
-    else:
+    try:
         tris = run.triangles
         values.update(num_triangles=len(tris), triangle_list=tris, **run.rank._asdict())
-
-    if failing:
-        for name in ("counts", "phi3_combinatorial", "agree"):
-            withheld[name] = failing
-    else:
-        values["counts"] = run.counts
-        values["phi3_combinatorial"] = phi3_combinatorial(run.counts)
+    except HypothesisError as exc:
+        withheld.update(dict.fromkeys(_RANK_FIELDS, exc.unmet))
+    try:
+        values.update(counts=run.counts, phi3_combinatorial=phi3_combinatorial(run.counts))
         values["agree"] = values["phi3_combinatorial"] == values["phi3_rank"]
+    except HypothesisError as exc:
+        withheld.update(dict.fromkeys(("counts", "phi3_combinatorial", "agree"), exc.unmet))
 
     return FalkReport(
         n=run.g.n,

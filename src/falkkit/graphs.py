@@ -14,9 +14,9 @@ H3  parallel multiplicity at most 3,
 H4  every loop and every 2-circle is unbalanced,
 H5  at most one loop per vertex.
 
-H4 and H5 are standing assumptions for the hyperplane realization (they make
-the hyperplanes pairwise distinct); H1-H3 additionally gate the combinatorial
-invariant formula.
+:data:`NEEDS`, which every gate reads, says which of them each stage needs:
+H4 and H5 make the hyperplanes pairwise distinct, as the rank-2 flats and all
+built on them need, and the combinatorial invariant formula needs all five.
 
 :func:`all_circles_small` lists every circle of a pattern-sized graph with
 its balance (a circle is balanced when the product of the gains along it is
@@ -41,6 +41,8 @@ GainLike = Union[Fraction, int, str]
 MAX_CIRCLE_EDGES = 12
 
 HYPOTHESES = ("H1", "H2", "H3", "H4", "H5")
+#: the hypotheses each gated stage needs (:func:`falkkit.patterns.require_hypotheses`)
+NEEDS = {"flats": ("H4", "H5"), "census": HYPOTHESES}
 
 HYPOTHESIS_LABELS = {
     "H1": "no B2 subgraph",
@@ -412,14 +414,9 @@ def _trace_circle(edges: Sequence[Edge]) -> bool | None:
     degree: dict[int, int] = defaultdict(int)
     incident: dict[int, list[Edge]] = defaultdict(list)
     for e in edges:
-        if e.is_loop:
-            degree[e.tail] += 2
-            incident[e.tail].append(e)
-        else:
-            degree[e.tail] += 1
-            degree[e.head] += 1
-            incident[e.tail].append(e)
-            incident[e.head].append(e)
+        for v in (e.tail, e.head):  # a loop counts twice at its vertex
+            degree[v] += 1
+            incident[v].append(e)
     if any(d != 2 for d in degree.values()):
         return None
     start = min(degree)

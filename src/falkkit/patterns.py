@@ -52,9 +52,10 @@ the other oracles in the test helpers.
 balance; no computation here reads it.
 
 :func:`require_hypotheses` is the one hypothesis gate, given the
-caller's validation report: :func:`count_patterns`, the hyperplane
-realization and the stages of :class:`falkkit.falk.Run`, which every other
-entry point reads, refuse through it.
+caller's validation report and the stage, whose needs it reads from
+:data:`falkkit.graphs.NEEDS`: :func:`triangles`, :func:`count_patterns`,
+the hyperplane realization and the stages of :class:`falkkit.falk.Run`,
+which every other entry point reads, refuse through it.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ from typing import Mapping, Sequence
 
 from .exterior import Flat
 from .graphs import (
-    HYPOTHESES,
+    NEEDS,
     GainGraph,
     ValidationReport,
     all_circles_small,
@@ -98,22 +99,22 @@ _FLAT_KIND = (TriangleKind.THETA, TriangleKind.TIGHT_HANDCUFF, TriangleKind.LOOS
 
 
 class HypothesisError(ValueError):
-    """A computation was refused because formula hypotheses fail."""
+    """A refused computation: ``unmet`` names the failing hypotheses it needs."""
 
-    def __init__(self, report: ValidationReport):
+    def __init__(self, report: ValidationReport, unmet: tuple[str, ...]):
         self.report = report
         self.failing = report.failing()
+        self.unmet = unmet
         super().__init__("hypotheses violated: " + ", ".join(self.failing))
 
 
-def require_hypotheses(report: ValidationReport, names: Sequence[str]) -> None:
-    """Raise :class:`HypothesisError` when any of ``names`` fails in ``report``,
-    the graph's :func:`~falkkit.graphs.validate` report.
-
-    The error names every failing hypothesis, not only those in ``names``.
-    """
-    if not report.passes(*names):
-        raise HypothesisError(report)
+def require_hypotheses(report: ValidationReport, stage: str) -> None:
+    """Raise :class:`HypothesisError` when a hypothesis that ``stage`` needs
+    (:data:`~falkkit.graphs.NEEDS`) fails in ``report``, the graph's
+    :func:`~falkkit.graphs.validate` report."""
+    unmet = tuple(name for name in report.failing() if name in NEEDS[stage])
+    if unmet:
+        raise HypothesisError(report, unmet)
 
 
 def flats(g: GainGraph) -> list[Flat]:
@@ -121,7 +122,7 @@ def flats(g: GainGraph) -> list[Flat]:
 
     Requires H4 and H5, so that the hyperplanes are pairwise distinct; it
     does not check them, and its output on a graph where either fails is
-    unspecified (the command line refuses such a graph).  H1-H3 may fail.
+    unspecified (every gated entry point refuses such a graph).  H1-H3 may fail.
     This is the library's one walk over the link map.  Each bundle (u, v)
     gives its two-vertex flat, the bundle with the loops at u and v, when
     that has three edges or more.  A balanced 3-circle u < v < w is closed
@@ -156,8 +157,10 @@ def flats(g: GainGraph) -> list[Flat]:
 def triangles(g: GainGraph) -> list[Triangle]:
     """All dependent 3-sets, sorted by edge ids: the 3-subsets of :func:`flats`.
 
-    Like :func:`flats`, it requires H4 and H5 and does not check them.
+    Refuses (raises :class:`HypothesisError`) unless H4 and H5 hold, as the
+    flats need.
     """
+    require_hypotheses(validate(g), "flats")
     return _triangles(g, flats(g))
 
 
@@ -304,8 +307,8 @@ def count_patterns(g: GainGraph) -> PatternCounts:
     four local counts are the triangles by kind; the seven larger patterns
     are counted per vertex set (:func:`_census`).
     """
-    require_hypotheses(validate(g), HYPOTHESES)
-    return _census(g, triangles(g))
+    require_hypotheses(validate(g), "census")
+    return _census(g, _triangles(g, flats(g)))
 
 
 def _census(g: GainGraph, tris: Sequence[Triangle]) -> PatternCounts:

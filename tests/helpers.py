@@ -109,6 +109,14 @@ def type_b(m: int) -> GainGraph:
     return GainGraph.from_edge_list(m, _signed_pairs(m) + [(v, v, 2) for v in range(1, m + 1)])
 
 
+def looped_hub(m: int) -> GainGraph:
+    """Vertex 1 with a loop of gain 2 and m spokes, each three links of gains
+    1, 2 and 3 to a vertex of its own.  H2 fails and H4 and H5 hold; every
+    spoke's flat holds the loop, so the loop's neighbourhood is the graph."""
+    spokes = [(1, s, x) for s in range(2, m + 2) for x in (1, 2, 3)]
+    return GainGraph.from_edge_list(m + 1, [(1, 1, 2), *spokes])
+
+
 def triangulated_grid(side: int) -> GainGraph:
     """The side x side grid with the diagonal (r, c)-(r+1, c+1) in every
     square and every gain 1: a graphic arrangement."""

@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from falkkit import cli, exterior, falk, patterns
+from falkkit import arrangement, cli, exterior, falk, patterns
 from falkkit.arrangement import MAX_NORMAL_ENTRIES
 from falkkit.cli import main
 from falkkit.graphs import MAX_WITNESSES
@@ -231,8 +231,7 @@ def test_each_request_validates_and_walks_the_flats_once(capsys, monkeypatch, pa
         return wrapper
 
     # the graph is walked once, for the flats; the triangles are split from them
-    # (the package's name `arrangement` is the function, not its module)
-    for module in (sys.modules["falkkit.arrangement"], cli, falk, patterns):
+    for module in (arrangement, cli, falk, patterns):
         for name in ("validate", "flats", "triangles"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))

@@ -23,8 +23,11 @@ from falkkit.patterns import (
     triangles,
 )
 from helpers import (
+    DATA,
     PAPPUS_GRAPHS,
+    _shape_kind,
     braid,
+    dependent_3sets,
     dim_I3_2_closed_form,
     fraction_phi3,
     full_dim_I3_2,
@@ -122,6 +125,10 @@ def test_verify_validates_and_finds_triangles_once(final_example, pattern_atlas,
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     assert verify(final_example).agree is True
     assert calls == {"validate": 1, "flats": 1}
+    # count_patterns gates once, then splits the flats without triangles' gate
+    calls.clear()
+    count_patterns(final_example)
+    assert calls == {"validate": 1, "flats": 1}
 
 
 def test_verify_d31(pattern_atlas):
@@ -129,6 +136,27 @@ def test_verify_d31(pattern_atlas):
     assert report.counts == PatternCounts(k3=4, d21=2, d31=1)
     assert report.phi3_combinatorial == 17 == report.phi3_rank
     assert report.span_F3_rank == 19
+
+
+#: graphs that fail exactly one hypothesis, each a different one
+ONLY_H1 = GainGraph.from_edge_list(2, [(1, 1, 2), (1, 2, 1), (1, 2, 2), (2, 2, 2)])
+ONLY_H4 = GainGraph.from_edge_list(2, [(1, 2, 1), (1, 2, 1), (1, 2, 2)])
+ONLY_H5 = GainGraph.from_edge_list(3, [(1, 1, 2), (1, 1, 3), (1, 2, 1)])
+
+
+def gate_cases() -> list[GainGraph]:
+    """Every bundled graph that parses, and the graphs failing only H1, H4 or H5."""
+    names = sorted(p.name for p in DATA.glob("*.gg") if p.name != "bad_zero_gain.gg")
+    return [load_graph(name) for name in names] + [ONLY_H1, ONLY_H4, ONLY_H5]
+
+
+def refusal(stage: str, g: GainGraph) -> HypothesisError | None:
+    """The refusal of the stage ``stage`` of a run of ``g``, or None when it runs."""
+    try:
+        getattr(falk.Run(g), stage)
+    except HypothesisError as exc:
+        return exc
+    return None
 
 
 def test_verify_withholds_census_when_h1_fails():
@@ -141,6 +169,23 @@ def test_verify_withholds_census_when_h1_fails():
     # the rank pipeline is unaffected by H1
     assert report.phi3_rank == 8
     assert report.num_triangles == 4
+    # on every graph, the census fields are withheld for what its refusal names
+    census = ("counts", "phi3_combinatorial", "agree")
+    refused = set()
+    for g in gate_cases():
+        report, exc = verify(g), refusal("counts", g)
+        failing = validate(g).failing()
+        assert (exc is None) == (failing == ())
+        if exc is None:
+            assert not set(census) & set(report.withheld)
+            continue
+        refused.update(exc.unmet)
+        assert exc.unmet == failing == exc.failing
+        assert str(exc) == "hypotheses violated: " + ", ".join(failing)
+        for name in census:
+            assert getattr(report, name) is None
+            assert report.withheld[name] == exc.unmet
+    assert refused == {"H1", "H2", "H3", "H4", "H5"}
 
 
 def test_verify_withholds_everything_when_h4_fails():
@@ -150,6 +195,35 @@ def test_verify_withholds_everything_when_h4_fails():
     assert report.withheld["phi3_rank"] == ("H4",)
     assert report.counts is None
     assert "H4" in report.withheld["counts"]
+    # triangles(g) refuses, naming H4: two links of ONLY_H4 are one hyperplane
+    for g, needed in ((ONLY_H4, ("H4",)), (load_graph("gated.gg"), ("H4", "H5"))):
+        with pytest.raises(HypothesisError, match="H4") as refused:
+            triangles(g)
+        assert refused.value.unmet == needed
+    # on every graph, the rank fields are withheld for what the refusal of
+    # the rank stage names, and triangles(g) refuses as that stage does
+    rank = falk._RANK_FIELDS
+    unmet = set()
+    for g in gate_cases():
+        report, exc = verify(g), refusal("rank", g)
+        failing = validate(g).failing()
+        if exc is None:
+            assert not {"H4", "H5"} & set(failing)
+            assert not set(rank) & set(report.withheld)
+            tris = triangles(g)
+            assert [t.edge_ids for t in tris] == sorted(dependent_3sets(g))
+            assert all(t.kind is _shape_kind(g, t.edge_ids) for t in tris)
+            continue
+        unmet.update(exc.unmet)
+        assert exc.unmet == tuple(h for h in failing if h in ("H4", "H5")) != ()
+        assert exc.failing == failing
+        for name in rank:
+            assert getattr(report, name) is None
+            assert report.withheld[name] == exc.unmet
+        with pytest.raises(HypothesisError) as refused:
+            triangles(g)
+        assert (refused.value.unmet, str(refused.value)) == (exc.unmet, str(exc))
+    assert unmet == {"H4", "H5"}
 
 
 @pytest.mark.parametrize(

@@ -91,3 +91,12 @@ def test_package_runs_without_tests_and_without_moved_oracles():
     assert got["unresolved"] == []
     assert got["present"] == []
     assert got["path"] == []
+
+
+def test_the_package_name_arrangement_is_the_module():
+    import falkkit
+    import falkkit.arrangement as module
+
+    assert module.MAX_NORMAL_ENTRIES == 10**6
+    assert module.arrangement.__module__ == "falkkit.arrangement"
+    assert "arrangement" not in falkkit.__all__

@@ -35,6 +35,7 @@ from helpers import (
     fraction_phi3,
     fraction_rank,
     load_graph,
+    looped_hub,
     random_gain_graph,
     regime_graphs,
     type_b,
@@ -117,6 +118,7 @@ FAMILIES = (
     [pytest.param(type_b(m), id=f"B{m}") for m in range(2, 6)]
     + [pytest.param(type_d(m), id=f"D{m}") for m in range(3, 7)]
     + [pytest.param(braid(m), id=f"K{m}") for m in range(4, 10)]
+    + [pytest.param(looped_hub(5), id="hub5")]
 )
 
 
@@ -216,3 +218,11 @@ def test_rank_route_on_h4_h5_regime_corpus(monkeypatch):
             assert t.kind is _shape_kind(g, t.edge_ids), (index, t)
         assert phi3_rank(g) == fraction_phi3(g), index
     assert failing == {"H1", "H2", "H3"}
+
+
+def test_rank_route_on_a_looped_hub():
+    # each of the 200 flats holds the loop, whose neighbourhood has 601 edges;
+    # a flat of four is four triangles and no outside edge meets it twice
+    g = looped_hub(200)
+    assert validate(g).failing() == ("H2",)
+    assert phi3_rank(g) == 8 * 200
