@@ -22,6 +22,7 @@ from .graphs import (
     GraphTooLargeError,
     HYPOTHESES,
     HYPOTHESIS_LABELS,
+    HypothesisError,
     ValidationReport,
     Verdict,
     all_circles_small,
@@ -32,7 +33,6 @@ from .graphs import (
 )
 from .patterns import (
     COUNT_FIELDS,
-    HypothesisError,
     Pattern,
     PatternCounts,
     Triangle,

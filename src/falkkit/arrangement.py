@@ -9,6 +9,10 @@ The library finds the rank-2 flats, and so the dependent triples, only
 combinatorially (:func:`falkkit.patterns.flats`).  The tests rank the
 normals of every edge triple with their own rational eliminator and check
 that the dependent triples make up exactly those flats.
+
+Like every gated entry point, :func:`arrangement` refuses a graph through
+:meth:`falkkit.graphs.ValidationReport.require`, and this module reads
+nothing of the library but :mod:`falkkit.graphs`.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import GainGraph, GraphTooLargeError, validate
-from .patterns import require_hypotheses
 
 #: most normal coefficients, V per edge, that a realization writes out
 MAX_NORMAL_ENTRIES = 10**6
@@ -34,12 +37,13 @@ def arrangement(g: GainGraph) -> list[Hyperplane]:
 
     The normals are pairwise non-proportional exactly when H4 and H5 hold,
     so the realization refuses (raises
-    :class:`~falkkit.patterns.HypothesisError`) through the same gate as the
-    rank route when either fails.  The normals are dense, so it also refuses
+    :class:`~falkkit.graphs.HypothesisError`) through the same gate as the
+    rank route, :meth:`~falkkit.graphs.ValidationReport.require`, when
+    either fails.  The normals are dense, so it also refuses
     (raises :class:`~falkkit.graphs.GraphTooLargeError`) a graph whose V*n
     coefficients exceed :data:`MAX_NORMAL_ENTRIES`.
     """
-    require_hypotheses(validate(g), "flats")
+    validate(g).require("flats")
     if g.num_vertices * g.n > MAX_NORMAL_ENTRIES:
         raise GraphTooLargeError(
             f"realization has {g.num_vertices} * {g.n} normal coefficients, "

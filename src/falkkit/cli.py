@@ -21,10 +21,10 @@ from .graphs import (
     GraphFormatError,
     GraphTooLargeError,
     HYPOTHESIS_LABELS,
+    HypothesisError,
     ValidationReport,
     parse,
 )
-from .patterns import HypothesisError
 
 EXIT_OK = 0
 EXIT_REFUSED = 1

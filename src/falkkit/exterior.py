@@ -87,10 +87,7 @@ from bisect import bisect_left
 from math import comb, gcd
 from typing import Iterable, Mapping, NamedTuple
 
-from .graphs import GraphTooLargeError
-
-#: a rank-2 flat: the increasing edge ids of its hyperplanes
-Flat = tuple[int, ...]
+from .graphs import Flat, GraphTooLargeError
 
 #: most rows of G_kept that :func:`rank_fields` writes out and eliminates; the
 #: braid arrangement K_28 has 245 700, which take about 1 s and 150 MB

@@ -43,11 +43,8 @@ from functools import cached_property
 from typing import Mapping
 
 from . import exterior
-from .graphs import GainGraph, ValidationReport, validate
-from .patterns import (
-    _EXCESS, _KIND_FIELD, HypothesisError, PatternCounts, Triangle, _census, _triangles, flats,
-    require_hypotheses,
-)
+from .graphs import Flat, GainGraph, HypothesisError, ValidationReport, validate
+from .patterns import _EXCESS, _KIND_FIELD, PatternCounts, Triangle, _census, _triangles, flats
 
 
 #: the report fields the rank route fills, withheld together when its flats are refused
@@ -58,9 +55,10 @@ class Run:
     """The stages of one computation on ``g``, in the order they need each other.
 
     ``hypotheses`` is the validation report.  ``flats`` (the rank-2 flats
-    of size >= 3) and ``counts`` (the census) refuse, raising
-    :class:`~falkkit.patterns.HypothesisError`, unless what their stage
-    needs (:data:`~falkkit.graphs.NEEDS`) holds in ``hypotheses``.
+    of size >= 3) and ``counts`` (the census) refuse through
+    :meth:`~falkkit.graphs.ValidationReport.require` on ``hypotheses``,
+    raising :class:`~falkkit.graphs.HypothesisError`, unless what their
+    stage needs (:data:`~falkkit.graphs.NEEDS`) holds.
     ``triangles`` splits the flats and ``rank``
     (:class:`~falkkit.exterior.RankFields`) reads them.  Each stage runs on
     first read and at most once; a refused stage raises again on every read.
@@ -74,8 +72,8 @@ class Run:
         return validate(self.g)
 
     @cached_property
-    def flats(self) -> list[exterior.Flat]:
-        require_hypotheses(self.hypotheses, "flats")
+    def flats(self) -> list[Flat]:
+        self.hypotheses.require("flats")
         return flats(self.g)
 
     @cached_property
@@ -88,7 +86,7 @@ class Run:
 
     @cached_property
     def counts(self) -> PatternCounts:
-        require_hypotheses(self.hypotheses, "census")
+        self.hypotheses.require("census")
         return _census(self.g, self.triangles)
 
 
@@ -154,8 +152,10 @@ def verify(g: GainGraph | Run) -> FalkReport:
     withheld: dict[str, tuple[str, ...]] = {}
     values: dict = {}
     try:
+        # the rank first: its row bound refuses before the flats are split
+        rank = run.rank
         tris = run.triangles
-        values.update(num_triangles=len(tris), triangle_list=tris, **run.rank._asdict())
+        values.update(num_triangles=len(tris), triangle_list=tris, **rank._asdict())
     except HypothesisError as exc:
         withheld.update(dict.fromkeys(_RANK_FIELDS, exc.unmet))
     try:

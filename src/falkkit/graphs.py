@@ -14,9 +14,12 @@ H3  parallel multiplicity at most 3,
 H4  every loop and every 2-circle is unbalanced,
 H5  at most one loop per vertex.
 
-:data:`NEEDS`, which every gate reads, says which of them each stage needs:
-H4 and H5 make the hyperplanes pairwise distinct, as the rank-2 flats and all
-built on them need, and the combinatorial invariant formula needs all five.
+:data:`NEEDS` says which of them each stage needs: H4 and H5 make the
+hyperplanes pairwise distinct, as the rank-2 flats and all built on them
+need, and the combinatorial invariant formula needs all five.
+:meth:`ValidationReport.require` is the one hypothesis gate: every gated
+entry point hands it its graph's report and its stage, and it raises
+:class:`HypothesisError` naming what that stage needs and the graph fails.
 
 :func:`all_circles_small` lists every circle of a pattern-sized graph with
 its balance (a circle is balanced when the product of the gains along it is
@@ -41,7 +44,7 @@ GainLike = Union[Fraction, int, str]
 MAX_CIRCLE_EDGES = 12
 
 HYPOTHESES = ("H1", "H2", "H3", "H4", "H5")
-#: the hypotheses each gated stage needs (:func:`falkkit.patterns.require_hypotheses`)
+#: the hypotheses each gated stage needs (:meth:`ValidationReport.require`)
 NEEDS = {"flats": ("H4", "H5"), "census": HYPOTHESES}
 
 HYPOTHESIS_LABELS = {
@@ -51,6 +54,10 @@ HYPOTHESIS_LABELS = {
     "H4": "loops and 2-circles unbalanced",
     "H5": "at most one loop per vertex",
 }
+
+#: a rank-2 flat: the increasing edge ids of its hyperplanes
+Flat = tuple[int, ...]
+
 
 class GraphFormatError(ValueError):
     """Raised for malformed graph files."""
@@ -62,6 +69,16 @@ class GraphFormatError(ValueError):
 
 class GraphTooLargeError(ValueError):
     """Raised when a graph exceeds a documented size bound of a computation."""
+
+
+class HypothesisError(ValueError):
+    """A refused computation: ``failing`` names every failing hypothesis,
+    ``unmet`` those of them the refused stage needs."""
+
+    def __init__(self, failing: tuple[str, ...], unmet: tuple[str, ...]):
+        self.failing = failing
+        self.unmet = unmet
+        super().__init__("hypotheses violated: " + ", ".join(failing))
 
 
 def as_gain(value: GainLike) -> Fraction:
@@ -340,6 +357,14 @@ class ValidationReport:
     def passes(self, *names: str) -> bool:
         verdicts = (self.h1, self.h2, self.h3, self.h4, self.h5)
         return all(verdicts[HYPOTHESES.index(name)].passed for name in names)
+
+    def require(self, stage: str) -> None:
+        """Raise :class:`HypothesisError` when a hypothesis that ``stage``
+        needs (:data:`NEEDS`) fails in this report."""
+        failing = self.failing()
+        unmet = tuple(name for name in failing if name in NEEDS[stage])
+        if unmet:
+            raise HypothesisError(failing, unmet)
 
 
 def validate(g: GainGraph) -> ValidationReport:

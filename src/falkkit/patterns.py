@@ -51,11 +51,10 @@ the other oracles in the test helpers.
 :attr:`Pattern.profile` lists every circle of a reference with its
 balance; no computation here reads it.
 
-:func:`require_hypotheses` is the one hypothesis gate, given the
-caller's validation report and the stage, whose needs it reads from
-:data:`falkkit.graphs.NEEDS`: :func:`triangles`, :func:`count_patterns`,
-the hyperplane realization and the stages of :class:`falkkit.falk.Run`,
-which every other entry point reads, refuse through it.
+:func:`triangles` and :func:`count_patterns` refuse a graph through the
+one hypothesis gate, :meth:`falkkit.graphs.ValidationReport.require`, on
+the graph's own validation report.  This module reads nothing of the
+library but :mod:`falkkit.graphs`.
 """
 
 from __future__ import annotations
@@ -69,14 +68,7 @@ from math import gcd
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .exterior import Flat
-from .graphs import (
-    NEEDS,
-    GainGraph,
-    ValidationReport,
-    all_circles_small,
-    validate,
-)
+from .graphs import Flat, GainGraph, all_circles_small, validate
 
 
 class TriangleKind(str, Enum):
@@ -96,25 +88,6 @@ class Triangle:
 
 # kind of a triple from a two-vertex flat, by the number of loops it takes
 _FLAT_KIND = (TriangleKind.THETA, TriangleKind.TIGHT_HANDCUFF, TriangleKind.LOOSE_HANDCUFF)
-
-
-class HypothesisError(ValueError):
-    """A refused computation: ``unmet`` names the failing hypotheses it needs."""
-
-    def __init__(self, report: ValidationReport, unmet: tuple[str, ...]):
-        self.report = report
-        self.failing = report.failing()
-        self.unmet = unmet
-        super().__init__("hypotheses violated: " + ", ".join(self.failing))
-
-
-def require_hypotheses(report: ValidationReport, stage: str) -> None:
-    """Raise :class:`HypothesisError` when a hypothesis that ``stage`` needs
-    (:data:`~falkkit.graphs.NEEDS`) fails in ``report``, the graph's
-    :func:`~falkkit.graphs.validate` report."""
-    unmet = tuple(name for name in report.failing() if name in NEEDS[stage])
-    if unmet:
-        raise HypothesisError(report, unmet)
 
 
 def flats(g: GainGraph) -> list[Flat]:
@@ -157,10 +130,10 @@ def flats(g: GainGraph) -> list[Flat]:
 def triangles(g: GainGraph) -> list[Triangle]:
     """All dependent 3-sets, sorted by edge ids: the 3-subsets of :func:`flats`.
 
-    Refuses (raises :class:`HypothesisError`) unless H4 and H5 hold, as the
-    flats need.
+    Refuses (raises :class:`~falkkit.graphs.HypothesisError`) unless H4
+    and H5 hold, as the flats need.
     """
-    require_hypotheses(validate(g), "flats")
+    validate(g).require("flats")
     return _triangles(g, flats(g))
 
 
@@ -302,12 +275,13 @@ COUNT_FIELDS = tuple(f.name for f in fields(PatternCounts))
 def count_patterns(g: GainGraph) -> PatternCounts:
     """Occurrence counts with containment exclusions applied.
 
-    Refuses (raises :class:`HypothesisError`) unless H1..H5 all pass; the
-    combinatorial invariant formula is only claimed in that regime.  The
+    Refuses (raises :class:`~falkkit.graphs.HypothesisError`) unless H1..H5
+    all pass; the combinatorial invariant formula is only claimed in that
+    regime.  The
     four local counts are the triangles by kind; the seven larger patterns
     are counted per vertex set (:func:`_census`).
     """
-    require_hypotheses(validate(g), "census")
+    validate(g).require("census")
     return _census(g, _triangles(g, flats(g)))
 
 

@@ -45,6 +45,9 @@ checked against live here.
   the rank formula for phi_3 from those triples, again with
   :func:`fraction_rank` only.  :func:`_shape_kind` names a dependent
   triple's kind from its shape alone (loops taken, vertices spanned).
+* Holonomy Lie algebra: :func:`holonomy_phi3` reads phi_3 off the degree-3
+  part of the holonomy Lie algebra, with no exterior algebra and no Falk
+  formula, from the same flats and :func:`fraction_rank`.
 * Isomorphism: :func:`biased_isomorphic` decides biased-graph isomorphism
   exhaustively, from every circle and its balance and the multiplicities,
   vertex signatures and summary of :func:`_bias_profile`.
@@ -71,9 +74,8 @@ from typing import Iterable, Mapping, Sequence
 
 from falkkit import exterior
 from falkkit.arrangement import arrangement
-from falkkit.exterior import Flat
 from falkkit.falk import _local_and_excess
-from falkkit.graphs import Edge, GainGraph, all_circles_small, parse, validate
+from falkkit.graphs import Edge, Flat, GainGraph, all_circles_small, parse, validate
 from falkkit.patterns import (
     _EXCESS,
     Pattern,
@@ -490,6 +492,41 @@ def fraction_phi3(g: GainGraph) -> int:
                 if t not in (x, y)
             })
     return 2 * comb(n + 1, 3) - n * dim_a2 + comb(n, 3) - fraction_rank(rows)
+
+
+def holonomy_phi3(g: GainGraph) -> int:
+    """phi_3 as dim h_3, the degree-3 part of the holonomy Lie algebra h
+    (Kohno 1983; Papadima-Suciu 2006: phi_k = dim h_k for k <= 3).
+
+    h is the free Lie algebra on x_1..x_n modulo [x_i, sum_{j in X} x_j]
+    for every rank-2 flat X and every i in X.  The flats of size >= 3 are
+    :func:`flats` of :func:`dependent_3sets`, and every pair of edges in
+    none of them is a flat of size 2.  The free Lie algebra embeds in the
+    tensor algebra, [a, b] = ab - ba, so each [x_k, r] is written as words
+    of length 3, and dim h_3 = (n^3 - n)/3 minus their :func:`fraction_rank`.
+    """
+    n = g.n
+    big = flats(n, dependent_3sets(g))
+    covered = {pair for x in big for pair in itertools.combinations(x, 2)}
+    rank2 = big + [p for p in itertools.combinations(range(1, n + 1), 2) if p not in covered]
+    # [x_i, sum_{j in X} x_j] as words of length 2
+    relations = []
+    for x in rank2:
+        for i in x:
+            r = {}
+            for j in x:
+                if j != i:
+                    r[i, j], r[j, i] = 1, -1
+            relations.append(r)
+    rows = []
+    for k in range(1, n + 1):
+        for r in relations:
+            row = Counter()
+            for (a, b), c in r.items():
+                row[k, a, b] += c
+                row[a, b, k] -= c
+            rows.append(row)
+    return (n**3 - n) // 3 - fraction_rank(rows)
 
 
 def regime_graphs(rng: random.Random, count: int) -> list[GainGraph]:

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from falkkit.arrangement import arrangement
-from falkkit.graphs import GainGraph
-from falkkit.patterns import HypothesisError, triangles
+from falkkit.graphs import GainGraph, HypothesisError
+from falkkit.patterns import triangles
 from helpers import (
     RANDOM_GAINS,
     dependent_3sets,

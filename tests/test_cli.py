@@ -11,8 +11,8 @@ import pytest
 from falkkit import arrangement, cli, exterior, falk, patterns
 from falkkit.arrangement import MAX_NORMAL_ENTRIES
 from falkkit.cli import main
-from falkkit.graphs import MAX_WITNESSES
-from helpers import DATA
+from falkkit.graphs import MAX_WITNESSES, GraphTooLargeError
+from helpers import DATA, load_graph
 from test_golden_report import FORMS
 
 FINAL = str(DATA / "final_example.gg")
@@ -377,3 +377,18 @@ def test_rank_route_refuses_above_the_kept_row_bound(capsys, monkeypatch, flags)
     monkeypatch.setattr(exterior, "MAX_KEPT_ROWS", 53)
     code, out, _ = run(capsys, "phi3", FINAL, "--method", "rank")
     assert (code, out) == (0, "rank: 31\n")
+
+
+def test_report_refuses_the_rank_route_before_splitting_the_flats(capsys, monkeypatch):
+    # the triangles number sum_X C(|X|, 3), cubic in the bundle size when H3
+    # fails, so a report the row bound refuses must not list them first
+    def split(*args):
+        raise AssertionError("the flats were split into triangles")
+
+    monkeypatch.setattr(exterior, "MAX_KEPT_ROWS", 52)
+    monkeypatch.setattr(falk, "_triangles", split)
+    with pytest.raises(GraphTooLargeError, match="rank route has 53 rows"):
+        falk.verify(load_graph("final_example.gg"))
+    code, out, err = run(capsys, "report", FINAL, "--json")
+    assert (code, out) == (1, "")
+    assert err == "falkkit: refused: rank route has 53 rows to eliminate, more than 52\n"

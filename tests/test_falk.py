@@ -12,12 +12,12 @@ from falkkit.falk import (
     phi3_rank,
     verify,
 )
-from falkkit.graphs import GainGraph, validate
+from falkkit.graphs import GainGraph, HypothesisError, validate
 from falkkit.patterns import (
     _EXCESS,
     COUNT_FIELDS,
-    HypothesisError,
     PatternCounts,
+    TriangleKind,
     count_patterns,
     flats,
     triangles,
@@ -26,6 +26,7 @@ from helpers import (
     DATA,
     PAPPUS_GRAPHS,
     _shape_kind,
+    biased_isomorphic,
     braid,
     dependent_3sets,
     dim_I3_2_closed_form,
@@ -282,6 +283,55 @@ def test_rank_route_on_the_pappus_graphs(edges):
 @pytest.mark.parametrize("edges", PAPPUS_GRAPHS.values(), ids=PAPPUS_GRAPHS)
 def test_census_on_the_pappus_graphs(edges):
     assert phi3_combinatorial(count_patterns(GainGraph.from_edge_list(3, edges))) == 20
+
+
+def three_vertex_graphs():
+    """Every 3-vertex H1-H5 graph with a balanced 3-circle, links with gains
+    from {1, -1, 2, -2, 1/2}, at most one loop per vertex with gain -1 or 2,
+    and at most three edges on each bundle and the loops at its ends.  It is
+    switched at vertices 2 and 3 so that the first link on (1, 2) and on
+    (1, 3) has gain 1."""
+    gains = (1, -1, 2, -2, Fraction(1, 2))
+    from_1 = [(1, *rest) for size in range(3) for rest in itertools.combinations(gains[1:], size)]
+    on_23 = [pick for size in (1, 2, 3) for pick in itertools.combinations(gains, size)]
+    for b12, b13, b23 in itertools.product(from_1, from_1, on_23):
+        if not any(x * z == y for x in b12 for y in b13 for z in b23):
+            continue  # no balanced 3-circle
+        for loops in itertools.product((None, -1, 2), repeat=3):
+            has = [loop is not None for loop in loops]
+            if max(len(b12) + has[0] + has[1], len(b13) + has[0] + has[2],
+                   len(b23) + has[1] + has[2]) > 3:
+                continue
+            edges = [(1, 2, x) for x in b12] + [(1, 3, y) for y in b13]
+            edges += [(2, 3, z) for z in b23]
+            edges += [(v, v, loop) for v, loop in zip((1, 2, 3), loops) if has[v - 1]]
+            yield GainGraph.from_edge_list(3, edges)
+
+
+def test_census_equals_rank_on_three_vertices_but_for_the_pappus_graphs():
+    # ROADMAP item 1: the census misses the Pappus configuration, and this
+    # says how far the fault reaches on three vertices; one graph per local
+    # type, which fixes the local biased graph and so both routes' values
+    types, count = {}, 0
+    for count, g in enumerate(three_vertex_graphs(), start=1):
+        assert validate(g).all_pass
+        inside = [frozenset(t.edge_ids) for t in triangles(g)]
+        types.setdefault(patterns._local_type(g, (1, 2, 3), inside)[0], g)
+    pappus = [GainGraph.from_edge_list(3, edges) for edges in PAPPUS_GRAPHS.values()]
+    met = 0
+    for (sizes, _), g in types.items():
+        report = verify(g)
+        circles = sum(t.kind is TriangleKind.BALANCED_CIRCLE for t in report.triangle_list)
+        # a biased isomorphism keeps the multigraph and the balanced circles
+        if sizes == (3, 3, 3, 0, 0, 0) and circles == 6 and any(
+            biased_isomorphic(g, p) for p in pappus
+        ):
+            met += 1
+            assert report.phi3_rank == 20
+        else:
+            assert report.phi3_combinatorial == report.phi3_rank, g
+    assert count == 6872
+    assert met > 0
 
 
 def test_graphic_arrangements_match_schenck_suciu():

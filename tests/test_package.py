@@ -3,10 +3,13 @@
 The check runs in a fresh interpreter with ``-I -S`` (no site-packages, no
 environment paths) and only ``src`` put on ``sys.path``.  Neither the
 import nor the run may load ``random``: only the test-data generators use it.
+The modules are layered: the census and the rank route are siblings that
+meet only in :mod:`falkkit.falk`.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import subprocess
 import sys
@@ -19,14 +22,15 @@ TESTS = Path(__file__).resolve().parent
 
 #: test oracles and test-data generators that once shipped in the library
 #: (among them the full eliminations the rank route's closed forms replaced),
-#: the circle model no computation needed, and the entry points folded into
-#: one (the rank route's into :func:`falkkit.exterior.rank_fields`), by the
-#: module that held them
+#: the circle model no computation needed, the entry points folded into
+#: one (the rank route's into :func:`falkkit.exterior.rank_fields`), and the
+#: hypothesis gate, now :meth:`falkkit.graphs.ValidationReport.require`, by
+#: the module that held them
 MOVED = {
     "falkkit.patterns": (
         "biased_isomorphic", "_isomorphic_profiles", "_edge_bijection_matches", "_pair",
         "induced_subgraph", "_BiasProfile", "_bias_profile", "find_occurrences",
-        "_occurrences", "_carries_triangles",
+        "_occurrences", "_carries_triangles", "require_hypotheses",
     ),
     "falkkit.arrangement": ("dependent_3sets",),
     "falkkit.graphs": (
@@ -100,3 +104,22 @@ def test_the_package_name_arrangement_is_the_module():
     assert module.MAX_NORMAL_ENTRIES == 10**6
     assert module.arrangement.__module__ == "falkkit.arrangement"
     assert "arrangement" not in falkkit.__all__
+
+
+def relative_imports(module: str) -> set[str]:
+    """The falkkit modules that ``src/falkkit/<module>.py`` imports."""
+    tree = ast.parse((SRC / "falkkit" / f"{module}.py").read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module] if node.module else [a.name for a in node.names])
+    return found
+
+
+def test_the_census_and_the_rank_route_import_only_graphs():
+    # the gate, the refusal and the flat type live in graphs, so neither
+    # route, nor the realization, reads the other
+    for module in ("patterns", "exterior", "arrangement"):
+        assert relative_imports(module) == {"graphs"}, module
+    assert "patterns" not in relative_imports("cli")
+    assert relative_imports("falk") >= {"graphs", "patterns", "exterior"}

@@ -3,9 +3,8 @@ import random
 
 import pytest
 
-from falkkit.graphs import GainGraph, all_circles_small, validate
+from falkkit.graphs import GainGraph, HypothesisError, all_circles_small, validate
 from falkkit.patterns import (
-    HypothesisError,
     PatternCounts,
     TriangleKind,
     atlas,

@@ -13,6 +13,9 @@ tuple algebra.
 
 The rank route is claimed wherever H4 and H5 hold, so the regime corpus
 (:func:`helpers.regime_graphs`) also has graphs where H1, H2 or H3 fails.
+Where H1-H3 fail the census is withheld, and
+:func:`helpers.holonomy_phi3`, which reads phi_3 off the holonomy Lie
+algebra with no Falk formula, checks the rank route instead.
 """
 
 import itertools
@@ -24,16 +27,19 @@ import pytest
 
 from falkkit import exterior
 from falkkit.falk import phi3_rank
-from falkkit.graphs import validate
+from falkkit.graphs import GainGraph, validate
 from falkkit.patterns import flats, triangles
 import helpers
 from helpers import (
+    DATA,
+    PAPPUS_GRAPHS,
     _shape_kind,
     boundary3,
     braid,
     dependent_3sets,
     fraction_phi3,
     fraction_rank,
+    holonomy_phi3,
     load_graph,
     looped_hub,
     random_gain_graph,
@@ -226,3 +232,20 @@ def test_rank_route_on_a_looped_hub():
     g = looped_hub(200)
     assert validate(g).failing() == ("H2",)
     assert phi3_rank(g) == 8 * 200
+
+
+def test_holonomy_lie_algebra_matches_the_rank_route():
+    # a third route that needs no exterior algebra and no Falk formula, the
+    # oracle for B_m and type_b3.gg, where H1 fails and the census is withheld
+    cases = [type_b(m) for m in (2, 3, 4)] + [braid(m) for m in (4, 5, 6)]
+    cases += [type_d(4), type_d(5)]
+    for path in sorted(DATA.glob("*.gg")):
+        if path.name != "bad_zero_gain.gg":
+            g = load_graph(path.name)
+            if validate(g).passes("H4", "H5"):
+                cases.append(g)
+    assert len(cases) > 8  # tests/data adds its graphs where H4 and H5 hold
+    for g in cases:
+        assert holonomy_phi3(g) == phi3_rank(g)
+    for edges in PAPPUS_GRAPHS.values():
+        assert holonomy_phi3(GainGraph.from_edge_list(3, edges)) == 20
