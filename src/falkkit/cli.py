@@ -10,9 +10,9 @@ arguments).  A reader that closes the output early, as
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator
 
 from .arrangement import arrangement
@@ -57,6 +57,59 @@ def _hypotheses_lines(report: ValidationReport) -> list[str]:
 
 def _triangles_json(tris) -> list[dict]:
     return [{"edges": list(t.edge_ids), "kind": t.kind.value} for t in tris]
+
+
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _json_chunks(value, out: list[str], pad: str, head: str = "") -> None:
+    """Append the text of ``value`` in ``json.dumps(value, indent=2)`` to
+    ``out``, as ``head`` followed by its chunks, nested at ``pad`` (a newline
+    and the indent of its line).
+
+    The standard library writes indented JSON with its pure-Python encoder
+    before CPython 3.13.  Here a scalar, a list of ints, or a key with its
+    ``": "`` joins the chunk before it, so ``out`` grows no longer than the
+    standard library's chunk list.  Values the CLI never emits (floats, sets,
+    keys that are not strings) raise ``TypeError``.
+    """
+    if isinstance(value, str):
+        out.append(head + encode_basestring_ascii(value))
+    elif value is None or value is True or value is False:
+        out.append(head + _JSON_CONSTANTS[value])
+    elif isinstance(value, int):
+        out.append(head + int.__repr__(value))
+    elif isinstance(value, (list, tuple, dict)):
+        inner = pad + "  "
+        if not value:
+            out.append(head + ("{}" if isinstance(value, dict) else "[]"))
+        elif isinstance(value, dict):
+            head += "{"
+            for key, item in value.items():
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                head += inner + encode_basestring_ascii(key) + ": "
+                _json_chunks(item, out, inner, head)
+                head = ","
+            out.append(pad + "}")
+        elif all(type(item) is int for item in value):
+            ints = ("," + inner).join(map(int.__repr__, value))
+            out.append(head + "[" + inner + ints + pad + "]")
+        else:
+            head += "["
+            for item in value:
+                _json_chunks(item, out, inner, head + inner)
+                head = ","
+            out.append(pad + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_text(value) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for the values the CLI emits."""
+    out: list[str] = []
+    _json_chunks(value, out, "\n")
+    return "".join(out)
 
 
 # Each view reads the stages of the request's run and returns its JSON
@@ -210,7 +263,7 @@ def main(argv=None) -> int:
     try:
         fields, lines = args.func(Run(g), args)
         if args.json:
-            print(json.dumps({"n": g.n, **fields}, indent=2))
+            print(_json_text({"n": g.n, **fields}))
         else:
             text = "\n".join(lines)
             if text:  # an empty graph realizes to no line at all

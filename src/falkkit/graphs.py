@@ -30,7 +30,6 @@ triples.
 from __future__ import annotations
 
 import itertools
-import re
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -82,9 +81,10 @@ class HypothesisError(ValueError):
 
 
 def as_gain(value: GainLike) -> Fraction:
-    """Coerce to an exact nonzero rational (gains live in Q*)."""
-    gain = Fraction(value)
-    if gain == 0:
+    """Coerce to an exact nonzero rational (gains live in Q*); a
+    ``Fraction`` passes through unchanged."""
+    gain = value if isinstance(value, Fraction) else Fraction(value)
+    if not gain:
         raise ValueError("gain must be a nonzero rational")
     return gain
 
@@ -231,19 +231,17 @@ class GainGraph:
 # file format
 
 
-#: the only integer syntax in graph files; ``int()`` alone would also take
-#: ``1_0`` and non-ASCII digits such as full-width ones
-_INTEGER = r"[+-]?[0-9]+"
-
-
 def _parse_int(token: str, what: str, line: int) -> int:
-    if not re.fullmatch(_INTEGER, token):
+    """The only integer syntax in graph files: one optional sign, then the
+    ASCII digits 0-9.  ``int()`` alone would also take ``1_0`` and non-ASCII
+    digits such as full-width ones, and ``isdigit()`` alone takes ``²``."""
+    digits = token[1:] if token[:1] in ("+", "-") else token
+    if not (digits and digits.isascii() and digits.isdigit()):
         raise GraphFormatError(f"{what} must be an integer, got {token!r}", line)
     try:
         return int(token)
     except ValueError:  # more digits than the interpreter converts
-        digits = len(token.lstrip("+-"))
-        raise GraphFormatError(f"{what} has too many digits ({digits})", line) from None
+        raise GraphFormatError(f"{what} has too many digits ({len(digits)})", line) from None
 
 
 def _parse_gain(token: str, line: int) -> Fraction:
@@ -272,6 +270,7 @@ def parse(text: str) -> GainGraph:
     """
     num_vertices: int | None = None
     edges: dict[int, Edge] = {}
+    gains: dict[str, Fraction] = {}  # one Fraction per distinct gain token
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -289,7 +288,9 @@ def parse(text: str) -> GainGraph:
         edge_id = _parse_int(fields[1], "edge id", lineno)
         tail = _parse_int(fields[2], "tail vertex", lineno)
         head = _parse_int(fields[3], "head vertex", lineno)
-        gain = _parse_gain(fields[4], lineno)
+        gain = gains.get(fields[4])
+        if gain is None:
+            gain = gains[fields[4]] = _parse_gain(fields[4], lineno)
         if edge_id in edges:
             raise GraphFormatError(f"duplicate edge id {edge_id}", lineno)
         if not (1 <= tail <= num_vertices and 1 <= head <= num_vertices):

@@ -3,6 +3,9 @@
 The library computes each quantity once.  The second computations it is
 checked against live here.
 
+* File format: :data:`INTEGER` is the integer grammar of graph files as a
+  regular expression, the oracle for the token checks of
+  :func:`falkkit.graphs.parse`.
 * Test data: :func:`random_gain_graph` samples H1-H5 graphs from
   :data:`RANDOM_GAINS`; :func:`switch` regauges the gains by a vertex
   function and :func:`with_reversed_edge` stores one edge the other way
@@ -64,6 +67,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+import re
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
@@ -86,6 +90,9 @@ from falkkit.patterns import (
 )
 
 DATA = Path(__file__).parent / "data"
+
+#: every integer token of a graph file: one optional sign, then ASCII digits
+INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def load_graph(name: str) -> GainGraph:

@@ -11,8 +11,9 @@ import pytest
 from falkkit import arrangement, cli, exterior, falk, patterns
 from falkkit.arrangement import MAX_NORMAL_ENTRIES
 from falkkit.cli import main
+from falkkit.falk import Run
 from falkkit.graphs import MAX_WITNESSES, GraphTooLargeError
-from helpers import DATA, load_graph
+from helpers import DATA, load_graph, seeded_graphs
 from test_golden_report import FORMS
 
 FINAL = str(DATA / "final_example.gg")
@@ -392,3 +393,64 @@ def test_report_refuses_the_rank_route_before_splitting_the_flats(capsys, monkey
     code, out, err = run(capsys, "report", FINAL, "--json")
     assert (code, out) == (1, "")
     assert err == "falkkit: refused: rank route has 53 rows to eliminate, more than 52\n"
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer prints the text of json.dumps(..., indent=2)
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_json_output_is_the_indent_2_text_of_json_dumps(capsys, form):
+    for path in sorted(DATA.glob("*.gg")):
+        code, out, _ = run(capsys, form[0], str(path), *form[1:], "--json")
+        if code == 0:
+            assert out == json.dumps(json.loads(out), indent=2) + "\n", path.name
+
+
+def test_json_writer_matches_json_dumps_on_random_reports():
+    for g in seeded_graphs(200, seed=25):
+        fields, _ = cli.cmd_report(Run(g), None)
+        value = {"n": g.n, **fields}
+        assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+JSON_VALUES = [
+    {},
+    [],
+    (),
+    {"a": {}, "b": [], "c": [[], {}, ()]},
+    [[1, [2, [3]]], {"d": {"e": (4, 5)}}],
+    (1, (2, 3), ("x",)),
+    [-1, 0, -(2**70), 2**64, 2**64 + 1],
+    -7,
+    2**100,
+    True,
+    False,
+    None,
+    [True, False, 1, 0],
+    {"t": True, "f": False, "n": None},
+    'a quote " and a backslash \\',
+    "controls \x00\x1f\n\t\r\x7f",
+    "non-ASCII \u00e9 \u00f1 \u4e2d",
+    "astral \U0001f600",
+    "",
+    {'key " \\ \u00e9 \U0001f600 \x01': ["mixed", 1, None, True, -2]},
+]
+
+
+@pytest.mark.parametrize("value", JSON_VALUES)
+def test_json_writer_matches_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+def test_json_writer_prints_booleans_as_true_and_false():
+    assert cli._json_text([True, False, 1, 0]) == "[\n  true,\n  false,\n  1,\n  0\n]"
+    assert cli._json_text({"b": [False]}) == '{\n  "b": [\n    false\n  ]\n}'
+
+
+@pytest.mark.parametrize(
+    "value", [1.5, [0.0], {"a": [1, 2.0]}, {1, 2}, {"a": frozenset()}, {1: "a"}, {None: 1}, b"x"]
+)
+def test_json_writer_refuses_values_the_cli_never_emits(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)

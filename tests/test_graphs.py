@@ -11,15 +11,18 @@ from falkkit.graphs import (
     GraphTooLargeError,
     MAX_WITNESSES,
     all_circles_small,
+    as_gain,
     parse,
     serialize,
     validate,
 )
 from helpers import (
+    INTEGER,
     RANDOM_GAINS,
     brute_circle_sets,
     circle_balance,
     load_graph,
+    scrambled,
     seeded_graphs,
     switch,
     with_reversed_edge,
@@ -103,6 +106,47 @@ def test_parse_accepts_only_ascii_integers(token):
             parse(text)
 
 
+#: each integer position of the format: a file with the token there, the
+#: line it is on, its name in errors, and the value it parses to
+INTEGER_POSITIONS = (
+    ("graph {}\n", 1, "vertex count", lambda g: g.num_vertices),
+    ("graph 3\nedge {} 1 2 1\n", 2, "edge id", lambda g: g.edges[0].id),
+    ("graph 3\nedge 1 {} 2 1\n", 2, "tail vertex", lambda g: g.edges[0].tail),
+    ("graph 3\nedge 1 1 {} 1\n", 2, "head vertex", lambda g: g.edges[0].head),
+    ("graph 3\nedge 1 1 2 {}\n", 2, "gain numerator", lambda g: g.edges[0].gain),
+    ("graph 3\nedge 1 1 2 1/{}\n", 2, "gain denominator", lambda g: 1 / g.edges[0].gain),
+)
+
+# '\u00b2' (superscript two) is a digit to str.isdigit but not ASCII
+FIXED_TOKENS = BAD_INTEGERS + ("+", "-", "+-1", "--1", "0x1", "1.0", "\u00b2", "+0", "-0", "007")
+
+
+def random_tokens(count: int, seed: int) -> list[str]:
+    """Tokens of ASCII digits, signs and non-ASCII digits (Arabic-Indic,
+    full-width, superscript, Devanagari, mathematical double-struck)."""
+    rng = random.Random(seed)
+    alphabet = "0123456789+-" + "\u0663\uff13\u00b2\u0967\U0001d7d8"
+    return ["".join(rng.choices(alphabet, k=rng.randint(1, 4))) for _ in range(count)]
+
+
+@pytest.mark.parametrize("template, line, what, value", INTEGER_POSITIONS)
+def test_parse_takes_exactly_the_integer_grammar(template, line, what, value):
+    tokens = FIXED_TOKENS + tuple(random_tokens(300, seed=7))
+    accepted = [token for token in tokens if INTEGER.fullmatch(token)]
+    assert 0 < len(accepted) < len(tokens)
+    for token in tokens:
+        text = template.format(token)
+        if INTEGER.fullmatch(token):
+            try:
+                assert value(parse(text)) == int(token), token
+            except GraphFormatError as exc:  # a range or id check, not the grammar
+                assert "must be an integer" not in str(exc), token
+        else:
+            with pytest.raises(GraphFormatError) as info:
+                parse(text)
+            assert str(info.value) == f"line {line}: {what} must be an integer, got {token!r}"
+
+
 def test_parse_signed_integers():
     g = parse("graph +2\nedge +1 1 +2 -3/+4\n")
     assert g.num_vertices == 2
@@ -125,6 +169,37 @@ def test_serialize_round_trip(final_example):
     text = serialize(final_example)
     assert parse(text) == final_example
     assert parse(serialize(parse(text))) == final_example
+
+
+def test_serialize_round_trips_random_graphs():
+    rng = random.Random(11)
+    for g in seeded_graphs(100, seed=11):
+        for h in (g, scrambled(g, rng)):
+            assert parse(serialize(h)) == h
+
+
+@pytest.mark.parametrize(
+    "token, message", [("x/2", "gain numerator must be an integer, got 'x'"), ("0", "zero gain")]
+)
+def test_a_repeated_bad_gain_is_reported_on_its_first_line(token, message):
+    text = f"graph 3\nedge 1 1 2 2\nedge 2 1 3 {token}\nedge 3 2 3 2\nedge 4 2 3 {token}\n"
+    with pytest.raises(GraphFormatError) as info:
+        parse(text)
+    assert str(info.value) == f"line 3: {message}"
+
+
+def test_a_repeated_gain_gives_equal_gains():
+    g = parse("graph 3\nedge 1 1 2 -2/3\nedge 2 2 3 -2/3\nedge 3 1 3 -4/6\nedge 4 1 3 -2/3\n")
+    assert [e.gain for e in g.edges] == [Fraction(-2, 3)] * 4
+    assert all(type(e.gain) is Fraction for e in g.edges)
+
+
+def test_as_gain_passes_a_fraction_through():
+    half = Fraction(1, 2)
+    assert as_gain(half) is half
+    assert as_gain("1/2") == as_gain(0.5) == half
+    with pytest.raises(ValueError, match="nonzero"):
+        as_gain(Fraction(0))
 
 
 def test_serialize_reduces_gains():
