@@ -3,9 +3,10 @@
 The rank route needs three numbers: dim A^2, dim I^3_2 (the degree-3 slice
 of the ideal generated by the boundaries of the dependent triples) and the
 size and rank of F3 = {e_t * boundary(e_S) : t not in S}.  All of them are
-read off the rank-2 flats of the arrangement, with one elimination, and
-Falk's formula turns them into phi3 (:func:`rank_fields`, the route's one
-entry point).  The flats come in as increasing edge-id tuples
+read off the rank-2 flats of the arrangement and the ends of their edges,
+with one elimination per distinct group of the global rows, and Falk's
+formula turns them into phi3 (:func:`rank_fields`, the route's one entry
+point).  The flats come in as increasing edge-id tuples
 (:func:`falkkit.patterns.flats`), and :func:`rank_fields` checks only their
 shape.
 
@@ -46,9 +47,43 @@ one.  Write I_X for the span of the boundaries e_jk - e_ik + e_ij of the
   |G_kept| = sum_X C(|X|-1, 2)*#{t : |A| >= 2} rows.  G_kept has 3 960
   of the 8 580 rows of G for the braid arrangement K_11, 2 820 of 4 080
   for B_6, and none for a triangulated grid, where every flat is a
-  triangle no outside edge meets twice.  |G_kept| is counted before any
-  row is written, and the route refuses (raises
-  :class:`~falkkit.graphs.GraphTooLargeError`) above :data:`MAX_KEPT_ROWS`.
+  triangle no outside edge meets twice.
+* **G_kept is block-diagonal by vertex set, and equal keys have equal
+  nullity.**  Write supp(e) for the ends of edge e and V(X) for the
+  vertices of flat X.  Under H4 and H5 a flat lies on two vertices (a
+  bundle with the loops at its ends) or three (a balanced 3-circle), and
+  any two distinct edges of a flat cover its vertices.  By the column rule
+  above, a block (Y, s) that shares a column e_tab with (X, t) has s = a
+  and t, b in Y (or the same with a and b swapped), so
+  V(Y) | supp(s) = supp(t) | supp(b) | supp(a) = V(X) | supp(t).  So
+  G_kept splits into groups by W = V(X) | supp(t), which no column
+  crosses, and nullity(G_kept) is the sum of the groups' nullities.  A kept
+  block takes three flats X, Y, Z, each two of which share an edge
+  (a in X and Y, b in X and Z, t in Y and Z); W is the union of the
+  vertex sets of any two of them, so |W| is 3 or 4, and W is made twice,
+  from two shared edges, unless X, Y and Z lie on one vertex set.  Only
+  those W are candidates.  A group's rows depend only on the flats on
+  subsets of W and the ends of their edges.  The key of W lists, for each
+  subset of sorted W that carries flats, its positions and those flats,
+  each edge relabelled by the positions of its ends in the subset and its
+  id rank among the edges with the same ends.  Two W with equal keys have
+  a bijection of those edges that keeps the labels; it maps flats to flats
+  and kept blocks to kept blocks.  A relabelling of the edges is an
+  automorphism of the exterior algebra that maps each e_t * I_X onto its
+  image, whatever the signs the new id order gives, so the two groups span
+  spaces of one dimension with one number of rows, and have one nullity.
+  No canonical form is needed: a key only has to be equal for the groups
+  it treats alike.  So each distinct key's blocks are found and
+  eliminated once, and dim I^3_2 = sum_X C(|X|, 3) + |G| - nullity(G_kept)
+  with nullity(G_kept) the sum over keys of their multiplicity times the
+  nullity of one group.  K_m has one distinct key (C(m, 4) groups of 12
+  rows, nullity 2) however its edges are numbered; D_m and B_m have two
+  when each bundle's links are numbered alike, and more otherwise, since
+  the id rank within a bundle then tells equal groups apart.  |G_kept|,
+  the sum over keys of the
+  multiplicity times the rows, is counted before any row is written, and
+  the route refuses (raises :class:`~falkkit.graphs.GraphTooLargeError`)
+  above :data:`MAX_KEPT_ROWS`.
 * **|F3| = (n-3)*|T| and rank F3 = dim I^3_2 - #{X : |X| = 3}.**  F3 holds
   the global rows of every triple, which span e_t * I_X like G does, and
   the local rows with t in X but outside S.  For a 4-set Y in X and
@@ -59,11 +94,14 @@ one.  Write I_X for the span of the boundaries e_jk - e_ik + e_ij of the
   flat of three has no local F3 row, and no global row reaches its
   monomial e_X.
 
-The kept t of a flat X are the edges outside X that lie in N(a) and N(b)
-for two edges a != b of X, where N(a) is the union of the flats through a;
-the work is sum_X sum_{a in X} |N(a)| over ints only, less the largest N(a)
-of X: it is only intersected with the others' union, and & walks the
-smaller set.  The rows of the kept blocks are written out directly: each
+The kept t of a flat X in the group of W are the edges outside X that
+lie in N(a) and N(b) for two edges a != b of X, where N(a) is the union of
+the group's flats through a, and whose ends hold the vertices of W that X
+misses: set intersections over ints only, less the largest N(a) of X, which
+is only intersected with the others' union, and & walks the smaller set.
+The groups are found from the flats that hold two edges each in another
+flat, and the edges' ends are asked for only when there are three such
+flats.  The rows of the kept blocks are written out directly: each
 basis triple i < j < k times each kept e_t, case by case on where t falls
 relative to i < j < k.  A column is a lexicographic int code,
 (a*m + b)*m + c for e_abc with m = n + 1 larger than every edge id, so
@@ -84,8 +122,10 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
+from collections import Counter
 from math import comb, gcd
-from typing import Iterable, Mapping, NamedTuple
+from operator import lt
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .graphs import Flat, GraphTooLargeError
 
@@ -156,16 +196,121 @@ def rank(rows: Iterable[Mapping]) -> int:
     return len(_pivot_rows(rows))
 
 
-def _kept_outside(flats: list[Flat]) -> list[list[int]]:
-    """For each flat X, the increasing edges t outside X whose block of G is
-    kept: those that share a flat with two or more edges of X."""
-    # linked[a] = N(a), the union of the flats through a
+def _kept_groups(
+    flats: list[Flat], supports: Callable[[int], tuple[int, int]]
+) -> list[tuple[int, tuple[int, ...], list[Flat], list[tuple[int, ...]], int]]:
+    """G_kept's nonempty groups, one per distinct key: how many vertex sets W
+    have that key, and for one of them W, its flats in the given order and
+    their vertex sets (what :func:`_group_kept` reads), and its number of
+    rows."""
+    # each of t, a and b of a kept block lies in two of its flats X, Y, Z,
+    # and each of these holds two of them
+    seen: set[int] = set()
+    shared: set[int] = set()
+    for flat in flats:
+        shared.update(seen.intersection(flat))
+        seen.update(flat)
+    if not shared:
+        return []
+    live = [flat for flat in flats if len(shared.intersection(flat)) > 1]
+    if len(live) < 3:
+        return []
+    # vertex sets, and the W made of two, are sorted tuples: tuples of ints
+    # drop out of the cyclic garbage collector's view, where as many sets
+    # would make it sweep the whole heap again and again on a large grid
+    ends = {a: supports(a) for a in set().union(*live)}
+    verts = [tuple(sorted({*ends[flat[0]], *ends[flat[1]]})) for flat in live]
+    through: dict[int, tuple[tuple[int, ...], ...]] = {}
+    for flat, vs in zip(live, verts):
+        for a in flat:
+            sets = through.get(a)
+            if sets is None:
+                through[a] = (vs,)
+            elif vs not in sets:
+                through[a] = sets + (vs,)
+    # W = V(X) | V(Y) = V(X) | V(Z) = V(Y) | V(Z) is made by two edges and
+    # two distinct vertex sets each, unless X, Y and Z lie on one vertex set
+    made = Counter(
+        tuple(sorted({*p, *q})) for sets in through.values() if len(sets) > 1
+        for p, q in itertools.combinations(sets, 2)
+    )
+    candidates = {w for w, count in made.items() if count > 1}
+    candidates.update(vs for vs, count in Counter(verts).items() if count > 2)
+    if not candidates:
+        return []
+    on_set: dict[tuple[int, ...], list[int]] = {}
+    for index, vs in enumerate(verts):
+        on_set.setdefault(vs, []).append(index)
+    # an edge's label: its id rank among the edges with its ends, and the
+    # positions of its ends in a vertex set (a bit mask), as one small int;
+    # a vertex set's flats as a tuple of labels each, named by a small int
+    rank_in_bundle: dict[int, int] = {}
+    bundle_sizes: dict[tuple[int, ...], int] = {}
+    for a in sorted(ends):
+        rank_in_bundle[a] = bundle_sizes.get(ends[a], 0)
+        bundle_sizes[ends[a]] = rank_in_bundle[a] + 1
+    code_of: dict[tuple, int] = {}
+    codes: dict[tuple[int, ...], int] = {}
+    for vs, members in on_set.items():
+        bit = {v: 1 << i for i, v in enumerate(vs)}
+        shift = len(vs)
+        shape = tuple(sorted(
+            tuple(sorted([
+                rank_in_bundle[a] << shift | bit[ends[a][0]] | bit[ends[a][-1]] for a in live[x]
+            ]))
+            for x in members
+        ))
+        codes[vs] = code_of.setdefault(shape, len(code_of))
+    sizes = sorted({len(vs) for vs in on_set})
+    groups: dict[tuple, list] = {}
+    for w in candidates:
+        subsets = [
+            (pos, vs)
+            for size in sizes if size <= len(w)
+            for pos, vs in zip(
+                itertools.combinations(range(len(w)), size), itertools.combinations(w, size)
+            )
+            if vs in on_set
+        ]
+        key = (len(w), *((pos, codes[vs]) for pos, vs in subsets))
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [1, w, [vs for _, vs in subsets]]
+        else:
+            group[0] += 1
+    out = []
+    for multiplicity, w, subsets in groups.values():
+        members = sorted(x for vs in subsets for x in on_set[vs])
+        xs = [live[x] for x in members]
+        xs_verts = [verts[x] for x in members]
+        # counted only: the kept t are written out once the bound is checked
+        kept = _group_kept(w, xs, xs_verts, ends.__getitem__)
+        size = sum(comb(len(x) - 1, 2) * len(ts) for x, ts in zip(xs, kept))
+        if size:
+            out.append((multiplicity, w, xs, xs_verts, size))
+    return out
+
+
+def _group_kept(
+    ws: tuple[int, ...],
+    flats: list[Flat],
+    verts: list[tuple[int, ...]],
+    supports: Callable[[int], tuple[int, int]],
+) -> Iterator[set[int]]:
+    """For each flat X of the group of the vertex set ``ws``, with vertex set
+    ``verts[X]``, the edges t outside X whose block (X, t) is kept and lies
+    in the group: t shares a flat of the group with two or more edges of X,
+    and its ends hold the vertices of ``ws`` that X misses."""
+    # linked[a] = N(a), the union of the group's flats through a
     linked: dict[int, set[int]] = {}
     for flat in flats:
         for a in flat:
             linked.setdefault(a, set()).update(flat)
-    kept = []
-    for flat in flats:
+    touching: dict[int, set[int]] = {v: set() for v in ws}
+    for a in linked:
+        for v in supports(a):
+            touching[v].add(a)
+    for flat, vs in zip(flats, verts):
         once: set[int] = set()
         twice: set[int] = set()
         largest = linked[flat[0]]
@@ -177,15 +322,20 @@ def _kept_outside(flats: list[Flat]) -> list[list[int]]:
             once |= near
         twice |= once & largest
         twice.difference_update(flat)
-        kept.append(sorted(twice))
-    return kept
+        for v in ws:
+            if v not in vs:
+                twice &= touching[v]
+        yield twice
 
 
-def _kept_rows(n: int, flats: Iterable[Flat], kept: Iterable[list[int]]) -> list[dict[int, int]]:
+def _kept_rows(
+    n: int, flats: Iterable[Flat], kept: Iterable[Iterable[int]]
+) -> list[dict[int, int]]:
     """The rows e_t * (e_jk - e_ik + e_ij) of G's kept blocks, flat by flat.
 
     For each flat X with x = min X, each basis triple (i, j, k) = (x, b, c)
-    with b < c in X, and each kept t outside X in increasing order.
+    with b < c in X, and each kept t outside X (``kept`` lists them in any
+    order) in increasing order.
     e_abc is coded (a*m + b)*m + c with m = n + 1.
     """
     m = n + 1
@@ -194,6 +344,7 @@ def _kept_rows(n: int, flats: Iterable[Flat], kept: Iterable[list[int]]) -> list
     for flat, outside in zip(flats, kept):
         if not outside:
             continue
+        outside = sorted(outside)
         i = flat[0]
         below = bisect_left(outside, i)
         tmm_below = [t * mm for t in outside[:below]]
@@ -227,11 +378,21 @@ class RankFields(NamedTuple):
     phi3_rank: int
 
 
-def rank_fields(n: int, flats: Iterable[Flat]) -> RankFields:
+def rank_fields(
+    n: int, flats: Iterable[Flat], supports: Callable[[int], tuple[int, int]]
+) -> RankFields:
     """dim A^2, dim I^3_2, |F3|, rank F3 and phi3 of an arrangement of ``n``
-    hyperplanes, from its rank-2 flats of size >= 3: the closed forms above,
-    one elimination of G_kept, and
+    hyperplanes, from its rank-2 flats of size >= 3 and the ends of each
+    edge (``supports``): the closed forms above, one elimination per
+    distinct group of G_kept, and
     phi3 = 2*C(n+1, 3) - n*dim A^2 + C(n, 3) - dim I^3_2.
+
+    ``supports(a)`` gives the ends of edge ``a`` in the gain graph whose
+    flats these are, smaller vertex first, as
+    :meth:`~falkkit.graphs.Edge.ends` does.  It is called only when three
+    flats each hold two edges that lie in other flats, and then only for
+    the edges of such flats.  One constant support for every edge is also
+    exact: it puts all of G_kept in one group.
 
     Raises ``ValueError`` unless each flat has 3 or more edge ids
     1 <= x_1 < x_2 < ... <= n, which the row codes rely on, and
@@ -242,24 +403,25 @@ def rank_fields(n: int, flats: Iterable[Flat]) -> RankFields:
     triangles = dim_i2 = threes = size_g = 0
     for flat in flats:
         size = len(flat)
-        if size < 3 or flat[0] < 1 or flat[-1] > n or any(
-            a >= b for a, b in zip(flat, flat[1:])
-        ):
+        if size < 3 or flat[0] < 1 or flat[-1] > n or not all(map(lt, flat, flat[1:])):
             raise ValueError(f"expected 3 or more edge ids 1 <= x_1 < x_2 < ... <= {n}: {flat}")
         basis = comb(size - 1, 2)
         triangles += comb(size, 3)
         dim_i2 += basis
         threes += size == 3
         size_g += basis * (n - size)
-    kept = _kept_outside(flats)
-    size_kept = sum(comb(len(flat) - 1, 2) * len(outside) for flat, outside in zip(flats, kept))
+    groups = _kept_groups(flats, supports)
+    size_kept = sum(multiplicity * size for multiplicity, *_, size in groups)
     if size_kept > MAX_KEPT_ROWS:
         raise GraphTooLargeError(
             f"rank route has {size_kept} rows to eliminate, more than {MAX_KEPT_ROWS}"
         )
-    rows = _kept_rows(n, flats, kept)
-    rows.reverse()  # less fill-in than the written order (see the module docstring)
+    nullity = 0
+    for multiplicity, w, xs, verts, size in groups:
+        rows = _kept_rows(n, xs, _group_kept(w, xs, verts, supports))
+        rows.reverse()  # less fill-in than the written order (see the module docstring)
+        nullity += multiplicity * (size - rank(rows))
     dim_a2 = comb(n, 2) - dim_i2
-    dim_i32 = triangles + size_g - size_kept + rank(rows)
+    dim_i32 = triangles + size_g - nullity
     phi3 = 2 * comb(n + 1, 3) - n * dim_a2 + comb(n, 3) - dim_i32
     return RankFields(dim_a2, dim_i32, (n - 3) * triangles, dim_i32 - threes, phi3)

@@ -17,11 +17,14 @@ and is valid for any gain graph whose hyperplanes are pairwise distinct
 (Falk 1988: phi3 depends only on them), which one walk over the graph
 finds, and one call turns into every rank field
 (:func:`falkkit.exterior.rank_fields`): dim(A^2) and the local part
-of dim(I^3_2) in closed form, and the global part as the exact rank of one
-integer matrix G.  So phi3 = 2|T| + nullity(G), the two per triangle of
+of dim(I^3_2) in closed form, and the global part as the exact rank of
+an integer matrix G.  So phi3 = 2|T| + nullity(G), the two per triangle of
 the Papadima-Suciu lower bound plus the global excess that G's kernel
-carries.  The size and rank of F3 follow from the same numbers with no
-further elimination.
+carries.  G's kernel lives in the blocks it keeps, which split into groups
+by the 3 or 4 vertices they touch; :class:`Run` hands over each edge's
+ends with the flats, and each distinct group is eliminated once.  The
+size and rank of F3 follow from the same numbers with no further
+elimination.
 
 :func:`phi3_combinatorial` evaluates the census form, a local part plus a
 global excess,
@@ -60,7 +63,8 @@ class Run:
     raising :class:`~falkkit.graphs.HypothesisError`, unless what their
     stage needs (:data:`~falkkit.graphs.NEEDS`) holds.
     ``triangles`` splits the flats and ``rank``
-    (:class:`~falkkit.exterior.RankFields`) reads them.  Each stage runs on
+    (:class:`~falkkit.exterior.RankFields`) reads them with the ends of
+    the graph's edges.  Each stage runs on
     first read and at most once; a refused stage raises again on every read.
     """
 
@@ -82,7 +86,8 @@ class Run:
 
     @cached_property
     def rank(self) -> exterior.RankFields:
-        return exterior.rank_fields(self.g.n, self.flats)
+        edge = self.g.edge
+        return exterior.rank_fields(self.g.n, self.flats, lambda a: edge(a).ends())
 
     @cached_property
     def counts(self) -> PatternCounts:

@@ -94,16 +94,15 @@ class Edge:
     """Oriented edge with a nonzero rational gain.
 
     ``tail == head`` marks a loop.  The reversed edge
-    ``(head, tail, 1/gain)`` denotes the same underlying edge.
+    ``(head, tail, 1/gain)`` denotes the same underlying edge.  ``gain``
+    must be a nonzero ``Fraction``; it is not coerced here, as
+    :func:`parse` and :meth:`GainGraph.from_edge_list` coerce each gain once.
     """
 
     id: int
     tail: int
     head: int
     gain: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "gain", as_gain(self.gain))
 
     @property
     def is_loop(self) -> bool:
@@ -155,8 +154,11 @@ class GainGraph:
     def from_edge_list(
         cls, num_vertices: int, triples: Iterable[tuple[int, int, GainLike]]
     ) -> "GainGraph":
-        """Build from ``(tail, head, gain)`` triples; ids are assigned 1..n in order."""
-        edges = tuple(Edge(i, t, h, gain) for i, (t, h, gain) in enumerate(triples, start=1))
+        """Build from ``(tail, head, gain)`` triples; ids are assigned 1..n in
+        order, and each gain is coerced with :func:`as_gain`."""
+        edges = tuple(
+            Edge(i, t, h, as_gain(gain)) for i, (t, h, gain) in enumerate(triples, start=1)
+        )
         return cls(num_vertices, edges)
 
     @property

@@ -31,12 +31,16 @@ checked against live here.
   :func:`full_dim_I3_2` rank every row of I^2, F3 and I^3_2 (|T|,
   (n-3)*|T| and n*|T| rows), with no decomposition over the rank-2 flats;
   :func:`full_rank_fields` gathers them into the rank fields of a report.
-  They are the oracle for the library's closed forms and its one
-  elimination of the global rows, which :func:`falkkit.exterior.rank_fields`
-  reads off the rank-2 flats in one call.  :func:`global_rows` writes
+  They are the oracle for the library's closed forms and its eliminations
+  of the global rows, which :func:`falkkit.exterior.rank_fields` reads off
+  the rank-2 flats in one call.  :func:`global_rows` writes
   every row of G, the global rows, and :func:`kept_global_rows` keeps those
-  of the blocks the library eliminates; :func:`recorded_rows` records the rows
-  the library hands to :func:`falkkit.exterior.rank`.  :func:`dim_I3_2_closed_form` predicts
+  of the blocks the library eliminates; :func:`kept_rows_by_vertex_set`
+  groups them by the vertices their blocks touch, as the library ranks
+  them, and :func:`recorded_rows` records the rows the library hands to
+  :func:`falkkit.exterior.rank`.  :func:`supports` and :func:`one_support`
+  are the edge supports :func:`falkkit.exterior.rank_fields` takes, of a
+  graph or constant.  :func:`dim_I3_2_closed_form` predicts
   dim(I^3_2) from the census counts under H1-H5.
 * Matroid: :func:`dependent_3sets` ranks the hyperplane normals of every
   edge triple with :func:`fraction_rank`, the linear-algebra side of
@@ -696,19 +700,50 @@ def global_rows(n: int, flats: Iterable[Flat]) -> list[dict[int, int]]:
     return rows
 
 
-def kept_global_rows(n: int, flats: Sequence[Flat]) -> list[dict[int, int]]:
-    """The rows of :func:`global_rows` whose block (X, t) is kept: t shares a
-    flat with two or more edges of X, decided pair by pair from the flats."""
+def _kept_global_blocks(n: int, flats: Sequence[Flat]) -> Iterable[tuple[Flat, int, dict]]:
+    """(X, t, row) for each row of :func:`global_rows` whose block (X, t) is
+    kept: t shares a flat with two or more edges of X, decided pair by pair
+    from the flats."""
     m = n + 1
     in_flat = {pair for flat in flats for pair in itertools.combinations(flat, 2)}
-    rows = []
     for flat in flats:
         for row in global_rows(n, [flat]):
             code = next(iter(row))
             (t,) = {code // (m * m), code // m % m, code % m} - set(flat)
             if sum((min(a, t), max(a, t)) in in_flat for a in flat) >= 2:
-                rows.append(row)
-    return rows
+                yield flat, t, row
+
+
+def kept_global_rows(n: int, flats: Sequence[Flat]) -> list[dict[int, int]]:
+    """The rows of :func:`global_rows` whose block (X, t) is kept: t shares a
+    flat with two or more edges of X, decided pair by pair from the flats."""
+    return [row for _, _, row in _kept_global_blocks(n, flats)]
+
+
+def kept_rows_by_vertex_set(g: GainGraph, flats: Sequence[Flat]) -> dict[frozenset, list[dict]]:
+    """The rows of :func:`kept_global_rows` grouped by the vertex set W of
+    their block (X, t), the ends of every edge of X and of t, each group's
+    rows in the order of :func:`kept_global_rows`.  The library ranks
+    G_kept group by group; here W is read off every edge, with no lemma
+    about which edges cover a flat."""
+    groups: dict[frozenset, list[dict]] = {}
+    for flat, t, row in _kept_global_blocks(g.n, flats):
+        w = frozenset(v for a in (*flat, t) for v in g.edge(a).ends())
+        groups.setdefault(w, []).append(row)
+    return groups
+
+
+def supports(g: GainGraph):
+    """The ``supports`` argument of :func:`falkkit.exterior.rank_fields` for
+    ``g``: each edge id's ends."""
+    return lambda a: g.edge(a).ends()
+
+
+def one_support(a: int) -> tuple[int, int]:
+    """One constant support for every edge, the ``supports`` argument of
+    :func:`falkkit.exterior.rank_fields` for flats that come from no graph:
+    all of G_kept is then one group."""
+    return (1, 2)
 
 
 def recorded_rows(monkeypatch, compute) -> tuple[list[list[dict]], object]:

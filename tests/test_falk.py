@@ -36,6 +36,7 @@ from helpers import (
     pattern_rich_hosts,
     random_switching,
     seeded_graphs,
+    supports,
     switch,
     type_b,
     type_d,
@@ -260,7 +261,7 @@ def test_closed_form_dimension_prediction(final_example, pattern_atlas):
         counts = count_patterns(g)
         tris = triangles(g)
         predicted = dim_I3_2_closed_form(g.n, counts)
-        assert exterior.rank_fields(g.n, flats(g)).dim_I3_2 == predicted
+        assert exterior.rank_fields(g.n, flats(g), supports(g)).dim_I3_2 == predicted
         assert full_dim_I3_2(g.n, tris) == predicted
 
 

@@ -17,6 +17,7 @@ from falkkit.graphs import (
     validate,
 )
 from helpers import (
+    DATA,
     INTEGER,
     RANDOM_GAINS,
     brute_circle_sets,
@@ -205,6 +206,22 @@ def test_as_gain_passes_a_fraction_through():
 def test_serialize_reduces_gains():
     g = GainGraph.from_edge_list(2, [(1, 2, Fraction(2, 4))])
     assert "edge 1 1 2 1/2" in serialize(g)
+
+
+def test_every_edge_holds_a_nonzero_fraction():
+    # Edge takes its gain as given: parse and from_edge_list coerce it once
+    triples = [(1, 2, 2), (2, 3, "-1/3"), (3, 1, Fraction(4, 6)), (1, 1, 0.5)]
+    g = GainGraph.from_edge_list(3, triples)
+    assert [e.gain for e in g.edges] == [2, Fraction(-1, 3), Fraction(2, 3), Fraction(1, 2)]
+    graphs = [g, parse(serialize(g))]
+    graphs += [
+        load_graph(path.name) for path in sorted(DATA.glob("*.gg")) if path.stem != "bad_zero_gain"
+    ]
+    for h in seeded_graphs(5, seed=3):
+        graphs += [h, switch(h, {v: Fraction(v + 1, 2) for v in h.vertices})]
+        graphs += [scrambled(h, random.Random(3)), with_reversed_edge(h, 1)]
+    for h in graphs:
+        assert all(type(e.gain) is Fraction and e.gain for e in h.edges)
 
 
 @pytest.mark.parametrize("gain", [0, "0/5", Fraction(0)])

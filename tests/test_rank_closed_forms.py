@@ -1,28 +1,32 @@
-"""The rank route's closed forms and its one elimination, across the H4/H5 regime.
+"""The rank route's closed forms and its eliminations, across the H4/H5 regime.
 
 The library reads dim A^2, |F3| and rank F3 off the rank-2 flats and ranks
-only the kept blocks of the global rows G, in one call
-(:func:`falkkit.exterior.rank_fields`).  Here
+only the kept blocks of the global rows G, one group of blocks per
+distinct key (:func:`falkkit.exterior.rank_fields`).  Here
 every rank field of :func:`falkkit.falk.verify` is checked against the full
 eliminations of the test oracle (:func:`helpers.full_rank_fields`: |T|,
 (n-3)*|T| and n*|T| rows, no decomposition assumed) on the reflection
 families, the test data and a seeded regime corpus in which H1, H2 and H3
 each fail, and the kept rows are checked to have the nullity of all of G
-(:func:`helpers.global_rows`).  On the same graphs the flats of
-:func:`falkkit.patterns.flats`, the rank route's input, are checked against
-the oracle regroup of the dependent triples that
+(:func:`helpers.global_rows`).  The lemma the groups rest on is checked on
+the oracle's kept rows: grouped by the vertices of their blocks
+(:func:`helpers.kept_rows_by_vertex_set`), two groups share no column and
+their nullities sum to that of all kept rows.  On the same graphs the
+flats of :func:`falkkit.patterns.flats`, the rank route's input, are
+checked against the oracle regroup of the dependent triples that
 :func:`helpers.dependent_3sets` finds by ranking the hyperplane normals.
 """
 
 import itertools
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
 
 from falkkit import exterior
 from falkkit.cli import main
-from falkkit.falk import phi3_rank, verify
+from falkkit.falk import Run, phi3_rank, verify
 from falkkit.graphs import GainGraph, GraphFormatError, validate
 from falkkit.patterns import flats, triangles
 import helpers
@@ -31,7 +35,10 @@ from helpers import (
     braid,
     full_rank_fields,
     load_graph,
+    one_support,
     regime_graphs,
+    scrambled,
+    supports,
     triangulated_grid,
     type_b,
     type_d,
@@ -58,6 +65,34 @@ FAMILIES = (
     + [pytest.param(type_d(m), id=f"D{m}") for m in range(3, 8)]
     + [pytest.param(braid(m), id=f"K{m}") for m in range(4, 12)]
 )
+# switched, reversed and renumbered: equal groups of D_m and B_m then get
+# different keys, which must still be exact
+SCRAMBLED = [
+    pytest.param(scrambled(family(m), random.Random(m)), id=f"{name}{m}-scrambled")
+    for name, family, m in (("B", type_b, 4), ("D", type_d, 5), ("K", braid, 6))
+]
+# groups that only a finer part of the library's grouping finds or tells apart
+KEY_CASES = [
+    # three triangles on one vertex set, each two sharing a link: their
+    # group is made by no two vertex sets (phi_3 = 6, nullity 0)
+    pytest.param(
+        GainGraph.from_edge_list(
+            3, [(1, 2, 1), (1, 2, 2), (2, 3, 1), (2, 3, 2), (1, 3, 1), (1, 3, 2)]
+        ),
+        id="three-flats-on-one-set",
+    ),
+    # groups whose flats have one shape by the positions of their edges'
+    # ends alone; the id rank within a bundle tells them apart
+    # (phi_3 = 34, and 32 if they were taken as one key)
+    pytest.param(
+        GainGraph.from_edge_list(4, [
+            (1, 4, 1), (4, 4, 2), (2, 4, 2), (3, 4, Fraction(3, 2)), (4, 1, Fraction(1, 6)),
+            (2, 3, -1), (3, 4, Fraction(1, 2)), (1, 4, Fraction(4, 3)), (3, 2, Fraction(1, 4)),
+            (4, 2, -2), (3, 4, 2), (4, 2, Fraction(-3, 2)), (1, 2, -2),
+        ]),
+        id="bundle-ranks",
+    ),
+]
 
 
 def check_rank_fields(g) -> None:
@@ -69,7 +104,7 @@ def check_rank_fields(g) -> None:
     assert excess >= 0
 
 
-@pytest.mark.parametrize("g", FAMILIES + data_graphs())
+@pytest.mark.parametrize("g", FAMILIES + SCRAMBLED + KEY_CASES + data_graphs())
 def test_rank_fields_match_full_elimination_on_families_and_data(g):
     if not validate(g).passes("H4", "H5"):
         assert verify(g).phi3_rank is None
@@ -86,9 +121,17 @@ def test_rank_fields_match_full_elimination_on_regime_corpus():
 
 
 def check_kept_nullity(monkeypatch, g) -> tuple[int, int]:
-    """nullity(kept rows) == nullity(G); returns the numbers of kept and of all rows."""
+    """nullity(kept rows) == nullity(G), and the library ranks the oracle's
+    groups of kept rows; returns the numbers of kept and of all rows."""
     xs = flats(g)
-    (kept,), fields = helpers.recorded_rows(monkeypatch, lambda: exterior.rank_fields(g.n, xs))
+    calls, fields = helpers.recorded_rows(
+        monkeypatch, lambda: exterior.rank_fields(g.n, xs, supports(g))
+    )
+    groups = [rows[::-1] for rows in helpers.kept_rows_by_vertex_set(g, xs).values()]
+    # each elimination is one group's rows, last row first, and none is empty
+    assert all(rows and rows in groups for rows in calls)
+    assert bool(calls) == bool(groups)
+    kept = helpers.kept_global_rows(g.n, xs)
     full = helpers.global_rows(g.n, xs)
     rank_full = exterior.rank(full)
     assert len(kept) - exterior.rank(kept) == len(full) - rank_full
@@ -96,7 +139,7 @@ def check_kept_nullity(monkeypatch, g) -> tuple[int, int]:
     return len(kept), len(full)
 
 
-@pytest.mark.parametrize("g", FAMILIES + data_graphs())
+@pytest.mark.parametrize("g", FAMILIES + SCRAMBLED + KEY_CASES + data_graphs())
 def test_kept_rows_have_the_nullity_of_all_global_rows_on_families_and_data(monkeypatch, g):
     if validate(g).passes("H4", "H5"):
         check_kept_nullity(monkeypatch, g)
@@ -107,6 +150,62 @@ def test_kept_rows_have_the_nullity_of_all_global_rows_on_regime_corpus(monkeypa
     sizes = [check_kept_nullity(monkeypatch, g) for g in regime_graphs(random.Random(seed), 400)]
     # the corpus has graphs where some blocks are dropped and some kept
     assert any(0 < kept < full for kept, full in sizes)
+
+
+def check_groups(g) -> int:
+    """The oracle's kept rows, grouped by the vertex set W of their blocks:
+    groups share no column, |W| is 3 or 4, and the groups' nullities sum to
+    the nullity of all kept rows.  Returns the number of groups."""
+    xs = flats(g)
+    groups = helpers.kept_rows_by_vertex_set(g, xs)
+    owner = {}
+    for w, rows in groups.items():
+        assert len(w) in (3, 4)
+        for row in rows:
+            for code in row:
+                assert owner.setdefault(code, w) == w
+    kept = helpers.kept_global_rows(g.n, xs)
+    nullities = sum(len(rows) - exterior.rank(rows) for rows in groups.values())
+    assert nullities == len(kept) - exterior.rank(kept)
+    return len(groups)
+
+
+@pytest.mark.parametrize("g", FAMILIES + SCRAMBLED + KEY_CASES + data_graphs())
+def test_kept_groups_share_no_column_on_families_and_data(g):
+    if validate(g).passes("H4", "H5"):
+        check_groups(g)
+
+
+def test_kept_groups_share_no_column_on_regime_corpus():
+    counts = [check_groups(g) for g in regime_graphs(random.Random(SEED_REGIME), 400)]
+    # the corpus has graphs with kept rows and graphs without
+    assert min(counts) == 0 < max(counts)
+
+
+@pytest.mark.parametrize("m", [4, 5, 6, 7])
+@pytest.mark.parametrize("family, keys", [(braid, 1), (type_d, 2), (type_b, 2)])
+def test_reflection_families_rank_one_group_per_distinct_key(monkeypatch, family, keys, m):
+    # K_m has one group shape, on four vertices; D_m and B_m add one on three
+    g = family(m)
+    calls, _ = helpers.recorded_rows(
+        monkeypatch, lambda: exterior.rank_fields(g.n, flats(g), supports(g))
+    )
+    assert len(calls) == keys
+    groups = helpers.kept_rows_by_vertex_set(g, flats(g))
+    assert len([w for w in groups if len(w) == 4]) == comb(m, 4)
+
+
+@pytest.mark.parametrize(
+    "g", FAMILIES[::3] + [pytest.param(load_graph("final_example.gg"), id="final")]
+)
+def test_one_constant_support_ranks_all_kept_rows_at_once(monkeypatch, g):
+    xs = flats(g)
+    calls, fields = helpers.recorded_rows(
+        monkeypatch, lambda: exterior.rank_fields(g.n, xs, one_support)
+    )
+    kept = helpers.kept_global_rows(g.n, xs)
+    assert calls == ([kept[::-1]] if kept else [])
+    assert fields == exterior.rank_fields(g.n, xs, supports(g))
 
 
 def cliques(g: GainGraph) -> tuple[int, int]:
@@ -129,8 +228,9 @@ def cliques(g: GainGraph) -> tuple[int, int]:
 def test_triangulated_grid_keeps_no_rows_and_meets_the_graphic_formula(monkeypatch):
     g = triangulated_grid(12)
     calls, phi3 = helpers.recorded_rows(monkeypatch, lambda: phi3_rank(g))
-    # every flat is a triangle of the grid, and no outside edge meets two of its edges
-    assert [len(rows) for rows in calls] == [0]
+    # every flat is a triangle of the grid, and no outside edge meets two of
+    # its edges: nothing is ranked
+    assert calls == []
     k3, k4 = cliques(g)
     assert (k3, k4) == (2 * 11 * 11, 0)
     # Schenck-Suciu: phi_3 = 2(kappa_3 + kappa_4) for a graphic arrangement
@@ -180,18 +280,17 @@ def test_flats_partition_the_triangles_and_the_global_rows_avoid_them(g):
     [["report", "--json"], ["phi3", "--method", "rank"], ["rank-f3"]],
     ids=["report", "phi3", "rank-f3"],
 )
-def test_each_command_eliminates_once(monkeypatch, capsys, argv):
-    calls = []
-    real_rank = exterior.rank
-
-    def counted(rows):
-        calls.append(len(rows))
-        return real_rank(rows)
-
-    monkeypatch.setattr(exterior, "rank", counted)
+def test_each_command_runs_the_rank_route_once(monkeypatch, capsys, argv):
+    g = load_graph("final_example.gg")
+    run = Run(g)
+    expected, _ = helpers.recorded_rows(monkeypatch, lambda: run.rank)
+    # one call per group, each a group of the oracle's kept rows, last row first
+    groups = [rows[::-1] for rows in helpers.kept_rows_by_vertex_set(g, flats(g)).values()]
+    assert len(expected) > 1 and all(rows in groups for rows in expected)
+    # a second read of the run makes no call
+    assert helpers.recorded_rows(monkeypatch, lambda: run.rank)[0] == []
     path = str(DATA / "final_example.gg")
-    assert main([argv[0], path] + argv[1:]) == 0
-    assert len(calls) == 1
-    calls.clear()
-    phi3_rank(type_b(3))
-    assert calls == [69]
+    calls, code = helpers.recorded_rows(monkeypatch, lambda: main([argv[0], path] + argv[1:]))
+    assert code == 0 and calls == expected
+    calls, _ = helpers.recorded_rows(monkeypatch, lambda: phi3_rank(type_b(3)))
+    assert [len(rows) for rows in calls] == [69]

@@ -6,9 +6,9 @@ before it switched to primitive integer rows; it shares no code with
 rows reach pivots whose leading entry is not 1; :func:`exterior.rank` takes
 integer rows only, so each rational row is scaled to integers before it gets
 there, while the oracle ranks the rational rows.  The rows of the rank
-route's one elimination cover the rows the library really builds: they are
-the kept blocks of the global rows G (:func:`helpers.kept_global_rows`),
-and :func:`helpers.global_rows`, which writes all of G, decodes to the
+route's eliminations cover the rows the library really builds: each is one
+group of the kept blocks of the global rows G
+(:func:`helpers.kept_rows_by_vertex_set`), and :func:`helpers.global_rows`, which writes all of G, decodes to the
 tuple algebra.
 
 The rank route is claimed wherever H4 and H5 hold, so the regime corpus
@@ -44,6 +44,7 @@ from helpers import (
     looped_hub,
     random_gain_graph,
     regime_graphs,
+    supports,
     type_b,
     type_d,
     wedge1,
@@ -130,13 +131,18 @@ FAMILIES = (
 
 def check_library_rows(monkeypatch, g) -> None:
     xs = flats(g)
-    # the rank route eliminates once
-    (rows,), _ = helpers.recorded_rows(monkeypatch, lambda: exterior.rank_fields(g.n, xs))
-    # exactly the rows of G's kept blocks, eliminated last row first
-    assert rows == helpers.kept_global_rows(g.n, xs)[::-1]
-    # the contract exterior.rank relies on
-    assert all(type(v) is int and v for row in rows for v in row.values())
-    checked_pivots(rows)
+    calls, _ = helpers.recorded_rows(
+        monkeypatch, lambda: exterior.rank_fields(g.n, xs, supports(g))
+    )
+    groups = [rows[::-1] for rows in helpers.kept_rows_by_vertex_set(g, xs).values()]
+    # one call per distinct group, none when nothing is kept
+    assert bool(calls) == bool(groups)
+    for rows in calls:
+        # exactly the rows of one vertex set's kept blocks of G, eliminated last row first
+        assert rows and rows in groups
+        # the contract exterior.rank relies on
+        assert all(type(v) is int and v for row in rows for v in row.values())
+        checked_pivots(rows)
 
 
 @pytest.mark.parametrize("g", FAMILIES)
