@@ -64,8 +64,8 @@ class Run:
     stage needs (:data:`~falkkit.graphs.NEEDS`) holds.
     ``triangles`` splits the flats and ``rank``
     (:class:`~falkkit.exterior.RankFields`) reads them with the ends of
-    the graph's edges.  Each stage runs on
-    first read and at most once; a refused stage raises again on every read.
+    the graph's edges.  Each stage runs on first read and at most once; a
+    refused stage raises again on every read.
     """
 
     def __init__(self, g: GainGraph):

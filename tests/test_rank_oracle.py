@@ -8,8 +8,8 @@ integer rows only, so each rational row is scaled to integers before it gets
 there, while the oracle ranks the rational rows.  The rows of the rank
 route's eliminations cover the rows the library really builds: each is one
 group of the kept blocks of the global rows G
-(:func:`helpers.kept_rows_by_vertex_set`), and :func:`helpers.global_rows`, which writes all of G, decodes to the
-tuple algebra.
+(:func:`helpers.kept_rows_by_vertex_set`), and :func:`helpers.global_rows`,
+which writes all of G, decodes to the tuple algebra.
 
 The rank route is claimed wherever H4 and H5 hold, so the regime corpus
 (:func:`helpers.regime_graphs`) also has graphs where H1, H2 or H3 fails.
