@@ -6,9 +6,8 @@ size and rank of F3 = {e_t * boundary(e_S) : t not in S}.  All of them are
 read off the rank-2 flats of the arrangement and the ends of their edges,
 with one elimination per distinct group of the global rows, and Falk's
 formula turns them into phi3 (:func:`rank_fields`, the route's one entry
-point).  The flats come in as increasing edge-id tuples
-(:func:`falkkit.patterns.flats`), and :func:`rank_fields` checks only their
-shape.
+point).  It reads the index of :func:`falkkit.patterns.flats`
+(:class:`~falkkit.graphs.FlatIndex`) and checks only the flats' shape.
 
 A rank-2 flat X of size >= 3 is a maximal set of edges whose every
 3-subset is dependent; two flats share at most one edge, so each pair of
@@ -100,8 +99,8 @@ the group's flats through a, and whose ends hold the vertices of W that X
 misses: set intersections over ints only, less the largest N(a) of X, which
 is only intersected with the others' union, and & walks the smaller set.
 The groups are found from the flats that hold two edges each in another
-flat, and the edges' ends are asked for only when there are three such
-flats.  The rows of the kept blocks are written out directly: each
+flat, with their vertex tuples and their edges' ends as the index holds
+them.  The rows of the kept blocks are written out directly: each
 basis triple i < j < k times each kept e_t, case by case on where t falls
 relative to i < j < k.  A column is a lexicographic int code,
 (a*m + b)*m + c for e_abc with m = n + 1 larger than every edge id, so
@@ -125,9 +124,9 @@ from bisect import bisect_left
 from collections import Counter
 from math import comb, gcd
 from operator import lt
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .graphs import Flat, GraphTooLargeError
+from .graphs import Flat, FlatIndex, GraphTooLargeError
 
 #: most rows of G_kept that :func:`rank_fields` writes out and eliminates; the
 #: braid arrangement K_28 has 245 700, which take about 1 s and 150 MB
@@ -197,29 +196,28 @@ def rank(rows: Iterable[Mapping]) -> int:
 
 
 def _kept_groups(
-    flats: list[Flat], supports: Callable[[int], tuple[int, int]]
+    index: FlatIndex,
 ) -> list[tuple[int, tuple[int, ...], list[Flat], list[tuple[int, ...]], int]]:
     """G_kept's nonempty groups, one per distinct key: how many vertex sets W
-    have that key, and for one of them W, its flats in the given order and
+    have that key, and for one of them W, its flats in the index's order and
     their vertex sets (what :func:`_group_kept` reads), and its number of
     rows."""
     # each of t, a and b of a kept block lies in two of its flats X, Y, Z,
     # and each of these holds two of them
     seen: set[int] = set()
     shared: set[int] = set()
-    for flat in flats:
+    for flat in index.flats:
         shared.update(seen.intersection(flat))
         seen.update(flat)
-    if not shared:
+    keep = [x for x, flat in enumerate(index.flats) if len(shared.intersection(flat)) > 1]
+    if len(keep) < 3:
         return []
-    live = [flat for flat in flats if len(shared.intersection(flat)) > 1]
-    if len(live) < 3:
-        return []
+    live = [index.flats[x] for x in keep]
     # vertex sets, and the W made of two, are sorted tuples: tuples of ints
     # drop out of the cyclic garbage collector's view, where as many sets
     # would make it sweep the whole heap again and again on a large grid
-    ends = {a: supports(a) for a in set().union(*live)}
-    verts = [tuple(sorted({*ends[flat[0]], *ends[flat[1]]})) for flat in live]
+    verts = [index.verts[x] for x in keep]
+    ends = index.ends
     through: dict[int, tuple[tuple[int, ...], ...]] = {}
     for flat, vs in zip(live, verts):
         for a in flat:
@@ -246,7 +244,7 @@ def _kept_groups(
     # a vertex set's flats as a tuple of labels each, named by a small int
     rank_in_bundle: dict[int, int] = {}
     bundle_sizes: dict[tuple[int, ...], int] = {}
-    for a in sorted(ends):
+    for a in sorted(set().union(*live)):
         rank_in_bundle[a] = bundle_sizes.get(ends[a], 0)
         bundle_sizes[ends[a]] = rank_in_bundle[a] + 1
     code_of: dict[tuple, int] = {}
@@ -284,7 +282,7 @@ def _kept_groups(
         xs = [live[x] for x in members]
         xs_verts = [verts[x] for x in members]
         # counted only: the kept t are written out once the bound is checked
-        kept = _group_kept(w, xs, xs_verts, ends.__getitem__)
+        kept = _group_kept(w, xs, xs_verts, ends)
         size = sum(comb(len(x) - 1, 2) * len(ts) for x, ts in zip(xs, kept))
         if size:
             out.append((multiplicity, w, xs, xs_verts, size))
@@ -295,12 +293,12 @@ def _group_kept(
     ws: tuple[int, ...],
     flats: list[Flat],
     verts: list[tuple[int, ...]],
-    supports: Callable[[int], tuple[int, int]],
+    ends: Mapping[int, tuple[int, int]],
 ) -> Iterator[set[int]]:
     """For each flat X of the group of the vertex set ``ws``, with vertex set
     ``verts[X]``, the edges t outside X whose block (X, t) is kept and lies
     in the group: t shares a flat of the group with two or more edges of X,
-    and its ends hold the vertices of ``ws`` that X misses."""
+    and its ends (``ends[t]``) hold the vertices of ``ws`` that X misses."""
     # linked[a] = N(a), the union of the group's flats through a
     linked: dict[int, set[int]] = {}
     for flat in flats:
@@ -308,7 +306,7 @@ def _group_kept(
             linked.setdefault(a, set()).update(flat)
     touching: dict[int, set[int]] = {v: set() for v in ws}
     for a in linked:
-        for v in supports(a):
+        for v in ends[a]:
             touching[v].add(a)
     for flat, vs in zip(flats, verts):
         once: set[int] = set()
@@ -378,30 +376,20 @@ class RankFields(NamedTuple):
     phi3_rank: int
 
 
-def rank_fields(
-    n: int, flats: Iterable[Flat], supports: Callable[[int], tuple[int, int]]
-) -> RankFields:
+def rank_fields(n: int, index: FlatIndex) -> RankFields:
     """dim A^2, dim I^3_2, |F3|, rank F3 and phi3 of an arrangement of ``n``
-    hyperplanes, from its rank-2 flats of size >= 3 and the ends of each
-    edge (``supports``): the closed forms above, one elimination per
-    distinct group of G_kept, and
+    hyperplanes, from the index of its rank-2 flats of size >= 3
+    (:class:`~falkkit.graphs.FlatIndex`): the closed forms above, one
+    elimination per distinct group of G_kept, and
     phi3 = 2*C(n+1, 3) - n*dim A^2 + C(n, 3) - dim I^3_2.
-
-    ``supports(a)`` gives the ends of edge ``a`` in the gain graph whose
-    flats these are, smaller vertex first, as
-    :meth:`~falkkit.graphs.Edge.ends` does.  It is called only when three
-    flats each hold two edges that lie in other flats, and then only for
-    the edges of such flats.  One constant support for every edge is also
-    exact: it puts all of G_kept in one group.
 
     Raises ``ValueError`` unless each flat has 3 or more edge ids
     1 <= x_1 < x_2 < ... <= n, which the row codes rely on, and
     :class:`~falkkit.graphs.GraphTooLargeError`, before it writes a row,
     when G_kept has more than :data:`MAX_KEPT_ROWS` rows.
     """
-    flats = list(flats)
     triangles = dim_i2 = threes = size_g = 0
-    for flat in flats:
+    for flat in index.flats:
         size = len(flat)
         if size < 3 or flat[0] < 1 or flat[-1] > n or not all(map(lt, flat, flat[1:])):
             raise ValueError(f"expected 3 or more edge ids 1 <= x_1 < x_2 < ... <= {n}: {flat}")
@@ -410,7 +398,7 @@ def rank_fields(
         dim_i2 += basis
         threes += size == 3
         size_g += basis * (n - size)
-    groups = _kept_groups(flats, supports)
+    groups = _kept_groups(index)
     size_kept = sum(multiplicity * size for multiplicity, *_, size in groups)
     if size_kept > MAX_KEPT_ROWS:
         raise GraphTooLargeError(
@@ -418,7 +406,7 @@ def rank_fields(
         )
     nullity = 0
     for multiplicity, w, xs, verts, size in groups:
-        rows = _kept_rows(n, xs, _group_kept(w, xs, verts, supports))
+        rows = _kept_rows(n, xs, _group_kept(w, xs, verts, index.ends))
         rows.reverse()  # less fill-in than the written order (see the module docstring)
         nullity += multiplicity * (size - rank(rows))
     dim_a2 = comb(n, 2) - dim_i2

@@ -21,10 +21,9 @@ of dim(I^3_2) in closed form, and the global part as the exact rank of
 an integer matrix G.  So phi3 = 2|T| + nullity(G), the two per triangle of
 the Papadima-Suciu lower bound plus the global excess that G's kernel
 carries.  G's kernel lives in the blocks it keeps, which split into groups
-by the 3 or 4 vertices they touch; :class:`Run` hands over each edge's
-ends with the flats, and each distinct group is eliminated once.  The
-size and rank of F3 follow from the same numbers with no further
-elimination.
+by the 3 or 4 vertices they touch, read off the walk's index of the flats;
+each distinct group is eliminated once.  The size and rank of F3 follow
+from the same numbers with no further elimination.
 
 :func:`phi3_combinatorial` evaluates the census form, a local part plus a
 global excess,
@@ -34,9 +33,10 @@ global excess,
 
 from subgraph occurrence counts; it is only claimed under H1-H5, so
 :func:`verify` withholds it (rather than guessing) when hypotheses fail.
-The local part counts two per rank-2 flat of size three: under H1-H5 the
-four local counts sum to the number of triangles |T|.  The excess comes
-from the larger patterns.
+The local part counts two per rank-2 flat of size three: under H1-H5 each
+flat is one triangle, so the census reads the rank route's index of the
+flats, and the four local counts sum to the number of triangles |T|.  The
+excess comes from the larger patterns.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from functools import cached_property
 from typing import Mapping
 
 from . import exterior
-from .graphs import Flat, GainGraph, HypothesisError, ValidationReport, validate
+from .graphs import FlatIndex, GainGraph, HypothesisError, ValidationReport, validate
 from .patterns import _EXCESS, _KIND_FIELD, PatternCounts, Triangle, _census, _triangles, flats
 
 
@@ -57,15 +57,14 @@ _RANK_FIELDS = ("num_triangles", "triangle_list", *exterior.RankFields._fields)
 class Run:
     """The stages of one computation on ``g``, in the order they need each other.
 
-    ``hypotheses`` is the validation report.  ``flats`` (the rank-2 flats
-    of size >= 3) and ``counts`` (the census) refuse through
-    :meth:`~falkkit.graphs.ValidationReport.require` on ``hypotheses``,
-    raising :class:`~falkkit.graphs.HypothesisError`, unless what their
-    stage needs (:data:`~falkkit.graphs.NEEDS`) holds.
-    ``triangles`` splits the flats and ``rank``
-    (:class:`~falkkit.exterior.RankFields`) reads them with the ends of
-    the graph's edges.  Each stage runs on first read and at most once; a
-    refused stage raises again on every read.
+    ``hypotheses`` is the validation report.  ``flats`` (the rank-2 flats'
+    :class:`~falkkit.graphs.FlatIndex`) and ``counts`` (the census) refuse
+    through :meth:`~falkkit.graphs.ValidationReport.require` on
+    ``hypotheses``, raising :class:`~falkkit.graphs.HypothesisError`, unless
+    what their stage needs (:data:`~falkkit.graphs.NEEDS`) holds.  ``rank``
+    (:class:`~falkkit.exterior.RankFields`) and ``counts`` read the index and
+    look up no edge; ``triangles`` splits its flats, an output view.  Each
+    stage runs on first read and at most once; a refused one raises again.
     """
 
     def __init__(self, g: GainGraph):
@@ -76,23 +75,22 @@ class Run:
         return validate(self.g)
 
     @cached_property
-    def flats(self) -> list[Flat]:
+    def flats(self) -> FlatIndex:
         self.hypotheses.require("flats")
         return flats(self.g)
 
     @cached_property
     def triangles(self) -> tuple[Triangle, ...]:
-        return tuple(_triangles(self.g, self.flats))
+        return tuple(_triangles(self.flats))
 
     @cached_property
     def rank(self) -> exterior.RankFields:
-        edge = self.g.edge
-        return exterior.rank_fields(self.g.n, self.flats, lambda a: edge(a).ends())
+        return exterior.rank_fields(self.g.n, self.flats)
 
     @cached_property
     def counts(self) -> PatternCounts:
         self.hypotheses.require("census")
-        return _census(self.g, self.triangles)
+        return _census(self.g, self.flats)
 
 
 def phi3_rank(g: GainGraph) -> int:

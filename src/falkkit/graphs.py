@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 GainLike = Union[Fraction, int, str]
 
@@ -56,6 +56,16 @@ HYPOTHESIS_LABELS = {
 
 #: a rank-2 flat: the increasing edge ids of its hyperplanes
 Flat = tuple[int, ...]
+
+
+class FlatIndex(NamedTuple):
+    """The sorted rank-2 flats of size >= 3 (:func:`falkkit.patterns.flats`),
+    ``verts[x]`` the two or three sorted vertices of ``flats[x]``, and
+    ``ends[a]`` the ends of each edge ``a``, as :meth:`Edge.ends` gives them."""
+
+    flats: list[Flat]
+    verts: list[tuple[int, ...]]
+    ends: dict[int, tuple[int, int]]
 
 
 class GraphFormatError(ValueError):

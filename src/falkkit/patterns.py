@@ -14,12 +14,12 @@ one of:
 
 H1-H3 say that no two-vertex flat has more than three elements, so under
 H1-H5 the triangles are exactly the rank-2 flats of size three.
-:func:`flats` is the library's one walk over the graph for them: the rank
-route reads the flats, and :func:`triangles`, the census's input, splits
-them into their 3-subsets.  The atlas below fixes one rational-gain
-realization per distinguished biased graph together with its
-distinguished 3-edge circle class; the tests check that the triangle
-census of every realization reproduces its class.
+:func:`flats` is the library's one walk over the graph for them, and the
+rank route and the census read its index of their vertices and edge ends;
+:func:`triangles` splits them into their 3-subsets, an output view.  The
+atlas below fixes one rational-gain realization per distinguished biased
+graph together with its distinguished 3-edge circle class; the tests check
+that the triangle census of every realization reproduces its class.
 
 Occurrences are concrete edge subsets, not isomorphism classes, and
 containment exclusions follow the count definitions: a D3 or Gcirc
@@ -68,7 +68,7 @@ from math import gcd
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .graphs import Flat, GainGraph, all_circles_small, validate
+from .graphs import Flat, FlatIndex, GainGraph, all_circles_small, validate
 
 
 class TriangleKind(str, Enum):
@@ -90,8 +90,8 @@ class Triangle:
 _FLAT_KIND = (TriangleKind.THETA, TriangleKind.TIGHT_HANDCUFF, TriangleKind.LOOSE_HANDCUFF)
 
 
-def flats(g: GainGraph) -> list[Flat]:
-    """The rank-2 flats of size >= 3, each a sorted tuple of edge ids, sorted.
+def flats(g: GainGraph) -> FlatIndex:
+    """The index of the rank-2 flats of size >= 3, their vertices and edge ends.
 
     Requires H4 and H5, so that the hyperplanes are pairwise distinct; it
     does not check them, and its output on a graph where either fails is
@@ -104,7 +104,9 @@ def flats(g: GainGraph) -> list[Flat]:
     (u, w), one lookup in the bundle's gain groups.  So the work is the sum
     of b_uv * b_vw over the triples u < v < w, for b the bundle sizes.
     """
-    found: list[Flat] = []
+    found: list[tuple[Flat, tuple[int, ...]]] = []
+    ends = {e.id: uv for uv, bundle in g.link_map.items() for e in bundle}
+    ends.update((e.id, (v, v)) for v, loops in g.loop_map.items() for e in loops)
     groups = g.gain_groups
     above: dict[int, set[int]] = defaultdict(set)
     for u, v in g.link_map:
@@ -112,7 +114,7 @@ def flats(g: GainGraph) -> list[Flat]:
     for (u, v), bundle in g.link_map.items():
         flat = bundle + g.loops_at(u) + g.loops_at(v)
         if len(flat) >= 3:
-            found.append(tuple(sorted(e.id for e in flat)))
+            found.append((tuple(sorted(e.id for e in flat)), (u, v)))
         for w in above[u] & above[v]:
             closing = groups[u, w]
             for (p, q), es in groups[u, v].items():
@@ -122,9 +124,11 @@ def flats(g: GainGraph) -> list[Flat]:
                     hs = closing.get((p * r // d, q * s // d))
                     if hs:
                         found.extend(
-                            tuple(sorted((e.id, f.id, h.id))) for e in es for f in fs for h in hs
+                            (tuple(sorted((e.id, f.id, h.id))), (u, v, w))
+                            for e in es for f in fs for h in hs
                         )
-    return sorted(found)
+    found.sort()
+    return FlatIndex([flat for flat, _ in found], [vs for _, vs in found], ends)
 
 
 def triangles(g: GainGraph) -> list[Triangle]:
@@ -134,22 +138,24 @@ def triangles(g: GainGraph) -> list[Triangle]:
     and H5 hold, as the flats need.
     """
     validate(g).require("flats")
-    return _triangles(g, flats(g))
+    return _triangles(flats(g))
 
 
-def _triangles(g: GainGraph, xs: Sequence[Flat]) -> list[Triangle]:
-    """:func:`triangles` for a caller that holds ``flats(g)``: a flat on three
-    vertices is one balanced 3-circle, and the loops a triple of a two-vertex
-    flat takes give its kind."""
-    found: list[Triangle] = []
-    for flat in xs:
-        edges = [g.edge(i) for i in flat]
-        if len({v for e in edges for v in e.ends()}) == 3:
-            found.append(Triangle(flat, TriangleKind.BALANCED_CIRCLE))
-            continue
-        for triple in itertools.combinations(edges, 3):
-            kind = _FLAT_KIND[sum(e.is_loop for e in triple)]
-            found.append(Triangle(tuple(e.id for e in triple), kind))
+def _kind(index: FlatIndex, verts: tuple[int, ...], triple: Sequence[int]) -> TriangleKind:
+    """The kind of the dependent triple ``triple`` of a flat on ``verts``: a
+    balanced 3-circle on three vertices, else given by the loops it takes."""
+    if len(verts) == 3:
+        return TriangleKind.BALANCED_CIRCLE
+    return _FLAT_KIND[sum(index.ends[a][0] == index.ends[a][1] for a in triple)]
+
+
+def _triangles(index: FlatIndex) -> list[Triangle]:
+    """:func:`triangles` for a caller that holds ``flats(g)``."""
+    found = [
+        Triangle(triple, _kind(index, verts, triple))
+        for flat, verts in zip(index.flats, index.verts)
+        for triple in itertools.combinations(flat, 3)
+    ]
     return sorted(found, key=lambda t: t.edge_ids)
 
 
@@ -282,12 +288,12 @@ def count_patterns(g: GainGraph) -> PatternCounts:
     are counted per vertex set (:func:`_census`).
     """
     validate(g).require("census")
-    return _census(g, _triangles(g, flats(g)))
+    return _census(g, flats(g))
 
 
-def _census(g: GainGraph, tris: Sequence[Triangle]) -> PatternCounts:
-    """:func:`count_patterns` for a caller that has checked H1..H5 and holds
-    ``triangles(g)``.
+def _census(g: GainGraph, index: FlatIndex) -> PatternCounts:
+    """:func:`count_patterns` for a caller that has checked H1..H5, so that
+    each flat is one triangle, and holds ``flats(g)``.
 
     K4 is counted by a join over the balanced 3-circles (:func:`_k4_count`).
     The six other excess patterns span three vertices and hold a balanced
@@ -305,24 +311,23 @@ def _census(g: GainGraph, tris: Sequence[Triangle]) -> PatternCounts:
     """
     searched = [atlas()[name] for field, (name, _) in _EXCESS.items() if field != "k4"]
     fewest = min(len(p.distinguished) for p in searched)
-    counts = Counter(_KIND_FIELD[t.kind] for t in tris)
-    # the triangles by their sorted vertex tuple: two vertices for a triple
-    # of a two-vertex flat, three for a balanced 3-circle
-    by_verts: dict[tuple[int, ...], list[Triangle]] = defaultdict(list)
-    for t in tris:
-        by_verts[tuple(sorted({v for i in t.edge_ids for v in g.edge(i).ends()}))].append(t)
-    circles = [t for t in tris if t.kind is TriangleKind.BALANCED_CIRCLE]
-    counts["k4"] = _k4_count(g, circles)
+    counts: Counter[str] = Counter()
+    by_verts: dict[tuple[int, ...], list[Flat]] = defaultdict(list)
+    for flat, verts in zip(index.flats, index.verts):
+        counts[_KIND_FIELD[_kind(index, verts, flat)]] += 1
+        by_verts[verts].append(flat)
+    circles = [flat for verts, xs in by_verts.items() if len(verts) == 3 for flat in xs]
+    counts["k4"] = _k4_count(index.ends, circles)
     memo: dict[LocalType, dict[str, int]] = {}
     for verts in by_verts:
         if len(verts) < 3:
             continue
-        # the triangles on two or three of verts
+        # the flats, each one triangle, on two or three of verts
         inside = [
-            frozenset(t.edge_ids)
+            frozenset(flat)
             for size in (2, 3)
             for sub in itertools.combinations(verts, size)
-            for t in by_verts.get(sub, ())
+            for flat in by_verts.get(sub, ())
         ]
         if len(inside) < fewest:
             continue
@@ -333,7 +338,7 @@ def _census(g: GainGraph, tris: Sequence[Triangle]) -> PatternCounts:
     return PatternCounts(**counts)
 
 
-def _k4_count(g: GainGraph, circles: Sequence[Triangle]) -> int:
+def _k4_count(ends: Mapping[int, tuple[int, int]], circles: Sequence[Flat]) -> int:
     """The number of K4 occurrences, from the balanced 3-circles ``circles``.
 
     Under H4 a K4 occurrence is six links, one on each pair of four
@@ -357,12 +362,11 @@ def _k4_count(g: GainGraph, circles: Sequence[Triangle]) -> int:
     # fans[e]: the link at e's smaller end of each balanced 3-circle whose
     # smallest edge is e
     fans: dict[int, list[int]] = defaultdict(list)
-    for t in circles:
-        i, j, k = t.edge_ids  # increasing
+    for i, j, k in circles:  # increasing
         third[i, j] = third[j, i] = k
         third[i, k] = third[k, i] = j
         third[j, k] = third[k, j] = i
-        fans[i].append(j if g.edge(i).ends()[0] in g.edge(j).ends() else k)
+        fans[i].append(j if ends[i][0] in ends[j] else k)
     return sum(
         third.get(pair, 0) > e
         for e, fan in fans.items()

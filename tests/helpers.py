@@ -38,9 +38,9 @@ checked against live here.
   of the blocks the library eliminates; :func:`kept_rows_by_vertex_set`
   groups them by the vertices their blocks touch, as the library ranks
   them, and :func:`recorded_rows` records the rows the library hands to
-  :func:`falkkit.exterior.rank`.  :func:`supports` and :func:`one_support`
-  are the edge supports :func:`falkkit.exterior.rank_fields` takes, of a
-  graph or constant.  :func:`dim_I3_2_closed_form` predicts
+  :func:`falkkit.exterior.rank`.  :func:`one_vertex_set` indexes flats
+  that come from no graph for :func:`falkkit.exterior.rank_fields`.
+  :func:`dim_I3_2_closed_form` predicts
   dim(I^3_2) from the census counts under H1-H5.
 * Matroid: :func:`dependent_3sets` ranks the hyperplane normals of every
   edge triple with :func:`fraction_rank`, the linear-algebra side of
@@ -83,7 +83,7 @@ from typing import Iterable, Mapping, Sequence
 from falkkit import exterior
 from falkkit.arrangement import arrangement
 from falkkit.falk import _local_and_excess
-from falkkit.graphs import Edge, Flat, GainGraph, all_circles_small, parse, validate
+from falkkit.graphs import Edge, Flat, FlatIndex, GainGraph, all_circles_small, parse, validate
 from falkkit.patterns import (
     _EXCESS,
     Pattern,
@@ -733,17 +733,12 @@ def kept_rows_by_vertex_set(g: GainGraph, flats: Sequence[Flat]) -> dict[frozens
     return groups
 
 
-def supports(g: GainGraph):
-    """The ``supports`` argument of :func:`falkkit.exterior.rank_fields` for
-    ``g``: each edge id's ends."""
-    return lambda a: g.edge(a).ends()
-
-
-def one_support(a: int) -> tuple[int, int]:
-    """One constant support for every edge, the ``supports`` argument of
-    :func:`falkkit.exterior.rank_fields` for flats that come from no graph:
-    all of G_kept is then one group."""
-    return (1, 2)
+def one_vertex_set(flats: Iterable[Flat]) -> FlatIndex:
+    """The index :func:`falkkit.exterior.rank_fields` takes, for flats that
+    come from no graph: every flat on the vertices (1, 2) and every edge with
+    those ends, so that all of G_kept is one group."""
+    flats = list(flats)
+    return FlatIndex(flats, [(1, 2)] * len(flats), {a: (1, 2) for flat in flats for a in flat})
 
 
 def recorded_rows(monkeypatch, compute) -> tuple[list[list[dict]], object]:

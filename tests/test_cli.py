@@ -395,6 +395,22 @@ def test_report_refuses_the_rank_route_before_splitting_the_flats(capsys, monkey
     assert err == "falkkit: refused: rank route has 53 rows to eliminate, more than 52\n"
 
 
+def test_the_census_builds_no_triangle(capsys, monkeypatch):
+    # the census reads the flat index; the triangle list is an output view
+    requests = [("counts",), ("phi3", "--method", "comb"), ("counts", "--json")]
+    paths = sorted(str(p) for p in DATA.glob("*.gg"))
+    expected = [run(capsys, r[0], path, *r[1:]) for path in paths for r in requests]
+
+    def split(*args):
+        raise AssertionError("a Triangle was built")
+
+    for module in (patterns, falk):
+        monkeypatch.setattr(module, "_triangles", split)
+    monkeypatch.setattr(patterns.Triangle, "__init__", split)
+    assert [run(capsys, r[0], path, *r[1:]) for path in paths for r in requests] == expected
+    assert any(code == 0 and "gcirc = 1" in out for code, out, _ in expected)
+
+
 # ---------------------------------------------------------------------------
 # the JSON writer prints the text of json.dumps(..., indent=2)
 

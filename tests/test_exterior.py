@@ -23,11 +23,10 @@ from helpers import (
     dim_I2,
     flats,
     full_dim_I3_2,
-    one_support,
+    one_vertex_set,
     pair_vector,
     seeded_graphs,
     span_F3,
-    supports,
     wedge1,
 )
 
@@ -35,7 +34,7 @@ from helpers import (
 def library_dims(n, tris):
     """dim A^2, dim I^3_2 and (|F3|, rank F3) as :func:`rank_fields` reads
     them off the flats the oracle regroup makes of the triples."""
-    fields = rank_fields(n, flats(n, tris), one_support)
+    fields = rank_fields(n, one_vertex_set(flats(n, tris)))
     return fields.dim_A2, fields.dim_I3_2, (fields.span_F3_size, fields.span_F3_rank)
 
 ONE = Fraction(1)
@@ -94,42 +93,24 @@ def test_degree_3_eliminations_reject_ids_above_n():
 )
 def test_entry_points_reject_bad_flats(n, xs):
     with pytest.raises(ValueError, match=r"expected 3 or more edge ids 1 <= x_1 < x_2"):
-        rank_fields(n, xs, one_support)
+        rank_fields(n, one_vertex_set(xs))
 
 
 def test_entry_points_take_valid_flats_as_given():
-    assert rank_fields(3, [(1, 2, 3)], one_support).dim_A2 == 2
-    assert rank_fields(4, [(1, 2, 3)], one_support).dim_I3_2 == 2
-    assert rank_fields(5, iter([(1, 2, 3, 4)]), one_support) == (7, 4 + 3, 8, 7, 8)
-
-
-def test_supports_are_read_only_when_three_flats_each_share_two_edges():
-    def forbidden(a):
-        raise AssertionError(f"ends of edge {a} asked for")
-
-    # no edge in two flats; then two flats each sharing two edges
-    assert rank_fields(6, [(1, 2, 3), (4, 5, 6)], forbidden) == rank_fields(
-        6, [(1, 2, 3), (4, 5, 6)], one_support
-    )
-    xs = [(1, 2, 3), (3, 4, 5), (5, 6, 7), (7, 8, 9)]
-    assert rank_fields(9, xs, forbidden) == rank_fields(9, xs, one_support)
-    # the four triangles of K_4: each pair of them shares an edge
-    k4 = graph_flats(braid(4))
-    asked = []
-    fields = rank_fields(6, k4, lambda a: asked.append(a) or supports(braid(4))(a))
-    assert set(asked) == {1, 2, 3, 4, 5, 6}
-    assert fields == rank_fields(6, k4, one_support) and fields.phi3_rank == 2 * comb(5, 4)
+    assert rank_fields(3, one_vertex_set([(1, 2, 3)])).dim_A2 == 2
+    assert rank_fields(4, one_vertex_set([(1, 2, 3)])).dim_I3_2 == 2
+    assert rank_fields(5, one_vertex_set(iter([(1, 2, 3, 4)]))) == (7, 4 + 3, 8, 7, 8)
 
 
 def test_rank_fields_sum_over_the_flats_and_check_them_against_n():
     # |T| = 4 + 1, dim I^2 = 3 + 1, one flat of three, and phi3 = 2|T|
     xs = [(1, 2, 3, 4), (4, 5, 6)]
     i32 = full_dim_I3_2(7, [s for x in xs for s in itertools.combinations(x, 3)])
-    fields = rank_fields(7, iter(xs), one_support)
+    fields = rank_fields(7, one_vertex_set(iter(xs)))
     assert fields == (comb(7, 2) - 4, i32, 4 * 5, i32 - 1, 2 * 5) == (17, 18, 20, 17, 10)
     # the same flats name edge 6, so five hyperplanes are too few
     with pytest.raises(ValueError, match=r"<= 5: \(4, 5, 6\)"):
-        rank_fields(5, iter(xs), one_support)
+        rank_fields(5, one_vertex_set(iter(xs)))
 
 
 @pytest.mark.parametrize(
@@ -211,7 +192,7 @@ def test_dim_I2_values(final_example, pattern_atlas):
     gcirc = pattern_atlas["Gcirc"].reference
     assert dim_I2(gcirc.n, triangles(gcirc)) == 4
     b2 = pattern_atlas["B2"].reference
-    dim_a2 = rank_fields(4, [(1, 2, 3, 4)], one_support).dim_A2
+    dim_a2 = rank_fields(4, one_vertex_set([(1, 2, 3, 4)])).dim_A2
     assert dim_I2(b2.n, triangles(b2)) == 3 == comb(4, 2) - dim_a2
 
 
@@ -223,7 +204,7 @@ def test_dim_A2_values(final_example, pattern_atlas):
     # triangle-free: a star with 5 edges
     star = GainGraph.from_edge_list(6, [(1, i, 1) for i in range(2, 7)])
     assert triangles(star) == []
-    assert rank_fields(star.n, [], one_support).dim_A2 == 10
+    assert rank_fields(star.n, one_vertex_set([])).dim_A2 == 10
 
 
 REFERENCE_F3 = {
@@ -254,7 +235,7 @@ def test_dim_I3_2_values(final_example, pattern_atlas):
     for g, want in ((final_example, 151), (gcirc, 14)):
         tris = triangles(g)
         assert full_dim_I3_2(g.n, tris) == want == library_dims(g.n, tris)[1]
-    assert full_dim_I3_2(9, []) == 0 == rank_fields(9, [], one_support).dim_I3_2
+    assert full_dim_I3_2(9, []) == 0 == rank_fields(9, one_vertex_set([])).dim_I3_2
 
 
 def test_direct_sum_decomposition(final_example, pattern_atlas):
@@ -325,7 +306,7 @@ def test_rank_route_refuses_above_the_kept_row_bound(monkeypatch):
     with pytest.raises(GraphTooLargeError):
         falk.verify(g)
     with pytest.raises(GraphTooLargeError):
-        rank_fields(g.n, graph_flats(g), supports(g))
+        rank_fields(g.n, graph_flats(g))
     monkeypatch.setattr(exterior, "_kept_rows", written)
     monkeypatch.setattr(exterior, "MAX_KEPT_ROWS", 3960)
     assert falk.phi3_rank(g) == 2 * comb(12, 4)

@@ -12,7 +12,7 @@ from falkkit.falk import (
     phi3_rank,
     verify,
 )
-from falkkit.graphs import GainGraph, HypothesisError, validate
+from falkkit.graphs import Edge, GainGraph, GraphTooLargeError, HypothesisError, validate
 from falkkit.patterns import (
     _EXCESS,
     COUNT_FIELDS,
@@ -36,7 +36,6 @@ from helpers import (
     pattern_rich_hosts,
     random_switching,
     seeded_graphs,
-    supports,
     switch,
     type_b,
     type_d,
@@ -161,6 +160,45 @@ def refusal(stage: str, g: GainGraph) -> HypothesisError | None:
     return None
 
 
+def stage_values(run: falk.Run) -> dict:
+    """What each stage after the walk gives, or the type of its refusal."""
+    values = {}
+    for stage in ("rank", "triangles", "counts"):
+        try:
+            values[stage] = getattr(run, stage)
+        except (HypothesisError, GraphTooLargeError) as exc:
+            values[stage] = type(exc)
+    return values
+
+
+def test_no_stage_looks_up_an_edge_after_the_walk(monkeypatch):
+    graphs = gate_cases() + [GainGraph.from_edge_list(3, e) for e in PAPPUS_GRAPHS.values()]
+    graphs += [family(m) for family in (braid, type_d, type_b) for m in range(3, 8)]
+    graphs += seeded_graphs(200, seed=272727)
+    real_ends = Edge.ends
+    own: set[int] = set()
+
+    def forbidden(*args):
+        raise AssertionError("an edge of the graph was looked up after the walk")
+
+    def ends(e):
+        # the census's atlas references are its own data, not the graph's
+        return forbidden() if id(e) in own else real_ends(e)
+
+    for g in graphs:
+        expected = stage_values(falk.Run(g))
+        run = falk.Run(g)
+        try:
+            run.flats
+        except HypothesisError:
+            pass
+        own = {id(e) for e in g.edges}
+        with monkeypatch.context() as patch:
+            patch.setattr(GainGraph, "edge", forbidden)
+            patch.setattr(Edge, "ends", ends)
+            assert stage_values(run) == expected
+
+
 def test_verify_withholds_census_when_h1_fails():
     report = verify(load_graph("b2.gg"))
     assert report.counts is None
@@ -261,7 +299,7 @@ def test_closed_form_dimension_prediction(final_example, pattern_atlas):
         counts = count_patterns(g)
         tris = triangles(g)
         predicted = dim_I3_2_closed_form(g.n, counts)
-        assert exterior.rank_fields(g.n, flats(g), supports(g)).dim_I3_2 == predicted
+        assert exterior.rank_fields(g.n, flats(g)).dim_I3_2 == predicted
         assert full_dim_I3_2(g.n, tris) == predicted
 
 

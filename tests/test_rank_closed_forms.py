@@ -14,7 +14,9 @@ the oracle's kept rows: grouped by the vertices of their blocks
 their nullities sum to that of all kept rows.  On the same graphs the
 flats of :func:`falkkit.patterns.flats`, the rank route's input, are
 checked against the oracle regroup of the dependent triples that
-:func:`helpers.dependent_3sets` finds by ranking the hyperplane normals.
+:func:`helpers.dependent_3sets` finds by ranking the hyperplane normals,
+and each flat's vertex tuple and its edges' ends in the walk's index
+against :meth:`falkkit.graphs.Edge.ends`.
 """
 
 import itertools
@@ -35,10 +37,9 @@ from helpers import (
     braid,
     full_rank_fields,
     load_graph,
-    one_support,
+    one_vertex_set,
     regime_graphs,
     scrambled,
-    supports,
     triangulated_grid,
     type_b,
     type_d,
@@ -98,7 +99,7 @@ KEY_CASES = [
 def check_rank_fields(g) -> None:
     report = verify(g)
     assert {name: getattr(report, name) for name in RANK_FIELDS} == full_rank_fields(g)
-    rows = helpers.global_rows(g.n, flats(g))
+    rows = helpers.global_rows(g.n, flats(g).flats)
     excess = len(rows) - exterior.rank(rows)
     assert report.phi3_rank == 2 * report.num_triangles + excess
     assert excess >= 0
@@ -123,10 +124,9 @@ def test_rank_fields_match_full_elimination_on_regime_corpus():
 def check_kept_nullity(monkeypatch, g) -> tuple[int, int]:
     """nullity(kept rows) == nullity(G), and the library ranks the oracle's
     groups of kept rows; returns the numbers of kept and of all rows."""
-    xs = flats(g)
-    calls, fields = helpers.recorded_rows(
-        monkeypatch, lambda: exterior.rank_fields(g.n, xs, supports(g))
-    )
+    index = flats(g)
+    xs = index.flats
+    calls, fields = helpers.recorded_rows(monkeypatch, lambda: exterior.rank_fields(g.n, index))
     groups = [rows[::-1] for rows in helpers.kept_rows_by_vertex_set(g, xs).values()]
     # each elimination is one group's rows, last row first, and none is empty
     assert all(rows and rows in groups for rows in calls)
@@ -156,7 +156,7 @@ def check_groups(g) -> int:
     """The oracle's kept rows, grouped by the vertex set W of their blocks:
     groups share no column, |W| is 3 or 4, and the groups' nullities sum to
     the nullity of all kept rows.  Returns the number of groups."""
-    xs = flats(g)
+    xs = flats(g).flats
     groups = helpers.kept_rows_by_vertex_set(g, xs)
     owner = {}
     for w, rows in groups.items():
@@ -187,11 +187,9 @@ def test_kept_groups_share_no_column_on_regime_corpus():
 def test_reflection_families_rank_one_group_per_distinct_key(monkeypatch, family, keys, m):
     # K_m has one group shape, on four vertices; D_m and B_m add one on three
     g = family(m)
-    calls, _ = helpers.recorded_rows(
-        monkeypatch, lambda: exterior.rank_fields(g.n, flats(g), supports(g))
-    )
+    calls, _ = helpers.recorded_rows(monkeypatch, lambda: exterior.rank_fields(g.n, flats(g)))
     assert len(calls) == keys
-    groups = helpers.kept_rows_by_vertex_set(g, flats(g))
+    groups = helpers.kept_rows_by_vertex_set(g, flats(g).flats)
     assert len([w for w in groups if len(w) == 4]) == comb(m, 4)
 
 
@@ -199,13 +197,13 @@ def test_reflection_families_rank_one_group_per_distinct_key(monkeypatch, family
     "g", FAMILIES[::3] + [pytest.param(load_graph("final_example.gg"), id="final")]
 )
 def test_one_constant_support_ranks_all_kept_rows_at_once(monkeypatch, g):
-    xs = flats(g)
+    index = flats(g)
     calls, fields = helpers.recorded_rows(
-        monkeypatch, lambda: exterior.rank_fields(g.n, xs, one_support)
+        monkeypatch, lambda: exterior.rank_fields(g.n, one_vertex_set(index.flats))
     )
-    kept = helpers.kept_global_rows(g.n, xs)
+    kept = helpers.kept_global_rows(g.n, index.flats)
     assert calls == ([kept[::-1]] if kept else [])
-    assert fields == exterior.rank_fields(g.n, xs, supports(g))
+    assert fields == exterior.rank_fields(g.n, index)
 
 
 def cliques(g: GainGraph) -> tuple[int, int]:
@@ -239,7 +237,14 @@ def test_triangulated_grid_keeps_no_rows_and_meets_the_graphic_formula(monkeypat
 
 
 def check_flats(g) -> None:
-    assert flats(g) == helpers.flats(g.n, helpers.dependent_3sets(g))
+    index = flats(g)
+    assert index.flats == helpers.flats(g.n, helpers.dependent_3sets(g))
+    # the vertex tuples and the ends the walk keeps, against the edges' own
+    assert len(index.verts) == len(index.flats)
+    for flat, verts in zip(index.flats, index.verts):
+        assert verts == tuple(sorted({v for a in flat for v in g.edge(a).ends()}))
+        assert all(a in index.ends for a in flat)
+    assert all(ends == g.edge(a).ends() for a, ends in index.ends.items())
 
 
 @pytest.mark.parametrize("g", FAMILIES + data_graphs())
@@ -259,7 +264,7 @@ def test_flats_match_dependent_3sets_on_regime_corpus():
 @pytest.mark.parametrize("g", FAMILIES[::4] + [pytest.param(load_graph("final_example.gg"), id="final")])
 def test_flats_partition_the_triangles_and_the_global_rows_avoid_them(g):
     tris = [t.edge_ids for t in triangles(g)]
-    xs = flats(g)
+    xs = flats(g).flats
     flat_of_pair = {}
     for index, flat in enumerate(xs):
         for pair in itertools.combinations(flat, 2):
@@ -285,7 +290,7 @@ def test_each_command_runs_the_rank_route_once(monkeypatch, capsys, argv):
     run = Run(g)
     expected, _ = helpers.recorded_rows(monkeypatch, lambda: run.rank)
     # one call per group, each a group of the oracle's kept rows, last row first
-    groups = [rows[::-1] for rows in helpers.kept_rows_by_vertex_set(g, flats(g)).values()]
+    groups = [rows[::-1] for rows in helpers.kept_rows_by_vertex_set(g, flats(g).flats).values()]
     assert len(expected) > 1 and all(rows in groups for rows in expected)
     # a second read of the run makes no call
     assert helpers.recorded_rows(monkeypatch, lambda: run.rank)[0] == []

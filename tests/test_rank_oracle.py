@@ -44,7 +44,6 @@ from helpers import (
     looped_hub,
     random_gain_graph,
     regime_graphs,
-    supports,
     type_b,
     type_d,
     wedge1,
@@ -130,11 +129,9 @@ FAMILIES = (
 
 
 def check_library_rows(monkeypatch, g) -> None:
-    xs = flats(g)
-    calls, _ = helpers.recorded_rows(
-        monkeypatch, lambda: exterior.rank_fields(g.n, xs, supports(g))
-    )
-    groups = [rows[::-1] for rows in helpers.kept_rows_by_vertex_set(g, xs).values()]
+    index = flats(g)
+    calls, _ = helpers.recorded_rows(monkeypatch, lambda: exterior.rank_fields(g.n, index))
+    groups = [rows[::-1] for rows in helpers.kept_rows_by_vertex_set(g, index.flats).values()]
     # one call per distinct group, none when nothing is kept
     assert bool(calls) == bool(groups)
     for rows in calls:
@@ -181,7 +178,7 @@ def check_row_builders(g) -> None:
     def triple(code):
         return (code // (m * m), code // m % m, code % m)
 
-    xs = flats(g)
+    xs = flats(g).flats
     coded = helpers.global_rows(n, xs)
     tupled = [
         wedge1(t, boundary3((x[0], b, c)))
