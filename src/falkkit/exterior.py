@@ -98,11 +98,11 @@ lie in N(a) and N(b) for two edges a != b of X, where N(a) is the union of
 the group's flats through a, and whose ends hold the vertices of W that X
 misses: set intersections over ints only, less the largest N(a) of X, which
 is only intersected with the others' union, and & walks the smaller set.
-The groups are found from the flats that hold two edges each in another
-flat, with their vertex tuples and their edges' ends as the index holds
-them.  The rows of the kept blocks are written out directly: each
-basis triple i < j < k times each kept e_t, case by case on where t falls
-relative to i < j < k.  A column is a lexicographic int code,
+The groups are found from the index's vertex sets, each with its flats
+that hold two edges each in another flat, and the ends of their edges.
+The rows of the kept blocks are written out directly: each basis triple
+i < j < k times each kept e_t, case by case on where t falls relative to
+i < j < k.  A column is a lexicographic int code,
 (a*m + b)*m + c for e_abc with m = n + 1 larger than every edge id, so
 integer order is the lexicographic order of the index tuples.  The rows are
 eliminated last row first.  The pivot rows then keep about the three terms
@@ -197,35 +197,39 @@ def rank(rows: Iterable[Mapping]) -> int:
 
 def _kept_groups(
     index: FlatIndex,
-) -> list[tuple[int, tuple[int, ...], list[Flat], list[tuple[int, ...]], int]]:
+) -> list[tuple[int, tuple[int, ...], list[tuple[Flat, tuple[int, ...]]], int]]:
     """G_kept's nonempty groups, one per distinct key: how many vertex sets W
-    have that key, and for one of them W, its flats in the index's order and
-    their vertex sets (what :func:`_group_kept` reads), and its number of
-    rows."""
+    have that key, and for one of them W, its flats in increasing order,
+    each with its vertex set (what :func:`_group_kept` reads), and its
+    number of rows."""
     # each of t, a and b of a kept block lies in two of its flats X, Y, Z,
     # and each of these holds two of them
     seen: set[int] = set()
     shared: set[int] = set()
-    for flat in index.flats:
-        shared.update(seen.intersection(flat))
-        seen.update(flat)
-    keep = [x for x, flat in enumerate(index.flats) if len(shared.intersection(flat)) > 1]
-    if len(keep) < 3:
+    for xs in index.by_verts.values():
+        for flat in xs:
+            shared.update(seen.intersection(flat))
+            seen.update(flat)
+    if len(shared) < 3:
         return []
-    live = [index.flats[x] for x in keep]
+    live: dict[tuple[int, ...], tuple[Flat, ...]] = {}
+    for vs, xs in index.by_verts.items():
+        kept = tuple(flat for flat in xs if len(shared.intersection(flat)) > 1)
+        if kept:
+            live[vs] = kept
     # vertex sets, and the W made of two, are sorted tuples: tuples of ints
     # drop out of the cyclic garbage collector's view, where as many sets
     # would make it sweep the whole heap again and again on a large grid
-    verts = [index.verts[x] for x in keep]
     ends = index.ends
     through: dict[int, tuple[tuple[int, ...], ...]] = {}
-    for flat, vs in zip(live, verts):
-        for a in flat:
-            sets = through.get(a)
-            if sets is None:
-                through[a] = (vs,)
-            elif vs not in sets:
-                through[a] = sets + (vs,)
+    for vs, xs in live.items():
+        for flat in xs:
+            for a in flat:
+                sets = through.get(a)
+                if sets is None:
+                    through[a] = (vs,)
+                elif vs not in sets:
+                    through[a] = sets + (vs,)
     # W = V(X) | V(Y) = V(X) | V(Z) = V(Y) | V(Z) is made by two edges and
     # two distinct vertex sets each, unless X, Y and Z lie on one vertex set
     made = Counter(
@@ -233,33 +237,30 @@ def _kept_groups(
         for p, q in itertools.combinations(sets, 2)
     )
     candidates = {w for w, count in made.items() if count > 1}
-    candidates.update(vs for vs, count in Counter(verts).items() if count > 2)
+    candidates.update(vs for vs, xs in live.items() if len(xs) > 2)
     if not candidates:
         return []
-    on_set: dict[tuple[int, ...], list[int]] = {}
-    for index, vs in enumerate(verts):
-        on_set.setdefault(vs, []).append(index)
     # an edge's label: its id rank among the edges with its ends, and the
     # positions of its ends in a vertex set (a bit mask), as one small int;
     # a vertex set's flats as a tuple of labels each, named by a small int
     rank_in_bundle: dict[int, int] = {}
     bundle_sizes: dict[tuple[int, ...], int] = {}
-    for a in sorted(set().union(*live)):
+    for a in sorted(through):
         rank_in_bundle[a] = bundle_sizes.get(ends[a], 0)
         bundle_sizes[ends[a]] = rank_in_bundle[a] + 1
     code_of: dict[tuple, int] = {}
     codes: dict[tuple[int, ...], int] = {}
-    for vs, members in on_set.items():
+    for vs, xs in live.items():
         bit = {v: 1 << i for i, v in enumerate(vs)}
         shift = len(vs)
         shape = tuple(sorted(
             tuple(sorted([
-                rank_in_bundle[a] << shift | bit[ends[a][0]] | bit[ends[a][-1]] for a in live[x]
+                rank_in_bundle[a] << shift | bit[ends[a][0]] | bit[ends[a][-1]] for a in flat
             ]))
-            for x in members
+            for flat in xs
         ))
         codes[vs] = code_of.setdefault(shape, len(code_of))
-    sizes = sorted({len(vs) for vs in on_set})
+    sizes = sorted({len(vs) for vs in live})
     groups: dict[tuple, list] = {}
     for w in candidates:
         subsets = [
@@ -268,7 +269,7 @@ def _kept_groups(
             for pos, vs in zip(
                 itertools.combinations(range(len(w)), size), itertools.combinations(w, size)
             )
-            if vs in on_set
+            if vs in live
         ]
         key = (len(w), *((pos, codes[vs]) for pos, vs in subsets))
         group = groups.get(key)
@@ -278,37 +279,34 @@ def _kept_groups(
             group[0] += 1
     out = []
     for multiplicity, w, subsets in groups.values():
-        members = sorted(x for vs in subsets for x in on_set[vs])
-        xs = [live[x] for x in members]
-        xs_verts = [verts[x] for x in members]
+        members = sorted((flat, vs) for vs in subsets for flat in live[vs])
         # counted only: the kept t are written out once the bound is checked
-        kept = _group_kept(w, xs, xs_verts, ends)
-        size = sum(comb(len(x) - 1, 2) * len(ts) for x, ts in zip(xs, kept))
+        size = sum(comb(len(x) - 1, 2) * len(ts) for x, ts in _group_kept(w, members, ends))
         if size:
-            out.append((multiplicity, w, xs, xs_verts, size))
+            out.append((multiplicity, w, members, size))
     return out
 
 
 def _group_kept(
     ws: tuple[int, ...],
-    flats: list[Flat],
-    verts: list[tuple[int, ...]],
+    members: list[tuple[Flat, tuple[int, ...]]],
     ends: Mapping[int, tuple[int, int]],
-) -> Iterator[set[int]]:
-    """For each flat X of the group of the vertex set ``ws``, with vertex set
-    ``verts[X]``, the edges t outside X whose block (X, t) is kept and lies
-    in the group: t shares a flat of the group with two or more edges of X,
-    and its ends (``ends[t]``) hold the vertices of ``ws`` that X misses."""
+) -> Iterator[tuple[Flat, set[int]]]:
+    """For each flat X of the group of the vertex set ``ws``, given with its
+    vertex set in ``members``, X and the edges t outside X whose block
+    (X, t) is kept and lies in the group: t shares a flat of the group with
+    two or more edges of X, and its ends (``ends[t]``) hold the vertices of
+    ``ws`` that X misses."""
     # linked[a] = N(a), the union of the group's flats through a
     linked: dict[int, set[int]] = {}
-    for flat in flats:
+    for flat, _ in members:
         for a in flat:
             linked.setdefault(a, set()).update(flat)
     touching: dict[int, set[int]] = {v: set() for v in ws}
     for a in linked:
         for v in ends[a]:
             touching[v].add(a)
-    for flat, vs in zip(flats, verts):
+    for flat, vs in members:
         once: set[int] = set()
         twice: set[int] = set()
         largest = linked[flat[0]]
@@ -323,23 +321,21 @@ def _group_kept(
         for v in ws:
             if v not in vs:
                 twice &= touching[v]
-        yield twice
+        yield flat, twice
 
 
-def _kept_rows(
-    n: int, flats: Iterable[Flat], kept: Iterable[Iterable[int]]
-) -> list[dict[int, int]]:
+def _kept_rows(n: int, blocks: Iterable[tuple[Flat, Iterable[int]]]) -> list[dict[int, int]]:
     """The rows e_t * (e_jk - e_ik + e_ij) of G's kept blocks, flat by flat.
 
-    For each flat X with x = min X, each basis triple (i, j, k) = (x, b, c)
-    with b < c in X, and each kept t outside X (``kept`` lists them in any
-    order) in increasing order.
+    For each flat X with x = min X and its kept t outside X (``blocks``
+    pairs them, the t in any order), each basis triple (i, j, k) = (x, b, c)
+    with b < c in X, and each kept t in increasing order.
     e_abc is coded (a*m + b)*m + c with m = n + 1.
     """
     m = n + 1
     mm = m * m
     rows: list[dict[int, int]] = []
-    for flat, outside in zip(flats, kept):
+    for flat, outside in blocks:
         if not outside:
             continue
         outside = sorted(outside)
@@ -389,7 +385,7 @@ def rank_fields(n: int, index: FlatIndex) -> RankFields:
     when G_kept has more than :data:`MAX_KEPT_ROWS` rows.
     """
     triangles = dim_i2 = threes = size_g = 0
-    for flat in index.flats:
+    for flat in itertools.chain.from_iterable(index.by_verts.values()):
         size = len(flat)
         if size < 3 or flat[0] < 1 or flat[-1] > n or not all(map(lt, flat, flat[1:])):
             raise ValueError(f"expected 3 or more edge ids 1 <= x_1 < x_2 < ... <= {n}: {flat}")
@@ -405,8 +401,8 @@ def rank_fields(n: int, index: FlatIndex) -> RankFields:
             f"rank route has {size_kept} rows to eliminate, more than {MAX_KEPT_ROWS}"
         )
     nullity = 0
-    for multiplicity, w, xs, verts, size in groups:
-        rows = _kept_rows(n, xs, _group_kept(w, xs, verts, index.ends))
+    for multiplicity, w, members, size in groups:
+        rows = _kept_rows(n, _group_kept(w, members, index.ends))
         rows.reverse()  # less fill-in than the written order (see the module docstring)
         nullity += multiplicity * (size - rank(rows))
     dim_a2 = comb(n, 2) - dim_i2

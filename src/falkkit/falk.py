@@ -21,9 +21,9 @@ of dim(I^3_2) in closed form, and the global part as the exact rank of
 an integer matrix G.  So phi3 = 2|T| + nullity(G), the two per triangle of
 the Papadima-Suciu lower bound plus the global excess that G's kernel
 carries.  G's kernel lives in the blocks it keeps, which split into groups
-by the 3 or 4 vertices they touch, read off the walk's index of the flats;
-each distinct group is eliminated once.  The size and rank of F3 follow
-from the same numbers with no further elimination.
+by the 3 or 4 vertices they touch, read off the walk's index of the flats
+by vertex set; each distinct group is eliminated once.  The size and rank
+of F3 follow from the same numbers with no further elimination.
 
 :func:`phi3_combinatorial` evaluates the census form, a local part plus a
 global excess,
@@ -35,8 +35,8 @@ from subgraph occurrence counts; it is only claimed under H1-H5, so
 :func:`verify` withholds it (rather than guessing) when hypotheses fail.
 The local part counts two per rank-2 flat of size three: under H1-H5 each
 flat is one triangle, so the census reads the rank route's index of the
-flats, and the four local counts sum to the number of triangles |T|.  The
-excess comes from the larger patterns.
+flats by vertex set, and nothing else, and the four local counts sum to
+the number of triangles |T|.  The excess comes from the larger patterns.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ class Run:
     @cached_property
     def counts(self) -> PatternCounts:
         self.hypotheses.require("census")
-        return _census(self.g, self.flats)
+        return _census(self.flats)
 
 
 def phi3_rank(g: GainGraph) -> int:

@@ -59,12 +59,12 @@ Flat = tuple[int, ...]
 
 
 class FlatIndex(NamedTuple):
-    """The sorted rank-2 flats of size >= 3 (:func:`falkkit.patterns.flats`),
-    ``verts[x]`` the two or three sorted vertices of ``flats[x]``, and
-    ``ends[a]`` the ends of each edge ``a``, as :meth:`Edge.ends` gives them."""
+    """The rank-2 flats of size >= 3 (:func:`falkkit.patterns.flats`) by the
+    vertices they cover: ``by_verts[vs]`` the sorted flats on the two or
+    three sorted vertices ``vs``, and ``ends[a]`` the ends of each edge
+    ``a``, as :meth:`Edge.ends` gives them."""
 
-    flats: list[Flat]
-    verts: list[tuple[int, ...]]
+    by_verts: dict[tuple[int, ...], tuple[Flat, ...]]
     ends: dict[int, tuple[int, int]]
 
 
@@ -123,21 +123,6 @@ class Edge:
         if self.tail <= self.head:
             return (self.tail, self.head)
         return (self.head, self.tail)
-
-    def other_end(self, v: int) -> int:
-        if v == self.tail:
-            return self.head
-        if v == self.head:
-            return self.tail
-        raise ValueError(f"vertex {v} is not an end of edge {self.id}")
-
-    def gain_from(self, v: int) -> Fraction:
-        """Gain picked up when traversing the edge starting at vertex ``v``."""
-        if v == self.tail:
-            return self.gain
-        if v == self.head:
-            return 1 / self.gain
-        raise ValueError(f"vertex {v} is not an end of edge {self.id}")
 
 
 @dataclass(frozen=True)
@@ -467,8 +452,12 @@ def _trace_circle(edges: Sequence[Edge]) -> bool | None:
             break
         e = min(options, key=lambda e: e.id)
         used.add(e.id)
-        gain *= e.gain_from(current)
-        current = e.other_end(current)
+        if current == e.tail:
+            gain *= e.gain
+            current = e.head
+        else:
+            gain /= e.gain
+            current = e.tail
     if current != start or len(used) != len(edges):
         return None
     return gain == 1

@@ -15,11 +15,12 @@ one of:
 H1-H3 say that no two-vertex flat has more than three elements, so under
 H1-H5 the triangles are exactly the rank-2 flats of size three.
 :func:`flats` is the library's one walk over the graph for them, and the
-rank route and the census read its index of their vertices and edge ends;
-:func:`triangles` splits them into their 3-subsets, an output view.  The
-atlas below fixes one rational-gain realization per distinguished biased
-graph together with its distinguished 3-edge circle class; the tests check
-that the triangle census of every realization reproduces its class.
+rank route and the census read its index, the flats grouped by the
+vertex set they cover and their edges' ends; :func:`triangles` splits the
+flats into their 3-subsets, an output view.  The atlas below fixes one
+rational-gain realization per distinguished biased graph together with
+its distinguished 3-edge circle class; the tests check that the triangle
+census of every realization reproduces its class.
 
 Occurrences are concrete edge subsets, not isomorphism classes, and
 containment exclusions follow the count definitions: a D3 or Gcirc
@@ -37,17 +38,19 @@ triple of a balanced 3-circle.  A triple with fewer triangles (on two or
 three of its vertices) than the fewest distinguished triples of such a
 pattern is skipped: an occurrence's inside triangles are exactly its |D|
 distinguished ones.  Any other triple is read once into its local type
-(:func:`_local_type`): the sizes of its three bundles and three loop sets,
-and its triangles as sets of slots in them, which under H4 fix its local
-biased graph.  Its counts come from the sub-multigraphs of the local type
-shaped like each pattern whose triangles are the distinguished triples
+(:func:`_local_type`): the edges of its triangles, the only edges an
+occurrence on it can hold, classed into its three bundles and three loop
+sets by their ends in the index, and its triangles as sets of slots in
+them, which under H4 fix its local biased graph on those edges.  Its counts
+come from the sub-multigraphs of the local type shaped like each pattern
+whose triangles are the distinguished triples
 (:func:`_triple_occurrences`), the library's only biased-isomorphism
 decision, and are memoized for the call by the local type, the search's
-only input, so no gain is read past :func:`flats`.  The work is the join's,
-at most one local type per balanced 3-circle and one search per distinct
-type: K_m makes none and D_m one.  The tests check the per-triple search,
-the join and the census against an exhaustive decider that lives with
-the other oracles in the test helpers.
+only input, so neither the graph nor a gain is read past :func:`flats`.
+The work is the join's, at most one local type per balanced 3-circle and
+one search per distinct type: K_m makes none and D_m one.  The tests check
+the per-triple search, the join and the census against an exhaustive
+decider that lives with the other oracles in the test helpers.
 :attr:`Pattern.profile` lists every circle of a reference with its
 balance; no computation here reads it.
 
@@ -91,12 +94,13 @@ _FLAT_KIND = (TriangleKind.THETA, TriangleKind.TIGHT_HANDCUFF, TriangleKind.LOOS
 
 
 def flats(g: GainGraph) -> FlatIndex:
-    """The index of the rank-2 flats of size >= 3, their vertices and edge ends.
+    """The rank-2 flats of size >= 3 by vertex set, and their edges' ends.
 
     Requires H4 and H5, so that the hyperplanes are pairwise distinct; it
     does not check them, and its output on a graph where either fails is
     unspecified (every gated entry point refuses such a graph).  H1-H3 may fail.
-    This is the library's one walk over the link map.  Each bundle (u, v)
+    This is the library's one walk over the link map, and the one place
+    the flats are grouped by the vertices they cover.  Each bundle (u, v)
     gives its two-vertex flat, the bundle with the loops at u and v, when
     that has three edges or more.  A balanced 3-circle u < v < w is closed
     from the bundle (u, v) through each common neighbour w > v: each pair
@@ -104,7 +108,7 @@ def flats(g: GainGraph) -> FlatIndex:
     (u, w), one lookup in the bundle's gain groups.  So the work is the sum
     of b_uv * b_vw over the triples u < v < w, for b the bundle sizes.
     """
-    found: list[tuple[Flat, tuple[int, ...]]] = []
+    by_verts: dict[tuple[int, ...], tuple[Flat, ...]] = {}
     ends = {e.id: uv for uv, bundle in g.link_map.items() for e in bundle}
     ends.update((e.id, (v, v)) for v, loops in g.loop_map.items() for e in loops)
     groups = g.gain_groups
@@ -114,21 +118,22 @@ def flats(g: GainGraph) -> FlatIndex:
     for (u, v), bundle in g.link_map.items():
         flat = bundle + g.loops_at(u) + g.loops_at(v)
         if len(flat) >= 3:
-            found.append((tuple(sorted(e.id for e in flat)), (u, v)))
+            by_verts[u, v] = (tuple(sorted(e.id for e in flat)),)
         for w in above[u] & above[v]:
             closing = groups[u, w]
+            circles: list[Flat] = []
             for (p, q), es in groups[u, v].items():
                 for (r, s), fs in groups[v, w].items():
                     # balanced: the circle gain g_e * g_f / g_h is 1
                     d = gcd(p * r, q * s)
                     hs = closing.get((p * r // d, q * s // d))
                     if hs:
-                        found.extend(
-                            (tuple(sorted((e.id, f.id, h.id))), (u, v, w))
-                            for e in es for f in fs for h in hs
+                        circles.extend(
+                            tuple(sorted((e.id, f.id, h.id))) for e in es for f in fs for h in hs
                         )
-    found.sort()
-    return FlatIndex([flat for flat, _ in found], [vs for _, vs in found], ends)
+            if circles:
+                by_verts[u, v, w] = tuple(sorted(circles))
+    return FlatIndex(by_verts, ends)
 
 
 def triangles(g: GainGraph) -> list[Triangle]:
@@ -153,7 +158,8 @@ def _triangles(index: FlatIndex) -> list[Triangle]:
     """:func:`triangles` for a caller that holds ``flats(g)``."""
     found = [
         Triangle(triple, _kind(index, verts, triple))
-        for flat, verts in zip(index.flats, index.verts)
+        for verts, xs in index.by_verts.items()
+        for flat in xs
         for triple in itertools.combinations(flat, 3)
     ]
     return sorted(found, key=lambda t: t.edge_ids)
@@ -165,11 +171,13 @@ def _triangles(index: FlatIndex) -> list[Triangle]:
 
 @dataclass(frozen=True)
 class Pattern:
-    """Named distinguished biased graph with a fixed rational realization."""
+    """Named distinguished biased graph with a fixed rational realization,
+    and its edge ids grouped by their ends (a loop's are (v, v))."""
 
     name: str
     reference: GainGraph
     distinguished: frozenset[frozenset[int]]
+    by_ends: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]
 
     @cached_property
     def profile(self) -> tuple[tuple[frozenset[int], bool], ...]:
@@ -214,14 +222,19 @@ _ATLAS_SPEC = (
 def atlas() -> Mapping[str, Pattern]:
     """The pattern atlas, built on first access.  Its classes define the
     patterns; the tests check that each reference's triangles are them."""
-    return MappingProxyType({
-        name: Pattern(
+    patterns = {}
+    for name, num_vertices, edge_spec, classes in _ATLAS_SPEC:
+        reference = GainGraph.from_edge_list(num_vertices, edge_spec)
+        by_ends: dict[tuple[int, int], list[int]] = defaultdict(list)
+        for e in reference.edges:
+            by_ends[e.ends()].append(e.id)
+        patterns[name] = Pattern(
             name,
-            GainGraph.from_edge_list(num_vertices, edge_spec),
+            reference,
             frozenset(frozenset(int(ch) for ch in word) for word in classes),
+            tuple((ends, tuple(ids)) for ends, ids in by_ends.items()),
         )
-        for name, num_vertices, edge_spec, classes in _ATLAS_SPEC
-    })
+    return MappingProxyType(patterns)
 
 
 # ---------------------------------------------------------------------------
@@ -288,12 +301,12 @@ def count_patterns(g: GainGraph) -> PatternCounts:
     are counted per vertex set (:func:`_census`).
     """
     validate(g).require("census")
-    return _census(g, flats(g))
+    return _census(flats(g))
 
 
-def _census(g: GainGraph, index: FlatIndex) -> PatternCounts:
+def _census(index: FlatIndex) -> PatternCounts:
     """:func:`count_patterns` for a caller that has checked H1..H5, so that
-    each flat is one triangle, and holds ``flats(g)``.
+    each flat is one triangle, and holds ``flats(g)``, which is all it reads.
 
     K4 is counted by a join over the balanced 3-circles (:func:`_k4_count`).
     The six other excess patterns span three vertices and hold a balanced
@@ -311,11 +324,10 @@ def _census(g: GainGraph, index: FlatIndex) -> PatternCounts:
     """
     searched = [atlas()[name] for field, (name, _) in _EXCESS.items() if field != "k4"]
     fewest = min(len(p.distinguished) for p in searched)
-    counts: Counter[str] = Counter()
-    by_verts: dict[tuple[int, ...], list[Flat]] = defaultdict(list)
-    for flat, verts in zip(index.flats, index.verts):
-        counts[_KIND_FIELD[_kind(index, verts, flat)]] += 1
-        by_verts[verts].append(flat)
+    by_verts = index.by_verts
+    counts = Counter(
+        _KIND_FIELD[_kind(index, verts, flat)] for verts, xs in by_verts.items() for flat in xs
+    )
     circles = [flat for verts, xs in by_verts.items() if len(verts) == 3 for flat in xs]
     counts["k4"] = _k4_count(index.ends, circles)
     memo: dict[LocalType, dict[str, int]] = {}
@@ -331,7 +343,7 @@ def _census(g: GainGraph, index: FlatIndex) -> PatternCounts:
         ]
         if len(inside) < fewest:
             continue
-        local, _ = _local_type(g, verts, inside)
+        local, _ = _local_type(index.ends, verts, inside)
         if local not in memo:
             memo[local] = _local_counts(local, searched)
         counts.update(memo[local])
@@ -357,20 +369,20 @@ def _k4_count(ends: Mapping[int, tuple[int, int]], circles: Sequence[Flat]) -> i
     (w = x) lie in no balanced 3-circle.  The work is at most the sum over
     edges e of C(c_e, 2) for c_e balanced 3-circles through e.
     """
-    # third[a, b]: the third edge of the balanced 3-circle through a and b
+    # third[a, b]: the third edge of the balanced 3-circle through a < b
     third: dict[tuple[int, int], int] = {}
     # fans[e]: the link at e's smaller end of each balanced 3-circle whose
     # smallest edge is e
     fans: dict[int, list[int]] = defaultdict(list)
     for i, j, k in circles:  # increasing
-        third[i, j] = third[j, i] = k
-        third[i, k] = third[k, i] = j
-        third[j, k] = third[k, j] = i
+        third[i, j] = k
+        third[i, k] = j
+        third[j, k] = i
         fans[i].append(j if ends[i][0] in ends[j] else k)
     return sum(
         third.get(pair, 0) > e
         for e, fan in fans.items()
-        for pair in itertools.combinations(fan, 2)
+        for pair in itertools.combinations(sorted(fan), 2)
     )
 
 
@@ -383,26 +395,28 @@ LocalType = tuple[tuple[int, ...], frozenset[frozenset[int]]]
 
 
 def _local_type(
-    g: GainGraph, verts: Sequence[int], inside: Sequence[frozenset[int]]
+    ends: Mapping[int, tuple[int, int]], verts: Sequence[int], inside: Sequence[frozenset[int]]
 ) -> tuple[LocalType, list[int]]:
-    """The local type of the triple ``verts`` (sorted) of ``g``, given
-    ``inside``, the edge sets of its triangles on two or three of ``verts``,
-    and its edge ids in slot order.
+    """The local type of the triple ``verts`` (sorted), given ``inside``, the
+    edge sets of its triangles on two or three of ``verts``, and the
+    ``ends`` of their edges; and its edge ids in slot order.
 
-    The edges of each class of :data:`_CLASSES` take consecutive slots, the
-    classes in that order.  Loops and the links of the first two bundles
-    take theirs by id; the links of the last bundle, (verts[1], verts[2]),
-    by the slot pairs of the balanced 3-circles they close with the other
-    two, then by id, so that every triple of D_m has one type.  Under H4 a
-    biased graph on three vertices is fixed by its multigraph and its
-    balanced circles, which are the 3-circles among its triangles, so equal
-    local types mean identical local biased graphs.
+    Its edges are those of its triangles: every searched pattern's
+    distinguished triples cover its edges, so an edge in no triangle of the
+    triple lies in no occurrence on it.  The edges of each class of
+    :data:`_CLASSES` take consecutive slots, the classes in that order.
+    Loops and the links of the first two bundles take theirs by id; the
+    links of the last bundle, (verts[1], verts[2]), by the slot pairs of
+    the balanced 3-circles they close with the other two, then by id, so
+    that every triple of D_m has one type.  Under H4 a biased graph on
+    three vertices is fixed by its multigraph and its balanced circles,
+    which are the 3-circles among its triangles, so equal local types mean
+    identical biased graphs on the edges of the triangles.
     """
-    links, loops = g.link_map, g.loop_map
-    classes = []
-    for x, y in _CLASSES:
-        host = loops.get(verts[x], ()) if x == y else links.get((verts[x], verts[y]), ())
-        classes.append(sorted([e.id for e in host]))
+    class_of = {(verts[x], verts[y]): c for c, (x, y) in enumerate(_CLASSES)}
+    classes: list[list[int]] = [[] for _ in _CLASSES]
+    for i in sorted(set().union(*inside)):
+        classes[class_of[ends[i]]].append(i)
     slot = {i: k for k, i in enumerate(classes[0] + classes[1])}
     closes: dict[int, list[list[int]]] = {z: [] for z in classes[2]}
     for t in inside:
@@ -447,15 +461,11 @@ def _triple_occurrences(local: LocalType, pattern: Pattern) -> set[frozenset[int
     if len(inside) < need:
         return set()
     starts = [0, *itertools.accumulate(sizes)]
-    ref = pattern.reference
-    classes: dict[tuple[int, int], list[int]] = defaultdict(list)
-    for e in ref.edges:
-        classes[e.ends()].append(e.id)  # a loop's ends are (v, v)
     found: set[frozenset[int]] = set()
     for image in itertools.permutations(range(3)):
-        vmap = dict(zip(ref.incident_vertices, image))
+        vmap = dict(zip(pattern.reference.incident_vertices, image))
         pools = []
-        for (a, b), ids in classes.items():
+        for (a, b), ids in pattern.by_ends:
             c = _CLASSES.index(tuple(sorted((vmap[a], vmap[b]))))
             # a host class smaller than the reference's gives no choice
             pools.append(itertools.combinations(range(starts[c], starts[c + 1]), len(ids)))
@@ -467,7 +477,8 @@ def _triple_occurrences(local: LocalType, pattern: Pattern) -> set[frozenset[int
             held = [t for t in inside if t <= slots]
             if len(held) != need:
                 continue
-            for images in itertools.product(*map(itertools.permutations, classes.values())):
+            perms = (itertools.permutations(ids) for _, ids in pattern.by_ends)
+            for images in itertools.product(*perms):
                 sigma = dict(zip(chosen, itertools.chain.from_iterable(images)))
                 if all(frozenset(sigma[i] for i in t) in pattern.distinguished for t in held):
                     found.add(slots)

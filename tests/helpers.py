@@ -39,7 +39,8 @@ checked against live here.
   groups them by the vertices their blocks touch, as the library ranks
   them, and :func:`recorded_rows` records the rows the library hands to
   :func:`falkkit.exterior.rank`.  :func:`one_vertex_set` indexes flats
-  that come from no graph for :func:`falkkit.exterior.rank_fields`.
+  that come from no graph for :func:`falkkit.exterior.rank_fields`, and
+  :func:`flat_list` lists an index's flats in lexicographic order.
   :func:`dim_I3_2_closed_form` predicts
   dim(I^3_2) from the census counts under H1-H5.
 * Matroid: :func:`dependent_3sets` ranks the hyperplane normals of every
@@ -63,7 +64,8 @@ checked against live here.
   ordered tuple of host vertices, with the pattern by that decider, as an
   :func:`induced_subgraph`.  It is the oracle for the census's per-triple
   search (:func:`falkkit.patterns._triple_occurrences`), its K4 join and
-  its counts, H1-H3 failures included.
+  its counts, H1-H3 failures included.  :func:`edge_ends` gives the ends
+  the census's local type reads, for every edge of a graph.
 """
 
 from __future__ import annotations
@@ -315,7 +317,7 @@ def brute_circle_sets(g: GainGraph) -> set[frozenset[int]]:
         for e in g.edges:
             if e.is_loop or e.id in used or current not in (e.tail, e.head):
                 continue
-            nxt = e.other_end(current)
+            nxt = e.head if current == e.tail else e.tail
             if nxt == start and used:
                 circles.add(used | {e.id})
             elif nxt not in visited:
@@ -737,8 +739,20 @@ def one_vertex_set(flats: Iterable[Flat]) -> FlatIndex:
     """The index :func:`falkkit.exterior.rank_fields` takes, for flats that
     come from no graph: every flat on the vertices (1, 2) and every edge with
     those ends, so that all of G_kept is one group."""
-    flats = list(flats)
-    return FlatIndex(flats, [(1, 2)] * len(flats), {a: (1, 2) for flat in flats for a in flat})
+    flats = sorted(flats)
+    by_verts = {(1, 2): tuple(flats)} if flats else {}
+    return FlatIndex(by_verts, {a: (1, 2) for flat in flats for a in flat})
+
+
+def flat_list(index: FlatIndex) -> list[Flat]:
+    """The flats of an index, in lexicographic order."""
+    return sorted(flat for xs in index.by_verts.values() for flat in xs)
+
+
+def edge_ends(g: GainGraph) -> dict[int, tuple[int, int]]:
+    """The ends of every edge of ``g``, as :meth:`falkkit.graphs.Edge.ends`
+    gives them."""
+    return {e.id: e.ends() for e in g.edges}
 
 
 def recorded_rows(monkeypatch, compute) -> tuple[list[list[dict]], object]:

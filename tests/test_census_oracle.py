@@ -35,6 +35,7 @@ from falkkit.patterns import (
 from helpers import (
     PAPPUS_GRAPHS,
     braid,
+    edge_ends,
     enriched_pattern_host,
     find_occurrences,
     pattern_rich_hosts,
@@ -140,12 +141,13 @@ def test_triple_search_matches_vertex_tuple_oracle(cases, nonzero, request):
         for t in triangles(g):
             inside[spanned(g, t.edge_ids)].append(frozenset(t.edge_ids))
         triples = balanced_circle_triples(g)
+        ends = edge_ends(g)
         for name in PER_TRIPLE:
             pattern = atlas()[name]
             found = set()
             for verts in triples:
                 given = [t for span, ts in inside.items() if span <= verts for t in ts]
-                local, order = _local_type(g, sorted(verts), given)
+                local, order = _local_type(ends, sorted(verts), given)
                 occ = {frozenset(order[k] for k in o) for o in _triple_occurrences(local, pattern)}
                 assert occ == {o for o in expected[name] if spanned(g, o) == verts}, (index, name)
                 found |= occ
@@ -171,6 +173,27 @@ def test_per_triple_patterns_are_unions_of_linked_distinguished_triples():
                 break
             reached = grown
         assert reached == pattern.distinguished, name
+
+
+def test_a_link_in_no_triangle_leaves_the_local_type():
+    # an edge in no triangle of a triple lies in no occurrence on it, so
+    # the local type leaves it out: adding such a link to a reference keeps
+    # the triple's local type, its slot order and its counts
+    added = 0
+    for name in ("K3", *PER_TRIPLE):
+        ref = atlas()[name].reference
+        spec = [(e.tail, e.head, e.gain) for e in ref.edges]
+        inside = [frozenset(t.edge_ids) for t in triangles(ref)]
+        before = _local_type(edge_ends(ref), (1, 2, 3), inside)
+        for u, v in itertools.combinations((1, 2, 3), 2):
+            # no balanced 3-circle closes through a gain of 7 here
+            g = GainGraph.from_edge_list(3, [*spec, (u, v, 7)])
+            if [frozenset(t.edge_ids) for t in triangles(g)] != inside:
+                continue  # the link made a two-vertex flat of three
+            added += 1
+            assert _local_type(edge_ends(g), (1, 2, 3), inside) == before, (name, u, v)
+            assert count_patterns(g) == count_patterns(ref), (name, u, v)
+    assert added >= 4
 
 
 @pytest.mark.parametrize("cases", ["host_cases", "bundled_cases"])
@@ -237,15 +260,15 @@ def balanced_circle_triples(g: GainGraph) -> set[frozenset[int]]:
 
 
 def test_census_walks_stay_local_and_the_memo_hits(hosts, monkeypatch):
-    # every local type is read from the host graph itself, on the triple of
-    # one balanced 3-circle, given only the triangles inside that triple;
-    # the search reads the local type alone
+    # every local type is read from the host graph's own edge ends, on the
+    # triple of one balanced 3-circle, given only the triangles inside that
+    # triple; the search reads the local type alone
     read = []
     handed = []
 
-    def reading(g, verts, inside):
-        read.append((g, verts, inside))
-        return _local_type(g, verts, inside)
+    def reading(ends, verts, inside):
+        read.append((ends, verts, inside))
+        return _local_type(ends, verts, inside)
 
     def recording(local, pattern):
         handed.append(local)
@@ -257,10 +280,11 @@ def test_census_walks_stay_local_and_the_memo_hits(hosts, monkeypatch):
         read.clear()
         count_patterns(host)
         triples = balanced_circle_triples(host)
-        for g, verts, inside in read:
-            assert g is host
+        ends = edge_ends(host)
+        for given, verts, inside in read:
+            assert given == ends
             assert frozenset(verts) in triples
-            assert all(spanned(g, t) <= frozenset(verts) for t in inside)
+            assert all(spanned(host, t) <= frozenset(verts) for t in inside)
     assert handed
     # K_m has no triple with enough edges for a 3-vertex excess pattern, and
     # every triple of D_m has one local type, whatever the switching,
@@ -313,7 +337,7 @@ def test_census_tells_sets_of_one_shape_apart():
         g = GainGraph.from_edge_list(3, group)
         inside = [frozenset(t.edge_ids) for t in triangles(g)]
         assert sum(len(spanned(g, t)) == 3 for t in inside) == 6
-        local, _ = _local_type(g, (1, 2, 3), inside)
+        local, _ = _local_type(edge_ends(g), (1, 2, 3), inside)
         assert local[0] == (3, 3, 3, 0, 0, 0)
         nine_types.append(local)
     assert nine_types[0] not in nine_types[1:]

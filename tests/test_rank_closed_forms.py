@@ -99,7 +99,7 @@ KEY_CASES = [
 def check_rank_fields(g) -> None:
     report = verify(g)
     assert {name: getattr(report, name) for name in RANK_FIELDS} == full_rank_fields(g)
-    rows = helpers.global_rows(g.n, flats(g).flats)
+    rows = helpers.global_rows(g.n, helpers.flat_list(flats(g)))
     excess = len(rows) - exterior.rank(rows)
     assert report.phi3_rank == 2 * report.num_triangles + excess
     assert excess >= 0
@@ -125,7 +125,7 @@ def check_kept_nullity(monkeypatch, g) -> tuple[int, int]:
     """nullity(kept rows) == nullity(G), and the library ranks the oracle's
     groups of kept rows; returns the numbers of kept and of all rows."""
     index = flats(g)
-    xs = index.flats
+    xs = helpers.flat_list(index)
     calls, fields = helpers.recorded_rows(monkeypatch, lambda: exterior.rank_fields(g.n, index))
     groups = [rows[::-1] for rows in helpers.kept_rows_by_vertex_set(g, xs).values()]
     # each elimination is one group's rows, last row first, and none is empty
@@ -156,7 +156,7 @@ def check_groups(g) -> int:
     """The oracle's kept rows, grouped by the vertex set W of their blocks:
     groups share no column, |W| is 3 or 4, and the groups' nullities sum to
     the nullity of all kept rows.  Returns the number of groups."""
-    xs = flats(g).flats
+    xs = helpers.flat_list(flats(g))
     groups = helpers.kept_rows_by_vertex_set(g, xs)
     owner = {}
     for w, rows in groups.items():
@@ -189,7 +189,7 @@ def test_reflection_families_rank_one_group_per_distinct_key(monkeypatch, family
     g = family(m)
     calls, _ = helpers.recorded_rows(monkeypatch, lambda: exterior.rank_fields(g.n, flats(g)))
     assert len(calls) == keys
-    groups = helpers.kept_rows_by_vertex_set(g, flats(g).flats)
+    groups = helpers.kept_rows_by_vertex_set(g, helpers.flat_list(flats(g)))
     assert len([w for w in groups if len(w) == 4]) == comb(m, 4)
 
 
@@ -198,10 +198,11 @@ def test_reflection_families_rank_one_group_per_distinct_key(monkeypatch, family
 )
 def test_one_constant_support_ranks_all_kept_rows_at_once(monkeypatch, g):
     index = flats(g)
+    xs = helpers.flat_list(index)
     calls, fields = helpers.recorded_rows(
-        monkeypatch, lambda: exterior.rank_fields(g.n, one_vertex_set(index.flats))
+        monkeypatch, lambda: exterior.rank_fields(g.n, one_vertex_set(xs))
     )
-    kept = helpers.kept_global_rows(g.n, index.flats)
+    kept = helpers.kept_global_rows(g.n, xs)
     assert calls == ([kept[::-1]] if kept else [])
     assert fields == exterior.rank_fields(g.n, index)
 
@@ -238,12 +239,18 @@ def test_triangulated_grid_keeps_no_rows_and_meets_the_graphic_formula(monkeypat
 
 def check_flats(g) -> None:
     index = flats(g)
-    assert index.flats == helpers.flats(g.n, helpers.dependent_3sets(g))
-    # the vertex tuples and the ends the walk keeps, against the edges' own
-    assert len(index.verts) == len(index.flats)
-    for flat, verts in zip(index.flats, index.verts):
-        assert verts == tuple(sorted({v for a in flat for v in g.edge(a).ends()}))
-        assert all(a in index.ends for a in flat)
+    # each key is the sorted vertex set of its flats, by the edges' own
+    # ends, and each value is sorted and nonempty
+    found = []
+    for verts, xs in index.by_verts.items():
+        assert xs and list(xs) == sorted(xs)
+        for flat in xs:
+            assert verts == tuple(sorted({v for a in flat for v in g.edge(a).ends()}))
+            assert all(a in index.ends for a in flat)
+        found.extend(xs)
+    # no flat appears twice, and together they are the oracle's flats
+    assert len(set(found)) == len(found)
+    assert set(found) == set(helpers.flats(g.n, helpers.dependent_3sets(g)))
     assert all(ends == g.edge(a).ends() for a, ends in index.ends.items())
 
 
@@ -264,7 +271,7 @@ def test_flats_match_dependent_3sets_on_regime_corpus():
 @pytest.mark.parametrize("g", FAMILIES[::4] + [pytest.param(load_graph("final_example.gg"), id="final")])
 def test_flats_partition_the_triangles_and_the_global_rows_avoid_them(g):
     tris = [t.edge_ids for t in triangles(g)]
-    xs = flats(g).flats
+    xs = helpers.flat_list(flats(g))
     flat_of_pair = {}
     for index, flat in enumerate(xs):
         for pair in itertools.combinations(flat, 2):
@@ -290,7 +297,8 @@ def test_each_command_runs_the_rank_route_once(monkeypatch, capsys, argv):
     run = Run(g)
     expected, _ = helpers.recorded_rows(monkeypatch, lambda: run.rank)
     # one call per group, each a group of the oracle's kept rows, last row first
-    groups = [rows[::-1] for rows in helpers.kept_rows_by_vertex_set(g, flats(g).flats).values()]
+    xs = helpers.flat_list(flats(g))
+    groups = [rows[::-1] for rows in helpers.kept_rows_by_vertex_set(g, xs).values()]
     assert len(expected) > 1 and all(rows in groups for rows in expected)
     # a second read of the run makes no call
     assert helpers.recorded_rows(monkeypatch, lambda: run.rank)[0] == []

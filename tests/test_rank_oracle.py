@@ -131,7 +131,8 @@ FAMILIES = (
 def check_library_rows(monkeypatch, g) -> None:
     index = flats(g)
     calls, _ = helpers.recorded_rows(monkeypatch, lambda: exterior.rank_fields(g.n, index))
-    groups = [rows[::-1] for rows in helpers.kept_rows_by_vertex_set(g, index.flats).values()]
+    xs = helpers.flat_list(index)
+    groups = [rows[::-1] for rows in helpers.kept_rows_by_vertex_set(g, xs).values()]
     # one call per distinct group, none when nothing is kept
     assert bool(calls) == bool(groups)
     for rows in calls:
@@ -178,7 +179,7 @@ def check_row_builders(g) -> None:
     def triple(code):
         return (code // (m * m), code // m % m, code % m)
 
-    xs = flats(g).flats
+    xs = helpers.flat_list(flats(g))
     coded = helpers.global_rows(n, xs)
     tupled = [
         wedge1(t, boundary3((x[0], b, c)))
