@@ -65,24 +65,29 @@ one.  Write I_X for the span of the boundaries e_jk - e_ik + e_ij of the
   subsets of W and the ends of their edges.  The key of W lists, for each
   subset of sorted W that carries flats, its positions and those flats,
   each edge relabelled by the positions of its ends in the subset and its
-  id rank among the edges with the same ends.  Two W with equal keys have
-  a bijection of those edges that keeps the labels; it maps flats to flats
-  and kept blocks to kept blocks.  A relabelling of the edges is an
-  automorphism of the exterior algebra that maps each e_t * I_X onto its
-  image, whatever the signs the new id order gives, so the two groups span
-  spaces of one dimension with one number of rows, and have one nullity.
-  No canonical form is needed: a key only has to be equal for the groups
-  it treats alike.  So each distinct key's blocks are found and
+  slot (:class:`~falkkit.graphs.FlatIndex`): its place among the links
+  of its bundle in the order of their gains read from the lower end, and
+  0 for a single link or a loop.  Edges with the same ends have distinct
+  slots, so two W with equal keys have a bijection of those edges that
+  keeps the labels; it maps flats to flats and kept blocks to kept
+  blocks.  A relabelling of the edges is an automorphism of the exterior
+  algebra that maps each e_t * I_X onto its image, whatever the signs the
+  new id order gives, so the two groups span spaces of one dimension with
+  one number of rows, and have one nullity.  So any labels distinct within
+  each bundle are exact, and the gain order decides only which groups
+  merge.  No canonical form is needed: a key only has to be equal for the
+  groups it treats alike.  So each distinct key's blocks are found and
   eliminated once, and dim I^3_2 = sum_X C(|X|, 3) + |G| - nullity(G_kept)
   with nullity(G_kept) the sum over keys of their multiplicity times the
   nullity of one group.  K_m has one distinct key (C(m, 4) groups of 12
-  rows, nullity 2) however its edges are numbered; D_m and B_m have two
-  when each bundle's links are numbered alike, and more otherwise, since
-  the id rank within a bundle then tells equal groups apart.  |G_kept|,
-  the sum over keys of the
-  multiplicity times the rows, is counted before any row is written, and
-  the route refuses (raises :class:`~falkkit.graphs.GraphTooLargeError`)
-  above :data:`MAX_KEPT_ROWS`.
+  rows, nullity 2) however its edges are numbered.  D_m and B_m have two
+  however they are numbered, reversed or switched: a reversal keeps each
+  gain read from the lower end, renumbering keeps every gain, and a
+  switching multiplies a bundle's gains by one factor, which keeps the
+  order of a +c, -c pair or flips both slots.  |G_kept|, the sum over
+  keys of the multiplicity times the rows, is counted before any row is
+  written, and the route refuses (raises
+  :class:`~falkkit.graphs.GraphTooLargeError`) above :data:`MAX_KEPT_ROWS`.
 * **|F3| = (n-3)*|T| and rank F3 = dim I^3_2 - #{X : |X| = 3}.**  F3 holds
   the global rows of every triple, which span e_t * I_X like G does, and
   the local rows with t in X but outside S.  For a 4-set Y in X and
@@ -220,7 +225,7 @@ def _kept_groups(
     # vertex sets, and the W made of two, are sorted tuples: tuples of ints
     # drop out of the cyclic garbage collector's view, where as many sets
     # would make it sweep the whole heap again and again on a large grid
-    ends = index.ends
+    ends, slot = index.ends, index.slot
     through: dict[int, tuple[tuple[int, ...], ...]] = {}
     for vs, xs in live.items():
         for flat in xs:
@@ -240,14 +245,9 @@ def _kept_groups(
     candidates.update(vs for vs, xs in live.items() if len(xs) > 2)
     if not candidates:
         return []
-    # an edge's label: its id rank among the edges with its ends, and the
+    # an edge's label: its slot, its place by gain in its bundle, and the
     # positions of its ends in a vertex set (a bit mask), as one small int;
     # a vertex set's flats as a tuple of labels each, named by a small int
-    rank_in_bundle: dict[int, int] = {}
-    bundle_sizes: dict[tuple[int, ...], int] = {}
-    for a in sorted(through):
-        rank_in_bundle[a] = bundle_sizes.get(ends[a], 0)
-        bundle_sizes[ends[a]] = rank_in_bundle[a] + 1
     code_of: dict[tuple, int] = {}
     codes: dict[tuple[int, ...], int] = {}
     for vs, xs in live.items():
@@ -255,7 +255,7 @@ def _kept_groups(
         shift = len(vs)
         shape = tuple(sorted(
             tuple(sorted([
-                rank_in_bundle[a] << shift | bit[ends[a][0]] | bit[ends[a][-1]] for a in flat
+                slot.get(a, 0) << shift | bit[ends[a][0]] | bit[ends[a][-1]] for a in flat
             ]))
             for flat in xs
         ))

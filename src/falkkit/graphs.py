@@ -61,11 +61,15 @@ Flat = tuple[int, ...]
 class FlatIndex(NamedTuple):
     """The rank-2 flats of size >= 3 (:func:`falkkit.patterns.flats`) by the
     vertices they cover: ``by_verts[vs]`` the sorted flats on the two or
-    three sorted vertices ``vs``, and ``ends[a]`` the ends of each edge
-    ``a``, as :meth:`Edge.ends` gives them."""
+    three sorted vertices ``vs``, ``ends[a]`` the ends of each edge ``a``,
+    as :meth:`Edge.ends` gives them, and ``slot[a]`` the place of each link
+    ``a`` of a bundle of two or more links in the order of their gains, read
+    from the bundle's lower end: 0 for the smallest.  Single links and loops
+    have no entry and are read as slot 0."""
 
     by_verts: dict[tuple[int, ...], tuple[Flat, ...]]
     ends: dict[int, tuple[int, int]]
+    slot: dict[int, int]
 
 
 class GraphFormatError(ValueError):

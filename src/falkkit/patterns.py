@@ -16,8 +16,10 @@ H1-H3 say that no two-vertex flat has more than three elements, so under
 H1-H5 the triangles are exactly the rank-2 flats of size three.
 :func:`flats` is the library's one walk over the graph for them, and the
 rank route and the census read its index, the flats grouped by the
-vertex set they cover and their edges' ends; :func:`triangles` splits the
-flats into their 3-subsets, an output view.  The atlas below fixes one
+vertex set they cover, their edges' ends and the places of each bundle's
+links in the order of their gains (:attr:`~falkkit.graphs.FlatIndex.slot`,
+which only the rank route reads); :func:`triangles` splits the flats into
+their 3-subsets, an output view.  The atlas below fixes one
 rational-gain realization per distinguished biased graph together with
 its distinguished 3-edge circle class; the tests check that the triangle
 census of every realization reproduces its class.
@@ -94,7 +96,9 @@ _FLAT_KIND = (TriangleKind.THETA, TriangleKind.TIGHT_HANDCUFF, TriangleKind.LOOS
 
 
 def flats(g: GainGraph) -> FlatIndex:
-    """The rank-2 flats of size >= 3 by vertex set, and their edges' ends.
+    """The rank-2 flats of size >= 3 by vertex set, their edges' ends, and
+    the slot of each link of a bundle of two or more: its place in the
+    order of the bundle's gains read from its lower end.
 
     Requires H4 and H5, so that the hyperplanes are pairwise distinct; it
     does not check them, and its output on a graph where either fails is
@@ -109,6 +113,7 @@ def flats(g: GainGraph) -> FlatIndex:
     of b_uv * b_vw over the triples u < v < w, for b the bundle sizes.
     """
     by_verts: dict[tuple[int, ...], tuple[Flat, ...]] = {}
+    slot: dict[int, int] = {}
     ends = {e.id: uv for uv, bundle in g.link_map.items() for e in bundle}
     ends.update((e.id, (v, v)) for v, loops in g.loop_map.items() for e in loops)
     groups = g.gain_groups
@@ -119,6 +124,9 @@ def flats(g: GainGraph) -> FlatIndex:
         flat = bundle + g.loops_at(u) + g.loops_at(v)
         if len(flat) >= 3:
             by_verts[u, v] = (tuple(sorted(e.id for e in flat)),)
+        if len(bundle) > 1:
+            ordered = sorted(bundle, key=lambda e: e.gain if e.tail == u else 1 / e.gain)
+            slot.update((e.id, i) for i, e in enumerate(ordered))
         for w in above[u] & above[v]:
             closing = groups[u, w]
             circles: list[Flat] = []
@@ -133,7 +141,7 @@ def flats(g: GainGraph) -> FlatIndex:
                         )
             if circles:
                 by_verts[u, v, w] = tuple(sorted(circles))
-    return FlatIndex(by_verts, ends)
+    return FlatIndex(by_verts, ends, slot)
 
 
 def triangles(g: GainGraph) -> list[Triangle]:

@@ -738,10 +738,12 @@ def kept_rows_by_vertex_set(g: GainGraph, flats: Sequence[Flat]) -> dict[frozens
 def one_vertex_set(flats: Iterable[Flat]) -> FlatIndex:
     """The index :func:`falkkit.exterior.rank_fields` takes, for flats that
     come from no graph: every flat on the vertices (1, 2) and every edge with
-    those ends, so that all of G_kept is one group."""
+    those ends, so that all of G_kept is one group, and each edge's slot its
+    place in id order."""
     flats = sorted(flats)
     by_verts = {(1, 2): tuple(flats)} if flats else {}
-    return FlatIndex(by_verts, {a: (1, 2) for flat in flats for a in flat})
+    edges = sorted({a for flat in flats for a in flat})
+    return FlatIndex(by_verts, dict.fromkeys(edges, (1, 2)), {a: i for i, a in enumerate(edges)})
 
 
 def flat_list(index: FlatIndex) -> list[Flat]:

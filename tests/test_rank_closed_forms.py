@@ -16,20 +16,25 @@ flats of :func:`falkkit.patterns.flats`, the rank route's input, are
 checked against the oracle regroup of the dependent triples that
 :func:`helpers.dependent_3sets` finds by ranking the hyperplane normals,
 and each flat's vertex tuple and its edges' ends in the walk's index
-against :meth:`falkkit.graphs.Edge.ends`.
+against :meth:`falkkit.graphs.Edge.ends`, and each link's slot against
+the gain order of its bundle.  Reversing the slots within every bundle
+changes no rank field, and switched, reversed and renumbered reflection
+families make as many eliminations as the plain ones.
 """
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
+from operator import lt
 
 import pytest
 
 from falkkit import exterior
 from falkkit.cli import main
 from falkkit.falk import Run, phi3_rank, verify
-from falkkit.graphs import GainGraph, GraphFormatError, validate
+from falkkit.graphs import Edge, FlatIndex, GainGraph, GraphFormatError, validate
 from falkkit.patterns import flats, triangles
 import helpers
 from helpers import (
@@ -66,8 +71,8 @@ FAMILIES = (
     + [pytest.param(type_d(m), id=f"D{m}") for m in range(3, 8)]
     + [pytest.param(braid(m), id=f"K{m}") for m in range(4, 12)]
 )
-# switched, reversed and renumbered: equal groups of D_m and B_m then get
-# different keys, which must still be exact
+# switched, reversed and renumbered: the slots of a bundle's links, their
+# places by gain, are kept or all flipped, so D_m and B_m keep their two keys
 SCRAMBLED = [
     pytest.param(scrambled(family(m), random.Random(m)), id=f"{name}{m}-scrambled")
     for name, family, m in (("B", type_b, 4), ("D", type_d, 5), ("K", braid, 6))
@@ -83,8 +88,8 @@ KEY_CASES = [
         id="three-flats-on-one-set",
     ),
     # groups whose flats have one shape by the positions of their edges'
-    # ends alone; the id rank within a bundle tells them apart
-    # (phi_3 = 34, and 32 if they were taken as one key)
+    # ends alone; the gain order within a bundle, the links' slots, tells
+    # them apart (phi_3 = 34, and 32 if they were taken as one key)
     pytest.param(
         GainGraph.from_edge_list(4, [
             (1, 4, 1), (4, 4, 2), (2, 4, 2), (3, 4, Fraction(3, 2)), (4, 1, Fraction(1, 6)),
@@ -96,9 +101,19 @@ KEY_CASES = [
 ]
 
 
+def reversed_slots(index: FlatIndex) -> FlatIndex:
+    """``index`` with the slots of every bundle's links in reverse order."""
+    sizes = Counter(index.ends[a] for a in index.slot)
+    slot = {a: sizes[index.ends[a]] - 1 - s for a, s in index.slot.items()}
+    return index._replace(slot=slot)
+
+
 def check_rank_fields(g) -> None:
     report = verify(g)
-    assert {name: getattr(report, name) for name in RANK_FIELDS} == full_rank_fields(g)
+    full = full_rank_fields(g)
+    assert {name: getattr(report, name) for name in RANK_FIELDS} == full
+    # the order of the slots within a bundle decides no value
+    assert exterior.rank_fields(g.n, reversed_slots(flats(g)))._asdict() == full
     rows = helpers.global_rows(g.n, helpers.flat_list(flats(g)))
     excess = len(rows) - exterior.rank(rows)
     assert report.phi3_rank == 2 * report.num_triangles + excess
@@ -193,6 +208,17 @@ def test_reflection_families_rank_one_group_per_distinct_key(monkeypatch, family
     assert len([w for w in groups if len(w) == 4]) == comb(m, 4)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("m", [4, 5, 6, 7])
+@pytest.mark.parametrize("family, keys", [(braid, 1), (type_d, 2), (type_b, 2)])
+def test_scrambled_reflection_families_rank_as_many_groups(monkeypatch, family, keys, m, seed):
+    # reversing and renumbering keep every slot, and a switching keeps or
+    # flips the slots of each +1, -1 pair
+    g = scrambled(family(m), random.Random(seed))
+    calls, _ = helpers.recorded_rows(monkeypatch, lambda: exterior.rank_fields(g.n, flats(g)))
+    assert len(calls) == keys
+
+
 @pytest.mark.parametrize(
     "g", FAMILIES[::3] + [pytest.param(load_graph("final_example.gg"), id="final")]
 )
@@ -205,6 +231,31 @@ def test_one_constant_support_ranks_all_kept_rows_at_once(monkeypatch, g):
     kept = helpers.kept_global_rows(g.n, xs)
     assert calls == ([kept[::-1]] if kept else [])
     assert fields == exterior.rank_fields(g.n, index)
+
+
+def test_the_slots_tell_the_bundle_ranks_groups_apart():
+    (g,) = [case.values[0] for case in KEY_CASES if case.id == "bundle-ranks"]
+    index = flats(g)
+    assert exterior.rank_fields(g.n, reversed_slots(index)).phi3_rank == 34
+    # every link read as slot 0: two groups of unequal nullity share a key
+    assert exterior.rank_fields(g.n, index._replace(slot={})).phi3_rank == 32
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("g", FAMILIES[::2] + KEY_CASES + [
+    pytest.param(g, id=f"regime{i}") for i, g in enumerate(regime_graphs(random.Random(7), 20))
+])
+def test_slots_survive_reversal_and_renumbering(g, seed):
+    rng = random.Random(seed)
+    new_id = dict(zip(range(1, g.n + 1), rng.sample(range(1, g.n + 1), g.n)))
+    edges = [
+        Edge(new_id[e.id], e.head, e.tail, 1 / e.gain) if rng.random() < 0.5
+        else Edge(new_id[e.id], e.tail, e.head, e.gain)
+        for e in g.edges
+    ]
+    h = GainGraph(g.num_vertices, tuple(sorted(edges, key=lambda e: e.id)))
+    slot = flats(g).slot
+    assert flats(h).slot == {new_id[a]: s for a, s in slot.items()}
 
 
 def cliques(g: GainGraph) -> tuple[int, int]:
@@ -252,9 +303,18 @@ def check_flats(g) -> None:
     assert len(set(found)) == len(found)
     assert set(found) == set(helpers.flats(g.n, helpers.dependent_3sets(g)))
     assert all(ends == g.edge(a).ends() for a, ends in index.ends.items())
+    # each bundle of two or more links has slots 0..b-1 in the order of its
+    # gains read from its lower end; no other edge has a slot
+    bundles = [bundle for bundle in g.link_map.values() if len(bundle) > 1]
+    assert sorted(index.slot) == sorted(e.id for bundle in bundles for e in bundle)
+    for bundle in bundles:
+        ordered = sorted(bundle, key=lambda e: index.slot[e.id])
+        assert [index.slot[e.id] for e in ordered] == list(range(len(bundle)))
+        gains = [e.gain if e.tail < e.head else 1 / e.gain for e in ordered]
+        assert all(map(lt, gains, gains[1:]))
 
 
-@pytest.mark.parametrize("g", FAMILIES + data_graphs())
+@pytest.mark.parametrize("g", FAMILIES + SCRAMBLED + KEY_CASES + data_graphs())
 def test_flats_match_dependent_3sets_on_families_and_data(g):
     if validate(g).passes("H4", "H5"):
         check_flats(g)
