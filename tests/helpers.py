@@ -5,14 +5,19 @@ checked against live here.
 
 * File format: :data:`INTEGER` is the integer grammar of graph files as a
   regular expression, the oracle for the token checks of
-  :func:`falkkit.graphs.parse`.
+  :func:`falkkit.graphs.parse`.  :func:`reorder_edge_lines` rewrites a
+  graph file with its edge lines in another order.
+* Graph maps: :func:`three_pass_maps` builds ``link_map``, ``loop_map``
+  and ``gain_groups`` one pass each, by their definitions, the oracle for
+  the library's one builder.
 * Test data: :func:`random_gain_graph` samples H1-H5 graphs from
   :data:`RANDOM_GAINS`; :func:`switch` regauges the gains by a vertex
   function and :func:`with_reversed_edge` stores one edge the other way
   round, the two moves every invariant must survive; :func:`scrambled`
   makes both at random and shuffles the edge ids too.
   :func:`triangulated_grid` is a graphic arrangement with many triangles
-  and no larger pattern.
+  and no larger pattern, and :func:`doubling_triangle` three bundles
+  whose flats hold a number of triangles cubic in their size.
   :func:`pattern_rich_hosts` embeds switched copies of every excess
   pattern into random H1-H5 hosts.
 * Circles: :func:`brute_circle_sets` enumerates circles by depth-first
@@ -105,6 +110,42 @@ def load_graph(name: str) -> GainGraph:
     return parse((DATA / name).read_text())
 
 
+def reorder_edge_lines(text: str, order) -> str:
+    """``text`` with its ``edge`` lines put in the order ``order`` returns
+    for their list, after every other line."""
+    lines = text.splitlines()
+    edge_lines = [line for line in lines if line.split()[:1] == ["edge"]]
+    rest = [line for line in lines if line.split()[:1] != ["edge"]]
+    return "\n".join(rest + list(order(edge_lines))) + "\n"
+
+
+def three_pass_maps(g: GainGraph) -> tuple[dict, dict, dict]:
+    """``g.link_map``, ``g.loop_map`` and ``g.gain_groups`` by their
+    definitions, one pass each over ``g.edges``: links grouped by
+    :meth:`~falkkit.graphs.Edge.ends`, loops by vertex, and each bundle's
+    links by their gain read from its lower end as a reduced
+    (numerator, denominator) pair, found with ``Fraction`` arithmetic."""
+    links: dict[tuple[int, int], list[Edge]] = {}
+    for e in g.edges:
+        if not e.is_loop:
+            links.setdefault(e.ends(), []).append(e)
+    loops: dict[int, list[Edge]] = {}
+    for e in g.edges:
+        if e.is_loop:
+            loops.setdefault(e.tail, []).append(e)
+    groups: dict[tuple[int, int], dict[tuple[int, int], list[Edge]]] = {}
+    for (u, v), bundle in links.items():
+        groups[u, v] = {}
+        for e in bundle:
+            gain = e.gain if e.tail == u else 1 / e.gain
+            groups[u, v].setdefault((gain.numerator, gain.denominator), []).append(e)
+    return (
+        {pair: tuple(es) for pair, es in links.items()},
+        {v: tuple(es) for v, es in loops.items()},
+        groups,
+    )
+
+
 def braid(m: int) -> GainGraph:
     """K_m with every gain 1: the braid arrangement."""
     return GainGraph.from_edge_list(m, [(u, v, 1) for u, v in itertools.combinations(range(1, m + 1), 2)])
@@ -130,6 +171,14 @@ def looped_hub(m: int) -> GainGraph:
     spoke's flat holds the loop, so the loop's neighbourhood is the graph."""
     spokes = [(1, s, x) for s in range(2, m + 2) for x in (1, 2, 3)]
     return GainGraph.from_edge_list(m + 1, [(1, 1, 2), *spokes])
+
+
+def doubling_triangle(m: int) -> GainGraph:
+    """Three bundles of m links on one triangle, with gains 2^0 .. 2^(m-1):
+    H3 fails and H4 and H5 hold.  The links 2^a on (1, 2) and 2^b on (2, 3)
+    close a balanced 3-circle with 2^(a+b) on (1, 3) when a + b < m."""
+    bundles = ((1, 2), (2, 3), (1, 3))
+    return GainGraph.from_edge_list(3, [(u, v, 2**k) for u, v in bundles for k in range(m)])
 
 
 def triangulated_grid(side: int) -> GainGraph:

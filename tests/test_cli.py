@@ -12,8 +12,8 @@ from falkkit import arrangement, cli, exterior, falk, patterns
 from falkkit.arrangement import MAX_NORMAL_ENTRIES
 from falkkit.cli import main
 from falkkit.falk import Run
-from falkkit.graphs import MAX_WITNESSES, GraphTooLargeError
-from helpers import DATA, load_graph, seeded_graphs
+from falkkit.graphs import MAX_WITNESSES, GraphTooLargeError, serialize
+from helpers import DATA, doubling_triangle, load_graph, seeded_graphs
 from test_golden_report import FORMS
 
 FINAL = str(DATA / "final_example.gg")
@@ -393,6 +393,37 @@ def test_report_refuses_the_rank_route_before_splitting_the_flats(capsys, monkey
     code, out, err = run(capsys, "report", FINAL, "--json")
     assert (code, out) == (1, "")
     assert err == "falkkit: refused: rank route has 53 rows to eliminate, more than 52\n"
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_triangles_refuses_above_the_triangle_bound(capsys, tmp_path, flags):
+    # 3*C(100, 3) = 485 100 triples of the bundles and 5 050 balanced
+    # 3-circles (one per a + b < 100): counted before any is built
+    path = tmp_path / "bundles.gg"
+    path.write_text(serialize(doubling_triangle(100)))
+    started = time.perf_counter()
+    code, out, err = run(capsys, "triangles", str(path), *flags)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"falkkit: refused: triangle list has 490150 triangles, "
+        f"more than {patterns.MAX_TRIANGLES}\n"
+    )
+    assert time.perf_counter() - started < 5
+
+
+def test_the_triangle_bound_refuses_report_and_triangles_only(capsys, monkeypatch):
+    # final_example.gg has 13 triangles
+    monkeypatch.setattr(patterns, "MAX_TRIANGLES", 12)
+    for command in [("triangles",), ("report",), ("triangles", "--json"), ("report", "--json")]:
+        code, out, err = run(capsys, *command[:1], FINAL, *command[1:])
+        assert (code, out) == (1, ""), command
+        assert err == "falkkit: refused: triangle list has 13 triangles, more than 12\n"
+    for command in [("phi3",), ("counts",), ("rank-f3",), ("check",), ("realize",)]:
+        code, _, err = run(capsys, command[0], FINAL)
+        assert (code, err) == (0, ""), command
+    monkeypatch.setattr(patterns, "MAX_TRIANGLES", 13)
+    code, out, _ = run(capsys, "triangles", FINAL)
+    assert (code, out.splitlines()[-1]) == (0, "total: 13")
 
 
 def test_the_census_builds_no_triangle(capsys, monkeypatch):

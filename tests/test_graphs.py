@@ -1,5 +1,9 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -23,9 +27,13 @@ from helpers import (
     brute_circle_sets,
     circle_balance,
     load_graph,
+    regime_graphs,
+    reorder_edge_lines,
     scrambled,
     seeded_graphs,
     switch,
+    three_pass_maps,
+    type_b,
     with_reversed_edge,
 )
 
@@ -330,6 +338,111 @@ def test_gain_groups_read_each_link_from_the_smaller_end():
     assert ids == {(1, 2): {(2, 1): [1, 2]}, (1, 3): {(-1, 3): [3, 4], (5, 1): [5]}}
     assert list(ids[1, 3]) == [(-1, 3), (5, 1)]  # in the order of their first links
     assert validate(g).h4.witnesses == (frozenset({1, 2}), frozenset({3, 4}))
+
+
+# ---------------------------------------------------------------------------
+# the one builder of the maps
+
+
+def parsable_data():
+    """The bundled graph files that parse, by name."""
+    out = {}
+    for path in sorted(DATA.glob("*.gg")):
+        try:
+            out[path.name] = parse(path.read_text())
+        except GraphFormatError:
+            pass
+    return out
+
+
+def map_graphs():
+    cases = [pytest.param(g, id=name) for name, g in parsable_data().items()]
+    cases += [pytest.param(g, id=f"seeded{i}") for i, g in enumerate(seeded_graphs(20, seed=3030))]
+    rng = random.Random(3031)
+    cases += [pytest.param(g, id=f"regime{i}") for i, g in enumerate(regime_graphs(rng, 60))]
+    cases += [pytest.param(scrambled(type_b(4), random.Random(3032)), id="scrambled_b4")]
+    # stored out of id order: the maps follow the stored order
+    g = balanced_triangle()
+    cases += [pytest.param(GainGraph(3, g.edges[::-1]), id="stored_backwards")]
+    return cases
+
+
+def map_items(g):
+    """The three maps as nested item lists, so that == checks their order too."""
+    links, loops, groups = g.link_map, g.loop_map, g.gain_groups
+    return (
+        list(links.items()),
+        list(loops.items()),
+        [(pair, list(by_gain.items())) for pair, by_gain in groups.items()],
+    )
+
+
+@pytest.mark.parametrize("g", map_graphs())
+def test_one_pass_builds_the_maps_of_their_definitions(g):
+    links, loops, groups = three_pass_maps(g)
+    assert map_items(g) == (
+        list(links.items()),
+        list(loops.items()),
+        [(pair, list(by_gain.items())) for pair, by_gain in groups.items()],
+    )
+    assert g.edge_ends == {e.id: e.ends() for e in g.edges}
+
+
+def test_the_regime_corpus_breaks_h1_to_h3():
+    failing = {name for g in regime_graphs(random.Random(3031), 60) for name in validate(g).failing()}
+    assert {"H1", "H2", "H3"} <= failing
+
+
+@pytest.mark.parametrize("name", sorted(parsable_data()))
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_edge_line_order_gives_an_equal_graph_and_equal_maps(name, order):
+    text = (DATA / name).read_text()
+    rng = random.Random(name)
+    moves = {"reversed": lambda ls: ls[::-1], "shuffled": lambda ls: rng.sample(ls, len(ls))}
+    g, h = parse(text), parse(reorder_edge_lines(text, moves[order]))
+    assert h == g
+    assert map_items(h) == map_items(g)
+    assert list(h.edge_ends.items()) == list(g.edge_ends.items())
+
+
+def test_edge_is_a_frozen_value():
+    e = Edge(1, 2, 3, Fraction(1, 2))
+    for name in ("id", "tail", "head", "gain", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(e, name, 5)
+    for name in ("id", "tail", "head", "gain"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(e, name)
+    same = [
+        Edge(id=1, tail=2, head=3, gain=Fraction(1, 2)),
+        Edge(1, 2, head=3, gain=Fraction(1, 2)),
+        copy.copy(e),
+        copy.deepcopy(e),
+        pickle.loads(pickle.dumps(e)),
+        dataclasses.replace(Edge(1, 2, 3, Fraction(5)), gain=Fraction(1, 2)),
+    ]
+    for f in same:
+        assert f == e and hash(f) == hash(e)
+    for f in (Edge(9, 2, 3, Fraction(1, 2)), Edge(1, 3, 2, Fraction(1, 2)), Edge(1, 2, 3, Fraction(2))):
+        assert f != e
+    assert e != (1, 2, 3, Fraction(1, 2))
+    assert len({e, *same}) == 1
+    assert (e.id, e.tail, e.head, e.gain) == dataclasses.astuple(e) == (1, 2, 3, Fraction(1, 2))
+    assert [f.name for f in dataclasses.fields(Edge)] == ["id", "tail", "head", "gain"]
+    assert repr(e) == "Edge(id=1, tail=2, head=3, gain=Fraction(1, 2))"
+    assert weakref.ref(e)() is e
+    with pytest.raises(TypeError):
+        Edge(1, 2, 3)
+
+
+def test_switch_and_reversal_still_build_edges():
+    g = GainGraph.from_edge_list(3, [(1, 2, 2), (2, 3, "1/3"), (3, 3, -1)])
+    switched = switch(g, {1: 2, 2: 1, 3: 1})
+    assert switched.edges == (
+        Edge(1, 1, 2, Fraction(1)), Edge(2, 2, 3, Fraction(1, 3)), Edge(3, 3, 3, Fraction(-1))
+    )
+    assert with_reversed_edge(g, 2).edge(2) == Edge(2, 3, 2, Fraction(3))
+    assert all(type(e) is Edge for e in switched.edges + with_reversed_edge(g, 1).edges)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 import itertools
+import math
 import random
 
 import pytest
 
-from falkkit.graphs import GainGraph, HypothesisError, all_circles_small, validate
+from falkkit.graphs import GainGraph, GraphTooLargeError, HypothesisError, all_circles_small, validate
 from falkkit.patterns import (
+    MAX_TRIANGLES,
     PatternCounts,
     TriangleKind,
+    _triangles,
     atlas,
     count_patterns,
     flats,
@@ -20,6 +23,7 @@ from helpers import (
     braid,
     circle_balance,
     dependent_3sets,
+    doubling_triangle,
     find_occurrences,
     induced_subgraph,
     load_graph,
@@ -27,6 +31,7 @@ from helpers import (
     scrambled,
     seeded_graphs,
     switch,
+    triangulated_grid,
     type_b,
     type_d,
     with_reversed_edge,
@@ -118,6 +123,20 @@ def _sparse_mixed_gain_graph(rng: random.Random, num_vertices: int) -> GainGraph
             return switch(g, {v: rng.choice(RANDOM_GAINS) for v in verts})
 
 
+def test_the_triangle_bound_admits_the_data_the_families_and_the_grids():
+    # every flat of a triangulated grid is a triangle, two per square, so
+    # the 200x200 grid has 2 * 199^2; the closed form is checked on 12x12
+    assert 2 * 199**2 <= MAX_TRIANGLES
+    graphs = [triangulated_grid(12), braid(11), type_d(7), type_b(6)]
+    names = [path.name for path in sorted(helpers.DATA.glob("*.gg")) if path.name != "bad_zero_gain.gg"]
+    graphs += [g for g in map(load_graph, names) if validate(g).passes("H4", "H5")]
+    for g in graphs:
+        index = flats(g)
+        count = sum(math.comb(len(flat), 3) for flat in helpers.flat_list(index))
+        assert len(_triangles(index)) == count <= MAX_TRIANGLES
+    assert len(triangles(triangulated_grid(12))) == 2 * 11**2
+
+
 def test_triangles_on_sparse_many_vertex_mixed_gain_graphs():
     rng = random.Random(20202)
     balance_seen, kinds_seen = set(), set()
@@ -152,12 +171,14 @@ def test_triangles_on_type_b(m):
         assert t.kind is _shape_kind(g, t.edge_ids), t
 
 
-def doubling_triangle(m):
-    """Three bundles of m links on one triangle, with gains 2^0 .. 2^(m-1):
-    H3 fails and H4 and H5 hold.  The links 2^a on (1, 2) and 2^b on (2, 3)
-    close a balanced 3-circle with 2^(a+b) on (1, 3) when a + b < m."""
-    bundles = ((1, 2), (2, 3), (1, 3))
-    return GainGraph.from_edge_list(3, [(u, v, 2**k) for u, v in bundles for k in range(m)])
+def test_triangles_refuses_above_the_bound_before_splitting_a_flat(monkeypatch):
+    # 3*C(100, 3) triples of the bundles and 5 050 balanced 3-circles
+    def split(*args):
+        raise AssertionError("a flat was split")
+
+    monkeypatch.setattr(itertools, "combinations", split)
+    with pytest.raises(GraphTooLargeError, match="^triangle list has 490150 triangles, more than"):
+        triangles(doubling_triangle(100))
 
 
 def test_flats_of_wide_bundles_match_the_dependent_triples():
