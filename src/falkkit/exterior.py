@@ -61,9 +61,12 @@ one.  Write I_X for the span of the boundaries e_jk - e_ik + e_ij of the
   (a in X and Y, b in X and Z, t in Y and Z); W is the union of the
   vertex sets of any two of them, so |W| is 3 or 4, and W is made twice,
   from two shared edges, unless X, Y and Z lie on one vertex set.  Only
-  those W are candidates.  A group's rows depend only on the flats on
-  subsets of W and the ends of their edges.  The key of W lists, for each
-  subset of sorted W that carries flats, its positions and those flats,
+  those W, and the vertex sets that hold three flats, are candidates, and
+  a candidate whose group counts no kept row is dropped.  A graph with
+  fewer than three flats has no candidate.  A group's rows depend only on
+  the flats on subsets of W and the ends of their edges.  The key of W
+  lists, for each subset of sorted W that carries flats, its positions and
+  all of those flats,
   each edge relabelled by the positions of its ends in the subset and its
   slot (:class:`~falkkit.graphs.FlatIndex`): its place among the links
   of its bundle in the order of their gains read from the lower end, and
@@ -103,8 +106,10 @@ lie in N(a) and N(b) for two edges a != b of X, where N(a) is the union of
 the group's flats through a, and whose ends hold the vertices of W that X
 misses: set intersections over ints only, less the largest N(a) of X, which
 is only intersected with the others' union, and & walks the smaller set.
-The groups are found from the index's vertex sets, each with its flats
-that hold two edges each in another flat, and the ends of their edges.
+The groups are read off the index's vertex sets as they are, each with
+all of its flats and the ends of their edges: a flat through t and a is
+what puts a in A, so the kept t found this way are G_kept's by
+definition, and no flat needs to be filtered out first.
 The rows of the kept blocks are written out directly: each basis triple
 i < j < k times each kept e_t, case by case on where t falls relative to
 i < j < k.  A column is a lexicographic int code,
@@ -133,8 +138,10 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .graphs import Flat, FlatIndex, GraphTooLargeError
 
-#: most rows of G_kept that :func:`rank_fields` writes out and eliminates; the
-#: braid arrangement K_28 has 245 700, which take about 1 s and 150 MB
+#: most rows of G_kept, over all its groups, that :func:`rank_fields` accepts;
+#: the braid arrangement K_28 has 245 700 in C(28, 4) groups of one key, so
+#: one 12-row group is eliminated, and ``report --json`` on it takes about
+#: 0.3 s and 23 MB (CPython 3.11, 2-core VM)
 MAX_KEPT_ROWS = 250_000
 
 
@@ -207,27 +214,16 @@ def _kept_groups(
     have that key, and for one of them W, its flats in increasing order,
     each with its vertex set (what :func:`_group_kept` reads), and its
     number of rows."""
-    # each of t, a and b of a kept block lies in two of its flats X, Y, Z,
-    # and each of these holds two of them
-    seen: set[int] = set()
-    shared: set[int] = set()
-    for xs in index.by_verts.values():
-        for flat in xs:
-            shared.update(seen.intersection(flat))
-            seen.update(flat)
-    if len(shared) < 3:
+    by_verts = index.by_verts
+    # a kept block takes three flats
+    if sum(map(len, by_verts.values())) < 3:
         return []
-    live: dict[tuple[int, ...], tuple[Flat, ...]] = {}
-    for vs, xs in index.by_verts.items():
-        kept = tuple(flat for flat in xs if len(shared.intersection(flat)) > 1)
-        if kept:
-            live[vs] = kept
     # vertex sets, and the W made of two, are sorted tuples: tuples of ints
     # drop out of the cyclic garbage collector's view, where as many sets
     # would make it sweep the whole heap again and again on a large grid
     ends, slot = index.ends, index.slot
     through: dict[int, tuple[tuple[int, ...], ...]] = {}
-    for vs, xs in live.items():
+    for vs, xs in by_verts.items():
         for flat in xs:
             for a in flat:
                 sets = through.get(a)
@@ -242,7 +238,7 @@ def _kept_groups(
         for p, q in itertools.combinations(sets, 2)
     )
     candidates = {w for w, count in made.items() if count > 1}
-    candidates.update(vs for vs, xs in live.items() if len(xs) > 2)
+    candidates.update(vs for vs, xs in by_verts.items() if len(xs) > 2)
     if not candidates:
         return []
     # an edge's label: its slot, its place by gain in its bundle, and the
@@ -250,7 +246,7 @@ def _kept_groups(
     # a vertex set's flats as a tuple of labels each, named by a small int
     code_of: dict[tuple, int] = {}
     codes: dict[tuple[int, ...], int] = {}
-    for vs, xs in live.items():
+    for vs, xs in by_verts.items():
         bit = {v: 1 << i for i, v in enumerate(vs)}
         shift = len(vs)
         shape = tuple(sorted(
@@ -260,16 +256,15 @@ def _kept_groups(
             for flat in xs
         ))
         codes[vs] = code_of.setdefault(shape, len(code_of))
-    sizes = sorted({len(vs) for vs in live})
     groups: dict[tuple, list] = {}
     for w in candidates:
         subsets = [
             (pos, vs)
-            for size in sizes if size <= len(w)
+            for size in (2, 3)
             for pos, vs in zip(
                 itertools.combinations(range(len(w)), size), itertools.combinations(w, size)
             )
-            if vs in live
+            if vs in by_verts
         ]
         key = (len(w), *((pos, codes[vs]) for pos, vs in subsets))
         group = groups.get(key)
@@ -279,7 +274,7 @@ def _kept_groups(
             group[0] += 1
     out = []
     for multiplicity, w, subsets in groups.values():
-        members = sorted((flat, vs) for vs in subsets for flat in live[vs])
+        members = sorted((flat, vs) for vs in subsets for flat in by_verts[vs])
         # counted only: the kept t are written out once the bound is checked
         size = sum(comb(len(x) - 1, 2) * len(ts) for x, ts in _group_kept(w, members, ends))
         if size:

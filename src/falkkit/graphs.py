@@ -348,12 +348,18 @@ def parse(text: str) -> GainGraph:
     Blank lines and ``#`` comments are ignored.  The first significant line is
     ``graph <V>`` with V >= 1, followed by one ``edge <id> <tail> <head> <gain>``
     line per edge (ids 1..n in any order, gains written ``p`` or ``p/q``).
-    Every integer is ASCII: an optional sign, then the digits 0-9.
+    Every integer is ASCII: an optional sign, then the digits 0-9.  Lines
+    end at ``\\n``, ``\\r\\n`` and ``\\r`` only, as a text-mode ``open`` reads
+    them; the other line boundaries of :meth:`str.splitlines` (``\\v``,
+    ``\\f``, ``\\x1c``-``\\x1e``, U+0085, U+2028, U+2029) are whitespace
+    inside a line.
     """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     num_vertices: int | None = None
     edges: dict[int, Edge] = {}
     gains: dict[str, Fraction] = {}  # one Fraction per distinct gain token
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         fields = raw.split()  # splits on the whitespace str.strip() strips
         if not fields or fields[0][0] == "#":
             continue

@@ -18,11 +18,12 @@ H1-H5 the triangles are exactly the rank-2 flats of size three.
 rank route and the census read its index, the flats grouped by the
 vertex set they cover, their edges' ends and the places of each bundle's
 links in the order of their gains (:attr:`~falkkit.graphs.FlatIndex.slot`,
-which only the rank route reads); :func:`triangles` splits the flats into
-their 3-subsets, an output view.  The atlas below fixes one
-rational-gain realization per distinguished biased graph together with
-its distinguished 3-edge circle class; the tests check that the triangle
-census of every realization reproduces its class.
+which orders the census's local types and labels the rank route's keys);
+:func:`triangles` splits the flats into their 3-subsets, an output view.
+The atlas below fixes one rational-gain realization per distinguished
+biased graph together with its distinguished 3-edge circle class; the
+tests check that the triangle census of every realization reproduces its
+class.
 
 Occurrences are concrete edge subsets, not isomorphism classes, and
 containment exclusions follow the count definitions: a D3 or Gcirc
@@ -42,8 +43,9 @@ pattern is skipped: an occurrence's inside triangles are exactly its |D|
 distinguished ones.  Any other triple is read once into its local type
 (:func:`_local_type`): the edges of its triangles, the only edges an
 occurrence on it can hold, classed into its three bundles and three loop
-sets by their ends in the index, and its triangles as sets of slots in
-them, which under H4 fix its local biased graph on those edges.  Its counts
+sets by their ends in the index and ordered in each by their slots in the
+index, and its triangles as sets of their places in that order, which
+under H4 fix its local biased graph on those edges.  Its counts
 come from the sub-multigraphs of the local type shaped like each pattern
 whose triangles are the distinguished triples
 (:func:`_triple_occurrences`), the library's only biased-isomorphism
@@ -382,7 +384,7 @@ def _census(index: FlatIndex) -> PatternCounts:
         ]
         if len(inside) < fewest:
             continue
-        local, _ = _local_type(index.ends, verts, inside)
+        local, _ = _local_type(index, verts, inside)
         if local not in memo:
             memo[local] = _local_counts(local, searched)
         counts.update(memo[local])
@@ -434,40 +436,34 @@ LocalType = tuple[tuple[int, ...], frozenset[frozenset[int]]]
 
 
 def _local_type(
-    ends: Mapping[int, tuple[int, int]], verts: Sequence[int], inside: Sequence[frozenset[int]]
+    index: FlatIndex, verts: Sequence[int], inside: Sequence[frozenset[int]]
 ) -> tuple[LocalType, list[int]]:
     """The local type of the triple ``verts`` (sorted), given ``inside``, the
     edge sets of its triangles on two or three of ``verts``, and the
-    ``ends`` of their edges; and its edge ids in slot order.
+    ``index`` they come from; and its edge ids in slot order.
 
     Its edges are those of its triangles: every searched pattern's
     distinguished triples cover its edges, so an edge in no triangle of the
-    triple lies in no occurrence on it.  The edges of each class of
-    :data:`_CLASSES` take consecutive slots, the classes in that order.
-    Loops and the links of the first two bundles take theirs by id; the
-    links of the last bundle, (verts[1], verts[2]), by the slot pairs of
-    the balanced 3-circles they close with the other two, then by id, so
-    that every triple of D_m has one type.  Under H4 a biased graph on
-    three vertices is fixed by its multigraph and its balanced circles,
-    which are the 3-circles among its triangles, so equal local types mean
-    identical biased graphs on the edges of the triangles.
+    triple lies in no occurrence on it.  They are classed by their ends in
+    the index, and the edges of each class of :data:`_CLASSES` take
+    consecutive slots, the classes in that order, and within a class in
+    the order of :attr:`~falkkit.graphs.FlatIndex.slot`: under H4 the links
+    of a bundle have distinct slots, and under H5 a loop class holds one
+    edge.  So the type depends on the gains read from each bundle's lower
+    end and not on the edge ids or the way the edges are stored, and every
+    triple of D_m has one type.  Under H4 a biased graph on three vertices
+    is fixed by its multigraph and its balanced circles, which are the
+    3-circles among its triangles, so equal local types mean identical
+    biased graphs on the edges of the triangles.
     """
     class_of = {(verts[x], verts[y]): c for c, (x, y) in enumerate(_CLASSES)}
     classes: list[list[int]] = [[] for _ in _CLASSES]
-    for i in sorted(set().union(*inside)):
-        classes[class_of[ends[i]]].append(i)
-    slot = {i: k for k, i in enumerate(classes[0] + classes[1])}
-    closes: dict[int, list[list[int]]] = {z: [] for z in classes[2]}
-    for t in inside:
-        pair = sorted([slot[i] for i in t if i in slot])
-        for z in t:
-            if z in closes and len(pair) == 2:  # a balanced 3-circle
-                closes[z].append(pair)
-    classes[2].sort(key=lambda z: (sorted(closes[z]), z))
-    for i in itertools.chain(*classes[2:]):
-        slot[i] = len(slot)
+    for i in set().union(*inside):
+        classes[class_of[index.ends[i]]].append(i)
+    order = [i for c in classes for i in sorted(c, key=lambda i: index.slot.get(i, 0))]
+    slot = {i: k for k, i in enumerate(order)}
     sizes = tuple(map(len, classes))
-    return (sizes, frozenset([frozenset([slot[i] for i in t]) for t in inside])), list(slot)
+    return (sizes, frozenset([frozenset([slot[i] for i in t]) for t in inside])), order
 
 
 def _local_counts(local: LocalType, searched: Sequence[Pattern]) -> dict[str, int]:

@@ -69,8 +69,7 @@ checked against live here.
   ordered tuple of host vertices, with the pattern by that decider, as an
   :func:`induced_subgraph`.  It is the oracle for the census's per-triple
   search (:func:`falkkit.patterns._triple_occurrences`), its K4 join and
-  its counts, H1-H3 failures included.  :func:`edge_ends` gives the ends
-  the census's local type reads, for every edge of a graph.
+  its counts, H1-H3 failures included.
 """
 
 from __future__ import annotations
@@ -270,9 +269,12 @@ def switch(g: GainGraph, lam: Mapping[int, object]) -> GainGraph:
     return GainGraph(g.num_vertices, edges)
 
 
-def random_switching(g: GainGraph, rng: random.Random) -> dict[int, object]:
-    """A reproducible switching function with values from the generator pool."""
-    return {v: rng.choice(RANDOM_GAINS) for v in g.vertices}
+def random_switching(
+    g: GainGraph, rng: random.Random, values: Sequence = RANDOM_GAINS
+) -> dict[int, object]:
+    """A reproducible switching function with values from ``values``, by
+    default the generator pool."""
+    return {v: rng.choice(values) for v in g.vertices}
 
 
 def with_reversed_edge(g: GainGraph, edge_id: int) -> GainGraph:
@@ -339,10 +341,11 @@ PAPPUS_GRAPHS = {
 }
 
 
-def scrambled(g: GainGraph, rng: random.Random) -> GainGraph:
-    """``g`` under a random switching from the pool, with each edge stored
-    the other way round at random and the edge ids shuffled."""
-    h = switch(g, random_switching(g, rng))
+def scrambled(g: GainGraph, rng: random.Random, values: Sequence = RANDOM_GAINS) -> GainGraph:
+    """``g`` under a random switching with values from ``values`` (by
+    default the pool), with each edge stored the other way round at random
+    and the edge ids shuffled."""
+    h = switch(g, random_switching(g, rng, values))
     triples = [
         (e.head, e.tail, 1 / e.gain) if rng.random() < 0.5 else (e.tail, e.head, e.gain)
         for e in h.edges
@@ -798,12 +801,6 @@ def one_vertex_set(flats: Iterable[Flat]) -> FlatIndex:
 def flat_list(index: FlatIndex) -> list[Flat]:
     """The flats of an index, in lexicographic order."""
     return sorted(flat for xs in index.by_verts.values() for flat in xs)
-
-
-def edge_ends(g: GainGraph) -> dict[int, tuple[int, int]]:
-    """The ends of every edge of ``g``, as :meth:`falkkit.graphs.Edge.ends`
-    gives them."""
-    return {e.id: e.ends() for e in g.edges}
 
 
 def recorded_rows(monkeypatch, compute) -> tuple[list[list[dict]], object]:

@@ -30,12 +30,13 @@ from falkkit.patterns import (
     _triple_occurrences,
     atlas,
     count_patterns,
+    flats,
     triangles,
 )
 from helpers import (
     PAPPUS_GRAPHS,
+    RANDOM_GAINS,
     braid,
-    edge_ends,
     enriched_pattern_host,
     find_occurrences,
     pattern_rich_hosts,
@@ -141,13 +142,13 @@ def test_triple_search_matches_vertex_tuple_oracle(cases, nonzero, request):
         for t in triangles(g):
             inside[spanned(g, t.edge_ids)].append(frozenset(t.edge_ids))
         triples = balanced_circle_triples(g)
-        ends = edge_ends(g)
+        flat_index = flats(g)
         for name in PER_TRIPLE:
             pattern = atlas()[name]
             found = set()
             for verts in triples:
                 given = [t for span, ts in inside.items() if span <= verts for t in ts]
-                local, order = _local_type(ends, sorted(verts), given)
+                local, order = _local_type(flat_index, sorted(verts), given)
                 occ = {frozenset(order[k] for k in o) for o in _triple_occurrences(local, pattern)}
                 assert occ == {o for o in expected[name] if spanned(g, o) == verts}, (index, name)
                 found |= occ
@@ -184,14 +185,14 @@ def test_a_link_in_no_triangle_leaves_the_local_type():
         ref = atlas()[name].reference
         spec = [(e.tail, e.head, e.gain) for e in ref.edges]
         inside = [frozenset(t.edge_ids) for t in triangles(ref)]
-        before = _local_type(edge_ends(ref), (1, 2, 3), inside)
+        before = _local_type(flats(ref), (1, 2, 3), inside)
         for u, v in itertools.combinations((1, 2, 3), 2):
             # no balanced 3-circle closes through a gain of 7 here
             g = GainGraph.from_edge_list(3, [*spec, (u, v, 7)])
             if [frozenset(t.edge_ids) for t in triangles(g)] != inside:
                 continue  # the link made a two-vertex flat of three
             added += 1
-            assert _local_type(edge_ends(g), (1, 2, 3), inside) == before, (name, u, v)
+            assert _local_type(flats(g), (1, 2, 3), inside) == before, (name, u, v)
             assert count_patterns(g) == count_patterns(ref), (name, u, v)
     assert added >= 4
 
@@ -260,15 +261,15 @@ def balanced_circle_triples(g: GainGraph) -> set[frozenset[int]]:
 
 
 def test_census_walks_stay_local_and_the_memo_hits(hosts, monkeypatch):
-    # every local type is read from the host graph's own edge ends, on the
+    # every local type is read from the host graph's own flat index, on the
     # triple of one balanced 3-circle, given only the triangles inside that
     # triple; the search reads the local type alone
     read = []
     handed = []
 
-    def reading(ends, verts, inside):
-        read.append((ends, verts, inside))
-        return _local_type(ends, verts, inside)
+    def reading(index, verts, inside):
+        read.append((index, verts, inside))
+        return _local_type(index, verts, inside)
 
     def recording(local, pattern):
         handed.append(local)
@@ -280,9 +281,9 @@ def test_census_walks_stay_local_and_the_memo_hits(hosts, monkeypatch):
         read.clear()
         count_patterns(host)
         triples = balanced_circle_triples(host)
-        ends = edge_ends(host)
+        index = flats(host)
         for given, verts, inside in read:
-            assert given == ends
+            assert given == index
             assert frozenset(verts) in triples
             assert all(spanned(host, t) <= frozenset(verts) for t in inside)
     assert handed
@@ -300,6 +301,40 @@ def test_census_walks_stay_local_and_the_memo_hits(hosts, monkeypatch):
     for _, g in pattern_rich_hosts():
         count_patterns(g)
     assert len(handed) <= 91 * len(PER_TRIPLE)
+
+
+#: positive switching values: they keep the order of every bundle's gains
+POSITIVE_GAINS = tuple(x for x in RANDOM_GAINS if x > 0)
+
+
+def test_local_types_do_not_depend_on_edge_ids(monkeypatch):
+    # the census keys each triple by slots in gain order, so renumbering the
+    # edges, storing them the other way round and switching by positive
+    # values keep every triple's local type; a negative value may reverse a
+    # bundle's order, which keeps the counts but not the type
+    typed = []
+
+    def recording(index, verts, inside):
+        result = _local_type(index, verts, inside)
+        typed.append(result[0])
+        return result
+
+    def local_types(g):
+        typed.clear()
+        count_patterns(g)
+        return Counter(typed)
+
+    monkeypatch.setattr(patterns, "_local_type", recording)
+    graphs = [g for _, g in pattern_rich_hosts() if validate(g).all_pass] + [type_d(6)]
+    rng = random.Random(SEED_SCRAMBLE)
+    changed = typed_copies = 0
+    for g in graphs:
+        types = local_types(g)
+        for _ in range(2):
+            changed += local_types(scrambled(g, rng, POSITIVE_GAINS)) != types
+            typed_copies += bool(types)
+    assert typed_copies > 100
+    assert changed == 0, f"{changed} of {typed_copies} copies change their local types"
 
 
 def test_census_skips_thin_sets_before_keying_them(monkeypatch):
@@ -337,7 +372,7 @@ def test_census_tells_sets_of_one_shape_apart():
         g = GainGraph.from_edge_list(3, group)
         inside = [frozenset(t.edge_ids) for t in triangles(g)]
         assert sum(len(spanned(g, t)) == 3 for t in inside) == 6
-        local, _ = _local_type(edge_ends(g), (1, 2, 3), inside)
+        local, _ = _local_type(flats(g), (1, 2, 3), inside)
         assert local[0] == (3, 3, 3, 0, 0, 0)
         nine_types.append(local)
     assert nine_types[0] not in nine_types[1:]

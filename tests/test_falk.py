@@ -31,7 +31,6 @@ from helpers import (
     braid,
     dependent_3sets,
     dim_I3_2_closed_form,
-    edge_ends,
     fraction_phi3,
     full_dim_I3_2,
     load_graph,
@@ -356,7 +355,7 @@ def test_census_equals_rank_on_three_vertices_but_for_the_pappus_graphs():
         inside = [frozenset(t.edge_ids) for t in triangles(g)]
         sizes = tuple(len(g.links_between(u, v)) for u, v in ((1, 2), (1, 3), (2, 3)))
         sizes += tuple(len(g.loops_at(v)) for v in (1, 2, 3))
-        local, _ = patterns._local_type(edge_ends(g), (1, 2, 3), inside)
+        local, _ = patterns._local_type(flats(g), (1, 2, 3), inside)
         types.setdefault((sizes, local), g)
     pappus = [GainGraph.from_edge_list(3, edges) for edges in PAPPUS_GRAPHS.values()]
     met = 0

@@ -174,6 +174,34 @@ def test_parse_ignores_comments_and_blank_lines():
     assert g.n == 0
 
 
+#: the line boundaries of str.splitlines that do not end a line of a graph file
+NOT_LINE_ENDS = ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+@pytest.mark.parametrize("separator", NOT_LINE_ENDS)
+def test_only_newlines_end_a_line(separator):
+    text = f"graph 3\n# gains from the paper{separator} section 4\nedge 1 1 2 1\n"
+    assert parse(text) == parse("graph 3\nedge 1 1 2 1\n")
+    with pytest.raises(GraphFormatError) as info:
+        parse(f"graph 3\n\nedge 1 1 2 1{separator}edge 2 2 3 1\n")
+    assert str(info.value) == "line 3: expected 'edge <id> <tail> <head> <gain>'"
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_crlf_and_cr_files_parse_as_lf_files(newline):
+    def outcome(text):
+        try:
+            return parse(text)
+        except GraphFormatError as exc:
+            return str(exc)
+
+    texts = [path.read_text() for path in sorted(DATA.glob("*.gg"))]
+    texts += ["# comment\n\ngraph 2\nedge 1 two 2 1\n", "graph 2\n\nedge 1 1 2 0\n"]
+    assert any(isinstance(outcome(text), str) for text in texts)
+    for text in texts:
+        assert outcome(text.replace("\n", newline)) == outcome(text)
+
+
 def test_serialize_round_trip(final_example):
     text = serialize(final_example)
     assert parse(text) == final_example

@@ -276,10 +276,15 @@ def cliques(g: GainGraph) -> tuple[int, int]:
 
 
 def test_triangulated_grid_keeps_no_rows_and_meets_the_graphic_formula(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the grid keyed a vertex set")
+
     g = triangulated_grid(12)
-    calls, phi3 = helpers.recorded_rows(monkeypatch, lambda: phi3_rank(g))
     # every flat is a triangle of the grid, and no outside edge meets two of
-    # its edges: nothing is ranked
+    # its edges: each W of two triangles is made by one shared edge only, so
+    # no W is keyed and nothing is ranked
+    monkeypatch.setattr(exterior, "_group_kept", forbidden)
+    calls, phi3 = helpers.recorded_rows(monkeypatch, lambda: phi3_rank(g))
     assert calls == []
     k3, k4 = cliques(g)
     assert (k3, k4) == (2 * 11 * 11, 0)
