@@ -252,7 +252,7 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        with open(args.path, encoding="utf-8") as handle:
+        with open(args.path, encoding="utf-8-sig") as handle:
             g = parse(handle.read())
     except OSError as exc:
         print(f"falkkit: error: {exc}", file=sys.stderr)

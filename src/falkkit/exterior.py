@@ -104,15 +104,15 @@ one.  Write I_X for the span of the boundaries e_jk - e_ik + e_ij of the
 The kept t of a flat X in the group of W are the edges outside X that
 lie in N(a) and N(b) for two edges a != b of X, where N(a) is the union of
 the group's flats through a, and whose ends hold the vertices of W that X
-misses: set intersections over ints only, less the largest N(a) of X, which
-is only intersected with the others' union, and & walks the smaller set.
+misses: set intersections over ints only, one pass over the a of X.
 The groups are read off the index's vertex sets as they are, each with
 all of its flats and the ends of their edges: a flat through t and a is
 what puts a in A, so the kept t found this way are G_kept's by
 definition, and no flat needs to be filtered out first.
 The rows of the kept blocks are written out directly: each basis triple
-i < j < k times each kept e_t, case by case on where t falls relative to
-i < j < k.  A column is a lexicographic int code,
+i < j < k times each kept e_t, term by term with one sign rule, e_t * e_ab
+(a < b) being e_tab, -e_atb or e_abt as t falls below a, between a and b,
+or above b.  A column is a lexicographic int code,
 (a*m + b)*m + c for e_abc with m = n + 1 larger than every edge id, so
 integer order is the lexicographic order of the index tuples.  The rows are
 eliminated last row first.  The pivot rows then keep about the three terms
@@ -130,7 +130,6 @@ dimension reported here is exact.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from collections import Counter
 from math import comb, gcd
 from operator import lt
@@ -304,14 +303,10 @@ def _group_kept(
     for flat, vs in members:
         once: set[int] = set()
         twice: set[int] = set()
-        largest = linked[flat[0]]
-        for a in flat[1:]:
+        for a in flat:
             near = linked[a]
-            if len(near) > len(largest):
-                near, largest = largest, near
             twice |= once & near
             once |= near
-        twice |= once & largest
         twice.difference_update(flat)
         for v in ws:
             if v not in vs:
@@ -324,35 +319,28 @@ def _kept_rows(n: int, blocks: Iterable[tuple[Flat, Iterable[int]]]) -> list[dic
 
     For each flat X with x = min X and its kept t outside X (``blocks``
     pairs them, the t in any order), each basis triple (i, j, k) = (x, b, c)
-    with b < c in X, and each kept t in increasing order.
-    e_abc is coded (a*m + b)*m + c with m = n + 1.
+    with b < c in X, and each kept t in increasing order.  One sign rule
+    writes every term: e_t * e_ab with a < b is e_tab, -e_atb or e_abt as t
+    falls below a, between a and b, or above b.  e_abc is coded
+    (a*m + b)*m + c with m = n + 1.
     """
     m = n + 1
-    mm = m * m
     rows: list[dict[int, int]] = []
     for flat, outside in blocks:
-        if not outside:
-            continue
         outside = sorted(outside)
         i = flat[0]
-        below = bisect_left(outside, i)
-        tmm_below = [t * mm for t in outside[:below]]
         for j, k in itertools.combinations(flat[1:], 2):
-            ij, ik, jk = i * m + j, i * m + k, j * m + k
-            imj, imk, jmk = i * mm + j, i * mm + k, j * mm + k
-            ijm, ikm, jkm = ij * m, ik * m, jk * m
-            a = bisect_left(outside, j, below)
-            b = bisect_left(outside, k, a)
-            # t < i: e_tjk - e_tik + e_tij
-            rows.extend([{tmm + jk: 1, tmm + ik: -1, tmm + ij: 1} for tmm in tmm_below])
-            # i < t < j: e_tjk + e_itk - e_itj
-            rows.extend(
-                [{t * mm + jk: 1, imk + t * m: 1, imj + t * m: -1} for t in outside[below:a]]
-            )
-            # j < t < k: -e_jtk + e_itk + e_ijt
-            rows.extend([{jmk + t * m: -1, imk + t * m: 1, ijm + t: 1} for t in outside[a:b]])
-            # k < t: e_jkt - e_ikt + e_ijt
-            rows.extend([{jkm + t: 1, ikm + t: -1, ijm + t: 1} for t in outside[b:]])
+            terms = ((j, k, 1), (i, k, -1), (i, j, 1))
+            for t in outside:
+                row = {}
+                for a, b, sign in terms:
+                    if t < a:
+                        row[(t * m + a) * m + b] = sign
+                    elif t < b:
+                        row[(a * m + t) * m + b] = -sign
+                    else:
+                        row[(a * m + b) * m + t] = sign
+                rows.append(row)
     return rows
 
 

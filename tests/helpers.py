@@ -172,12 +172,16 @@ def looped_hub(m: int) -> GainGraph:
     return GainGraph.from_edge_list(m + 1, [(1, 1, 2), *spokes])
 
 
-def doubling_triangle(m: int) -> GainGraph:
-    """Three bundles of m links on one triangle, with gains 2^0 .. 2^(m-1):
-    H3 fails and H4 and H5 hold.  The links 2^a on (1, 2) and 2^b on (2, 3)
-    close a balanced 3-circle with 2^(a+b) on (1, 3) when a + b < m."""
+def doubling_triangle(m: int, loop: int | None = None) -> GainGraph:
+    """Three bundles of m links on one triangle, with gains 2^0 .. 2^(m-1),
+    and a loop of gain ``loop`` at every vertex when one is given: H3 fails
+    (with the loops, H1 and H2 too) and H4 and H5 hold.  The links 2^a on (1, 2) and 2^b on (2, 3) close a
+    balanced 3-circle with 2^(a+b) on (1, 3) when a + b < m; with the loops,
+    each bundle and the loops at its ends make one flat of m + 2 edges."""
     bundles = ((1, 2), (2, 3), (1, 3))
-    return GainGraph.from_edge_list(3, [(u, v, 2**k) for u, v in bundles for k in range(m)])
+    links = [(u, v, 2**k) for u, v in bundles for k in range(m)]
+    loops = [] if loop is None else [(v, v, loop) for v in (1, 2, 3)]
+    return GainGraph.from_edge_list(3, links + loops)
 
 
 def triangulated_grid(side: int) -> GainGraph:
@@ -724,7 +728,9 @@ def global_rows(n: int, flats: Iterable[Flat]) -> list[dict[int, int]]:
     with b < c in X, and each t = 1..n outside X in increasing order:
     sum_X C(|X|-1, 2)*(n - |X|) rows.  e_abc is coded (a*m + b)*m + c with
     m = n + 1.  The library writes only the kept blocks of G
-    (:func:`kept_global_rows`).
+    (:func:`kept_global_rows`).  This is the independent writer, four cases
+    on where t falls relative to i < j < k, that ``check_library_rows``
+    compares the library's one-sign-rule rows with, row by row.
     """
     m = n + 1
     mm = m * m

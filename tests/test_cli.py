@@ -1,3 +1,4 @@
+import codecs
 import json
 import os
 import shlex
@@ -14,7 +15,7 @@ from falkkit.cli import main
 from falkkit.falk import Run
 from falkkit.graphs import MAX_WITNESSES, GraphTooLargeError, serialize
 from helpers import DATA, doubling_triangle, load_graph, seeded_graphs
-from test_golden_report import FORMS
+from test_golden_report import FORMS, run_all
 
 FINAL = str(DATA / "final_example.gg")
 GCIRC = str(DATA / "gcirc.gg")
@@ -333,6 +334,30 @@ def test_invalid_utf8_is_an_input_error(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.startswith(f"falkkit: error: {path}: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_a_leading_byte_order_mark_is_skipped(tmp_path):
+    # a copy of each bundled graph as some Windows editors save it, under its
+    # own name: every subcommand gives the original's stdout, stderr and exit
+    for path in sorted(DATA.glob("*.gg")):
+        (tmp_path / path.name).write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    assert run_all(tmp_path) == run_all()
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("graph 2\n\ufeffedge 1 1 2 2\n", 2),
+        ("# two vertices\ngraph 2\nedge 1 1 2 2\n\ufeffedge 2 1 1 2\n", 4),
+        ("\ufeff\ufeffgraph 2\n", 1),  # only the first mark is skipped
+    ],
+)
+def test_a_byte_order_mark_elsewhere_is_a_format_error(capsys, tmp_path, text, line):
+    path = tmp_path / "bom.gg"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "report", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"falkkit: error: {path}: line {line}: ")
 
 
 def test_closed_output_pipe_exits_quietly():

@@ -6,8 +6,9 @@ distinct key (:func:`falkkit.exterior.rank_fields`).  Here
 every rank field of :func:`falkkit.falk.verify` is checked against the full
 eliminations of the test oracle (:func:`helpers.full_rank_fields`: |T|,
 (n-3)*|T| and n*|T| rows, no decomposition assumed) on the reflection
-families, the test data and a seeded regime corpus in which H1, H2 and H3
-each fail, and the kept rows are checked to have the nullity of all of G
+families, doubling triangles with flats of up to 8 edges, the test data
+and a seeded regime corpus in which H1, H2 and H3 each fail, and the kept
+rows are checked to have the nullity of all of G
 (:func:`helpers.global_rows`).  The lemma the groups rest on is checked on
 the oracle's kept rows: grouped by the vertices of their blocks
 (:func:`helpers.kept_rows_by_vertex_set`), two groups share no column and
@@ -40,6 +41,7 @@ import helpers
 from helpers import (
     DATA,
     braid,
+    doubling_triangle,
     full_rank_fields,
     load_graph,
     one_vertex_set,
@@ -70,6 +72,11 @@ FAMILIES = (
     [pytest.param(type_b(m), id=f"B{m}") for m in range(2, 7)]
     + [pytest.param(type_d(m), id=f"D{m}") for m in range(3, 8)]
     + [pytest.param(braid(m), id=f"K{m}") for m in range(4, 12)]
+    # one group each, with flats of up to 8 edges
+    + [
+        pytest.param(doubling_triangle(m, loop), id=f"doubling{m}" + ("-looped" if loop else ""))
+        for m in (4, 5, 6) for loop in (None, 3)
+    ]
 )
 # switched, reversed and renumbered: the slots of a bundle's links, their
 # places by gain, are kept or all flipped, so D_m and B_m keep their two keys

@@ -8,8 +8,9 @@ integer rows only, so each rational row is scaled to integers before it gets
 there, while the oracle ranks the rational rows.  The rows of the rank
 route's eliminations cover the rows the library really builds: each is one
 group of the kept blocks of the global rows G
-(:func:`helpers.kept_rows_by_vertex_set`), and :func:`helpers.global_rows`,
-which writes all of G, decodes to the tuple algebra.
+(:func:`helpers.kept_rows_by_vertex_set`), and both
+:func:`helpers.global_rows`, which writes all of G, and the library's
+writer, given every t outside each flat, decode to the tuple algebra.
 
 The rank route is claimed wherever H4 and H5 hold, so the regime corpus
 (:func:`helpers.regime_graphs`) also has graphs where H1, H2 or H3 fails.
@@ -37,6 +38,7 @@ from helpers import (
     boundary3,
     braid,
     dependent_3sets,
+    doubling_triangle,
     fraction_phi3,
     fraction_rank,
     holonomy_phi3,
@@ -125,6 +127,11 @@ FAMILIES = (
     + [pytest.param(type_d(m), id=f"D{m}") for m in range(3, 7)]
     + [pytest.param(braid(m), id=f"K{m}") for m in range(4, 10)]
     + [pytest.param(looped_hub(5), id="hub5")]
+    # one group each, of 135 to 1 158 rows, with flats of up to 8 edges
+    + [
+        pytest.param(doubling_triangle(m, loop), id=f"doubling{m}" + ("-looped" if loop else ""))
+        for m in (4, 5, 6) for loop in (None, 3)
+    ]
 )
 
 
@@ -189,6 +196,9 @@ def check_row_builders(g) -> None:
     assert len(coded) == sum(comb(len(x) - 1, 2) * (n - len(x)) for x in xs)
     assert [{triple(k): v for k, v in row.items()} for row in coded] == tupled
     assert decoded_pivots(coded, triple) == decoded_pivots(tupled, lambda k: k)
+    # the library's writer, given every t outside each flat, writes them too
+    library = exterior._kept_rows(n, [(x, [t for t in range(1, n + 1) if t not in x]) for x in xs])
+    assert [{triple(k): v for k, v in row.items()} for row in library] == tupled
 
     coded = helpers._boundary_rows(triples, m)
     tupled = [boundary3(s) for s in triples]
