@@ -25,7 +25,6 @@ from .graphs import (
     HypothesisError,
     ValidationReport,
     Verdict,
-    all_circles_small,
     as_gain,
     parse,
     serialize,
@@ -61,7 +60,6 @@ __all__ = [
     "TriangleKind",
     "ValidationReport",
     "Verdict",
-    "all_circles_small",
     "as_gain",
     "atlas",
     "count_patterns",

@@ -62,7 +62,7 @@ one.  Write I_X for the span of the boundaries e_jk - e_ik + e_ij of the
   vertex sets of any two of them, so |W| is 3 or 4, and W is made twice,
   from two shared edges, unless X, Y and Z lie on one vertex set.  Only
   those W, and the vertex sets that hold three flats, are candidates, and
-  a candidate whose group counts no kept row is dropped.  A graph with
+  a candidate whose group has no kept row is not ranked.  A graph with
   fewer than three flats has no candidate.  A group's rows depend only on
   the flats on subsets of W and the ends of their edges.  The key of W
   lists, for each subset of sorted W that carries flats, its positions and
@@ -87,10 +87,11 @@ one.  Write I_X for the span of the boundaries e_jk - e_ik + e_ij of the
   however they are numbered, reversed or switched: a reversal keeps each
   gain read from the lower end, renumbering keeps every gain, and a
   switching multiplies a bundle's gains by one factor, which keeps the
-  order of a +c, -c pair or flips both slots.  |G_kept|, the sum over
-  keys of the multiplicity times the rows, is counted before any row is
-  written, and the route refuses (raises
-  :class:`~falkkit.graphs.GraphTooLargeError`) above :data:`MAX_KEPT_ROWS`.
+  order of a +c, -c pair or flips both slots.  The bound is on the rows
+  written and eliminated, one group per key, not on |G_kept|: each
+  block's rows are counted before they are written, and the route
+  refuses (raises :class:`~falkkit.graphs.GraphTooLargeError`) once they
+  pass :data:`MAX_KEPT_ROWS`, after the groups before it are ranked.
 * **|F3| = (n-3)*|T| and rank F3 = dim I^3_2 - #{X : |X| = 3}.**  F3 holds
   the global rows of every triple, which span e_t * I_X like G does, and
   the local rows with t in X but outside S.  For a 4-set Y in X and
@@ -137,10 +138,10 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .graphs import Flat, FlatIndex, GraphTooLargeError
 
-#: most rows of G_kept, over all its groups, that :func:`rank_fields` accepts;
-#: the braid arrangement K_28 has 245 700 in C(28, 4) groups of one key, so
-#: one 12-row group is eliminated, and ``report --json`` on it takes about
-#: 0.3 s and 23 MB (CPython 3.11, 2-core VM)
+#: most rows that :func:`rank_fields` writes and eliminates, one group of
+#: G_kept per distinct key; the braid arrangement K_m has one key, so one
+#: 12-row group whatever m, and ``phi3 --method rank`` on K_40 takes about
+#: 1.6 s and 37 MB (CPython 3.11, 2-core VM)
 MAX_KEPT_ROWS = 250_000
 
 
@@ -208,11 +209,11 @@ def rank(rows: Iterable[Mapping]) -> int:
 
 def _kept_groups(
     index: FlatIndex,
-) -> list[tuple[int, tuple[int, ...], list[tuple[Flat, tuple[int, ...]]], int]]:
-    """G_kept's nonempty groups, one per distinct key: how many vertex sets W
-    have that key, and for one of them W, its flats in increasing order,
-    each with its vertex set (what :func:`_group_kept` reads), and its
-    number of rows."""
+) -> list[tuple[int, tuple[int, ...], list[tuple[Flat, tuple[int, ...]]]]]:
+    """G_kept's candidate groups, one per distinct key: how many vertex sets
+    W have that key, and for one of them W and its flats in increasing
+    order, each with its vertex set (what :func:`_group_kept` reads).  A
+    group may have no kept row."""
     by_verts = index.by_verts
     # a kept block takes three flats
     if sum(map(len, by_verts.values())) < 3:
@@ -271,14 +272,10 @@ def _kept_groups(
             groups[key] = [1, w, [vs for _, vs in subsets]]
         else:
             group[0] += 1
-    out = []
-    for multiplicity, w, subsets in groups.values():
-        members = sorted((flat, vs) for vs in subsets for flat in by_verts[vs])
-        # counted only: the kept t are written out once the bound is checked
-        size = sum(comb(len(x) - 1, 2) * len(ts) for x, ts in _group_kept(w, members, ends))
-        if size:
-            out.append((multiplicity, w, members, size))
-    return out
+    return [
+        (multiplicity, w, sorted((flat, vs) for vs in subsets for flat in by_verts[vs]))
+        for multiplicity, w, subsets in groups.values()
+    ]
 
 
 def _group_kept(
@@ -314,33 +311,32 @@ def _group_kept(
         yield flat, twice
 
 
-def _kept_rows(n: int, blocks: Iterable[tuple[Flat, Iterable[int]]]) -> list[dict[int, int]]:
-    """The rows e_t * (e_jk - e_ik + e_ij) of G's kept blocks, flat by flat.
+def _kept_rows(n: int, flat: Flat, outside: Iterable[int]) -> list[dict[int, int]]:
+    """The rows e_t * (e_jk - e_ik + e_ij) of the kept blocks (X, t) of one
+    flat X and its kept t outside X, given in any order.
 
-    For each flat X with x = min X and its kept t outside X (``blocks``
-    pairs them, the t in any order), each basis triple (i, j, k) = (x, b, c)
-    with b < c in X, and each kept t in increasing order.  One sign rule
-    writes every term: e_t * e_ab with a < b is e_tab, -e_atb or e_abt as t
-    falls below a, between a and b, or above b.  e_abc is coded
-    (a*m + b)*m + c with m = n + 1.
+    One row for each basis triple (i, j, k) = (x, b, c) with x = min X and
+    b < c in X, and each t in increasing order.  One sign rule writes every term:
+    e_t * e_ab with a < b is e_tab, -e_atb or e_abt as t falls below a,
+    between a and b, or above b.  e_abc is coded (a*m + b)*m + c with
+    m = n + 1.
     """
     m = n + 1
+    outside = sorted(outside)
+    i = flat[0]
     rows: list[dict[int, int]] = []
-    for flat, outside in blocks:
-        outside = sorted(outside)
-        i = flat[0]
-        for j, k in itertools.combinations(flat[1:], 2):
-            terms = ((j, k, 1), (i, k, -1), (i, j, 1))
-            for t in outside:
-                row = {}
-                for a, b, sign in terms:
-                    if t < a:
-                        row[(t * m + a) * m + b] = sign
-                    elif t < b:
-                        row[(a * m + t) * m + b] = -sign
-                    else:
-                        row[(a * m + b) * m + t] = sign
-                rows.append(row)
+    for j, k in itertools.combinations(flat[1:], 2):
+        terms = ((j, k, 1), (i, k, -1), (i, j, 1))
+        for t in outside:
+            row = {}
+            for a, b, sign in terms:
+                if t < a:
+                    row[(t * m + a) * m + b] = sign
+                elif t < b:
+                    row[(a * m + t) * m + b] = -sign
+                else:
+                    row[(a * m + b) * m + t] = sign
+            rows.append(row)
     return rows
 
 
@@ -364,8 +360,10 @@ def rank_fields(n: int, index: FlatIndex) -> RankFields:
 
     Raises ``ValueError`` unless each flat has 3 or more edge ids
     1 <= x_1 < x_2 < ... <= n, which the row codes rely on, and
-    :class:`~falkkit.graphs.GraphTooLargeError`, before it writes a row,
-    when G_kept has more than :data:`MAX_KEPT_ROWS` rows.
+    :class:`~falkkit.graphs.GraphTooLargeError` when the rows written over
+    the distinct groups would pass :data:`MAX_KEPT_ROWS`: the rows of the
+    block that crosses the bound are not written, but the groups before it
+    may have been ranked.
     """
     triangles = dim_i2 = threes = size_g = 0
     for flat in itertools.chain.from_iterable(index.by_verts.values()):
@@ -377,17 +375,20 @@ def rank_fields(n: int, index: FlatIndex) -> RankFields:
         dim_i2 += basis
         threes += size == 3
         size_g += basis * (n - size)
-    groups = _kept_groups(index)
-    size_kept = sum(multiplicity * size for multiplicity, *_, size in groups)
-    if size_kept > MAX_KEPT_ROWS:
-        raise GraphTooLargeError(
-            f"rank route has {size_kept} rows to eliminate, more than {MAX_KEPT_ROWS}"
-        )
-    nullity = 0
-    for multiplicity, w, members, size in groups:
-        rows = _kept_rows(n, _group_kept(w, members, index.ends))
-        rows.reverse()  # less fill-in than the written order (see the module docstring)
-        nullity += multiplicity * (size - rank(rows))
+    nullity = written = 0
+    for multiplicity, w, members in _kept_groups(index):
+        rows: list[dict[int, int]] = []
+        for flat, outside in _group_kept(w, members, index.ends):
+            # counted first, so the block that crosses the bound is never written
+            written += comb(len(flat) - 1, 2) * len(outside)
+            if written > MAX_KEPT_ROWS:
+                raise GraphTooLargeError(
+                    f"rank route has more than {MAX_KEPT_ROWS} rows to eliminate"
+                )
+            rows += _kept_rows(n, flat, outside)
+        if rows:
+            rows.reverse()  # less fill-in than the written order (see the module docstring)
+            nullity += multiplicity * (len(rows) - rank(rows))
     dim_a2 = comb(n, 2) - dim_i2
     dim_i32 = triangles + size_g - nullity
     phi3 = 2 * comb(n + 1, 3) - n * dim_a2 + comb(n, 3) - dim_i32

@@ -290,23 +290,35 @@ def test_rank_leaves_its_rows_alone_and_drops_zero_entries():
 
 
 def test_rank_route_refuses_above_the_kept_row_bound(monkeypatch):
-    # K_11 keeps 3 960 rows of G: a bound one below that refuses it before
-    # any row is written, and a bound of exactly that lets it through
+    # K_11 keeps 3 960 rows of G in C(11, 4) groups of one key, so one
+    # 12-row group is written: four blocks of 3 rows.  Under a bound of 11
+    # the fourth block crosses it and is refused unwritten, with no rank
+    # taken; a bound of exactly 12 lets it through
     g = braid(11)
-    monkeypatch.setattr(exterior, "MAX_KEPT_ROWS", 3959)
-    written = exterior._kept_rows
+    written = []
+    real_kept_rows = exterior._kept_rows
+
+    def recording(*args):
+        rows = real_kept_rows(*args)
+        written.append(len(rows))
+        return rows
 
     def forbidden(*args):
-        raise AssertionError("rows written before the bound was checked")
+        raise AssertionError("a refused group was ranked")
 
-    monkeypatch.setattr(exterior, "_kept_rows", forbidden)
+    monkeypatch.setattr(exterior, "MAX_KEPT_ROWS", 11)
+    monkeypatch.setattr(exterior, "_kept_rows", recording)
+    monkeypatch.setattr(exterior, "rank", forbidden)
     with pytest.raises(GraphTooLargeError) as info:
         falk.phi3_rank(g)
-    assert str(info.value) == "rank route has 3960 rows to eliminate, more than 3959"
+    assert str(info.value) == "rank route has more than 11 rows to eliminate"
+    assert written == [3, 3, 3]
     with pytest.raises(GraphTooLargeError):
         falk.verify(g)
     with pytest.raises(GraphTooLargeError):
         rank_fields(g.n, graph_flats(g))
-    monkeypatch.setattr(exterior, "_kept_rows", written)
-    monkeypatch.setattr(exterior, "MAX_KEPT_ROWS", 3960)
+    monkeypatch.setattr(exterior, "rank", rank)
+    monkeypatch.setattr(exterior, "MAX_KEPT_ROWS", 12)
+    written.clear()
     assert falk.phi3_rank(g) == 2 * comb(12, 4)
+    assert written == [3, 3, 3, 3]

@@ -106,6 +106,17 @@ def test_the_package_name_arrangement_is_the_module():
     assert "arrangement" not in falkkit.__all__
 
 
+def test_the_circle_enumerator_is_not_exported():
+    # no computation reads it; the pattern atlas and the tests take it from
+    # falkkit.graphs
+    import falkkit
+    import falkkit.graphs
+
+    assert "all_circles_small" not in falkkit.__all__
+    assert not hasattr(falkkit, "all_circles_small")
+    assert callable(falkkit.graphs.all_circles_small)
+
+
 def relative_imports(module: str) -> set[str]:
     """The falkkit modules that ``src/falkkit/<module>.py`` imports."""
     tree = ast.parse((SRC / "falkkit" / f"{module}.py").read_text(encoding="utf-8"))

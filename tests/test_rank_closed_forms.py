@@ -20,7 +20,9 @@ and each flat's vertex tuple and its edges' ends in the walk's index
 against :meth:`falkkit.graphs.Edge.ends`, and each link's slot against
 the gain order of its bundle.  Reversing the slots within every bundle
 changes no rank field, and switched, reversed and renumbered reflection
-families make as many eliminations as the plain ones.
+families make as many eliminations as the plain ones.  The row bound
+counts the rows written, one group per distinct key, so every graph
+answered under a bound on all of G_kept's rows is answered alike.
 """
 
 import itertools
@@ -35,7 +37,7 @@ import pytest
 from falkkit import exterior
 from falkkit.cli import main
 from falkkit.falk import Run, phi3_rank, verify
-from falkkit.graphs import Edge, FlatIndex, GainGraph, GraphFormatError, validate
+from falkkit.graphs import Edge, FlatIndex, GainGraph, GraphFormatError, GraphTooLargeError, validate
 from falkkit.patterns import flats, triangles
 import helpers
 from helpers import (
@@ -224,6 +226,54 @@ def test_scrambled_reflection_families_rank_as_many_groups(monkeypatch, family, 
     g = scrambled(family(m), random.Random(seed))
     calls, _ = helpers.recorded_rows(monkeypatch, lambda: exterior.rank_fields(g.n, flats(g)))
     assert len(calls) == keys
+
+
+@pytest.mark.parametrize(
+    "g, groups",
+    [(type_b(5), 2), (type_d(6), 2), (braid(9), 1)],
+    ids=["B5", "D6", "K9"],
+)
+def test_each_distinct_group_is_walked_once(monkeypatch, g, groups):
+    # the rows are counted as they are written, in the one walk of a group
+    walked = []
+    real_group_kept = exterior._group_kept
+
+    def counting(w, *args):
+        walked.append(w)
+        return real_group_kept(w, *args)
+
+    monkeypatch.setattr(exterior, "_group_kept", counting)
+    exterior.rank_fields(g.n, flats(g))
+    assert len(walked) == len(set(walked)) == groups
+
+
+BOUND_CASES = [
+    pytest.param(g, id=name) for name, g in (
+        ("K4", braid(4)), ("K6", braid(6)), ("K9", braid(9)), ("D4", type_d(4)),
+        ("D6", type_d(6)), ("B3", type_b(3)), ("B5", type_b(5)),
+        ("final", load_graph("final_example.gg")),
+    )
+] + [pytest.param(g, id=f"regime{i}") for i, g in enumerate(regime_graphs(random.Random(7), 40))]
+
+
+@pytest.mark.parametrize("g", BOUND_CASES)
+def test_the_row_bound_answers_every_graph_the_kept_row_bound_answered(monkeypatch, g):
+    # the bound counts the rows written, one group per distinct key; those
+    # are at most all of G_kept's rows, which the bound once counted, so a
+    # graph answered under that count is answered, and with the same fields
+    index = flats(g)
+    calls, fields = helpers.recorded_rows(monkeypatch, lambda: exterior.rank_fields(g.n, index))
+    written = sum(map(len, calls))
+    kept = len(helpers.kept_global_rows(g.n, helpers.flat_list(index)))
+    assert written <= kept
+    for bound in (kept, written):
+        monkeypatch.setattr(exterior, "MAX_KEPT_ROWS", bound)
+        assert exterior.rank_fields(g.n, index) == fields
+    if written:
+        monkeypatch.setattr(exterior, "MAX_KEPT_ROWS", written - 1)
+        with pytest.raises(GraphTooLargeError) as info:
+            exterior.rank_fields(g.n, index)
+        assert str(info.value) == f"rank route has more than {written - 1} rows to eliminate"
 
 
 @pytest.mark.parametrize(

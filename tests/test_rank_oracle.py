@@ -54,6 +54,7 @@ from helpers import (
 SEED_MATRICES = 19680
 SEED_MAIN = 20260802  # the criterion-5 corpus
 SEED_REGIME = 4545
+SEED_HOLONOMY = 3031
 ENTRIES = [Fraction(x) for x in range(-3, 4)] + [
     Fraction(p, q) for p in (-5, -2, -1, 1, 2, 3) for q in (2, 3, 4, 7)
 ]
@@ -197,7 +198,10 @@ def check_row_builders(g) -> None:
     assert [{triple(k): v for k, v in row.items()} for row in coded] == tupled
     assert decoded_pivots(coded, triple) == decoded_pivots(tupled, lambda k: k)
     # the library's writer, given every t outside each flat, writes them too
-    library = exterior._kept_rows(n, [(x, [t for t in range(1, n + 1) if t not in x]) for x in xs])
+    library = [
+        row for x in xs
+        for row in exterior._kept_rows(n, x, [t for t in range(1, n + 1) if t not in x])
+    ]
     assert [{triple(k): v for k, v in row.items()} for row in library] == tupled
 
     coded = helpers._boundary_rows(triples, m)
@@ -246,6 +250,18 @@ def test_rank_route_on_a_looped_hub():
     g = looped_hub(200)
     assert validate(g).failing() == ("H2",)
     assert phi3_rank(g) == 8 * 200
+
+
+def test_holonomy_lie_algebra_matches_the_rank_route_where_h1_to_h3_fail():
+    # the regime the census withholds: bundles of 2-4 links next to loops,
+    # where the holonomy Lie algebra is the rank route's one oracle outside
+    # the Orlik-Solomon algebra
+    graphs = regime_graphs(random.Random(SEED_HOLONOMY), 40)
+    failing = [g for g in graphs if validate(g).failing()]
+    assert len(failing) == 25
+    assert {name for g in failing for name in validate(g).failing()} == {"H1", "H2", "H3"}
+    for index, g in enumerate(graphs):
+        assert holonomy_phi3(g) == phi3_rank(g), index
 
 
 def test_holonomy_lie_algebra_matches_the_rank_route():
