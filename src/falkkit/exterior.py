@@ -63,11 +63,19 @@ one.  Write I_X for the span of the boundaries e_jk - e_ik + e_ij of the
   from two shared edges, unless X, Y and Z lie on one vertex set.  Only
   those W, and the vertex sets that hold three flats, are candidates, and
   a candidate whose group has no kept row is not ranked.  A graph with
-  fewer than three flats has no candidate.  A group's rows depend only on
-  the flats on subsets of W and the ends of their edges.  The key of W
-  lists, for each subset of sorted W that carries flats, its positions and
-  all of those flats,
-  each edge relabelled by the positions of its ends in the subset and its
+  fewer than three flats has no candidate.  The unions are counted edge by
+  edge, with no set and no sort for the common case: every vertex set
+  through a link holds both of its ends, so two 3-vertex sets through the
+  link u < v differ only in their third vertices x < y, and their union is
+  (u, v) merged with (x, y) by fixed comparisons.  A 3-vertex set and the
+  link's own pair (u, v) make the 3-vertex set, and only through a loop
+  do two 2-vertex sets meet.  A group's rows depend only on the flats on
+  subsets of W and the ends of their edges.  The key of W is one tuple
+  with a fixed place for each subset of 2 or 3 of its sorted vertices (six
+  pairs and four triples when |W| = 4, three pairs and W when |W| = 3),
+  holding the shape code of the subset's flats, or None when it carries
+  none.  The shape code names the sorted tuple of those flats, each edge
+  relabelled by the positions of its ends in the subset and its
   slot (:class:`~falkkit.graphs.FlatIndex`): its place among the links
   of its bundle in the order of their gains read from the lower end, and
   0 for a single link or a loop.  Edges with the same ends have distinct
@@ -141,7 +149,7 @@ from .graphs import Flat, FlatIndex, GraphTooLargeError
 #: most rows that :func:`rank_fields` writes and eliminates, one group of
 #: G_kept per distinct key; the braid arrangement K_m has one key, so one
 #: 12-row group whatever m, and ``phi3 --method rank`` on K_40 takes about
-#: 1.6 s and 37 MB (CPython 3.11, 2-core VM)
+#: 0.3 s and 33 MB (CPython 3.11, 2-core VM)
 MAX_KEPT_ROWS = 250_000
 
 
@@ -207,46 +215,79 @@ def rank(rows: Iterable[Mapping]) -> int:
     return len(_pivot_rows(rows))
 
 
-def _kept_groups(
-    index: FlatIndex,
-) -> list[tuple[int, tuple[int, ...], list[tuple[Flat, tuple[int, ...]]]]]:
-    """G_kept's candidate groups, one per distinct key: how many vertex sets
-    W have that key, and for one of them W and its flats in increasing
-    order, each with its vertex set (what :func:`_group_kept` reads).  A
-    group may have no kept row."""
-    by_verts = index.by_verts
-    # a kept block takes three flats
-    if sum(map(len, by_verts.values())) < 3:
-        return []
-    # vertex sets, and the W made of two, are sorted tuples: tuples of ints
-    # drop out of the cyclic garbage collector's view, where as many sets
-    # would make it sweep the whole heap again and again on a large grid
-    ends, slot = index.ends, index.slot
-    through: dict[int, tuple[tuple[int, ...], ...]] = {}
+def _candidates(index: FlatIndex) -> list[tuple[int, ...]]:
+    """The vertex sets W, as sorted tuples, whose group may hold a kept row:
+    each W made twice as the union of two vertex sets through one edge, and
+    each vertex set that holds three flats or more."""
+    by_verts, ends = index.by_verts, index.ends
+    # thirds[a]: the third vertices of the 3-vertex sets through the link a,
+    # which hold both of its ends; pairs[a]: the 2-vertex sets through the
+    # edge a.  A vertex set's flats come one after another, so a vertex set
+    # already listed for a is the last entry.
+    thirds: dict[int, list[int]] = {}
+    pairs: dict[int, list[tuple[int, ...]]] = {}
     for vs, xs in by_verts.items():
-        for flat in xs:
-            for a in flat:
-                sets = through.get(a)
-                if sets is None:
-                    through[a] = (vs,)
-                elif vs not in sets:
-                    through[a] = sets + (vs,)
+        if len(vs) == 3:
+            total = vs[0] + vs[1] + vs[2]
+            for flat in xs:
+                for a in flat:
+                    u, v = ends[a]
+                    x = total - u - v
+                    got = thirds.setdefault(a, [])
+                    if not got or got[-1] != x:
+                        got.append(x)
+        else:
+            for flat in xs:
+                for a in flat:
+                    got = pairs.setdefault(a, [])
+                    if not got or got[-1] != vs:
+                        got.append(vs)
+
+    def unions() -> Iterator[tuple[int, ...]]:
+        # vertex sets, and the W made of two, are sorted tuples: tuples of
+        # ints drop out of the cyclic garbage collector's view, where as many
+        # sets would make it sweep the whole heap again and again on a large grid
+        for a, xs in thirds.items():
+            u, v = ends[a]
+            xs.sort()
+            # two 3-vertex sets through the link: its ends merged with x < y
+            for x, y in itertools.combinations(xs, 2):
+                if y < u:
+                    yield x, y, u, v
+                elif x > v:
+                    yield u, v, x, y
+                elif x < u:
+                    yield (x, u, y, v) if y < v else (x, u, v, y)
+                else:
+                    yield (u, x, y, v) if y < v else (u, x, v, y)
+            if a in pairs:
+                # a 3-vertex set and the link's own 2-vertex set
+                for x in xs:
+                    yield (x, u, v) if x < u else (u, x, v) if x < v else (u, v, x)
+        # two 2-vertex sets through a loop
+        for sets in pairs.values():
+            for p, q in itertools.combinations(sets, 2):
+                yield tuple(sorted({*p, *q}))
+
     # W = V(X) | V(Y) = V(X) | V(Z) = V(Y) | V(Z) is made by two edges and
     # two distinct vertex sets each, unless X, Y and Z lie on one vertex set
-    made = Counter(
-        tuple(sorted({*p, *q})) for sets in through.values() if len(sets) > 1
-        for p, q in itertools.combinations(sets, 2)
-    )
-    candidates = {w for w, count in made.items() if count > 1}
-    candidates.update(vs for vs, xs in by_verts.items() if len(xs) > 2)
-    if not candidates:
-        return []
+    made = Counter(unions())
+    candidates = [w for w, count in made.items() if count > 1]
+    candidates += [vs for vs, xs in by_verts.items() if len(xs) > 2 and made[vs] < 2]
+    return candidates
+
+
+def _shape_codes(index: FlatIndex) -> dict[tuple[int, ...], int]:
+    """A small int for each vertex set of the index, equal for two vertex
+    sets of one size exactly when their flats have one shape, each edge
+    labelled by its slot and the positions of its ends in the vertex set."""
+    ends, slot = index.ends, index.slot
     # an edge's label: its slot, its place by gain in its bundle, and the
     # positions of its ends in a vertex set (a bit mask), as one small int;
     # a vertex set's flats as a tuple of labels each, named by a small int
     code_of: dict[tuple, int] = {}
     codes: dict[tuple[int, ...], int] = {}
-    for vs, xs in by_verts.items():
+    for vs, xs in index.by_verts.items():
         bit = {v: 1 << i for i, v in enumerate(vs)}
         shift = len(vs)
         shape = tuple(sorted(
@@ -256,25 +297,61 @@ def _kept_groups(
             for flat in xs
         ))
         codes[vs] = code_of.setdefault(shape, len(code_of))
+    return codes
+
+
+def _keyed(
+    ws: Iterable[tuple[int, ...]], codes: Mapping[tuple[int, ...], int]
+) -> dict[tuple, list]:
+    """The vertex sets ``ws`` by key, each distinct key with how many of them
+    have it and the first.  The key of W lists the shape code (``codes``) of
+    each subset of 2 or 3 of its sorted vertices, in one fixed order, and
+    None for a subset that holds no flat; the key's length tells |W|."""
+    get = codes.get
     groups: dict[tuple, list] = {}
-    for w in candidates:
-        subsets = [
-            (pos, vs)
-            for size in (2, 3)
-            for pos, vs in zip(
-                itertools.combinations(range(len(w)), size), itertools.combinations(w, size)
+    for w in ws:
+        if len(w) == 4:
+            a, b, c, d = w
+            key = (
+                get((a, b)), get((a, c)), get((a, d)), get((b, c)), get((b, d)), get((c, d)),
+                get((a, b, c)), get((a, b, d)), get((a, c, d)), get((b, c, d)),
             )
-            if vs in by_verts
-        ]
-        key = (len(w), *((pos, codes[vs]) for pos, vs in subsets))
+        elif len(w) == 3:
+            a, b, c = w
+            key = get((a, b)), get((a, c)), get((b, c)), get(w)
+        else:
+            # a pair that holds three flats or more
+            key = (get(w),)
         group = groups.get(key)
         if group is None:
-            groups[key] = [1, w, [vs for _, vs in subsets]]
+            groups[key] = [1, w]
         else:
             group[0] += 1
+    return groups
+
+
+def _kept_groups(
+    index: FlatIndex,
+) -> list[tuple[int, tuple[int, ...], list[tuple[Flat, tuple[int, ...]]]]]:
+    """G_kept's candidate groups (:func:`_candidates`), one per distinct key
+    (:func:`_keyed`): how many vertex sets W have that key, and for one of
+    them W and its flats in increasing order, each with its vertex set (what
+    :func:`_group_kept` reads).  A group may have no kept row."""
+    by_verts = index.by_verts
+    # a kept block takes three flats
+    if sum(map(len, by_verts.values())) < 3:
+        return []
+    candidates = _candidates(index)
+    if not candidates:
+        return []
     return [
-        (multiplicity, w, sorted((flat, vs) for vs in subsets for flat in by_verts[vs]))
-        for multiplicity, w, subsets in groups.values()
+        (multiplicity, w, sorted(
+            (flat, vs)
+            for size in (2, 3)
+            for vs in itertools.combinations(w, size)
+            for flat in by_verts.get(vs, ())
+        ))
+        for multiplicity, w in _keyed(candidates, _shape_codes(index)).values()
     ]
 
 

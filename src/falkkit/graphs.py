@@ -219,8 +219,10 @@ class GainGraph:
         object.__setattr__(self, "edges", tuple(self.edges))
         if self.num_vertices < 1:
             raise ValueError("a gain graph needs at least one vertex")
-        ids = sorted(e.id for e in self.edges)
-        if ids != list(range(1, len(self.edges) + 1)):
+        ids = [e.id for e in self.edges]
+        expected = list(range(1, len(ids) + 1))
+        # parse hands its edges over in id order: sort only another order
+        if ids != expected and sorted(ids) != expected:
             raise ValueError("edge ids must be exactly 1..n with no repeats")
         for e in self.edges:
             if not (1 <= e.tail <= self.num_vertices and 1 <= e.head <= self.num_vertices):

@@ -42,7 +42,10 @@ checked against live here.
   every row of G, the global rows, and :func:`kept_global_rows` keeps those
   of the blocks the library eliminates; :func:`kept_rows_by_vertex_set`
   groups them by the vertices their blocks touch, as the library ranks
-  them, and :func:`recorded_rows` records the rows the library hands to
+  them.  :func:`kept_group_classes` finds the candidate vertex sets of
+  those groups and their classes of equal key by their definitions, the
+  oracle for the library's candidates and keys, and
+  :func:`recorded_rows` records the rows the library hands to
   :func:`falkkit.exterior.rank`.  :func:`one_vertex_set` indexes flats
   that come from no graph for :func:`falkkit.exterior.rank_fields`, and
   :func:`flat_list` lists an index's flats in lexicographic order.
@@ -791,6 +794,52 @@ def kept_rows_by_vertex_set(g: GainGraph, flats: Sequence[Flat]) -> dict[frozens
         w = frozenset(v for a in (*flat, t) for v in g.edge(a).ends())
         groups.setdefault(w, []).append(row)
     return groups
+
+
+def kept_group_classes(index: FlatIndex) -> list[list[tuple[int, ...]]]:
+    """The candidate vertex sets W of the rank route's groups, in classes of
+    equal key, each class a sorted list of sorted tuples, by their
+    definitions.  Every union of two distinct vertex sets through one edge is
+    counted, sorted; W is a candidate when it is made twice, or when it is a
+    vertex set that holds three flats or more.  The key of W is its size and,
+    for each subset of 2 or 3 of its sorted vertices that holds flats, the
+    subset's positions in W and the sorted shapes of its flats: each flat the
+    sorted labels (slot, positions of the ends in the subset) of its edges.
+    No edge is assumed to lie on a vertex set in any one way."""
+    by_verts, ends, slot = index
+    through: dict[int, list[tuple[int, ...]]] = {}
+    for vs, xs in by_verts.items():
+        for flat in xs:
+            for a in flat:
+                sets = through.setdefault(a, [])
+                if vs not in sets:
+                    sets.append(vs)
+    made = Counter(
+        tuple(sorted({*p, *q}))
+        for sets in through.values()
+        for p, q in itertools.combinations(sets, 2)
+    )
+    candidates = {w for w, count in made.items() if count > 1}
+    candidates.update(vs for vs, xs in by_verts.items() if len(xs) > 2)
+
+    def shape(vs: tuple[int, ...]) -> tuple:
+        return tuple(sorted(
+            tuple(sorted((slot.get(a, 0), tuple(sorted({vs.index(v) for v in ends[a]}))) for a in flat))
+            for flat in by_verts[vs]
+        ))
+
+    classes: dict[tuple, list[tuple[int, ...]]] = {}
+    for w in candidates:
+        key = (len(w), *(
+            (pos, shape(vs))
+            for size in (2, 3)
+            for pos, vs in zip(
+                itertools.combinations(range(len(w)), size), itertools.combinations(w, size)
+            )
+            if vs in by_verts
+        ))
+        classes.setdefault(key, []).append(w)
+    return sorted(sorted(ws) for ws in classes.values())
 
 
 def one_vertex_set(flats: Iterable[Flat]) -> FlatIndex:

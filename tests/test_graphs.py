@@ -271,6 +271,23 @@ def test_edge_ids_must_cover_range():
         GainGraph(2, (Edge(2, 1, 2, 1),))
 
 
+@pytest.mark.parametrize("ids", [(2, 2, 3), (1, 3, 3), (1, 2, 4), (0, 1, 2), (3, 1)])
+def test_edge_ids_repeated_or_missing_are_refused(ids):
+    edges = tuple(Edge(i, 1, 2, k + 1) for k, i in enumerate(ids))
+    with pytest.raises(ValueError, match="edge ids must be exactly 1..n with no repeats"):
+        GainGraph(2, edges)
+
+
+def test_edge_ids_out_of_order_are_kept_in_their_order():
+    edges = tuple(Edge(i, 1, 2, i) for i in (3, 1, 2))
+    g = GainGraph(2, list(edges))
+    assert g.edges == edges
+    assert [g.edge(i).gain for i in (1, 2, 3)] == [1, 2, 3]
+    assert serialize(g) == serialize(GainGraph(2, sorted(edges, key=lambda e: e.id)))
+    with pytest.raises(ValueError, match="touches a vertex outside 1..2"):
+        GainGraph(2, (Edge(2, 1, 2, 1), Edge(1, 1, 3, 1)))
+
+
 # ---------------------------------------------------------------------------
 # hypothesis checks
 

@@ -18,7 +18,11 @@ checked against the oracle regroup of the dependent triples that
 :func:`helpers.dependent_3sets` finds by ranking the hyperplane normals,
 and each flat's vertex tuple and its edges' ends in the walk's index
 against :meth:`falkkit.graphs.Edge.ends`, and each link's slot against
-the gain order of its bundle.  Reversing the slots within every bundle
+the gain order of its bundle.  The library's candidate vertex sets and
+keys put every W in its class of :func:`helpers.kept_group_classes`, the
+grouping by its definitions, and give each group its class's size, on
+those graphs, scrambled K_m, D_m and B_m and the pattern-rich hosts.
+Reversing the slots within every bundle
 changes no rank field, and switched, reversed and renumbered reflection
 families make as many eliminations as the plain ones.  The row bound
 counts the rows written, one group per distinct key, so every graph
@@ -47,6 +51,7 @@ from helpers import (
     full_rank_fields,
     load_graph,
     one_vertex_set,
+    pattern_rich_hosts,
     regime_graphs,
     scrambled,
     triangulated_grid,
@@ -106,6 +111,16 @@ KEY_CASES = [
             (4, 2, -2), (3, 4, 2), (4, 2, Fraction(-3, 2)), (1, 2, -2),
         ]),
         id="bundle-ranks",
+    ),
+    # K_5 with a second balanced 3-circle on (2, 3, 4), through links of
+    # gain 2 that close no other circle: the vertex sets {1, 2, 3, 4} and
+    # {1, 2, 3, 5} differ only by the flats on their last three vertices
+    pytest.param(
+        GainGraph.from_edge_list(
+            5, [(u, v, 1) for u, v in itertools.combinations(range(1, 6), 2)]
+            + [(2, 3, 2), (2, 4, 2)]
+        ),
+        id="last-triple",
     ),
 ]
 
@@ -204,6 +219,65 @@ def test_kept_groups_share_no_column_on_regime_corpus():
     counts = [check_groups(g) for g in regime_graphs(random.Random(SEED_REGIME), 400)]
     # the corpus has graphs with kept rows and graphs without
     assert min(counts) == 0 < max(counts)
+
+
+def check_grouping(index: FlatIndex) -> list[int]:
+    """The library's candidates are the oracle's, its key puts each of them
+    in the oracle's class (:func:`helpers.kept_group_classes`), neither
+    splitting a class nor merging two, and ``_kept_groups`` gives one group
+    per class, with the class's size and the flats on its W's subsets.
+    Returns the sizes of the classes."""
+    classes = helpers.kept_group_classes(index)
+    candidates = exterior._candidates(index)
+    assert sorted(candidates) == sorted(w for ws in classes for w in ws)
+    codes = exterior._shape_codes(index)
+    by_key: dict[tuple, list] = {}
+    for w in candidates:
+        (key,) = exterior._keyed([w], codes)
+        by_key.setdefault(key, []).append(w)
+    assert sorted(map(sorted, by_key.values())) == classes
+    class_of = {w: ws for ws in classes for w in ws}
+    groups = exterior._kept_groups(index)
+    assert sorted(class_of[w] for _, w, _ in groups) == classes
+    for multiplicity, w, members in groups:
+        assert multiplicity == len(class_of[w])
+        assert members == sorted(
+            (flat, vs) for vs, xs in index.by_verts.items() if set(vs) <= set(w) for flat in xs
+        )
+    return sorted(map(len, classes))
+
+
+@pytest.mark.parametrize("g", FAMILIES + SCRAMBLED + KEY_CASES + data_graphs())
+def test_grouping_matches_the_oracle_on_families_and_data(g):
+    if validate(g).passes("H4", "H5"):
+        check_grouping(flats(g))
+
+
+def test_grouping_matches_the_oracle_on_regime_corpus():
+    sizes = [check_grouping(flats(g)) for g in regime_graphs(random.Random(SEED_REGIME), 400)]
+    # the corpus has graphs with no candidate and graphs with several classes
+    assert min(map(len, sizes)) == 0 and max(map(len, sizes)) > 1
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("m", [4, 5, 6, 7])
+@pytest.mark.parametrize("family", [braid, type_d, type_b])
+def test_grouping_matches_the_oracle_on_scrambled_reflection_families(family, m, seed):
+    sizes = check_grouping(flats(scrambled(family(m), random.Random(seed))))
+    # the C(m, 4) vertex sets of four form one class, however numbered
+    assert comb(m, 4) in sizes
+
+
+def test_grouping_matches_the_oracle_on_pattern_rich_hosts():
+    for _, g in pattern_rich_hosts():
+        check_grouping(flats(g))
+
+
+def test_grouping_matches_the_oracle_on_one_vertex_pair():
+    # flats from no graph, all on the vertices (1, 2): one class of one W
+    g = load_graph("final_example.gg")
+    assert check_grouping(one_vertex_set(helpers.flat_list(flats(g)))) == [1]
+    assert check_grouping(one_vertex_set([(1, 2, 3), (4, 5, 6)])) == []
 
 
 @pytest.mark.parametrize("m", [4, 5, 6, 7])
