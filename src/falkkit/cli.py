@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator
 
 from .arrangement import arrangement
-from .falk import FalkReport, Run, phi3_combinatorial, verify
+from .falk import FalkReport, Run, Triangle, phi3_combinatorial, verify
 from .graphs import (
     GraphFormatError,
     GraphTooLargeError,
@@ -55,10 +55,6 @@ def _hypotheses_lines(report: ValidationReport) -> list[str]:
     return lines
 
 
-def _triangles_json(tris) -> list[dict]:
-    return [{"edges": list(t.edge_ids), "kind": t.kind.value} for t in tris]
-
-
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
@@ -70,8 +66,13 @@ def _json_chunks(value, out: list[str], pad: str, head: str = "") -> None:
     The standard library writes indented JSON with its pure-Python encoder
     before CPython 3.13.  Here a scalar, a list of ints, or a key with its
     ``": "`` joins the chunk before it, so ``out`` grows no longer than the
-    standard library's chunk list.  Values the CLI never emits (floats, sets,
-    keys that are not strings) raise ``TypeError``.
+    standard library's chunk list.  A non-empty list of
+    :class:`~falkkit.patterns.Triangle` is written as the list of
+    ``{"edges": [...], "kind": kind.value}`` objects, one ``%`` template
+    per triangle built once for the list at its depth, with no dict per
+    triangle; the kind values are plain ASCII that needs no escape.  Values
+    the CLI never emits (floats, sets, keys that are not strings) raise
+    ``TypeError``.
     """
     if isinstance(value, str):
         out.append(head + encode_basestring_ascii(value))
@@ -95,6 +96,15 @@ def _json_chunks(value, out: list[str], pad: str, head: str = "") -> None:
         elif all(type(item) is int for item in value):
             ints = ("," + inner).join(map(int.__repr__, value))
             out.append(head + "[" + inner + ints + pad + "]")
+        elif all(type(item) is Triangle for item in value):
+            i2 = inner + "  "
+            i3 = i2 + "  "
+            template = (
+                "{" + i2 + '"edges": [' + i3 + "%d," + i3 + "%d," + i3 + "%d" + i2 + "],"
+                + i2 + '"kind": "%s"' + inner + "}"
+            )
+            tris = ("," + inner).join([template % (*t.edge_ids, t.kind.value) for t in value])
+            out.append(head + "[" + inner + tris + pad + "]")
         else:
             head += "["
             for item in value:
@@ -106,7 +116,8 @@ def _json_chunks(value, out: list[str], pad: str, head: str = "") -> None:
 
 
 def _json_text(value) -> str:
-    """``json.dumps(value, indent=2)``, byte for byte, for the values the CLI emits."""
+    """``json.dumps(value, indent=2)``, byte for byte, for the values the CLI
+    emits, each triangle written as its ``{"edges": ..., "kind": ...}`` object."""
     out: list[str] = []
     _json_chunks(value, out, "\n")
     return "".join(out)
@@ -127,7 +138,7 @@ def cmd_triangles(run: Run, args) -> tuple[dict, Iterable[str]]:
     tris = run.triangles
     lines = [f"{{{','.join(map(str, t.edge_ids))}}} {t.kind.value}" for t in tris]
     lines.append(f"total: {len(tris)}")
-    return {"triangles": _triangles_json(tris)}, lines
+    return {"triangles": tris}, lines
 
 
 def cmd_counts(run: Run, args) -> tuple[dict, Iterable[str]]:
@@ -177,7 +188,7 @@ def _report_json(rep: FalkReport) -> dict:
     return {
         "num_vertices": rep.num_vertices,
         "hypotheses": _hypotheses_json(rep.hypotheses),
-        "triangles": None if rep.triangle_list is None else _triangles_json(rep.triangle_list),
+        "triangles": rep.triangle_list,
         "counts": None if rep.counts is None else rep.counts.as_dict(),
         "dims": dims,
         "phi3": {

@@ -1,11 +1,13 @@
 import codecs
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
 import time
 from collections import Counter
+from json.encoder import encode_basestring_ascii
 
 import pytest
 
@@ -14,7 +16,18 @@ from falkkit.arrangement import MAX_NORMAL_ENTRIES
 from falkkit.cli import main
 from falkkit.falk import Run
 from falkkit.graphs import MAX_WITNESSES, GraphTooLargeError, serialize
-from helpers import DATA, doubling_triangle, load_graph, seeded_graphs
+from falkkit.patterns import Triangle, TriangleKind
+from helpers import (
+    DATA,
+    braid,
+    doubling_triangle,
+    load_graph,
+    scrambled,
+    seeded_graphs,
+    triangulated_grid,
+    type_b,
+    type_d,
+)
 from test_golden_report import FORMS, run_all
 
 FINAL = str(DATA / "final_example.gg")
@@ -480,11 +493,54 @@ def test_json_output_is_the_indent_2_text_of_json_dumps(capsys, form):
             assert out == json.dumps(json.loads(out), indent=2) + "\n", path.name
 
 
+def triangle_object(t):
+    """A triangle as the CLI writes it: the ``default=`` of the oracle's ``json.dumps``."""
+    if type(t) is not Triangle:
+        raise TypeError(f"Object of type {type(t).__name__} is not JSON serializable")
+    return {"edges": list(t.edge_ids), "kind": t.kind.value}
+
+
 def test_json_writer_matches_json_dumps_on_random_reports():
     for g in seeded_graphs(200, seed=25):
         fields, _ = cli.cmd_report(Run(g), None)
         value = {"n": g.n, **fields}
-        assert cli._json_text(value) == json.dumps(value, indent=2)
+        assert cli._json_text(value) == json.dumps(value, indent=2, default=triangle_object)
+
+
+TRIANGLE_HEAVY = [
+    pytest.param(graph, id=f"{name}{m}{suffix}")
+    for name, family in (("K", braid), ("D", type_d), ("B", type_b))
+    for m in range(4, 8)
+    for graph, suffix in ((family(m), ""), (scrambled(family(m), random.Random(m)), "-scrambled"))
+] + [
+    pytest.param(triangulated_grid(30), id="grid30"),
+    pytest.param(load_graph("three_vertex_patterns.gg"), id="three_vertex_patterns"),
+    pytest.param(load_graph("empty.gg"), id="empty"),
+]
+
+
+@pytest.mark.parametrize("g", TRIANGLE_HEAVY)
+@pytest.mark.parametrize("view", [cli.cmd_report, cli.cmd_triangles])
+def test_json_writer_matches_json_dumps_on_triangle_lists(view, g):
+    fields, _ = view(Run(g), None)
+    value = {"n": g.n, **fields}
+    expected = json.dumps(value, indent=2, default=triangle_object)
+    # equal line lists are equal texts; a failure shows its first differing
+    # line, where a diff of two long texts would take minutes
+    assert cli._json_text(value).split("\n") == expected.split("\n")
+
+
+def test_the_triangle_lists_hold_every_kind_and_none():
+    kinds = {t.kind for t in Run(load_graph("three_vertex_patterns.gg")).triangles}
+    assert kinds == set(TriangleKind)
+    assert Run(load_graph("empty.gg")).triangles == ()
+
+
+@pytest.mark.parametrize("kind", TriangleKind)
+def test_triangle_kinds_are_printable_ascii_written_unescaped(kind):
+    # the writer's template puts the kind between quotes as it is
+    assert kind.value.isascii() and kind.value.isprintable()
+    assert encode_basestring_ascii(kind.value) == f'"{kind.value}"'
 
 
 JSON_VALUES = [
