@@ -190,31 +190,20 @@ def _triangles(index: FlatIndex) -> list[Triangle]:
     The flats have sum_X C(|X|, 3) triples, cubic in the bundle size when
     H3 fails, so that count is taken from the flat sizes first, and the
     split is refused (raises :class:`~falkkit.graphs.GraphTooLargeError`)
-    above :data:`MAX_TRIANGLES`.  The kind is decided per flat: a flat on
-    three vertices is a balanced 3-circle, its own one triple, and a triple
-    of a two-vertex flat counts the flat's loops it holds.  Each triple lies
-    in exactly one flat, so the sorted ``(triple, kind)`` pairs are in edge-id
-    order, and one :class:`Triangle` is built per pair.
+    above :data:`MAX_TRIANGLES`.
     """
     total = sum(comb(len(flat), 3) for xs in index.by_verts.values() for flat in xs)
     if total > MAX_TRIANGLES:
         raise GraphTooLargeError(
             f"triangle list has {total} triangles, more than {MAX_TRIANGLES}"
         )
-    ends = index.ends
-    found: list[tuple[tuple[int, int, int], TriangleKind]] = []
-    for verts, xs in index.by_verts.items():
-        if len(verts) == 3:
-            found += zip(xs, itertools.repeat(TriangleKind.BALANCED_CIRCLE))
-            continue
-        for flat in xs:
-            loops = {a for a in flat if ends[a][0] == ends[a][1]}
-            found += [
-                (t, _FLAT_KIND[(t[0] in loops) + (t[1] in loops) + (t[2] in loops)])
-                for t in itertools.combinations(flat, 3)
-            ]
-    found.sort()
-    return list(itertools.starmap(Triangle, found))
+    found = [
+        Triangle(triple, _kind(index, verts, triple))
+        for verts, xs in index.by_verts.items()
+        for flat in xs
+        for triple in itertools.combinations(flat, 3)
+    ]
+    return sorted(found, key=lambda t: t.edge_ids)
 
 
 # ---------------------------------------------------------------------------

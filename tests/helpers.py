@@ -47,10 +47,8 @@ checked against live here.
   oracle for the library's candidates and keys, and
   :func:`recorded_rows` records the rows the library hands to
   :func:`falkkit.exterior.rank`.  :func:`one_vertex_set` indexes flats
-  that come from no graph for :func:`falkkit.exterior.rank_fields`,
-  :func:`flat_list` lists an index's flats in lexicographic order, and
-  :func:`triangle_list` splits them into triangles one triple at a time,
-  the oracle for :func:`falkkit.patterns._triangles`.
+  that come from no graph for :func:`falkkit.exterior.rank_fields`, and
+  :func:`flat_list` lists an index's flats in lexicographic order.
   :func:`dim_I3_2_closed_form` predicts
   dim(I^3_2) from the census counts under H1-H5.
 * Matroid: :func:`dependent_3sets` ranks the hyperplane normals of every
@@ -99,9 +97,7 @@ from falkkit.patterns import (
     _EXCESS,
     Pattern,
     PatternCounts,
-    Triangle,
     TriangleKind,
-    _kind,
     atlas,
     triangles,
 )
@@ -860,19 +856,6 @@ def one_vertex_set(flats: Iterable[Flat]) -> FlatIndex:
 def flat_list(index: FlatIndex) -> list[Flat]:
     """The flats of an index, in lexicographic order."""
     return sorted(flat for xs in index.by_verts.values() for flat in xs)
-
-
-def triangle_list(index: FlatIndex) -> list[Triangle]:
-    """The triangle list of an index by its definition: one
-    :class:`~falkkit.patterns.Triangle` per 3-subset of each flat, its kind
-    decided per triple, sorted by edge ids."""
-    found = [
-        Triangle(triple, _kind(index, verts, triple))
-        for verts, xs in index.by_verts.items()
-        for flat in xs
-        for triple in itertools.combinations(flat, 3)
-    ]
-    return sorted(found, key=lambda t: t.edge_ids)
 
 
 def recorded_rows(monkeypatch, compute) -> tuple[list[list[dict]], object]:

@@ -18,12 +18,8 @@ checked against the oracle regroup of the dependent triples that
 :func:`helpers.dependent_3sets` finds by ranking the hyperplane normals,
 and each flat's vertex tuple and its edges' ends in the walk's index
 against :meth:`falkkit.graphs.Edge.ends`, and each link's slot against
-the gain order of its bundle.  The triangle list the flats split into
-(:func:`falkkit.patterns._triangles`) is checked, in order and kinds,
-against its definition (:func:`helpers.triangle_list`) on those graphs,
-the pattern-rich hosts and the Pappus graphs.  The library's candidate
-vertex sets and keys put every W in its class of
-:func:`helpers.kept_group_classes`, the
+the gain order of its bundle.  The library's candidate vertex sets and
+keys put every W in its class of :func:`helpers.kept_group_classes`, the
 grouping by its definitions, and give each group its class's size, on
 those graphs, scrambled K_m, D_m and B_m and the pattern-rich hosts.
 Reversing the slots within every bundle
@@ -46,11 +42,10 @@ from falkkit import exterior
 from falkkit.cli import main
 from falkkit.falk import Run, phi3_rank, verify
 from falkkit.graphs import Edge, FlatIndex, GainGraph, GraphFormatError, GraphTooLargeError, validate
-from falkkit.patterns import TriangleKind, _triangles, flats, triangles
+from falkkit.patterns import flats, triangles
 import helpers
 from helpers import (
     DATA,
-    PAPPUS_GRAPHS,
     braid,
     doubling_triangle,
     full_rank_fields,
@@ -467,39 +462,6 @@ def test_flats_match_dependent_3sets_on_regime_corpus():
         failing.update(validate(g).failing())
         check_flats(g)
     assert failing == {"H1", "H2", "H3"}
-
-
-def check_triangle_list(g) -> set[TriangleKind]:
-    index = flats(g)
-    tris = _triangles(index)
-    # in order and kinds, the one-triple-at-a-time split of the flats
-    assert tris == helpers.triangle_list(index)
-    return {t.kind for t in tris}
-
-
-@pytest.mark.parametrize("g", FAMILIES + SCRAMBLED + KEY_CASES + data_graphs())
-def test_triangle_list_matches_the_oracle_on_families_and_data(g):
-    if validate(g).passes("H4", "H5"):
-        check_triangle_list(g)
-
-
-def test_triangle_list_matches_the_oracle_on_regime_corpus():
-    kinds = set()
-    for g in regime_graphs(random.Random(SEED_REGIME), 400):
-        kinds |= check_triangle_list(g)
-    assert kinds == set(TriangleKind)
-
-
-def test_triangle_list_matches_the_oracle_on_pattern_rich_hosts():
-    for _, g in pattern_rich_hosts():
-        check_triangle_list(g)
-
-
-@pytest.mark.parametrize("edges", PAPPUS_GRAPHS.values(), ids=PAPPUS_GRAPHS)
-def test_triangle_list_matches_the_oracle_on_the_pappus_graphs(edges):
-    # nine flats of size 3: six balanced 3-circles and three thetas
-    kinds = check_triangle_list(GainGraph.from_edge_list(3, edges))
-    assert kinds == {TriangleKind.BALANCED_CIRCLE, TriangleKind.THETA}
 
 
 @pytest.mark.parametrize("g", FAMILIES[::4] + [pytest.param(load_graph("final_example.gg"), id="final")])
