@@ -58,69 +58,52 @@ def _hypotheses_lines(report: ValidationReport) -> list[str]:
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
-def _json_chunks(value, out: list[str], pad: str, head: str = "") -> None:
-    """Append the text of ``value`` in ``json.dumps(value, indent=2)`` to
-    ``out``, as ``head`` followed by its chunks, nested at ``pad`` (a newline
-    and the indent of its line).
+def _json_text(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for the values the CLI
+    emits, nested at ``pad`` (a newline and the indent of its line).
 
     The standard library writes indented JSON with its pure-Python encoder
-    before CPython 3.13.  Here a scalar, a list of ints, or a key with its
-    ``": "`` joins the chunk before it, so ``out`` grows no longer than the
-    standard library's chunk list.  A non-empty list of
+    before CPython 3.13.  Here a container's text joins the texts of its
+    items, one indent deeper.  A non-empty list of
     :class:`~falkkit.patterns.Triangle` is written as the list of
     ``{"edges": [...], "kind": kind.value}`` objects, one ``%`` template
     per triangle built once for the list at its depth, with no dict per
     triangle; the kind values are plain ASCII that needs no escape.  Values
-    the CLI never emits (floats, sets, keys that are not strings) raise
-    ``TypeError``.
+    the CLI never emits (floats, sets, subclasses of ``int`` other than
+    ``bool``, keys that are not strings) raise ``TypeError``.
     """
+    if type(value) is int:
+        return int.__repr__(value)
     if isinstance(value, str):
-        out.append(head + encode_basestring_ascii(value))
-    elif value is None or value is True or value is False:
-        out.append(head + _JSON_CONSTANTS[value])
-    elif isinstance(value, int):
-        out.append(head + int.__repr__(value))
-    elif isinstance(value, (list, tuple, dict)):
-        inner = pad + "  "
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return _JSON_CONSTANTS[value]
+    if isinstance(value, dict):
         if not value:
-            out.append(head + ("{}" if isinstance(value, dict) else "[]"))
-        elif isinstance(value, dict):
-            head += "{"
-            for key, item in value.items():
-                if not isinstance(key, str):
-                    raise TypeError(f"keys must be str, not {type(key).__name__}")
-                head += inner + encode_basestring_ascii(key) + ": "
-                _json_chunks(item, out, inner, head)
-                head = ","
-            out.append(pad + "}")
-        elif all(type(item) is int for item in value):
-            ints = ("," + inner).join(map(int.__repr__, value))
-            out.append(head + "[" + inner + ints + pad + "]")
-        elif all(type(item) is Triangle for item in value):
+            return "{}"
+        inner = pad + "  "
+        items = []
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(encode_basestring_ascii(key) + ": " + _json_text(item, inner))
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        if all(type(item) is Triangle for item in value):
             i2 = inner + "  "
             i3 = i2 + "  "
             template = (
                 "{" + i2 + '"edges": [' + i3 + "%d," + i3 + "%d," + i3 + "%d" + i2 + "],"
                 + i2 + '"kind": "%s"' + inner + "}"
             )
-            tris = ("," + inner).join([template % (*t.edge_ids, t.kind.value) for t in value])
-            out.append(head + "[" + inner + tris + pad + "]")
+            items = [template % (*t.edge_ids, t.kind.value) for t in value]
         else:
-            head += "["
-            for item in value:
-                _json_chunks(item, out, inner, head + inner)
-                head = ","
-            out.append(pad + "]")
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _json_text(value) -> str:
-    """``json.dumps(value, indent=2)``, byte for byte, for the values the CLI
-    emits, each triangle written as its ``{"edges": ..., "kind": ...}`` object."""
-    out: list[str] = []
-    _json_chunks(value, out, "\n")
-    return "".join(out)
+            items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 # Each view reads the stages of the request's run and returns its JSON

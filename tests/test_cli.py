@@ -319,10 +319,38 @@ def test_missing_file_exit_code(capsys):
     assert "error" in err
 
 
-def test_method_flag_only_on_phi3():
+# argparse words its messages differently across Python versions; only the
+# exit code, the usage line and the "<prog>: error:" prefix are pinned
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param([], id="no-arguments"),
+        pytest.param(["report"], id="no-path"),
+        pytest.param(["nope", FINAL], id="unknown-subcommand"),
+        pytest.param(["phi3", FINAL, "--method", "nope"], id="unknown-method"),
+        pytest.param(["counts", FINAL, "--method=comb"], id="method-flag-only-on-phi3"),
+        pytest.param(["report", FINAL, FINAL], id="extra-positional"),
+    ],
+)
+def test_usage_error_exits_2_with_usage_and_error_lines(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(["counts", FINAL, "--method=comb"])
-    assert exc.value.code == 2
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    lines = err.splitlines()
+    assert any(line.startswith("usage:") for line in lines)
+    prog, sep, _ = lines[-1].partition(": error: ")
+    assert sep and prog in {"falkkit", *(f"falkkit {name}" for name in cli._COMMANDS)}
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["report", "-h"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0 and err == ""
+    assert out.startswith("usage: falkkit")
 
 
 def test_module_entry_point():
@@ -577,8 +605,24 @@ def test_json_writer_prints_booleans_as_true_and_false():
     assert cli._json_text({"b": [False]}) == '{\n  "b": [\n    false\n  ]\n}'
 
 
+TRIANGLE = Triangle((1, 2, 3), TriangleKind.THETA)
+
+
 @pytest.mark.parametrize(
-    "value", [1.5, [0.0], {"a": [1, 2.0]}, {1, 2}, {"a": frozenset()}, {1: "a"}, {None: 1}, b"x"]
+    "value",
+    [
+        1.5,
+        [0.0],
+        {"a": [1, 2.0]},
+        {1, 2},
+        {"a": frozenset()},
+        {1: "a"},
+        {None: 1},
+        b"x",
+        # the template serves only a list made wholly of triangles
+        [TRIANGLE, 1],
+        [1, TRIANGLE],
+    ],
 )
 def test_json_writer_refuses_values_the_cli_never_emits(value):
     with pytest.raises(TypeError):
