@@ -219,14 +219,16 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each subcommand's own parser by its name."""
     parser = argparse.ArgumentParser(
         prog="falkkit",
         description="Exact Falk invariant computations for rational gain graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parsers = {}
     for name, func in _COMMANDS.items():
-        p = sub.add_parser(name)
+        p = parsers[name] = sub.add_parser(name)
         p.add_argument("path", help="graph file")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         if name == "phi3":
@@ -237,17 +239,28 @@ def build_parser() -> argparse.ArgumentParser:
                 help="which pipeline(s) to run",
             )
         p.set_defaults(func=func)
-    return parser
+    return parser, parsers
 
 
-_PARSER = build_parser()
+_PARSER, _SUBPARSERS = build_parser()
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed by the parser of the subcommand it starts with, so that
+    argparse reads the request once, not once at the top and again in the
+    subcommand; any other start (nothing, ``-h``, an option, an unknown
+    name) goes to the top-level parser."""
+    if argv and argv[0] in _SUBPARSERS:
+        return _SUBPARSERS[argv[0]].parse_args(argv[1:])
+    return _PARSER.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        with open(args.path, encoding="utf-8-sig") as handle:
-            g = parse(handle.read())
+        # bytes, decoded once; parse ends lines at \r\n and \r itself
+        with open(args.path, "rb") as handle:
+            g = parse(handle.read().decode("utf-8-sig"))
     except OSError as exc:
         print(f"falkkit: error: {exc}", file=sys.stderr)
         return EXIT_INPUT

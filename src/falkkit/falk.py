@@ -42,7 +42,6 @@ the number of triangles |T|.  The excess comes from the larger patterns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Mapping
 
 from . import exterior
@@ -52,6 +51,25 @@ from .patterns import _EXCESS, _KIND_FIELD, PatternCounts, Triangle, _census, _t
 
 #: the report fields the rank route fills, withheld together when its flats are refused
 _RANK_FIELDS = ("num_triangles", "triangle_list", *exterior.RankFields._fields)
+
+
+class _stage:
+    """A :class:`Run` stage: its method runs on the stage's first read, and
+    its value is stored as a plain attribute of the run, which every later
+    read finds first.  A stage that raises stores nothing, so a refused
+    stage raises again.  ``functools.cached_property`` does the same but,
+    before CPython 3.12, takes a lock on each first read."""
+
+    def __init__(self, method):
+        self.method = method
+        self.name = method.__name__
+        self.__doc__ = method.__doc__
+
+    def __get__(self, run, owner=None):
+        if run is None:
+            return self
+        value = run.__dict__[self.name] = self.method(run)
+        return value
 
 
 class Run:
@@ -70,24 +88,24 @@ class Run:
     def __init__(self, g: GainGraph):
         self.g = g
 
-    @cached_property
+    @_stage
     def hypotheses(self) -> ValidationReport:
         return validate(self.g)
 
-    @cached_property
+    @_stage
     def flats(self) -> FlatIndex:
         self.hypotheses.require("flats")
         return flats(self.g)
 
-    @cached_property
+    @_stage
     def triangles(self) -> tuple[Triangle, ...]:
         return tuple(_triangles(self.flats))
 
-    @cached_property
+    @_stage
     def rank(self) -> exterior.RankFields:
         return exterior.rank_fields(self.g.n, self.flats)
 
-    @cached_property
+    @_stage
     def counts(self) -> PatternCounts:
         self.hypotheses.require("census")
         return _census(self.flats)

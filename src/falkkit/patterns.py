@@ -39,18 +39,20 @@ from its smallest edge.  The other six span three vertices, and each
 exclusion pairs two of them, so the census (:func:`_census`) counts them per
 triple of a balanced 3-circle.  A triple with fewer triangles (on two or
 three of its vertices) than the fewest distinguished triples of such a
-pattern is skipped: an occurrence's inside triangles are exactly its |D|
-distinguished ones.  Any other triple is read once into its local type
-(:func:`_local_type`): the edges of its triangles, the only edges an
-occurrence on it can hold, classed into its three bundles and three loop
-sets by their ends in the index and ordered in each by their slots in the
-index, and its triangles as sets of their places in that order, which
-under H4 fix its local biased graph on those edges.  Its counts
+pattern is skipped, counted before any of its edge sets is built: an
+occurrence's inside triangles are exactly its |D| distinguished ones.  Any
+other triple is read once into its local type (:func:`_local_type`): the
+edges of its triangles, the only edges an occurrence on it can hold,
+classed into its three bundles and three loop sets by their ends in the
+index and ordered in each by their slots in the index, and its triangles
+as sets of their places in that order, which under H4 fix its local
+biased graph on those edges.  Its counts
 come from the sub-multigraphs of the local type shaped like each pattern
 whose triangles are the distinguished triples
 (:func:`_triple_occurrences`), the library's only biased-isomorphism
-decision, and are memoized for the call by the local type, the search's
-only input, so neither the graph nor a gain is read past :func:`flats`.
+decision: the triples are tallied by local type, the search's only input,
+and each distinct type is searched once, so neither the graph nor a gain is
+read past :func:`flats`.
 The work is the join's, at most one local type per balanced 3-circle and
 one search per distinct type: K_m makes none and D_m one.  The tests check
 the per-triple search, the join and the census against an exhaustive
@@ -345,49 +347,59 @@ def count_patterns(g: GainGraph) -> PatternCounts:
     return _census(flats(g))
 
 
+@cache
+def _searched() -> tuple[tuple[Pattern, ...], int]:
+    """The excess patterns the census searches per triple, all but K4, and
+    the fewest distinguished triples any of them has."""
+    searched = tuple(atlas()[name] for field, (name, _) in _EXCESS.items() if field != "k4")
+    return searched, min(len(p.distinguished) for p in searched)
+
+
 def _census(index: FlatIndex) -> PatternCounts:
     """:func:`count_patterns` for a caller that has checked H1..H5, so that
     each flat is one triangle, and holds ``flats(g)``, which is all it reads.
 
-    K4 is counted by a join over the balanced 3-circles (:func:`_k4_count`).
-    The six other excess patterns span three vertices and hold a balanced
-    3-circle, and each exclusion pairs two of them, so they are counted per
-    triple of a balanced 3-circle on the triple's local graph, with the
-    exclusions applied inside it.  A triple with fewer triangles than every
-    such pattern has distinguished triples is skipped before its local type
-    is built.  The counts are memoized for this call by the local type
-    (:func:`_local_type`).
+    Each two-vertex set holds one flat, a triangle of the kind its loops
+    give, and each three-vertex set as many balanced 3-circles as it has
+    flats.  K4 is counted by a join over the balanced 3-circles
+    (:func:`_k4_count`).  The six other excess patterns span three vertices
+    and hold a balanced 3-circle, and each exclusion pairs two of them, so
+    they are counted per triple of a balanced 3-circle on the triple's
+    local graph, with the exclusions applied inside it.  A triple's flats,
+    its own and its three pairs', are counted first, and a triple with
+    fewer than every such pattern has distinguished triples is skipped
+    before any of its edge sets is built.  The other triples are tallied by
+    local type (:func:`_local_type`), and each distinct type is searched
+    once, its counts added times its tally.
 
     The work is the join's, at most the sum over edges e of C(c_e, 2) for
     c_e balanced 3-circles through e, plus one local type per balanced
     3-circle triple with enough triangles and one search per distinct type:
     K_m makes none and D_m one.
     """
-    searched = [atlas()[name] for field, (name, _) in _EXCESS.items() if field != "k4"]
-    fewest = min(len(p.distinguished) for p in searched)
+    searched, fewest = _searched()
     by_verts = index.by_verts
-    counts = Counter(
-        _KIND_FIELD[_kind(index, verts, flat)] for verts, xs in by_verts.items() for flat in xs
-    )
-    circles = [flat for verts, xs in by_verts.items() if len(verts) == 3 for flat in xs]
-    counts["k4"] = _k4_count(index.ends, circles)
-    memo: dict[LocalType, dict[str, int]] = {}
-    for verts in by_verts:
-        if len(verts) < 3:
+    counts: Counter[str] = Counter()
+    circles: list[Flat] = []
+    types: Counter[LocalType] = Counter()
+    for verts, xs in by_verts.items():
+        if len(verts) == 2:
+            (flat,) = xs
+            counts[_KIND_FIELD[_kind(index, verts, flat)]] += 1
+            continue
+        circles += xs
+        u, v, w = verts
+        uv, uw, vw = by_verts.get((u, v), ()), by_verts.get((u, w), ()), by_verts.get((v, w), ())
+        if len(uv) + len(uw) + len(vw) + len(xs) < fewest:
             continue
         # the flats, each one triangle, on two or three of verts
-        inside = [
-            frozenset(flat)
-            for size in (2, 3)
-            for sub in itertools.combinations(verts, size)
-            for flat in by_verts.get(sub, ())
-        ]
-        if len(inside) < fewest:
-            continue
-        local, _ = _local_type(index, verts, inside)
-        if local not in memo:
-            memo[local] = _local_counts(local, searched)
-        counts.update(memo[local])
+        inside = [frozenset(flat) for ys in (uv, uw, vw, xs) for flat in ys]
+        types[_local_type(index, verts, inside)[0]] += 1
+    counts["k3"] = len(circles)
+    counts["k4"] = _k4_count(index.ends, circles)
+    for local, times in types.items():
+        for field, count in _local_counts(local, searched).items():
+            counts[field] += count * times
     return PatternCounts(**counts)
 
 

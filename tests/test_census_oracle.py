@@ -337,18 +337,34 @@ def test_local_types_do_not_depend_on_edge_ids(monkeypatch):
     assert changed == 0, f"{changed} of {typed_copies} copies change their local types"
 
 
-def test_census_skips_thin_sets_before_keying_them(monkeypatch):
-    # every triple of the grid holds one triangle, fewer than the four or
-    # more distinguished triples of any 3-vertex excess pattern, and the
-    # join finds no K4: no 4-set has all six links
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the census keyed or searched a set it can skip")
+@pytest.mark.parametrize(
+    "g, k3, k4",
+    [
+        pytest.param(braid(11), comb(11, 3), comb(11, 4), id="K11"),
+        pytest.param(triangulated_grid(30), 2 * 29 * 29, 0, id="grid30"),
+    ],
+)
+def test_census_skips_thin_sets_before_keying_them(monkeypatch, pattern_atlas, g, k3, k4):
+    # every triple of K_m and of the grid holds one triangle, fewer than the
+    # four or more distinguished triples of any 3-vertex excess pattern, so
+    # the census counts each triple's flats and skips it before it builds an
+    # edge set, a local type or a search; only the join counts K_m's K4s
+    typed = []
 
-    g = triangulated_grid(12)
-    monkeypatch.setattr(patterns, "_local_type", forbidden)
+    def counted(*args):
+        typed.append(args)
+        return _local_type(*args)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the census built a set for a triple it can skip")
+
+    patterns._searched()  # the atlas-derived constants, built once
+    monkeypatch.setattr(patterns, "_local_type", counted)
     monkeypatch.setattr(patterns, "_triple_occurrences", forbidden)
+    monkeypatch.setattr(patterns, "frozenset", forbidden, raising=False)
     counts = count_patterns(g)
-    assert counts.as_dict() == {**dict.fromkeys(COUNT_FIELDS, 0), "k3": 2 * 11 * 11}
+    assert typed == []
+    assert counts.as_dict() == {**dict.fromkeys(COUNT_FIELDS, 0), "k3": k3, "k4": k4}
 
 
 def test_census_tells_sets_of_one_shape_apart():

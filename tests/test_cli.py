@@ -330,6 +330,10 @@ def test_missing_file_exit_code(capsys):
         pytest.param(["phi3", FINAL, "--method", "nope"], id="unknown-method"),
         pytest.param(["counts", FINAL, "--method=comb"], id="method-flag-only-on-phi3"),
         pytest.param(["report", FINAL, FINAL], id="extra-positional"),
+        pytest.param(["report", FINAL, "--bogus"], id="unknown-flag"),
+        pytest.param(["phi3", FINAL, "--method"], id="method-without-value"),
+        pytest.param(["report", "--json"], id="json-without-path"),
+        pytest.param(["report", FINAL, "--method", "rank"], id="method-on-report"),
     ],
 )
 def test_usage_error_exits_2_with_usage_and_error_lines(capsys, argv):
@@ -339,9 +343,43 @@ def test_usage_error_exits_2_with_usage_and_error_lines(capsys, argv):
     assert (exc.value.code, out) == (2, "")
     lines = err.splitlines()
     assert any(line.startswith("usage:") for line in lines)
+    # after a known subcommand, that subcommand's own parser reports the error
+    known = argv and argv[0] in cli._COMMANDS
     prog, sep, _ = lines[-1].partition(": error: ")
-    assert sep and prog in {"falkkit", *(f"falkkit {name}" for name in cli._COMMANDS)}
+    assert sep and prog == (f"falkkit {argv[0]}" if known else "falkkit")
     assert "Traceback" not in err
+
+
+def argv_forms(name: str) -> list[list[str]]:
+    """``name``'s requests on one path, with ``--json`` before and after the
+    path, and for ``phi3`` each method as ``--method x`` and ``--method=x``."""
+    methods = [[]]
+    if name == "phi3":
+        for method in ("comb", "rank", "both"):
+            methods += [["--method", method], [f"--method={method}"]]
+    forms = []
+    for method in methods:
+        for flags in (method, [*method, "--json"], ["--json", *method]):
+            forms += [[name, FINAL, *flags], [name, *flags, FINAL]]
+    return forms
+
+
+@pytest.mark.parametrize("name", cli._COMMANDS)
+def test_the_subcommand_parser_reads_what_the_top_level_parser_reads(name):
+    # main hands a request that starts with a subcommand's name straight to
+    # that subcommand's parser; path, json, method and func, all main reads,
+    # come out as the top-level parser gives them
+    for argv in argv_forms(name):
+        direct = vars(cli._parse_args(argv))
+        assert vars(cli._PARSER.parse_args(argv)) == {"command": name, **direct}, argv
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["CRLF", "CR"])
+def test_crlf_and_cr_line_ends_give_the_same_output(tmp_path, end):
+    # the file is read as bytes and parse ends its lines at \r\n and \r
+    for path in sorted(DATA.glob("*.gg")):
+        (tmp_path / path.name).write_bytes(path.read_bytes().replace(b"\n", end.encode()))
+    assert run_all(tmp_path) == run_all()
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["report", "-h"]])

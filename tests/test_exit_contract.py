@@ -15,12 +15,19 @@ always parse, so none of them exits 2.
 
 A mutant that breaks the contract is kept, as a file in ``data/`` or as a
 strict xfail that names it; it is never dropped from the seed.
+
+*Fuzzed argument lists* hold zero to five tokens from :data:`ARGV_POOL`.  A
+usage error raises ``SystemExit(2)`` from argparse with a ``usage:`` line
+and a last line from the top-level parser or a subcommand's; ``-h`` raises
+``SystemExit(0)``; every other request returns its exit code from
+:func:`~falkkit.cli.main`.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -33,6 +40,7 @@ from test_golden_report import SUBCOMMANDS
 SEED = 19
 MIXED_PER_FILE = 16
 VALID_PER_FILE = 25
+ARGV_LISTS = 400
 
 PATHS = sorted(DATA.glob("*.gg"))
 
@@ -204,3 +212,65 @@ def test_valid_mutants_keep_the_exit_code_contract(capsys, tmp_path, source):
     num_vertices, edges = edge_list(source.read_text(encoding="utf-8"))
     mutants = [(valid_mutant(num_vertices, edges, rng), True) for _ in range(VALID_PER_FILE)]
     check_mutants(capsys, tmp_path, source, mutants)
+
+
+#: what a fuzzed argument list is drawn from
+ARGV_POOL = (
+    *SUBCOMMANDS,
+    "--json",
+    "--method",
+    "--method=",
+    "rank",
+    "nope",
+    "-h",
+    "--",
+    str(DATA / "final_example.gg"),
+    str(DATA / "no_such_file.gg"),
+    "-x",
+)
+
+
+def argv_violation(capsys, argv: list[str]) -> tuple[str, str | None]:
+    """How the request ``argv`` ended, and what in it breaks the contract."""
+    try:
+        code = main(argv)
+        ended = f"exit {code}"
+    except SystemExit as exc:
+        code = exc.code
+        ended = f"SystemExit({code})"
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    if "Traceback" in err or code not in (0, 1, 2):
+        return ended, "a traceback or another exit code"
+    if ended == "SystemExit(2)":
+        prog, sep, _ = lines[-1].partition(": error: ") if lines else ("", "", "")
+        progs = {"falkkit", *(f"falkkit {name}" for name in SUBCOMMANDS)}
+        if out or not any(line.startswith("usage:") for line in lines):
+            return ended, "output, or no usage line"
+        if not (sep and prog in progs):
+            return ended, f"last line {lines[-1]!r}"
+    elif ended == "SystemExit(0)":
+        if err or not out.startswith("usage: falkkit"):
+            return ended, "no help on stdout"
+    elif code == 2 and (out or not err.startswith("falkkit: error:")):
+        return ended, "an input error without its message"
+    elif code == 1 and (out or not err.startswith("falkkit: refused:")):
+        return ended, "a refusal without its message"
+    elif code == 0 and err:
+        return ended, "output on stderr"
+    return ended, None
+
+
+def test_fuzzed_argument_lists_keep_the_exit_code_contract(capsys):
+    rng = random.Random(f"{SEED}:argv")
+    seen = Counter()
+    failures = []
+    for _ in range(ARGV_LISTS):
+        argv = [rng.choice(ARGV_POOL) for _ in range(rng.randint(0, 5))]
+        ended, violation = argv_violation(capsys, argv)
+        seen[ended] += 1
+        if violation:
+            failures.append(f"{argv}: {ended}, {violation}")
+    assert not failures, "\n".join(failures[:10])
+    # the seed reaches usage errors, help, a missing file and a computation
+    assert {"SystemExit(2)", "SystemExit(0)", "exit 2", "exit 0"} <= set(seen), seen
