@@ -110,14 +110,18 @@ one.  Write I_X for the span of the boundaries e_jk - e_ik + e_ij of the
   flat of three has no local F3 row, and no global row reaches its
   monomial e_X.
 
-The kept t of a flat X in the group of W are the edges outside X that
-lie in N(a) and N(b) for two edges a != b of X, where N(a) is the union of
-the group's flats through a, and whose ends hold the vertices of W that X
-misses: set intersections over ints only, one pass over the a of X.
-The groups are read off the index's vertex sets as they are, each with
-all of its flats and the ends of their edges: a flat through t and a is
-what puts a in A, so the kept t found this way are G_kept's by
-definition, and no flat needs to be filtered out first.
+One generator, :func:`_kept_groups`, walks each group once.  For each
+distinct key it takes one W and the flats on W's subsets in increasing
+order, read off the index's vertex sets as they are with the ends of their
+edges: a flat through t and a is what puts a in A, so the kept t found this
+way are G_kept's by definition, and no flat needs to be filtered out first.
+The kept t of a flat X are the edges outside X that lie in N(a) and N(b)
+for two edges a != b of X, where N(a) is the union of the group's flats
+through a, and whose ends hold the vertices of W that X misses: set
+intersections over ints only, one pass over the a of X.  Each flat's kept
+blocks are counted against the bound, then written, and the group's rows
+are yielded with its multiplicity, so :func:`rank_fields` reads
+nullity(G_kept) as one sum of multiplicity times nullity.
 The rows of the kept blocks are written out directly: each basis triple
 i < j < k times each kept e_t, term by term with one sign rule, e_t * e_ab
 (a < b) being e_tab, -e_atb or e_abt as t falls below a, between a and b,
@@ -331,61 +335,62 @@ def _keyed(
 
 
 def _kept_groups(
-    index: FlatIndex,
-) -> list[tuple[int, tuple[int, ...], list[tuple[Flat, tuple[int, ...]]]]]:
-    """G_kept's candidate groups (:func:`_candidates`), one per distinct key
-    (:func:`_keyed`): how many vertex sets W have that key, and for one of
-    them W and its flats in increasing order, each with its vertex set (what
-    :func:`_group_kept` reads).  A group may have no kept row."""
-    by_verts = index.by_verts
+    n: int, index: FlatIndex
+) -> Iterator[tuple[int, tuple[int, ...], list[dict[int, int]]]]:
+    """G_kept's groups, one per distinct key (:func:`_keyed`) of the
+    candidates (:func:`_candidates`) that has kept rows: how many vertex sets
+    W have that key, one of them, and its group's rows, last written first.
+
+    Each block is counted before it is written, and
+    :class:`~falkkit.graphs.GraphTooLargeError` is raised once the rows
+    written pass :data:`MAX_KEPT_ROWS`.
+    """
+    by_verts, ends = index.by_verts, index.ends
     # a kept block takes three flats
     if sum(map(len, by_verts.values())) < 3:
-        return []
+        return
     candidates = _candidates(index)
     if not candidates:
-        return []
-    return [
-        (multiplicity, w, sorted(
+        return
+    written = 0
+    for multiplicity, w in _keyed(candidates, _shape_codes(index)).values():
+        members = sorted(
             (flat, vs)
             for size in (2, 3)
             for vs in itertools.combinations(w, size)
             for flat in by_verts.get(vs, ())
-        ))
-        for multiplicity, w in _keyed(candidates, _shape_codes(index)).values()
-    ]
-
-
-def _group_kept(
-    ws: tuple[int, ...],
-    members: list[tuple[Flat, tuple[int, ...]]],
-    ends: Mapping[int, tuple[int, int]],
-) -> Iterator[tuple[Flat, set[int]]]:
-    """For each flat X of the group of the vertex set ``ws``, given with its
-    vertex set in ``members``, X and the edges t outside X whose block
-    (X, t) is kept and lies in the group: t shares a flat of the group with
-    two or more edges of X, and its ends (``ends[t]``) hold the vertices of
-    ``ws`` that X misses."""
-    # linked[a] = N(a), the union of the group's flats through a
-    linked: dict[int, set[int]] = {}
-    for flat, _ in members:
-        for a in flat:
-            linked.setdefault(a, set()).update(flat)
-    touching: dict[int, set[int]] = {v: set() for v in ws}
-    for a in linked:
-        for v in ends[a]:
-            touching[v].add(a)
-    for flat, vs in members:
-        once: set[int] = set()
-        twice: set[int] = set()
-        for a in flat:
-            near = linked[a]
-            twice |= once & near
-            once |= near
-        twice.difference_update(flat)
-        for v in ws:
-            if v not in vs:
-                twice &= touching[v]
-        yield flat, twice
+        )
+        # linked[a] = N(a), the union of the group's flats through a
+        linked: dict[int, set[int]] = {}
+        for flat, _ in members:
+            for a in flat:
+                linked.setdefault(a, set()).update(flat)
+        touching: dict[int, set[int]] = {v: set() for v in w}
+        for a in linked:
+            for v in ends[a]:
+                touching[v].add(a)
+        rows: list[dict[int, int]] = []
+        for flat, vs in members:
+            once: set[int] = set()
+            twice: set[int] = set()
+            for a in flat:
+                near = linked[a]
+                twice |= once & near
+                once |= near
+            twice.difference_update(flat)
+            for v in w:
+                if v not in vs:
+                    twice &= touching[v]
+            # counted first, so the block that crosses the bound is never written
+            written += comb(len(flat) - 1, 2) * len(twice)
+            if written > MAX_KEPT_ROWS:
+                raise GraphTooLargeError(
+                    f"rank route has more than {MAX_KEPT_ROWS} rows to eliminate"
+                )
+            rows += _kept_rows(n, flat, twice)
+        if rows:
+            rows.reverse()  # less fill-in than the written order (see the module docstring)
+            yield multiplicity, w, rows
 
 
 def _kept_rows(n: int, flat: Flat, outside: Iterable[int]) -> list[dict[int, int]]:
@@ -452,20 +457,7 @@ def rank_fields(n: int, index: FlatIndex) -> RankFields:
         dim_i2 += basis
         threes += size == 3
         size_g += basis * (n - size)
-    nullity = written = 0
-    for multiplicity, w, members in _kept_groups(index):
-        rows: list[dict[int, int]] = []
-        for flat, outside in _group_kept(w, members, index.ends):
-            # counted first, so the block that crosses the bound is never written
-            written += comb(len(flat) - 1, 2) * len(outside)
-            if written > MAX_KEPT_ROWS:
-                raise GraphTooLargeError(
-                    f"rank route has more than {MAX_KEPT_ROWS} rows to eliminate"
-                )
-            rows += _kept_rows(n, flat, outside)
-        if rows:
-            rows.reverse()  # less fill-in than the written order (see the module docstring)
-            nullity += multiplicity * (len(rows) - rank(rows))
+    nullity = sum(m * (len(rows) - rank(rows)) for m, _, rows in _kept_groups(n, index))
     dim_a2 = comb(n, 2) - dim_i2
     dim_i32 = triangles + size_g - nullity
     phi3 = 2 * comb(n + 1, 3) - n * dim_a2 + comb(n, 3) - dim_i32

@@ -63,7 +63,9 @@ checked against live here.
   triple's kind from its shape alone (loops taken, vertices spanned).
 * Holonomy Lie algebra: :func:`holonomy_phi3` reads phi_3 off the degree-3
   part of the holonomy Lie algebra, with no exterior algebra and no Falk
-  formula, from the same flats and :func:`fraction_rank`.
+  formula, from the same flats and :func:`fraction_rank`, and
+  :func:`holonomy_dim2` reads phi_2 = C(n, 2) - dim A^2 off its degree-2
+  part.
 * Isomorphism: :func:`biased_isomorphic` decides biased-graph isomorphism
   exhaustively, from every circle and its balance and the multiplicities,
   vertex signatures and summary of :func:`_bias_profile`.
@@ -566,22 +568,16 @@ def fraction_phi3(g: GainGraph) -> int:
     return 2 * comb(n + 1, 3) - n * dim_a2 + comb(n, 3) - fraction_rank(rows)
 
 
-def holonomy_phi3(g: GainGraph) -> int:
-    """phi_3 as dim h_3, the degree-3 part of the holonomy Lie algebra h
-    (Kohno 1983; Papadima-Suciu 2006: phi_k = dim h_k for k <= 3).
-
-    h is the free Lie algebra on x_1..x_n modulo [x_i, sum_{j in X} x_j]
-    for every rank-2 flat X and every i in X.  The flats of size >= 3 are
-    :func:`flats` of :func:`dependent_3sets`, and every pair of edges in
-    none of them is a flat of size 2.  The free Lie algebra embeds in the
-    tensor algebra, [a, b] = ab - ba, so each [x_k, r] is written as words
-    of length 3, and dim h_3 = (n^3 - n)/3 minus their :func:`fraction_rank`.
-    """
+def _holonomy_relations(g: GainGraph) -> list[dict[tuple[int, int], int]]:
+    """[x_i, sum_{j in X} x_j] for every rank-2 flat X and every i in X, the
+    defining relations of the holonomy Lie algebra h, as words of length 2:
+    the free Lie algebra embeds in the tensor algebra, [a, b] = ab - ba.  The
+    flats of size >= 3 are :func:`flats` of :func:`dependent_3sets`, and
+    every pair of edges in none of them is a flat of size 2."""
     n = g.n
     big = flats(n, dependent_3sets(g))
     covered = {pair for x in big for pair in itertools.combinations(x, 2)}
     rank2 = big + [p for p in itertools.combinations(range(1, n + 1), 2) if p not in covered]
-    # [x_i, sum_{j in X} x_j] as words of length 2
     relations = []
     for x in rank2:
         for i in x:
@@ -590,6 +586,27 @@ def holonomy_phi3(g: GainGraph) -> int:
                 if j != i:
                     r[i, j], r[j, i] = 1, -1
             relations.append(r)
+    return relations
+
+
+def holonomy_dim2(g: GainGraph) -> int:
+    """dim h_2, the degree-2 part of the holonomy Lie algebra: the C(n, 2)
+    brackets [x_a, x_b] modulo the relations of :func:`_holonomy_relations`,
+    ranked with :func:`fraction_rank`.  For an arrangement it is phi_2,
+    which is C(n, 2) - dim A^2."""
+    return comb(g.n, 2) - fraction_rank(_holonomy_relations(g))
+
+
+def holonomy_phi3(g: GainGraph) -> int:
+    """phi_3 as dim h_3, the degree-3 part of the holonomy Lie algebra h
+    (Kohno 1983; Papadima-Suciu 2006: phi_k = dim h_k for k <= 3).
+
+    h is the free Lie algebra on x_1..x_n modulo the relations of
+    :func:`_holonomy_relations`.  Each [x_k, r] is written as words of
+    length 3, and dim h_3 = (n^3 - n)/3 minus their :func:`fraction_rank`.
+    """
+    n = g.n
+    relations = _holonomy_relations(g)
     rows = []
     for k in range(1, n + 1):
         for r in relations:
@@ -783,15 +800,17 @@ def kept_global_rows(n: int, flats: Sequence[Flat]) -> list[dict[int, int]]:
     return [row for _, _, row in _kept_global_blocks(n, flats)]
 
 
-def kept_rows_by_vertex_set(g: GainGraph, flats: Sequence[Flat]) -> dict[frozenset, list[dict]]:
+def kept_rows_by_vertex_set(
+    n: int, ends: Mapping[int, tuple[int, ...]], flats: Sequence[Flat]
+) -> dict[frozenset, list[dict]]:
     """The rows of :func:`kept_global_rows` grouped by the vertex set W of
-    their block (X, t), the ends of every edge of X and of t, each group's
-    rows in the order of :func:`kept_global_rows`.  The library ranks
-    G_kept group by group; here W is read off every edge, with no lemma
-    about which edges cover a flat."""
+    their block (X, t), the ends (``ends``) of every edge of X and of t,
+    each group's rows in the order of :func:`kept_global_rows`.  The
+    library ranks G_kept group by group; here W is read off every edge,
+    with no lemma about which edges cover a flat."""
     groups: dict[frozenset, list[dict]] = {}
-    for flat, t, row in _kept_global_blocks(g.n, flats):
-        w = frozenset(v for a in (*flat, t) for v in g.edge(a).ends())
+    for flat, t, row in _kept_global_blocks(n, flats):
+        w = frozenset(v for a in (*flat, t) for v in ends[a])
         groups.setdefault(w, []).append(row)
     return groups
 

@@ -11,10 +11,15 @@ replace, insert or delete tokens from :data:`TOKENS`, and end the lines with
 CR or CRLF.  Most of them no longer parse.  *Valid* mutants edit the edge
 list and write it out again: a new gain from :data:`GAINS`, an edge reversed
 with its gain inverted, an edge deleted or added, the ids renumbered.  They
-always parse, so none of them exits 2.
+always parse, so none of them exits 2.  Where ``report --json`` answers a
+valid mutant, ``phi3 --method rank`` and ``rank-f3 --json`` must give the
+report's phi_3 and F3 numbers, the census must equal the rank route
+wherever it runs, and a scrambled copy (:func:`helpers.scrambled`: switched,
+reversed and renumbered) must report the same phi_3.
 
-A mutant that breaks the contract is kept, as a file in ``data/`` or as a
-strict xfail that names it; it is never dropped from the seed.
+A mutant that breaks the contract or disagrees is kept, as a file in
+``data/`` or as a strict xfail that names it; it is never dropped from the
+seed.
 
 *Fuzzed argument lists* hold zero to five tokens from :data:`ARGV_POOL`.  A
 usage error raises ``SystemExit(2)`` from argparse with a ``usage:`` line
@@ -33,8 +38,8 @@ from fractions import Fraction
 import pytest
 
 from falkkit.cli import main
-from falkkit.graphs import GraphFormatError, parse
-from helpers import DATA
+from falkkit.graphs import GraphFormatError, parse, serialize
+from helpers import DATA, scrambled
 from test_golden_report import SUBCOMMANDS
 
 SEED = 19
@@ -168,11 +173,15 @@ def valid_mutant(num_vertices: int, edges: list, rng: random.Random) -> str:
     return "\n".join(lines) + "\n"
 
 
-def contract_violations(capsys, path, valid: bool) -> list[str]:
+def contract_violations(capsys, path, valid: bool) -> tuple[list[str], dict]:
+    """What in the answers to :data:`REQUESTS` breaks the contract, and the
+    exit code and stdout of each request."""
     found = []
+    answers = {}
     for request in REQUESTS:
         code = main([request[0], str(path), *request[1:]])
         out, err = capsys.readouterr()
+        answers[request] = code, out
         if code == 0:
             problem = err != "" or (
                 "--json" in request and out != json.dumps(json.loads(out), indent=2) + "\n"
@@ -185,15 +194,52 @@ def contract_violations(capsys, path, valid: bool) -> list[str]:
             problem = True
         if problem or "Traceback" in err:
             found.append(f"{' '.join(request)}: exit {code}, stderr {err[:200]!r}")
+    return found, answers
+
+
+def disagreements(capsys, path, answers: dict, rng: random.Random) -> list[str]:
+    """Where ``report --json`` exits 0: ``phi3 --method rank`` and
+    ``rank-f3 --json`` give its ``phi3.rank`` and ``dims.span_F3_*``, the
+    census equals the rank route wherever it runs, and a scrambled copy
+    (:func:`helpers.scrambled`) reports the same ``phi3``."""
+    code, out = answers[("report", "--json")]
+    if code != 0:
+        return []
+    report = json.loads(out)
+    phi3, dims = report["phi3"], report["dims"]
+    found = []
+    main(["phi3", str(path), "--method", "rank"])
+    out = capsys.readouterr().out
+    if out != ("" if phi3["rank"] is None else f"rank: {phi3['rank']}\n"):
+        found.append(f"phi3 --method rank printed {out!r}, report has {phi3['rank']}")
+    code, out = answers[("rank-f3", "--json")]
+    f3 = json.loads(out)["f3"] if code == 0 else None
+    if f3 != (dims and {"size": dims["span_F3_size"], "rank": dims["span_F3_rank"]}):
+        found.append(f"rank-f3 --json gave {f3}, report has {dims}")
+    if None not in (phi3["comb"], phi3["rank"]) and phi3["comb"] != phi3["rank"]:
+        found.append(f"the census gives {phi3['comb']}, the rank route {phi3['rank']}")
+    copy = path.with_name("scrambled.gg")
+    g = scrambled(parse(path.read_text(encoding="utf-8")), rng)
+    copy.write_text(serialize(g), encoding="utf-8")
+    code = main(["report", str(copy), "--json"])
+    got = json.loads(capsys.readouterr().out)["phi3"] if code == 0 else f"exit {code}"
+    if got != phi3:
+        found.append(f"a scrambled copy gives {got}, the mutant {phi3}")
     return found
 
 
 def check_mutants(capsys, tmp_path, source, mutants) -> None:
+    """The contract on every mutant, and :func:`disagreements` on the valid
+    ones, each with its own seeded scrambling."""
     path = tmp_path / source.name
     failures = []
     for index, (text, valid) in enumerate(mutants):
         path.write_text(text, encoding="utf-8")
-        for violation in contract_violations(capsys, path, valid):
+        violations, answers = contract_violations(capsys, path, valid)
+        if valid:
+            rng = random.Random(f"{SEED}:scrambled:{source.name}:{index}")
+            violations += disagreements(capsys, path, answers, rng)
+        for violation in violations:
             failures.append(f"mutant {index} {text[:300]!r}: {violation}")
     assert not failures, "\n".join(failures[:10])
 

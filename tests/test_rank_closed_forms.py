@@ -20,10 +20,10 @@ and each flat's vertex tuple and its edges' ends in the walk's index
 against :meth:`falkkit.graphs.Edge.ends`, and each link's slot against
 the gain order of its bundle.  The library's candidate vertex sets and
 keys put every W in its class of :func:`helpers.kept_group_classes`, the
-grouping by its definitions, and give each group its class's size, on
-those graphs, scrambled K_m, D_m and B_m and the pattern-rich hosts.
-Reversing the slots within every bundle
-changes no rank field, and switched, reversed and renumbered reflection
+grouping by its definitions, and each class with kept rows is ranked once,
+with its size and one W's kept rows, on those graphs, scrambled K_m, D_m
+and B_m and the pattern-rich hosts.  Reversing the slots within every
+bundle changes no rank field, and switched, reversed and renumbered reflection
 families make as many eliminations as the plain ones.  The row bound
 counts the rows written, one group per distinct key, so every graph
 answered under a bound on all of G_kept's rows is answered alike.
@@ -166,7 +166,7 @@ def check_kept_nullity(monkeypatch, g) -> tuple[int, int]:
     index = flats(g)
     xs = helpers.flat_list(index)
     calls, fields = helpers.recorded_rows(monkeypatch, lambda: exterior.rank_fields(g.n, index))
-    groups = [rows[::-1] for rows in helpers.kept_rows_by_vertex_set(g, xs).values()]
+    groups = [rows[::-1] for rows in helpers.kept_rows_by_vertex_set(g.n, g.edge_ends, xs).values()]
     # each elimination is one group's rows, last row first, and none is empty
     assert all(rows and rows in groups for rows in calls)
     assert bool(calls) == bool(groups)
@@ -196,7 +196,7 @@ def check_groups(g) -> int:
     groups share no column, |W| is 3 or 4, and the groups' nullities sum to
     the nullity of all kept rows.  Returns the number of groups."""
     xs = helpers.flat_list(flats(g))
-    groups = helpers.kept_rows_by_vertex_set(g, xs)
+    groups = helpers.kept_rows_by_vertex_set(g.n, g.edge_ends, xs)
     owner = {}
     for w, rows in groups.items():
         assert len(w) in (3, 4)
@@ -221,11 +221,12 @@ def test_kept_groups_share_no_column_on_regime_corpus():
     assert min(counts) == 0 < max(counts)
 
 
-def check_grouping(index: FlatIndex) -> list[int]:
+def check_grouping(n: int, index: FlatIndex) -> list[int]:
     """The library's candidates are the oracle's, its key puts each of them
     in the oracle's class (:func:`helpers.kept_group_classes`), neither
-    splitting a class nor merging two, and ``_kept_groups`` gives one group
-    per class, with the class's size and the flats on its W's subsets.
+    splitting a class nor merging two, ``_keyed`` gives each class once with
+    its size, and ``_kept_groups`` yields once each class whose vertex sets
+    hold kept rows, with its size and one W's kept rows, last written first.
     Returns the sizes of the classes."""
     classes = helpers.kept_group_classes(index)
     candidates = exterior._candidates(index)
@@ -237,24 +238,31 @@ def check_grouping(index: FlatIndex) -> list[int]:
         by_key.setdefault(key, []).append(w)
     assert sorted(map(sorted, by_key.values())) == classes
     class_of = {w: ws for ws in classes for w in ws}
-    groups = exterior._kept_groups(index)
-    assert sorted(class_of[w] for _, w, _ in groups) == classes
-    for multiplicity, w, members in groups:
+    keyed = exterior._keyed(candidates, codes).values()
+    assert sorted(class_of[w] for _, w in keyed) == classes
+    assert all(multiplicity == len(class_of[w]) for multiplicity, w in keyed)
+    # the oracle's kept rows by the vertex set W of their blocks: every such
+    # W is a candidate, and a class's vertex sets all hold kept rows or none
+    by_w = helpers.kept_rows_by_vertex_set(n, index.ends, helpers.flat_list(index))
+    kept = {tuple(sorted(w)): rows for w, rows in by_w.items()}
+    assert set(kept) <= set(class_of)
+    assert all((w in kept) == (ws[0] in kept) for ws in classes for w in ws)
+    groups = list(exterior._kept_groups(n, index))
+    assert sorted(class_of[w] for _, w, _ in groups) == [ws for ws in classes if ws[0] in kept]
+    for multiplicity, w, rows in groups:
         assert multiplicity == len(class_of[w])
-        assert members == sorted(
-            (flat, vs) for vs, xs in index.by_verts.items() if set(vs) <= set(w) for flat in xs
-        )
+        assert rows == kept[w][::-1]
     return sorted(map(len, classes))
 
 
 @pytest.mark.parametrize("g", FAMILIES + SCRAMBLED + KEY_CASES + data_graphs())
 def test_grouping_matches_the_oracle_on_families_and_data(g):
     if validate(g).passes("H4", "H5"):
-        check_grouping(flats(g))
+        check_grouping(g.n, flats(g))
 
 
 def test_grouping_matches_the_oracle_on_regime_corpus():
-    sizes = [check_grouping(flats(g)) for g in regime_graphs(random.Random(SEED_REGIME), 400)]
+    sizes = [check_grouping(g.n, flats(g)) for g in regime_graphs(random.Random(SEED_REGIME), 400)]
     # the corpus has graphs with no candidate and graphs with several classes
     assert min(map(len, sizes)) == 0 and max(map(len, sizes)) > 1
 
@@ -263,21 +271,22 @@ def test_grouping_matches_the_oracle_on_regime_corpus():
 @pytest.mark.parametrize("m", [4, 5, 6, 7])
 @pytest.mark.parametrize("family", [braid, type_d, type_b])
 def test_grouping_matches_the_oracle_on_scrambled_reflection_families(family, m, seed):
-    sizes = check_grouping(flats(scrambled(family(m), random.Random(seed))))
+    g = scrambled(family(m), random.Random(seed))
+    sizes = check_grouping(g.n, flats(g))
     # the C(m, 4) vertex sets of four form one class, however numbered
     assert comb(m, 4) in sizes
 
 
 def test_grouping_matches_the_oracle_on_pattern_rich_hosts():
     for _, g in pattern_rich_hosts():
-        check_grouping(flats(g))
+        check_grouping(g.n, flats(g))
 
 
 def test_grouping_matches_the_oracle_on_one_vertex_pair():
     # flats from no graph, all on the vertices (1, 2): one class of one W
     g = load_graph("final_example.gg")
-    assert check_grouping(one_vertex_set(helpers.flat_list(flats(g)))) == [1]
-    assert check_grouping(one_vertex_set([(1, 2, 3), (4, 5, 6)])) == []
+    assert check_grouping(g.n, one_vertex_set(helpers.flat_list(flats(g)))) == [1]
+    assert check_grouping(6, one_vertex_set([(1, 2, 3), (4, 5, 6)])) == []
 
 
 @pytest.mark.parametrize("m", [4, 5, 6, 7])
@@ -287,7 +296,7 @@ def test_reflection_families_rank_one_group_per_distinct_key(monkeypatch, family
     g = family(m)
     calls, _ = helpers.recorded_rows(monkeypatch, lambda: exterior.rank_fields(g.n, flats(g)))
     assert len(calls) == keys
-    groups = helpers.kept_rows_by_vertex_set(g, helpers.flat_list(flats(g)))
+    groups = helpers.kept_rows_by_vertex_set(g.n, g.edge_ends, helpers.flat_list(flats(g)))
     assert len([w for w in groups if len(w) == 4]) == comb(m, 4)
 
 
@@ -308,17 +317,26 @@ def test_scrambled_reflection_families_rank_as_many_groups(monkeypatch, family, 
     ids=["B5", "D6", "K9"],
 )
 def test_each_distinct_group_is_walked_once(monkeypatch, g, groups):
-    # the rows are counted as they are written, in the one walk of a group
-    walked = []
-    real_group_kept = exterior._group_kept
+    # one walk of a group counts and writes its blocks: each block (X, t) is
+    # written once, and the rows written are the rows ranked
+    walked, blocks = [], []
+    real_kept_groups, real_kept_rows = exterior._kept_groups, exterior._kept_rows
 
-    def counting(w, *args):
-        walked.append(w)
-        return real_group_kept(w, *args)
+    def walking(*args):
+        for group in real_kept_groups(*args):
+            walked.append(group[1])
+            yield group
 
-    monkeypatch.setattr(exterior, "_group_kept", counting)
-    exterior.rank_fields(g.n, flats(g))
-    assert len(walked) == len(set(walked)) == groups
+    def writing(n, flat, outside):
+        blocks.extend((flat, t) for t in outside)
+        return real_kept_rows(n, flat, outside)
+
+    monkeypatch.setattr(exterior, "_kept_groups", walking)
+    monkeypatch.setattr(exterior, "_kept_rows", writing)
+    calls, _ = helpers.recorded_rows(monkeypatch, lambda: exterior.rank_fields(g.n, flats(g)))
+    assert len(walked) == len(set(walked)) == len(calls) == groups
+    assert len(blocks) == len(set(blocks))
+    assert sum(comb(len(flat) - 1, 2) for flat, _ in blocks) == sum(map(len, calls))
 
 
 BOUND_CASES = [
@@ -408,13 +426,14 @@ def cliques(g: GainGraph) -> tuple[int, int]:
 
 def test_triangulated_grid_keeps_no_rows_and_meets_the_graphic_formula(monkeypatch):
     def forbidden(*args):
-        raise AssertionError("the grid keyed a vertex set")
+        raise AssertionError("the grid walked a group")
 
     g = triangulated_grid(12)
     # every flat is a triangle of the grid, and no outside edge meets two of
     # its edges: each W of two triangles is made by one shared edge only, so
-    # no W is keyed and nothing is ranked
-    monkeypatch.setattr(exterior, "_group_kept", forbidden)
+    # no W is keyed, no row is written and nothing is ranked
+    monkeypatch.setattr(exterior, "_keyed", forbidden)
+    monkeypatch.setattr(exterior, "_kept_rows", forbidden)
     calls, phi3 = helpers.recorded_rows(monkeypatch, lambda: phi3_rank(g))
     assert calls == []
     k3, k4 = cliques(g)
@@ -494,7 +513,7 @@ def test_each_command_runs_the_rank_route_once(monkeypatch, capsys, argv):
     expected, _ = helpers.recorded_rows(monkeypatch, lambda: run.rank)
     # one call per group, each a group of the oracle's kept rows, last row first
     xs = helpers.flat_list(flats(g))
-    groups = [rows[::-1] for rows in helpers.kept_rows_by_vertex_set(g, xs).values()]
+    groups = [rows[::-1] for rows in helpers.kept_rows_by_vertex_set(g.n, g.edge_ends, xs).values()]
     assert len(expected) > 1 and all(rows in groups for rows in expected)
     # a second read of the run makes no call
     assert helpers.recorded_rows(monkeypatch, lambda: run.rank)[0] == []

@@ -41,6 +41,7 @@ from helpers import (
     doubling_triangle,
     fraction_phi3,
     fraction_rank,
+    holonomy_dim2,
     holonomy_phi3,
     load_graph,
     looped_hub,
@@ -140,7 +141,7 @@ def check_library_rows(monkeypatch, g) -> None:
     index = flats(g)
     calls, _ = helpers.recorded_rows(monkeypatch, lambda: exterior.rank_fields(g.n, index))
     xs = helpers.flat_list(index)
-    groups = [rows[::-1] for rows in helpers.kept_rows_by_vertex_set(g, xs).values()]
+    groups = [rows[::-1] for rows in helpers.kept_rows_by_vertex_set(g.n, g.edge_ends, xs).values()]
     # one call per distinct group, none when nothing is kept
     assert bool(calls) == bool(groups)
     for rows in calls:
@@ -279,3 +280,20 @@ def test_holonomy_lie_algebra_matches_the_rank_route():
         assert holonomy_phi3(g) == phi3_rank(g)
     for edges in PAPPUS_GRAPHS.values():
         assert holonomy_phi3(GainGraph.from_edge_list(3, edges)) == 20
+
+
+def test_holonomy_lie_algebra_in_degree_2_matches_dim_A2():
+    # phi_2 = dim h_2 = C(n, 2) - dim A^2, with h's own flats and no exterior
+    # algebra, on the families, tests/data, the Pappus graphs and the regime
+    # where H1-H3 fail
+    cases = [type_b(m) for m in range(2, 6)] + [type_d(m) for m in range(3, 7)]
+    cases += [braid(m) for m in range(4, 9)]
+    cases += [load_graph(p.name) for p in sorted(DATA.glob("*.gg")) if p.name != "bad_zero_gain.gg"]
+    cases += [GainGraph.from_edge_list(3, edges) for edges in PAPPUS_GRAPHS.values()]
+    cases += regime_graphs(random.Random(SEED_HOLONOMY), 40)
+    checked = 0
+    for g in cases:
+        if validate(g).passes("H4", "H5"):
+            assert holonomy_dim2(g) == comb(g.n, 2) - exterior.rank_fields(g.n, flats(g)).dim_A2
+            checked += 1
+    assert checked > 60
