@@ -3,11 +3,18 @@
 A gain graph is a finite multigraph (loops and parallel edges allowed) whose
 edges carry nonzero rational gains.  Reversing an edge inverts its gain, so
 the stored (tail, head) orientation is bookkeeping only; every operation in
-this package is invariant under reorientation.  Gains are
-``fractions.Fraction`` values and all arithmetic is exact.  A graph's link
-bundles, loops, gain groups and edge ends come from one pass over its
-edges in id order (:func:`_bundle_index`), made on the first read of any
-of them, whatever built the graph and in whatever order a file lists them.
+this package is invariant under reorientation.  All arithmetic is exact.
+
+A graph is held as integer rows ``(id, tail, head, p, q)``, one per edge,
+its gain p/q reduced with q > 0 (:data:`Row`): :func:`parse` reads each
+edge line into one, with one ``gcd`` per distinct gain token, and the
+reduced pair decides every balance the library needs.  A graph's link
+bundles, loops, gain groups and edge ends hold edge ids and come from one
+pass over its rows in id order (:func:`_bundle_index`), made on the first
+read of any of them, whatever built the graph and in whatever order a file
+lists them.  The :class:`Edge` objects of :attr:`GainGraph.edges`, with
+``fractions.Fraction`` gains, are built from the rows on their first read,
+which no stage of :func:`falkkit.falk.verify` makes.
 
 Hypotheses H1..H5 checked by :func:`validate`:
 
@@ -37,7 +44,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb
+from math import comb, gcd
 from typing import Iterable, NamedTuple, Sequence, Union
 
 GainLike = Union[Fraction, int, str]
@@ -59,6 +66,10 @@ HYPOTHESIS_LABELS = {
 
 #: a rank-2 flat: the increasing edge ids of its hyperplanes
 Flat = tuple[int, ...]
+
+#: an edge as a graph holds it: ``(id, tail, head, p, q)``, its gain p/q
+#: reduced with q > 0
+Row = tuple[int, int, int, int, int]
 
 
 class FlatIndex(NamedTuple):
@@ -113,7 +124,8 @@ class Edge:
     ``tail == head`` marks a loop.  The reversed edge
     ``(head, tail, 1/gain)`` denotes the same underlying edge.  ``gain``
     must be a nonzero ``Fraction``; it is not coerced here, as
-    :func:`parse` and :meth:`GainGraph.from_edge_list` coerce each gain once.
+    :meth:`GainGraph.from_edge_list` coerces each gain once and
+    :attr:`GainGraph.edges` builds each from a reduced row.
 
     The fields live in slots, which ``__init__`` writes through their
     descriptors: the frozen dataclass's own ``__init__`` calls
@@ -156,79 +168,102 @@ _set_id, _set_tail, _set_head, _set_gain = (
 
 
 class _Bundles(NamedTuple):
-    """The maps of a graph's edges that :func:`_bundle_index` builds in one pass."""
+    """The maps of a graph's edge ids that :func:`_bundle_index` builds in
+    one pass, and the ids of its balanced loops (gain 1)."""
 
-    link_map: dict[tuple[int, int], tuple[Edge, ...]]
-    loop_map: dict[int, tuple[Edge, ...]]
-    gain_groups: dict[tuple[int, int], dict[tuple[int, int], list[Edge]]]
+    link_map: dict[tuple[int, int], tuple[int, ...]]
+    loop_map: dict[int, tuple[int, ...]]
+    gain_groups: dict[tuple[int, int], dict[tuple[int, int], list[int]]]
     ends: dict[int, tuple[int, int]]
+    balanced_loops: set[int]
 
 
-def _bundle_index(edges: Iterable[Edge]) -> _Bundles:
-    """Group ``edges`` into bundles, loops and gain groups, and record each
-    edge's ends, in one pass in the order given (by id in every graph
-    :func:`parse` or :meth:`GainGraph.from_edge_list` makes).  So the
+def _bundle_index(rows: Iterable[Row]) -> _Bundles:
+    """Group the ids of ``rows`` into bundles, loops and gain groups, and
+    record each edge's ends, in one pass in the order given (by id in every
+    graph :func:`parse` or :meth:`GainGraph.from_edge_list` makes).  So the
     bundles, the loop sets and each bundle's gain groups come in the order
-    of their first edges, and each holds its edges in that order."""
-    links: dict[tuple[int, int], list[Edge]] = {}
-    loops: dict[int, list[Edge]] = {}
-    groups: dict[tuple[int, int], dict[tuple[int, int], list[Edge]]] = {}
+    of their first edges, and each holds its edge ids in that order.  The
+    gains are reduced, so a loop is balanced when p == q."""
+    links: dict[tuple[int, int], list[int]] = {}
+    loops: dict[int, list[int]] = {}
+    groups: dict[tuple[int, int], dict[tuple[int, int], list[int]]] = {}
     ends: dict[int, tuple[int, int]] = {}
-    for e in edges:
-        t, h = e.tail, e.head
+    balanced: set[int] = set()
+    for i, t, h, p, q in rows:
         if t < h:
-            pair, pq = (t, h), e.gain.as_integer_ratio()
+            pair, pq = (t, h), (p, q)
         elif t > h:  # read from the lower end h, the gain p/q is q/p
-            pair, (p, q) = (h, t), e.gain.as_integer_ratio()
-            pq = (q, p) if p > 0 else (-q, -p)
+            pair, pq = (h, t), (q, p) if p > 0 else (-q, -p)
         else:
-            ends[e.id] = (t, t)
+            ends[i] = (t, t)
+            if p == q:
+                balanced.add(i)
             if t in loops:
-                loops[t].append(e)
+                loops[t].append(i)
             else:
-                loops[t] = [e]
+                loops[t] = [i]
             continue
-        ends[e.id] = pair
+        ends[i] = pair
         by_gain = groups.get(pair)
         if by_gain is None:
-            links[pair] = [e]
-            groups[pair] = {pq: [e]}
+            links[pair] = [i]
+            groups[pair] = {pq: [i]}
             continue
-        links[pair].append(e)
+        links[pair].append(i)
         group = by_gain.get(pq)
         if group is None:
-            by_gain[pq] = [e]
+            by_gain[pq] = [i]
         else:
-            group.append(e)
+            group.append(i)
     return _Bundles(
-        {pair: tuple(es) for pair, es in links.items()},
-        {v: tuple(es) for v, es in loops.items()},
+        {pair: tuple(ids) for pair, ids in links.items()},
+        {v: tuple(ids) for v, ids in loops.items()},
         groups,
         ends,
+        balanced,
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GainGraph:
-    """Immutable multigraph on vertices 1..num_vertices with edge ids 1..n."""
+    """Immutable multigraph on vertices 1..num_vertices with edge ids 1..n.
+
+    It holds one :data:`Row` per edge, in the order the edges were given.
+    Two graphs are equal when their vertex counts and rows are, which is
+    when their edge tuples are.  :attr:`edges` is built from the rows on
+    its first read, unless the graph was built from edges.
+    """
 
     num_vertices: int
-    edges: tuple[Edge, ...]
+    _rows: tuple[Row, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(self.edges))
-        if self.num_vertices < 1:
+    def __init__(self, num_vertices: int, edges: Iterable[Edge]):
+        edges = tuple(edges)
+        if num_vertices < 1:
             raise ValueError("a gain graph needs at least one vertex")
-        ids = [e.id for e in self.edges]
+        ids = [e.id for e in edges]
         expected = list(range(1, len(ids) + 1))
-        # parse hands its edges over in id order: sort only another order
+        # from_edge_list hands its edges over in id order: sort only another order
         if ids != expected and sorted(ids) != expected:
             raise ValueError("edge ids must be exactly 1..n with no repeats")
-        for e in self.edges:
-            if not (1 <= e.tail <= self.num_vertices and 1 <= e.head <= self.num_vertices):
-                raise ValueError(
-                    f"edge {e.id} touches a vertex outside 1..{self.num_vertices}"
-                )
+        for e in edges:
+            if not (1 <= e.tail <= num_vertices and 1 <= e.head <= num_vertices):
+                raise ValueError(f"edge {e.id} touches a vertex outside 1..{num_vertices}")
+        rows = tuple((e.id, e.tail, e.head, *e.gain.as_integer_ratio()) for e in edges)
+        object.__setattr__(self, "num_vertices", num_vertices)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "edges", edges)
+
+    @classmethod
+    def _of_rows(cls, num_vertices: int, rows: tuple[Row, ...]) -> "GainGraph":
+        """The graph of ``rows``, with none of ``__init__``'s checks: the
+        caller has made them (ids 1..n, ends in 1..num_vertices, num_vertices
+        >= 1) and reduced every gain."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "num_vertices", num_vertices)
+        object.__setattr__(g, "_rows", rows)
+        return g
 
     @classmethod
     def from_edge_list(
@@ -241,44 +276,39 @@ class GainGraph:
         )
         return cls(num_vertices, edges)
 
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges in the order of the rows, gains as ``Fraction`` s."""
+        return tuple(Edge(i, t, h, Fraction(p, q)) for i, t, h, p, q in self._rows)
+
     @property
     def n(self) -> int:
-        return len(self.edges)
+        return len(self._rows)
 
     @property
     def vertices(self) -> range:
         return range(1, self.num_vertices + 1)
 
-    def edge(self, edge_id: int) -> Edge:
-        try:
-            return self._by_id[edge_id]
-        except KeyError:
-            raise KeyError(f"no edge with id {edge_id}") from None
-
-    @cached_property
-    def _by_id(self) -> dict[int, Edge]:
-        return {e.id: e for e in self.edges}
-
     @cached_property
     def _bundles(self) -> _Bundles:
-        return _bundle_index(self.edges)
+        return _bundle_index(self._rows)
 
     # the maps below read the one result of _bundle_index, built on first read
 
     @property
-    def loop_map(self) -> dict[int, tuple[Edge, ...]]:
-        """Loops grouped by vertex."""
+    def loop_map(self) -> dict[int, tuple[int, ...]]:
+        """Loop ids grouped by vertex."""
         return self._bundles.loop_map
 
     @property
-    def link_map(self) -> dict[tuple[int, int], tuple[Edge, ...]]:
-        """Links grouped by unordered endpoint pair (u < v)."""
+    def link_map(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """Link ids grouped by unordered endpoint pair (u < v)."""
         return self._bundles.link_map
 
     @property
-    def gain_groups(self) -> dict[tuple[int, int], dict[tuple[int, int], list[Edge]]]:
-        """Each bundle's links (u < v) grouped by their gain read from u, as
-        its reduced (numerator, denominator) with a positive denominator.
+    def gain_groups(self) -> dict[tuple[int, int], dict[tuple[int, int], list[int]]]:
+        """Each bundle's link ids (u < v) grouped by their gain read from u,
+        as its reduced (numerator, denominator) with a positive denominator.
 
         Two links of a bundle have one hyperplane exactly when they share a
         group (H4).  The groups come in the order of their first links, so
@@ -291,16 +321,12 @@ class GainGraph:
         """The ends of each edge by id, as :meth:`Edge.ends` gives them."""
         return self._bundles.ends
 
-    def loops_at(self, v: int) -> tuple[Edge, ...]:
+    def loops_at(self, v: int) -> tuple[int, ...]:
         return self.loop_map.get(v, ())
-
-    def links_between(self, u: int, v: int) -> tuple[Edge, ...]:
-        pair = (u, v) if u <= v else (v, u)
-        return self.link_map.get(pair, ())
 
     @cached_property
     def incident_vertices(self) -> tuple[int, ...]:
-        seen = {v for e in self.edges for v in (e.tail, e.head)}
+        seen = {v for _, t, h, _, _ in self._rows for v in (t, h)}
         return tuple(sorted(seen))
 
 
@@ -321,7 +347,8 @@ def _parse_int(token: str, what: str, line: int) -> int:
         raise GraphFormatError(f"{what} has too many digits ({len(digits)})", line) from None
 
 
-def _parse_gain(token: str, line: int) -> Fraction:
+def _parse_gain(token: str, line: int) -> tuple[int, int]:
+    """The gain ``token`` as its reduced (p, q), q > 0."""
     num, sep, den = token.partition("/")
     # int() takes a token that is ASCII, holds no "_" and no whitespace (no
     # token does) exactly when it is [+-]?[0-9]+
@@ -332,7 +359,8 @@ def _parse_gain(token: str, line: int) -> Fraction:
             pass
         else:
             if p and q > 0:
-                return Fraction(p, q) if q != 1 else Fraction(p)
+                d = gcd(p, q)
+                return (p // d, q // d) if d != 1 else (p, q)
     # any other token is malformed: name its first fault in the grammar's
     # order; a token whose parts are integers with q > 0 got here for p = 0
     _parse_int(num, "gain numerator", line)
@@ -359,8 +387,8 @@ def parse(text: str) -> GainGraph:
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     num_vertices: int | None = None
-    edges: dict[int, Edge] = {}
-    gains: dict[str, Fraction] = {}  # one Fraction per distinct gain token
+    rows: dict[int, Row] = {}
+    gains: dict[str, tuple[int, int]] = {}  # one reduced (p, q) per distinct gain token
     for lineno, raw in enumerate(text.split("\n"), start=1):
         fields = raw.split()  # splits on the whitespace str.strip() strips
         if not fields or fields[0][0] == "#":
@@ -385,21 +413,23 @@ def parse(text: str) -> GainGraph:
             edge_id = _parse_int(id_token, "edge id", lineno)
             tail = _parse_int(tail_token, "tail vertex", lineno)
             head = _parse_int(head_token, "head vertex", lineno)
-        gain = gains.get(gain_token)
-        if gain is None:
-            gain = gains[gain_token] = _parse_gain(gain_token, lineno)
-        if edge_id in edges:
+        pq = gains.get(gain_token)
+        if pq is None:
+            pq = gains[gain_token] = _parse_gain(gain_token, lineno)
+        if edge_id in rows:
             raise GraphFormatError(f"duplicate edge id {edge_id}", lineno)
         if not (1 <= tail <= num_vertices and 1 <= head <= num_vertices):
             raise GraphFormatError(f"vertex out of range 1..{num_vertices}", lineno)
-        edges[edge_id] = Edge(edge_id, tail, head, gain)
+        p, q = pq
+        rows[edge_id] = (edge_id, tail, head, p, q)
     if num_vertices is None:
         raise GraphFormatError("missing 'graph <V>' header")
     # n distinct ids are 1..n exactly when none lies outside 1..n
-    n = len(edges)
-    if edges and not (min(edges) >= 1 and max(edges) <= n):
+    n = len(rows)
+    if rows and not (min(rows) >= 1 and max(rows) <= n):
         raise GraphFormatError("edge ids are not contiguous 1..n")
-    return GainGraph(num_vertices, tuple(map(edges.__getitem__, range(1, n + 1))))
+    # every check of GainGraph.__init__ is made above
+    return GainGraph._of_rows(num_vertices, tuple(map(rows.__getitem__, range(1, n + 1))))
 
 
 def serialize(g: GainGraph) -> str:
@@ -499,30 +529,29 @@ def validate(g: GainGraph) -> ValidationReport:
         at_u, at_v = g.loops_at(u), g.loops_at(v)
         if at_u and at_v:
             add("H1", comb(b, 2) * len(at_u) * len(at_v), (
-                frozenset({e.id, f.id, lu.id, lv.id})
+                frozenset({e, f, lu, lv})
                 for e, f in itertools.combinations(bundle, 2) for lu in at_u for lv in at_v
             ))
         loops = at_u + at_v
         if b >= 3 and loops:
             add("H2", comb(b, 3) * len(loops), (
-                frozenset({x.id, y.id, z.id, loop.id})
+                frozenset({x, y, z, loop})
                 for x, y, z in itertools.combinations(bundle, 3) for loop in loops
             ))
         if b >= 4:
-            add("H3", 1, [frozenset(e.id for e in bundle)])
+            add("H3", 1, [frozenset(bundle)])
         # a balanced 2-circle is a pair of links with one gain
         for group in g.gain_groups[u, v].values():
             if len(group) > 1:
-                add("H4", comb(len(group), 2), (
-                    frozenset({e.id, f.id}) for e, f in itertools.combinations(group, 2)
-                ))
+                add("H4", comb(len(group), 2), map(frozenset, itertools.combinations(group, 2)))
 
+    balanced_loops = g._bundles.balanced_loops
     for v, loops in sorted(g.loop_map.items()):
-        balanced = [loop.id for loop in loops if loop.gain == 1]
+        balanced = [i for i in loops if i in balanced_loops]
         if balanced:
             add("H4", len(balanced), (frozenset({i}) for i in balanced))
         if len(loops) >= 2:
-            add("H5", 1, [frozenset(loop.id for loop in loops)])
+            add("H5", 1, [frozenset(loops)])
 
     return ValidationReport(*(
         Verdict(False, tuple(sorted(found[name], key=sorted)), counts[name])

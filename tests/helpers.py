@@ -9,7 +9,9 @@ checked against live here.
   graph file with its edge lines in another order.
 * Graph maps: :func:`three_pass_maps` builds ``link_map``, ``loop_map``
   and ``gain_groups`` one pass each, by their definitions, the oracle for
-  the library's one builder.
+  the library's one builder.  :func:`edge` looks an edge up by its id and
+  :func:`links_between` lists the links of a vertex pair, the lookups no
+  computation of the library makes.
 * Test data: :func:`random_gain_graph` samples H1-H5 graphs from
   :data:`RANDOM_GAINS`; :func:`switch` regauges the gains by a vertex
   function and :func:`with_reversed_edge` stores one edge the other way
@@ -125,27 +127,28 @@ def reorder_edge_lines(text: str, order) -> str:
 
 def three_pass_maps(g: GainGraph) -> tuple[dict, dict, dict]:
     """``g.link_map``, ``g.loop_map`` and ``g.gain_groups`` by their
-    definitions, one pass each over ``g.edges``: links grouped by
-    :meth:`~falkkit.graphs.Edge.ends`, loops by vertex, and each bundle's
-    links by their gain read from its lower end as a reduced
-    (numerator, denominator) pair, found with ``Fraction`` arithmetic."""
+    definitions, one pass each over ``g.edges``: the ids of the links
+    grouped by :meth:`~falkkit.graphs.Edge.ends`, of the loops by vertex,
+    and of each bundle's links by their gain read from its lower end as a
+    reduced (numerator, denominator) pair, found with ``Fraction``
+    arithmetic."""
     links: dict[tuple[int, int], list[Edge]] = {}
     for e in g.edges:
         if not e.is_loop:
             links.setdefault(e.ends(), []).append(e)
-    loops: dict[int, list[Edge]] = {}
+    loops: dict[int, list[int]] = {}
     for e in g.edges:
         if e.is_loop:
-            loops.setdefault(e.tail, []).append(e)
-    groups: dict[tuple[int, int], dict[tuple[int, int], list[Edge]]] = {}
+            loops.setdefault(e.tail, []).append(e.id)
+    groups: dict[tuple[int, int], dict[tuple[int, int], list[int]]] = {}
     for (u, v), bundle in links.items():
         groups[u, v] = {}
         for e in bundle:
             gain = e.gain if e.tail == u else 1 / e.gain
-            groups[u, v].setdefault((gain.numerator, gain.denominator), []).append(e)
+            groups[u, v].setdefault((gain.numerator, gain.denominator), []).append(e.id)
     return (
-        {pair: tuple(es) for pair, es in links.items()},
-        {v: tuple(es) for v, es in loops.items()},
+        {pair: tuple(e.id for e in es) for pair, es in links.items()},
+        {v: tuple(ids) for v, ids in loops.items()},
         groups,
     )
 
@@ -389,6 +392,21 @@ def brute_circle_sets(g: GainGraph) -> set[frozenset[int]]:
     return circles
 
 
+def edge(g: GainGraph, edge_id: int) -> Edge:
+    """The edge of ``g`` with id ``edge_id``; ``KeyError`` when there is none."""
+    if 1 <= edge_id <= g.n:
+        e = g.edges[edge_id - 1]
+        if e.id == edge_id:  # the edges are stored in id order
+            return e
+        return next(e for e in g.edges if e.id == edge_id)
+    raise KeyError(f"no edge with id {edge_id}")
+
+
+def links_between(g: GainGraph, u: int, v: int) -> tuple[Edge, ...]:
+    """The links of ``g`` between ``u`` and ``v``, in the order of its link map."""
+    return tuple(edge(g, i) for i in g.link_map.get((u, v) if u <= v else (v, u), ()))
+
+
 def circle_balance(g: GainGraph, edge_ids: Iterable[int]) -> bool:
     """Whether the circle on an edge set is balanced (its gain is 1).
 
@@ -401,7 +419,7 @@ def circle_balance(g: GainGraph, edge_ids: Iterable[int]) -> bool:
     ids = sorted(set(edge_ids))
     if not ids:
         raise ValueError("no edges")
-    first, *rest = (g.edge(i) for i in ids)
+    first, *rest = (edge(g, i) for i in ids)
     start, current, gain = first.tail, first.head, first.gain
     while current != start:
         step = [e for e in rest if current in (e.tail, e.head)]
@@ -537,7 +555,7 @@ def flats(n: int, triangles: Iterable) -> list[Flat]:
 
 def _shape_kind(g: GainGraph, edge_ids) -> TriangleKind:
     """The kind of a dependent triple, read from its loops and vertices only."""
-    edges = [g.edge(i) for i in edge_ids]
+    edges = [edge(g, i) for i in edge_ids]
     loops = sum(e.is_loop for e in edges)
     if loops:
         return (TriangleKind.TIGHT_HANDCUFF, TriangleKind.LOOSE_HANDCUFF)[loops - 1]
@@ -991,13 +1009,10 @@ def _pair(u: int, v: int) -> tuple[int, int]:
 
 def _edge_bijection_matches(pa: _BiasProfile, pb: _BiasProfile, vmap: dict) -> bool:
     groups = []
-    for pair, edges in sorted(pa.graph.link_map.items()):
-        u, w = pair
-        targets = pb.graph.links_between(vmap[u], vmap[w])
-        groups.append((tuple(e.id for e in edges), tuple(e.id for e in targets)))
-    for v, loops in sorted(pa.graph.loop_map.items()):
-        targets = pb.graph.loops_at(vmap[v])
-        groups.append((tuple(e.id for e in loops), tuple(e.id for e in targets)))
+    for (u, w), ids in sorted(pa.graph.link_map.items()):
+        groups.append((ids, pb.graph.link_map.get(_pair(vmap[u], vmap[w]), ())))
+    for v, ids in sorted(pa.graph.loop_map.items()):
+        groups.append((ids, pb.graph.loops_at(vmap[v])))
     sources = [src for src, _ in groups]
     pools = [itertools.permutations(tgt) for _, tgt in groups]
     for assignment in itertools.product(*pools):
@@ -1047,7 +1062,7 @@ def biased_isomorphic(a: GainGraph, b: GainGraph) -> bool:
 
 def induced_subgraph(g: GainGraph, edge_ids: Iterable[int]) -> GainGraph:
     """Sub-gain-graph on an edge subset, vertices and edge ids relabeled densely."""
-    chosen = sorted((g.edge(i) for i in set(edge_ids)), key=lambda e: e.id)
+    chosen = sorted((edge(g, i) for i in set(edge_ids)), key=lambda e: e.id)
     verts = sorted({v for e in chosen for v in (e.tail, e.head)})
     vmap = {v: i for i, v in enumerate(verts, start=1)}
     return GainGraph.from_edge_list(
@@ -1078,10 +1093,10 @@ def find_occurrences(g: GainGraph, pattern: Pattern) -> set[frozenset[int]]:
     for image in itertools.permutations(g.incident_vertices, len(ref_profile.verts)):
         vmap = dict(zip(ref_profile.verts, image))
         slots = []
-        for (u, w), edges in ref_pairs:
-            slots.append((len(edges), [e.id for e in g.links_between(vmap[u], vmap[w])]))
-        for v, loops in ref_loops:
-            slots.append((len(loops), [e.id for e in g.loops_at(vmap[v])]))
+        for (u, w), ids in ref_pairs:
+            slots.append((len(ids), g.link_map.get(_pair(vmap[u], vmap[w]), ())))
+        for v, ids in ref_loops:
+            slots.append((len(ids), g.loops_at(vmap[v])))
         if any(len(ids) < need for need, ids in slots):
             continue
         pools = [itertools.combinations(ids, need) for need, ids in slots]

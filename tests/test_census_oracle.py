@@ -37,6 +37,7 @@ from helpers import (
     PAPPUS_GRAPHS,
     RANDOM_GAINS,
     braid,
+    edge,
     enriched_pattern_host,
     find_occurrences,
     pattern_rich_hosts,
@@ -124,7 +125,7 @@ KIND_PATTERN = {
 
 def spanned(g: GainGraph, edge_ids) -> frozenset[int]:
     """The vertices the edges ``edge_ids`` of ``g`` touch."""
-    return frozenset(v for i in edge_ids for v in g.edge(i).ends())
+    return frozenset(v for i in edge_ids for v in edge(g, i).ends())
 
 
 @pytest.mark.parametrize(

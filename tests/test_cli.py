@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 import pytest
@@ -15,7 +16,7 @@ from falkkit import arrangement, cli, exterior, falk, patterns
 from falkkit.arrangement import MAX_NORMAL_ENTRIES
 from falkkit.cli import main
 from falkkit.falk import Run
-from falkkit.graphs import MAX_WITNESSES, GraphTooLargeError, serialize
+from falkkit.graphs import MAX_WITNESSES, Edge, GraphTooLargeError, serialize
 from falkkit.patterns import Triangle, TriangleKind
 from helpers import (
     DATA,
@@ -545,6 +546,40 @@ def test_the_census_builds_no_triangle(capsys, monkeypatch):
     monkeypatch.setattr(patterns.Triangle, "__init__", split)
     assert [run(capsys, r[0], path, *r[1:]) for path in paths for r in requests] == expected
     assert any(code == 0 and "gcirc = 1" in out for code, out, _ in expected)
+
+
+def test_requests_build_no_edge_and_no_fraction(capsys, monkeypatch, tmp_path):
+    # parse reads each edge line into an integer row, and every stage reads
+    # edge ids and reduced integer gains: a graph's Edges, and their
+    # Fraction gains, are built only when g.edges is read, as realize does
+    paths = sorted(str(p) for p in DATA.glob("*.gg"))
+    for name, family in (("k", braid), ("d", type_d), ("b", type_b)):
+        for m in range(3, 7):
+            path = tmp_path / f"{name}{m}.gg"
+            path.write_text(serialize(family(m)), encoding="utf-8")
+            paths.append(str(path))
+    requests = [("report", "--json"), ("phi3",), ("counts",), ("rank-f3",)]
+    # the first round warms the atlas and the census's caches
+    expected = [run(capsys, r[0], path, *r[1:]) for path in paths for r in requests]
+    built = Counter()
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            built[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(Edge, "__init__", counted("Edge", Edge.__init__))
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted("Fraction", Fraction.__new__)))
+    if "_from_coprime_ints" in vars(Fraction):  # CPython 3.12+: the results of arithmetic
+        made = vars(Fraction)["_from_coprime_ints"].__func__
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counted("Fraction", made)))
+    assert [run(capsys, r[0], path, *r[1:]) for path in paths for r in requests] == expected
+    assert built == Counter()
+    assert Fraction(1, 2) and Edge(1, 1, 2, Fraction(2))  # the counters count
+    assert built == Counter({"Edge": 1, "Fraction": 2})
+    assert sum(code == 0 for code, _, _ in expected) > len(expected) // 2
 
 
 # ---------------------------------------------------------------------------

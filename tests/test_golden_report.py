@@ -2,7 +2,9 @@
 
 ``phi3`` runs with each ``--method`` too, so the census-only and rank-only
 gates and outputs are pinned as well as the default.  Every file that
-parses gives the same bytes with its edge lines reversed or shuffled.
+parses gives the same bytes with its edge lines reversed or shuffled, and
+the files below give them with every gain spelled another way: the
+reduced gain is all a graph holds of it.
 
 ``data/golden_report.json`` holds stdout, stderr and the exit code of each
 run, recorded with the graph file named relative to ``data/`` so that error
@@ -20,6 +22,7 @@ import io
 import json
 import os
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -79,6 +82,44 @@ def test_edge_line_order_keeps_every_output_byte(tmp_path, order):
     got = run_all(tmp_path)
     assert len(written) >= 9
     assert sorted(got) == sorted(key for key in golden if key.split()[1] in written)
+    for key, output in got.items():
+        assert output == golden[key], key
+
+
+#: each other spelling of a gain p/q, reduced with q > 0: both terms times
+#: k, each integer with its sign written out, and the denominator written
+#: even when it is 1
+SPELLINGS = {
+    "times2": lambda p, q: f"{2 * p}/{2 * q}",
+    "times3": lambda p, q: f"{3 * p}/{3 * q}",
+    "signed": lambda p, q: f"{p:+d}" + (f"/+{q}" if q != 1 else ""),
+    "over1": lambda p, q: f"{p}/{q}",
+}
+
+
+def respelled(text: str, spell) -> str:
+    """``text`` with the gain of every edge line written by ``spell``."""
+    lines = []
+    for line in text.splitlines():
+        fields = line.split()
+        if fields[:1] == ["edge"]:
+            gain = Fraction(fields[4])
+            line = " ".join([*fields[:4], spell(gain.numerator, gain.denominator)])
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("spelling", SPELLINGS)
+def test_gain_spelling_keeps_every_output_byte(tmp_path, spelling):
+    names = ("type_d4.gg", "final_example.gg", "b2.gg", "gcirc.gg")
+    for name in names:
+        text = (DATA / name).read_text(encoding="utf-8")
+        other = respelled(text, SPELLINGS[spelling])
+        assert other != text  # each file has an integer gain and a positive one
+        (tmp_path / name).write_text(other, encoding="utf-8")
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    got = run_all(tmp_path)
+    assert sorted(got) == sorted(key for key in golden if key.split()[1] in names)
     for key, output in got.items():
         assert output == golden[key], key
 

@@ -26,6 +26,8 @@ from helpers import (
     RANDOM_GAINS,
     brute_circle_sets,
     circle_balance,
+    edge,
+    links_between,
     load_graph,
     regime_graphs,
     reorder_edge_lines,
@@ -50,16 +52,16 @@ def test_parse_parallel_pair():
     g = parse("graph 2\nedge 1 1 2 1\nedge 2 1 2 2\n")
     assert g.num_vertices == 2
     assert g.n == 2
-    assert g.edge(1).gain == 1
-    assert g.edge(2).gain == 2
+    assert edge(g, 1).gain == 1
+    assert edge(g, 2).gain == 2
 
 
 def test_parse_seven_edge_example(seven_edge_example):
     g = seven_edge_example
     assert g.n == 7
     assert g.num_vertices == 3
-    assert [e.gain for e in g.links_between(1, 2)] == [1, 2, 3]
-    assert g.loops_at(1)[0].gain == -1
+    assert [e.gain for e in links_between(g, 1, 2)] == [1, 2, 3]
+    assert edge(g, g.loops_at(1)[0]).gain == -1
 
 
 def test_parse_zero_gain_is_error():
@@ -159,7 +161,7 @@ def test_parse_takes_exactly_the_integer_grammar(template, line, what, value):
 def test_parse_signed_integers():
     g = parse("graph +2\nedge +1 1 +2 -3/+4\n")
     assert g.num_vertices == 2
-    assert g.edge(1).gain == Fraction(-3, 4)
+    assert edge(g, 1).gain == Fraction(-3, 4)
 
 
 def test_parse_requires_header():
@@ -282,7 +284,7 @@ def test_edge_ids_out_of_order_are_kept_in_their_order():
     edges = tuple(Edge(i, 1, 2, i) for i in (3, 1, 2))
     g = GainGraph(2, list(edges))
     assert g.edges == edges
-    assert [g.edge(i).gain for i in (1, 2, 3)] == [1, 2, 3]
+    assert [edge(g, i).gain for i in (1, 2, 3)] == [1, 2, 3]
     assert serialize(g) == serialize(GainGraph(2, sorted(edges, key=lambda e: e.id)))
     with pytest.raises(ValueError, match="touches a vertex outside 1..2"):
         GainGraph(2, (Edge(2, 1, 2, 1), Edge(1, 1, 3, 1)))
@@ -347,7 +349,7 @@ def bundle_with_loops(links, loops, equal_gains=0):
 def brute_witnesses(g):
     """Every witness of H1, H2 and H4 on a one-bundle graph, by definition."""
     links = [e for e in g.edges if not e.is_loop]
-    loops = {v: [e.id for e in g.loops_at(v)] for v in (1, 2)}
+    loops = {v: list(g.loops_at(v)) for v in (1, 2)}
     return {
         "H1": {frozenset({e.id, f.id, a, b}) for e, f in itertools.combinations(links, 2)
                for a in loops[1] for b in loops[2]},
@@ -378,11 +380,20 @@ def test_gain_groups_read_each_link_from_the_smaller_end():
     g = GainGraph.from_edge_list(
         3, [(1, 2, 2), (2, 1, "1/2"), (3, 1, -3), (1, 3, "-1/3"), (1, 3, 5), (1, 1, 2)]
     )
-    ids = {pair: {gain: [e.id for e in es] for gain, es in groups.items()}
-           for pair, groups in g.gain_groups.items()}
+    ids = {pair: dict(groups) for pair, groups in g.gain_groups.items()}
     assert ids == {(1, 2): {(2, 1): [1, 2]}, (1, 3): {(-1, 3): [3, 4], (5, 1): [5]}}
     assert list(ids[1, 3]) == [(-1, 3), (5, 1)]  # in the order of their first links
     assert validate(g).h4.witnesses == (frozenset({1, 2}), frozenset({3, 4}))
+
+
+def test_a_bundle_of_one_gain_spelled_two_ways_fails_h4():
+    # parse reduces each gain token, so 1/2 and 2/4 are one hyperplane
+    g = parse("graph 2\nedge 1 1 2 1/2\nedge 2 1 2 2/4\n")
+    report = validate(g)
+    assert report.failing() == ("H4",)
+    assert report.h4.witnesses == (frozenset({1, 2}),) and report.h4.count == 1
+    assert g.gain_groups == {(1, 2): {(1, 2): [1, 2]}}
+    assert [e.gain for e in g.edges] == [Fraction(1, 2)] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +461,53 @@ def test_edge_line_order_gives_an_equal_graph_and_equal_maps(name, order):
     assert list(h.edge_ends.items()) == list(g.edge_ends.items())
 
 
+def edges_by_hand(text):
+    """The vertex count and the edges, in id order, of the graph file
+    ``text``, read by ``str.split`` and ``Fraction`` alone."""
+    num_vertices, edges = None, []
+    for line in text.splitlines():
+        fields = line.split()
+        if fields[:1] == ["graph"]:
+            num_vertices = int(fields[1])
+        elif fields[:1] == ["edge"]:
+            i, t, h = map(int, fields[1:4])
+            edges.append(Edge(i, t, h, Fraction(fields[4])))
+    return num_vertices, sorted(edges, key=lambda e: e.id)
+
+
+@pytest.mark.parametrize("name", sorted(parsable_data()))
+def test_a_parsed_graph_equals_the_graph_of_its_edges(name):
+    # parse holds rows and builds its edges on their first read; the public
+    # constructors take edges: all three give one graph
+    text = (DATA / name).read_text()
+    num_vertices, edges = edges_by_hand(text)
+    parsed = parse(text)
+    listed = GainGraph.from_edge_list(num_vertices, [(e.tail, e.head, e.gain) for e in edges])
+    built = GainGraph(num_vertices, edges)
+    for g in (parsed, listed, built):
+        assert g == parsed and hash(g) == hash(parsed)
+        assert g.n == len(edges) and g.num_vertices == num_vertices
+    assert parse(text).edges == listed.edges == built.edges == tuple(edges)
+    assert all(type(e.gain) is Fraction for e in parsed.edges)
+    assert map_items(parsed) == map_items(listed) == map_items(built)
+    assert parsed != GainGraph(num_vertices + 1, edges)
+    assert repr(parsed) == repr(listed)
+
+
+def test_a_parsed_graph_round_trips_through_copy_and_pickle():
+    text = (DATA / "final_example.gg").read_text()
+    read = parse(text)
+    assert read.gain_groups and read.edges  # a graph whose maps and edges are built
+    for g in (parse(text), read):
+        for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert twin == g and hash(twin) == hash(g)
+            assert twin.edges == g.edges
+            assert map_items(twin) == map_items(g) and twin.edge_ends == g.edge_ends
+            assert validate(twin) == validate(g)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                twin.num_vertices = 5
+
+
 def test_edge_is_a_frozen_value():
     e = Edge(1, 2, 3, Fraction(1, 2))
     for name in ("id", "tail", "head", "gain", "other"):
@@ -486,7 +544,7 @@ def test_switch_and_reversal_still_build_edges():
     assert switched.edges == (
         Edge(1, 1, 2, Fraction(1)), Edge(2, 2, 3, Fraction(1, 3)), Edge(3, 3, 3, Fraction(-1))
     )
-    assert with_reversed_edge(g, 2).edge(2) == Edge(2, 3, 2, Fraction(3))
+    assert edge(with_reversed_edge(g, 2), 2) == Edge(2, 3, 2, Fraction(3))
     assert all(type(e) is Edge for e in switched.edges + with_reversed_edge(g, 1).edges)
 
 
@@ -582,7 +640,7 @@ def test_switch_identity(final_example):
 def test_switch_single_edge():
     g = GainGraph.from_edge_list(2, [(1, 2, 3)])
     out = switch(g, {1: 3, 2: 1})
-    assert out.edge(1).gain == 1
+    assert edge(out, 1).gain == 1
 
 
 def test_switch_balanced_triangle():

@@ -22,7 +22,7 @@ TESTS = Path(__file__).resolve().parent
 
 #: test oracles and test-data generators that once shipped in the library
 #: (among them the full eliminations the rank route's closed forms replaced),
-#: the circle model no computation needed, the entry points folded into
+#: the circle model and the edge lookups no computation needed, the entry points folded into
 #: one (the rank route's into :func:`falkkit.exterior.rank_fields`), and the
 #: hypothesis gate, now :meth:`falkkit.graphs.ValidationReport.require`, by
 #: the module that held them
@@ -36,7 +36,7 @@ MOVED = {
     "falkkit.graphs": (
         "circle_from_edges", "Circle", "CircleError", "circle_gain", "is_balanced",
         "switch", "random_gain_graph", "RANDOM_GAINS", "GainGraph.with_reversed_edge",
-        "Edge.reversed",
+        "Edge.reversed", "GainGraph.edge", "GainGraph._by_id", "GainGraph.links_between",
     ),
     "falkkit.falk": ("random_switching", "dim_I3_2_closed_form", "RankFields", "_rank_route"),
     "falkkit.exterior": (

@@ -1,6 +1,10 @@
+import copy
+import dataclasses
 import itertools
 import math
+import pickle
 import random
+import weakref
 
 import pytest
 
@@ -8,6 +12,7 @@ from falkkit.graphs import GainGraph, GraphTooLargeError, HypothesisError, all_c
 from falkkit.patterns import (
     MAX_TRIANGLES,
     PatternCounts,
+    Triangle,
     TriangleKind,
     _triangles,
     atlas,
@@ -26,6 +31,7 @@ from helpers import (
     doubling_triangle,
     find_occurrences,
     induced_subgraph,
+    links_between,
     load_graph,
     pattern_rich_hosts,
     scrambled,
@@ -151,7 +157,7 @@ def test_triangles_on_sparse_many_vertex_mixed_gain_graphs():
         found = {t.edge_ids for t in tris}
         for a, b, c in itertools.combinations(g.incident_vertices, 3):
             for links in itertools.product(
-                g.links_between(a, b), g.links_between(b, c), g.links_between(a, c)
+                links_between(g, a, b), links_between(g, b, c), links_between(g, a, c)
             ):
                 ids = tuple(sorted(e.id for e in links))
                 balanced = circle_balance(g, ids)
@@ -169,6 +175,37 @@ def test_triangles_on_type_b(m):
     assert {t.edge_ids for t in tris} == dependent_3sets(g)
     for t in tris:
         assert t.kind is _shape_kind(g, t.edge_ids), t
+
+
+def test_triangle_is_a_frozen_value():
+    t = Triangle((1, 2, 3), TriangleKind.THETA)
+    for name in ("edge_ids", "kind", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(t, name, 5)
+    for name in ("edge_ids", "kind"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(t, name)
+    same = [
+        Triangle(edge_ids=(1, 2, 3), kind=TriangleKind.THETA),
+        copy.copy(t),
+        copy.deepcopy(t),
+        pickle.loads(pickle.dumps(t)),
+        dataclasses.replace(Triangle((1, 2, 3), TriangleKind.BALANCED_CIRCLE), kind=TriangleKind.THETA),
+    ]
+    for u in same:
+        assert u == t and hash(u) == hash(t)
+    for u in (Triangle((1, 2, 4), TriangleKind.THETA), Triangle((1, 2, 3), TriangleKind.TIGHT_HANDCUFF)):
+        assert u != t
+    assert t != ((1, 2, 3), TriangleKind.THETA)
+    assert len({t, *same}) == 1
+    assert dataclasses.astuple(t) == ((1, 2, 3), TriangleKind.THETA)
+    assert [f.name for f in dataclasses.fields(Triangle)] == ["edge_ids", "kind"]
+    assert repr(t) == (
+        "Triangle(edge_ids=(1, 2, 3), kind=<TriangleKind.THETA: 'contrabalanced_theta'>)"
+    )
+    assert weakref.ref(t)() is t
+    with pytest.raises(TypeError):
+        Triangle((1, 2, 3))
 
 
 def test_triangles_refuses_above_the_bound_before_splitting_a_flat(monkeypatch):

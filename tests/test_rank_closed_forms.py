@@ -48,6 +48,7 @@ from helpers import (
     DATA,
     braid,
     doubling_triangle,
+    edge,
     full_rank_fields,
     load_graph,
     one_vertex_set,
@@ -451,21 +452,21 @@ def check_flats(g) -> None:
     for verts, xs in index.by_verts.items():
         assert xs and list(xs) == sorted(xs)
         for flat in xs:
-            assert verts == tuple(sorted({v for a in flat for v in g.edge(a).ends()}))
+            assert verts == tuple(sorted({v for a in flat for v in edge(g, a).ends()}))
             assert all(a in index.ends for a in flat)
         found.extend(xs)
     # no flat appears twice, and together they are the oracle's flats
     assert len(set(found)) == len(found)
     assert set(found) == set(helpers.flats(g.n, helpers.dependent_3sets(g)))
-    assert all(ends == g.edge(a).ends() for a, ends in index.ends.items())
+    assert all(ends == edge(g, a).ends() for a, ends in index.ends.items())
     # each bundle of two or more links has slots 0..b-1 in the order of its
     # gains read from its lower end; no other edge has a slot
     bundles = [bundle for bundle in g.link_map.values() if len(bundle) > 1]
-    assert sorted(index.slot) == sorted(e.id for bundle in bundles for e in bundle)
+    assert sorted(index.slot) == sorted(i for bundle in bundles for i in bundle)
     for bundle in bundles:
-        ordered = sorted(bundle, key=lambda e: index.slot[e.id])
-        assert [index.slot[e.id] for e in ordered] == list(range(len(bundle)))
-        gains = [e.gain if e.tail < e.head else 1 / e.gain for e in ordered]
+        ordered = sorted(bundle, key=index.slot.__getitem__)
+        assert [index.slot[i] for i in ordered] == list(range(len(bundle)))
+        gains = [e.gain if e.tail < e.head else 1 / e.gain for e in (edge(g, i) for i in ordered)]
         assert all(map(lt, gains, gains[1:]))
 
 
