@@ -6,13 +6,16 @@ the stored (tail, head) orientation is bookkeeping only; every operation in
 this package is invariant under reorientation.  All arithmetic is exact.
 
 A graph is held as integer rows ``(id, tail, head, p, q)``, one per edge,
-its gain p/q reduced with q > 0 (:data:`Row`): :func:`parse` reads each
-edge line into one, with one ``gcd`` per distinct gain token, and the
-reduced pair decides every balance the library needs.  A graph's link
-bundles, loops, gain groups and edge ends hold edge ids and come from one
-pass over its rows in id order (:func:`_bundle_index`), made on the first
-read of any of them, whatever built the graph and in whatever order a file
-lists them.  The :class:`Edge` objects of :attr:`GainGraph.edges`, with
+its gain p/q reduced with q > 0 (:data:`Row`), and by nothing else.
+:func:`parse` reads each edge line into one, with one ``gcd`` per distinct
+gain token; the constructor ``GainGraph(num_vertices, edges)`` is the one
+place a graph built from edges is checked, and it coerces each gain with
+:func:`as_gain`, which refuses a zero gain.  The reduced pair decides every
+balance the library needs.  A graph's link bundles, loops, gain groups and
+edge ends hold edge ids and come from one pass over its rows in id order
+(:func:`_bundle_index`), made on the first read of any of them, whatever
+built the graph and in whatever order a file lists them.  The
+:class:`Edge` objects of :attr:`GainGraph.edges`, with
 ``fractions.Fraction`` gains, are built from the rows on their first read,
 which no stage of :func:`falkkit.falk.verify` makes.
 
@@ -117,39 +120,20 @@ def as_gain(value: GainLike) -> Fraction:
     return gain
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Edge:
     """Oriented edge with a nonzero rational gain.
 
     ``tail == head`` marks a loop.  The reversed edge
-    ``(head, tail, 1/gain)`` denotes the same underlying edge.  ``gain``
-    must be a nonzero ``Fraction``; it is not coerced here, as
-    :meth:`GainGraph.from_edge_list` coerces each gain once and
-    :attr:`GainGraph.edges` builds each from a reduced row.
-
-    The fields live in slots, which ``__init__`` writes through their
-    descriptors: the frozen dataclass's own ``__init__`` calls
-    ``object.__setattr__`` once per field, 0.78 us an edge against 0.48 us
-    (CPython 3.11.7).  ``__reduce__`` rebuilds an edge through ``__init__``,
-    since the frozen ``__setattr__`` refuses the slot state that pickle and
-    ``copy`` would set otherwise.
+    ``(head, tail, 1/gain)`` denotes the same underlying edge.  ``gain`` is
+    held as given: :class:`GainGraph` coerces it with :func:`as_gain`, and
+    every edge of :attr:`GainGraph.edges` holds a ``Fraction``.
     """
-
-    __slots__ = ("id", "tail", "head", "gain", "__weakref__")
 
     id: int
     tail: int
     head: int
-    gain: Fraction
-
-    def __init__(self, id: int, tail: int, head: int, gain: Fraction):
-        _set_id(self, id)
-        _set_tail(self, tail)
-        _set_head(self, head)
-        _set_gain(self, gain)
-
-    def __reduce__(self):
-        return (Edge, (self.id, self.tail, self.head, self.gain))
+    gain: GainLike
 
     @property
     def is_loop(self) -> bool:
@@ -160,11 +144,6 @@ class Edge:
         if self.tail <= self.head:
             return (self.tail, self.head)
         return (self.head, self.tail)
-
-
-_set_id, _set_tail, _set_head, _set_gain = (
-    vars(Edge)[name].__set__ for name in ("id", "tail", "head", "gain")
-)
 
 
 class _Bundles(NamedTuple):
@@ -229,31 +208,29 @@ def _bundle_index(rows: Iterable[Row]) -> _Bundles:
 class GainGraph:
     """Immutable multigraph on vertices 1..num_vertices with edge ids 1..n.
 
-    It holds one :data:`Row` per edge, in the order the edges were given.
-    Two graphs are equal when their vertex counts and rows are, which is
-    when their edge tuples are.  :attr:`edges` is built from the rows on
-    its first read, unless the graph was built from edges.
+    It holds one :data:`Row` per edge, in the order the edges were given,
+    and nothing else: :attr:`edges` is built from the rows on its first
+    read, whatever built the graph.  Two graphs are equal when their vertex
+    counts and rows are, which is when their edge tuples are.
     """
 
     num_vertices: int
     _rows: tuple[Row, ...]
 
     def __init__(self, num_vertices: int, edges: Iterable[Edge]):
-        edges = tuple(edges)
+        """The one place a graph built from edges is checked: each gain is
+        coerced with :func:`as_gain`, which refuses a zero gain, the ids
+        must be 1..n and the ends in 1..num_vertices."""
         if num_vertices < 1:
             raise ValueError("a gain graph needs at least one vertex")
-        ids = [e.id for e in edges]
-        expected = list(range(1, len(ids) + 1))
-        # from_edge_list hands its edges over in id order: sort only another order
-        if ids != expected and sorted(ids) != expected:
+        rows = tuple((e.id, e.tail, e.head, *as_gain(e.gain).as_integer_ratio()) for e in edges)
+        if sorted(row[0] for row in rows) != list(range(1, len(rows) + 1)):
             raise ValueError("edge ids must be exactly 1..n with no repeats")
-        for e in edges:
-            if not (1 <= e.tail <= num_vertices and 1 <= e.head <= num_vertices):
-                raise ValueError(f"edge {e.id} touches a vertex outside 1..{num_vertices}")
-        rows = tuple((e.id, e.tail, e.head, *e.gain.as_integer_ratio()) for e in edges)
+        for i, t, h, _, _ in rows:
+            if not (1 <= t <= num_vertices and 1 <= h <= num_vertices):
+                raise ValueError(f"edge {i} touches a vertex outside 1..{num_vertices}")
         object.__setattr__(self, "num_vertices", num_vertices)
         object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "edges", edges)
 
     @classmethod
     def _of_rows(cls, num_vertices: int, rows: tuple[Row, ...]) -> "GainGraph":
@@ -270,10 +247,8 @@ class GainGraph:
         cls, num_vertices: int, triples: Iterable[tuple[int, int, GainLike]]
     ) -> "GainGraph":
         """Build from ``(tail, head, gain)`` triples; ids are assigned 1..n in
-        order, and each gain is coerced with :func:`as_gain`."""
-        edges = tuple(
-            Edge(i, t, h, as_gain(gain)) for i, (t, h, gain) in enumerate(triples, start=1)
-        )
+        order, and the constructor checks them."""
+        edges = (Edge(i, t, h, gain) for i, (t, h, gain) in enumerate(triples, start=1))
         return cls(num_vertices, edges)
 
     @cached_property

@@ -9,13 +9,15 @@ traceback: on 2, stderr starts ``falkkit: error:``; on 1, it starts
 *Malformed* mutants edit the text: they delete, duplicate or swap lines,
 replace, insert or delete tokens from :data:`TOKENS`, and end the lines with
 CR or CRLF.  Most of them no longer parse.  *Valid* mutants edit the edge
-list and write it out again: a new gain from :data:`GAINS`, an edge reversed
-with its gain inverted, an edge deleted or added, the ids renumbered.  They
-always parse, so none of them exits 2.  Where ``report --json`` answers a
-valid mutant, ``phi3 --method rank`` and ``rank-f3 --json`` must give the
-report's phi_3 and F3 numbers, the census must equal the rank route
-wherever it runs, and a scrambled copy (:func:`helpers.scrambled`: switched,
-reversed and renumbered) must report the same phi_3.
+list of a file that parses, or of a :func:`~falkkit.graphs.serialize` copy
+of K_5, D_4 or B_3 (:data:`FAMILIES`), and write it out again: a new gain
+from :data:`GAINS`, an edge reversed with its gain inverted, an edge
+deleted or added, the ids renumbered.  They always parse, so none of them
+exits 2.  Where ``report --json`` answers a valid mutant, ``phi3 --method
+rank`` and ``rank-f3 --json`` must give the report's phi_3 and F3 numbers,
+the census must equal the rank route wherever it runs, and a scrambled copy
+(:func:`helpers.scrambled`: switched, reversed and renumbered) must report
+the same phi_3.
 
 A mutant that breaks the contract or disagrees is kept, as a file in
 ``data/`` or as a strict xfail that names it; it is never dropped from the
@@ -39,7 +41,7 @@ import pytest
 
 from falkkit.cli import main
 from falkkit.graphs import GraphFormatError, parse, serialize
-from helpers import DATA, scrambled
+from helpers import DATA, braid, scrambled, type_b, type_d
 from test_golden_report import SUBCOMMANDS
 
 SEED = 19
@@ -58,7 +60,11 @@ def parses(path) -> bool:
     return True
 
 
-VALID_SOURCES = [path for path in PATHS if parses(path)]
+#: small members of the families, written out by serialize from their edges
+FAMILIES = {"family_k5.gg": braid(5), "family_d4.gg": type_d(4), "family_b3.gg": type_b(3)}
+#: the name and text of each source of valid mutants
+VALID_SOURCES = [(path.name, path.read_text(encoding="utf-8")) for path in PATHS if parses(path)]
+VALID_SOURCES += [(name, serialize(g)) for name, g in FAMILIES.items()]
 REQUESTS = [(name, *flags) for name in SUBCOMMANDS for flags in ((), ("--json",))]
 
 #: what a malformed mutant puts in place of a token, or into a line
@@ -228,16 +234,17 @@ def disagreements(capsys, path, answers: dict, rng: random.Random) -> list[str]:
     return found
 
 
-def check_mutants(capsys, tmp_path, source, mutants) -> None:
-    """The contract on every mutant, and :func:`disagreements` on the valid
-    ones, each with its own seeded scrambling."""
-    path = tmp_path / source.name
+def check_mutants(capsys, tmp_path, name, mutants) -> None:
+    """The contract on every mutant of the source ``name``, and
+    :func:`disagreements` on the valid ones, each with its own seeded
+    scrambling."""
+    path = tmp_path / name
     failures = []
     for index, (text, valid) in enumerate(mutants):
         path.write_text(text, encoding="utf-8")
         violations, answers = contract_violations(capsys, path, valid)
         if valid:
-            rng = random.Random(f"{SEED}:scrambled:{source.name}:{index}")
+            rng = random.Random(f"{SEED}:scrambled:{name}:{index}")
             violations += disagreements(capsys, path, answers, rng)
         for violation in violations:
             failures.append(f"mutant {index} {text[:300]!r}: {violation}")
@@ -249,15 +256,17 @@ def test_malformed_mutants_keep_the_exit_code_contract(capsys, tmp_path, shift, 
     rng = random.Random(f"{SEED}:malformed:{source.name}")
     text = source.read_text(encoding="utf-8")
     mutants = [(mutant, False) for mutant in malformed_mutants(text, rng, shift)]
-    check_mutants(capsys, tmp_path, source, mutants)
+    check_mutants(capsys, tmp_path, source.name, mutants)
 
 
-@pytest.mark.parametrize("source", VALID_SOURCES, ids=lambda p: p.stem)
-def test_valid_mutants_keep_the_exit_code_contract(capsys, tmp_path, source):
-    rng = random.Random(f"{SEED}:valid:{source.name}")
-    num_vertices, edges = edge_list(source.read_text(encoding="utf-8"))
+@pytest.mark.parametrize(
+    "name, text", VALID_SOURCES, ids=[name.removesuffix(".gg") for name, _ in VALID_SOURCES]
+)
+def test_valid_mutants_keep_the_exit_code_contract(capsys, tmp_path, name, text):
+    rng = random.Random(f"{SEED}:valid:{name}")
+    num_vertices, edges = edge_list(text)
     mutants = [(valid_mutant(num_vertices, edges, rng), True) for _ in range(VALID_PER_FILE)]
-    check_mutants(capsys, tmp_path, source, mutants)
+    check_mutants(capsys, tmp_path, name, mutants)
 
 
 #: what a fuzzed argument list is drawn from

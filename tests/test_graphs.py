@@ -247,11 +247,20 @@ def test_serialize_reduces_gains():
 
 
 def test_every_edge_holds_a_nonzero_fraction():
-    # Edge takes its gain as given: parse and from_edge_list coerce it once
+    # Edge takes its gain as given: parse and the constructor coerce it once,
+    # and every graph's edges are built from its rows
     triples = [(1, 2, 2), (2, 3, "-1/3"), (3, 1, Fraction(4, 6)), (1, 1, 0.5)]
     g = GainGraph.from_edge_list(3, triples)
     assert [e.gain for e in g.edges] == [2, Fraction(-1, 3), Fraction(2, 3), Fraction(1, 2)]
     graphs = [g, parse(serialize(g))]
+    for gains in ((2, -1, 3), ("2", "-1/3", "4/6"), (Fraction(2), Fraction(-1, 3), Fraction(4, 6))):
+        triples = [(1, 2, gains[0]), (2, 3, gains[1]), (3, 1, gains[2])]
+        built = GainGraph(3, [Edge(i, *triple) for i, triple in enumerate(triples, start=1)])
+        listed = GainGraph.from_edge_list(3, triples)
+        assert built == listed and hash(built) == hash(listed)
+        assert built.edges == listed.edges
+        assert [e.gain for e in built.edges] == [Fraction(gain) for gain in gains]
+        graphs.append(built)
     graphs += [
         load_graph(path.name) for path in sorted(DATA.glob("*.gg")) if path.stem != "bad_zero_gain"
     ]
@@ -266,6 +275,22 @@ def test_every_edge_holds_a_nonzero_fraction():
 def test_from_edge_list_rejects_a_zero_gain(gain):
     with pytest.raises(ValueError, match="gain must be a nonzero rational"):
         GainGraph.from_edge_list(2, [(1, 2, 1), (1, 2, gain)])
+
+
+@pytest.mark.parametrize("gain", [0, "0/5", Fraction(0)])
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [(1, 2, None), (2, 3, 1), (1, 3, 1)],  # read from the tail
+        [(2, 1, None), (2, 3, 1), (1, 3, 1)],  # read from the head
+        [(1, 2, 1), (1, 2, None), (2, 3, 1), (1, 3, 1)],  # inside a bundle
+    ],
+    ids=["tail", "head", "bundle"],
+)
+def test_the_constructor_refuses_a_zero_gain(edges, gain):
+    edges = [Edge(i, t, h, gain if g is None else g) for i, (t, h, g) in enumerate(edges, start=1)]
+    with pytest.raises(ValueError, match="gain must be a nonzero rational"):
+        GainGraph(3, edges)
 
 
 def test_edge_ids_must_cover_range():
